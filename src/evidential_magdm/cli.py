@@ -23,7 +23,6 @@ from . import dataio, report as report_mod
 from .config import RunConfig
 from .errors import ConfigError, CsvFormatError, MagdmError
 from .fusion import evaluate_fusion
-from .linguistic import membership_matrix
 from .pipeline import run_pipeline
 from .verify import run_reference_checks
 
@@ -55,8 +54,8 @@ def cmd_rank(args) -> int:
     if len(args.inputs) < 2:
         raise ConfigError("group decision requires at least 2 expert CSV files")
     matrices = [dataio.read_decision_matrix(path) for path in args.inputs]
-    # out_dir stays out of the echoed config so that identical inputs give
-    # byte-identical reports wherever they are written
+    # the output directory stays out of the echoed config so that identical
+    # inputs give byte-identical reports wherever they are written
     config = config.replace(inputs=tuple(str(p) for p in args.inputs))
     result = run_pipeline(matrices, config)
     report = report_mod.pipeline_report(result, include_intermediates=args.dump_intermediates)
@@ -64,19 +63,12 @@ def cmd_rank(args) -> int:
     dataio.atomic_write_text(out_dir / "report.json", report_mod.dump_json(report))
     dataio.atomic_write_text(out_dir / "report.md", report_mod.render_markdown(report))
     if args.dump_intermediates:
-        for matrix, tensor in zip(matrices, result.bpa_tensors):
-            degrees = membership_matrix(
-                matrix, terms=config.terms, clamp=config.clamp_out_of_domain,
-                uniform_when_degenerate=config.uniform_when_degenerate,
-            ).degrees
-            dataio.write_term_values(
-                out_dir / f"{matrix.expert_id}_memberships.csv", matrix.expert_id,
-                degrees, matrix.alternative_labels, matrix.attribute_labels,
-            )
-            dataio.write_term_values(
-                out_dir / f"{matrix.expert_id}_masses.csv", matrix.expert_id,
-                tensor.masses, matrix.alternative_labels, matrix.attribute_labels,
-            )
+        for membership, tensor in zip(result.memberships, result.bpa_tensors):
+            for kind, values in (("memberships", membership.degrees), ("masses", tensor.masses)):
+                dataio.write_term_values(
+                    out_dir / f"{tensor.expert_id}_{kind}.csv", tensor.expert_id,
+                    values, tensor.alternative_labels, tensor.attribute_labels,
+                )
     log.info("wrote %s and %s", out_dir / "report.json", out_dir / "report.md")
     if args.json:
         sys.stdout.write(report_mod.dump_json(report))
@@ -160,8 +152,16 @@ def cmd_verify_paper(args) -> int:
     return EXIT_OK if all_pass else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with the configuration code, not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="evidential-magdm",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -170,6 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     rank_p = sub.add_parser("rank", help="rank alternatives from per-expert CSVs")
     rank_p.add_argument("inputs", nargs="+", help="one decision-matrix CSV per expert")
+    rank_p.add_argument("--dump-intermediates", action="store_true",
+                        help="include membership/mass/profile dumps in the report")
     rank_p.set_defaults(func=cmd_rank)
 
     fuse_p = sub.add_parser("fuse-features", help="weight and fuse feature sources")
@@ -185,8 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON run-configuration file")
         p.add_argument("--out", default=".", help="output directory (default: .)")
         p.add_argument("--json", action="store_true", help="machine-readable stdout")
-        p.add_argument("--dump-intermediates", action="store_true",
-                       help="include membership/mass/profile dumps in reports")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
     return parser
 

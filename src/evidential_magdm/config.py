@@ -41,9 +41,8 @@ class RunConfig:
     block_size: int = 8
     sample_cap: int = 64
     split_ratio: float = 0.8
-    # paths (optional; the CLI usually supplies them as flags)
+    # input paths (optional; the CLI supplies them as arguments)
     inputs: tuple[str, ...] = ()
-    out_dir: str | None = None
 
     def __post_init__(self):
         if self.terms < 3:

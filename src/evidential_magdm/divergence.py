@@ -4,6 +4,8 @@ Covers Kullback-Leibler, Jensen-Shannon (pairwise and generalized), the
 belief JS divergence between mass assignments via their normalised
 belief-plausibility distributions, and weighted/ordered generalizations.
 
+Every logarithm is taken in one masked kernel, ``x * log(x / y)``.
+
 Conventions:
   * 0 * log(0/x) contributes 0 (continuous extension); a proposition on
     which every input vanishes contributes 0.
@@ -22,7 +24,6 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy.special import rel_entr
 
 from .errors import ConfigError, DivergenceUndefinedError
 from .evidence import Bpa, wpbl
@@ -73,11 +74,25 @@ def as_weight_vector(values, length: int | None = None) -> np.ndarray:
     return arr
 
 
+def _xlogy_ratio(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Elementwise natural-log ``x * log(x / y)``, 0 where x == 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = x / y
+    return x * np.log(ratio, out=np.zeros_like(ratio), where=x > 0)
+
+
+def _mixture_terms(values: np.ndarray, weights: np.ndarray, base: LogBase) -> np.ndarray:
+    """Entry (f, j) is w_f * v_fj * log(v_fj / mix_j), mix = weights @ values; 0 if w_f = 0."""
+    mix = weights @ values
+    with np.errstate(invalid="ignore"):
+        terms = np.where(weights[:, None] > 0, weights[:, None] * _xlogy_ratio(values, mix), 0.0)
+    return terms / base.ln
+
+
 def entropy(dist, base: LogBase = LogBase.TWO) -> float:
     """Shannon entropy with the 0 log 0 = 0 convention."""
     arr = as_probability_vector(dist)
-    positive = arr[arr > 0]
-    return float(-(positive * np.log(positive)).sum() / base.ln)
+    return float(-_xlogy_ratio(arr, 1.0).sum() / base.ln)
 
 
 def kl_divergence(a, b, base: LogBase = LogBase.TWO) -> float:
@@ -90,27 +105,21 @@ def kl_divergence(a, b, base: LogBase = LogBase.TWO) -> float:
         raise DivergenceUndefinedError(
             "KL undefined: first distribution has mass where the second has none"
         )
-    return float(rel_entr(pa, pb).sum() / base.ln)
+    return float(_xlogy_ratio(pa, pb).sum() / base.ln)
 
 
 def js_divergence(a, b, base: LogBase = LogBase.TWO) -> float:
     """Jensen-Shannon divergence; symmetric and bounded by 1 in base 2."""
-    pa = as_probability_vector(a, "first distribution")
-    pb = as_probability_vector(b, "second distribution")
-    if pa.size != pb.size:
-        raise ValueError("distributions must share a length")
-    mix = (pa + pb) / 2.0
-    return float((rel_entr(pa, mix).sum() + rel_entr(pb, mix).sum()) / (2.0 * base.ln))
+    return generalized_js_divergence([a, b], (0.5, 0.5), base)
 
 
 def generalized_js_divergence(dists: Sequence, weights, base: LogBase = LogBase.TWO) -> float:
-    """Weighted JS divergence: entropy of the mixture minus mixed entropies."""
+    """Weighted JS divergence: sum_i w_i KL(A_i || mixture)."""
     arrs = [as_probability_vector(d) for d in dists]
     if len({a.size for a in arrs}) != 1:
         raise ValueError("distributions must share a length")
     w = as_weight_vector(weights, length=len(arrs))
-    mixture = np.einsum("i,ij->j", w, np.vstack(arrs))
-    return float(entropy(mixture, base) - sum(wi * entropy(a, base) for wi, a in zip(w, arrs)))
+    return float(_mixture_terms(np.vstack(arrs), w, base).sum())
 
 
 def _wpbl_matrix(masses: Sequence[Bpa], propositions) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -130,16 +139,10 @@ def ordered_mixture_terms(values: np.ndarray, weights: np.ndarray, base: LogBase
 
     ``values`` has one row per distribution and one column per proposition.
     Each column is sorted descending so weight f multiplies the f-th
-    largest value; entry (f, j) is w_f * v_(f)j * log(v_(f)j / mix_j)
-    where mix_j is the weight-mixed column. Rows with zero weight and
-    zero values contribute nothing.
+    largest value, then entry (f, j) is w_f * v_(f)j * log(v_(f)j / mix_j)
+    where mix_j is the weight-mixed column.
     """
-    sorted_desc = -np.sort(-np.asarray(values, dtype=float), axis=0)
-    mix = weights @ sorted_desc
-    with np.errstate(invalid="ignore", divide="ignore"):
-        raw = rel_entr(sorted_desc, mix[None, :])
-        terms = np.where(weights[:, None] > 0, weights[:, None] * raw, 0.0)
-    return terms / base.ln
+    return _mixture_terms(np.sort(np.asarray(values, dtype=float), axis=0)[::-1], weights, base)
 
 
 def weighted_belief_divergence(

@@ -108,9 +108,6 @@ class Bpa:
             return frame.subset([key])
         return frame.subset(key)
 
-    def focal_elements(self) -> tuple[int, ...]:
-        return tuple(sorted(m for m, v in self.masses.items() if v > 0))
-
     def total_mass(self) -> float:
         return sum(self.masses.values())
 

@@ -21,10 +21,10 @@ and configuration give bit-identical results.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .config import RunConfig
 from .divergence import LogBase, ordered_mixture_terms
@@ -32,6 +32,7 @@ from .errors import ConfigError, DegenerateCellError, DegenerateRankingError, Ze
 from .linguistic import (
     BpaTensor,
     DecisionMatrix,
+    MembershipMatrix,
     bpa_tensor,
     membership_matrix,
     normalize_decision_matrix,
@@ -63,8 +64,9 @@ def owa_weights(length: int, scheme: str = "uniform", orness: float | None = Non
 
     ``uniform`` gives 1/l everywhere; ``linear-descending`` gives
     w_f = 2(l - f + 1) / (l(l + 1)); ``orness`` gives the maximum-entropy
-    (geometric) weights hitting the requested orness, found by
-    one-dimensional root finding.
+    (geometric) weights hitting the requested orness: w_f is proportional
+    to exp(u f), and bisection on [-60, 60] finds the u whose orness
+    matches, since orness falls as u grows.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
@@ -81,23 +83,22 @@ def owa_weights(length: int, scheme: str = "uniform", orness: float | None = Non
             return OwaWeights(np.array([1.0]), tag)
         if orness == 0.5:
             return OwaWeights(np.full(length, 1.0 / length), tag)
-        f = np.arange(1, length + 1)
 
-        def gap(u):
-            logits = u * f
-            w = np.exp(logits - logits.max())
-            w /= w.sum()
-            return (w * (length - f)).sum() / (length - 1) - orness
+        def unnormalized(u: float) -> list[float]:
+            top = max(u, u * length)  # shift the largest logit to 0 so exp cannot overflow
+            return [math.exp(u * f - top) for f in range(1, length + 1)]
 
-        u = brentq(gap, -60.0, 60.0, xtol=1e-14)
-        logits = u * f
-        w = np.exp(logits - logits.max())
+        def gap(u: float) -> float:
+            w = unnormalized(u)
+            return sum(wf * (length - f) for f, wf in enumerate(w, 1)) / (sum(w) * (length - 1)) - orness
+
+        lo, hi = -60.0, 60.0
+        for _ in range(64):  # halves the width-120 bracket down to float resolution in u
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if gap(mid) > 0 else (lo, mid)
+        w = np.array(unnormalized(0.5 * (lo + hi)))
         return OwaWeights(w / w.sum(), tag)
     raise ConfigError(f"unknown ordered-weighting scheme {scheme!r}")
-
-
-def config_owa(config: RunConfig) -> OwaWeights:
-    return owa_weights(config.terms, config.owa_scheme, config.orness)
 
 
 def ordered_weighted_belief(tensor: BpaTensor, weights: OwaWeights) -> np.ndarray:
@@ -223,7 +224,7 @@ def expert_weights(
             raise ZeroDivergenceError(
                 f"experts {zero_ids} have zero average divergence; support 1/d undefined"
             )
-        supports = np.where(zero, np.inf, np.divide(1.0, averages, where=~zero))
+        supports = np.divide(1.0, averages, out=np.full(k, np.inf), where=~zero)
         weights = zero.astype(float) / zero.sum()
         return ExpertWeights(expert_ids, averages, supports, weights, zero_ids)
     supports = 1.0 / averages
@@ -284,6 +285,7 @@ class PipelineResult:
     alternative_labels: tuple[str, ...]
     attribute_labels: tuple[str, ...]
     normalized: list[DecisionMatrix]
+    memberships: list[MembershipMatrix]
     bpa_tensors: list[BpaTensor]
     owa: OwaWeights
     beliefs: list[np.ndarray]
@@ -326,18 +328,17 @@ def run_pipeline(
 
     base = LogBase.parse(config.log_base)
     normalized = [normalize_decision_matrix(m) for m in matrices]
-    tensors = [
-        bpa_tensor(
-            membership_matrix(
-                m,
-                terms=config.terms,
-                clamp=config.clamp_out_of_domain,
-                uniform_when_degenerate=config.uniform_when_degenerate,
-            )
+    memberships = [
+        membership_matrix(
+            m,
+            terms=config.terms,
+            clamp=config.clamp_out_of_domain,
+            uniform_when_degenerate=config.uniform_when_degenerate,
         )
         for m in matrices
     ]
-    owa = config_owa(config)
+    tensors = [bpa_tensor(r) for r in memberships]
+    owa = owa_weights(config.terms, config.owa_scheme, config.orness)
     beliefs = [ordered_weighted_belief(t, owa) for t in tensors]
     plausibilities = ordered_weighted_plausibility(beliefs)
     profiles = [
@@ -369,6 +370,7 @@ def run_pipeline(
         alternative_labels=first.alternative_labels,
         attribute_labels=first.attribute_labels,
         normalized=normalized,
+        memberships=memberships,
         bpa_tensors=tensors,
         owa=owa,
         beliefs=beliefs,

@@ -11,7 +11,6 @@ import json
 
 import numpy as np
 
-from .linguistic import membership_matrix
 from .pipeline import PipelineResult
 
 
@@ -62,15 +61,7 @@ def pipeline_report(result: PipelineResult, include_intermediates: bool = False)
         )
     if include_intermediates:
         report["memberships"] = {
-            m.expert_id: _listify(
-                membership_matrix(
-                    m,
-                    terms=result.config.terms,
-                    clamp=result.config.clamp_out_of_domain,
-                    uniform_when_degenerate=result.config.uniform_when_degenerate,
-                ).blocked()
-            )
-            for m in result.normalized
+            r.expert_id: _listify(r.blocked()) for r in result.memberships
         }
         report["bpa"] = {
             t.expert_id: _listify(t.blocked()) for t in result.bpa_tensors

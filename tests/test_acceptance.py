@@ -211,6 +211,31 @@ def random_singleton_instance(rng, p=None, n=None):
     return frame, props, masses, p
 
 
+def closed_form_profile(mass, n):
+    # singleton focal sets only, so Bel = Pl = m and the profile is m / sum(m)
+    raw = [mass.masses.get(1 << i, 0.0) for i in range(n)]
+    return [v / sum(raw) for v in raw]
+
+
+def closed_form_js(a, b):
+    return sum(
+        0.5 * v * math.log2(2 * v / (x + y))
+        for x, y in zip(a, b)
+        for v in (x, y)
+        if v > 0
+    )
+
+
+def closed_form_ordered_pair(a, b, w):
+    # per proposition the larger value takes w[0]: sum w_f v_f log2(v_f / mix)
+    total = 0.0
+    for x, y in zip(a, b):
+        hi, lo = max(x, y), min(x, y)
+        mix = w[0] * hi + w[1] * lo
+        total += sum(wf * v * math.log2(v / mix) for wf, v in ((w[0], hi), (w[1], lo)) if wf > 0 and v > 0)
+    return total
+
+
 class TestCriterion8DivergenceLaws:
     """Each law suite draws 1000 random cases."""
 
@@ -262,16 +287,19 @@ class TestCriterion8DivergenceLaws:
         for _ in range(1000):
             n = int(rng.integers(2, 6))
             a, b = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
-            assert generalized_js_divergence([a, b], (0.5, 0.5)) == pytest.approx(
-                js_divergence(a, b), abs=1e-9
-            )
+            value = generalized_js_divergence([a, b], (0.5, 0.5))
+            assert value == pytest.approx(closed_form_js(a, b), abs=1e-9)
+            assert value == pytest.approx(js_divergence(a, b), abs=1e-9)
         report(8, "reduction: generalized JS -> JS", True)
 
     def test_reduction_weighted_to_bjs(self):
         rng = np.random.default_rng(85)
         for _ in range(1000):
             _, props, masses, _ = random_singleton_instance(rng, p=2)
-            assert weighted_belief_divergence(masses[0], masses[1], props) == pytest.approx(
+            a, b = (closed_form_profile(m, len(props)) for m in masses)
+            value = weighted_belief_divergence(masses[0], masses[1], props)
+            assert value == pytest.approx(closed_form_js(a, b), abs=1e-9)
+            assert value == pytest.approx(
                 belief_js_divergence(masses[0], masses[1], props), abs=1e-9
             )
         report(8, "reduction: weighted divergence -> belief JS", True)
@@ -281,7 +309,10 @@ class TestCriterion8DivergenceLaws:
         for _ in range(1000):
             _, props, masses, _ = random_singleton_instance(rng, p=2)
             w = rng.dirichlet(np.ones(2))
-            assert generalized_belief_divergence(masses, props, w) == pytest.approx(
+            a, b = (closed_form_profile(m, len(props)) for m in masses)
+            value = generalized_belief_divergence(masses, props, w)
+            assert value == pytest.approx(closed_form_ordered_pair(a, b, w), abs=1e-9)
+            assert value == pytest.approx(
                 weighted_belief_divergence(masses[0], masses[1], props, w), abs=1e-9
             )
         report(8, "reduction: generalized -> pairwise weighted", True)

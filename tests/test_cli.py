@@ -1,8 +1,13 @@
 """CLI and configuration contract tests."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 import importlib.resources as resources
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -219,9 +224,6 @@ class TestFuseFeaturesCommand:
 
 class TestVerifyPaperCommand:
     def test_module_entry_point(self):
-        import subprocess
-        import sys
-
         proc = subprocess.run(
             [sys.executable, "-m", "evidential_magdm.cli", "verify-paper"],
             capture_output=True, text=True,
@@ -251,3 +253,40 @@ class TestVerifyPaperCommand:
         out = capsys.readouterr().out
         assert code == 1
         assert "FAIL" in out and "membership-table" in out
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["verify-paper", "--bogus"],
+        ["rank"],
+        [],
+        ["no-such-command"],
+        ["rank", "a.csv", "b.csv", "--seed", "x"],
+        ["verify-paper", "--dump-intermediates"],
+        ["fuse-features", "manifest.json", "--dump-intermediates"],
+    ])
+    def test_usage_error_exits_4(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and "error:" in err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-paper", "--help"])
+        assert exc.value.code == 0
+        assert "--out" in capsys.readouterr().out
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(__import__("evidential_magdm").__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, evidential_magdm.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

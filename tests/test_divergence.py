@@ -31,6 +31,22 @@ def manual_js(a, b, base=2.0):
     return 0.5 * (manual_kl(a, mix, base) + manual_kl(b, mix, base))
 
 
+def manual_ordered_pair(a, b, w, base=2.0):
+    # per proposition the larger value takes w[0]: sum w_f v_f log(v_f / mix)
+    total = 0.0
+    for x, y in zip(a, b):
+        hi, lo = max(x, y), min(x, y)
+        mix = w[0] * hi + w[1] * lo
+        total += sum(wf * v * math.log(v / mix, base) for wf, v in ((w[0], hi), (w[1], lo)) if wf > 0 and v > 0)
+    return total
+
+
+def singleton_profile(mass, n):
+    # singleton focal sets only, so Bel = Pl = m and the profile is m / sum(m)
+    raw = [mass.masses.get(1 << i, 0.0) for i in range(n)]
+    return [v / sum(raw) for v in raw]
+
+
 class TestLogBase:
     def test_parse(self):
         assert LogBase.parse("2") is LogBase.TWO
@@ -118,9 +134,9 @@ class TestGeneralizedJs:
         rng = np.random.default_rng(6)
         for _ in range(50):
             a, b = rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(3))
-            assert generalized_js_divergence([a, b], (0.5, 0.5)) == pytest.approx(
-                js_divergence(a, b), abs=1e-9
-            )
+            value = generalized_js_divergence([a, b], (0.5, 0.5))
+            assert value == pytest.approx(manual_js(a, b), abs=1e-12)
+            assert value == pytest.approx(js_divergence(a, b), abs=1e-9)
 
 
 class TestBeliefJs:
@@ -153,9 +169,10 @@ class TestWeightedBeliefDivergence:
             a2, b2 = rng.dirichlet(np.ones(2))
             m1 = PseudoBpa(AB, {"a": a1 * 0.9, "b": b1 * 0.9})
             m2 = PseudoBpa(AB, {"a": a2 * 0.9, "b": b2 * 0.9})
-            assert weighted_belief_divergence(m1, m2, SINGLETONS) == pytest.approx(
-                belief_js_divergence(m1, m2, SINGLETONS), abs=1e-9
-            )
+            value = weighted_belief_divergence(m1, m2, SINGLETONS)
+            # oracle: singleton-only masses have profile m / sum(m) = (a, b)
+            assert value == pytest.approx(manual_js((a1, b1), (a2, b2)), abs=1e-12)
+            assert value == pytest.approx(belief_js_divergence(m1, m2, SINGLETONS), abs=1e-9)
 
     def test_term_by_term_oracle(self):
         m1 = Bpa(AB, {"a": 0.3, "b": 0.2, ("a", "b"): 0.5})
@@ -198,7 +215,10 @@ class TestGeneralizedBeliefDivergence:
             m1 = random_pseudo(rng, self.FRAME, labels)
             m2 = random_pseudo(rng, self.FRAME, labels)
             w = rng.dirichlet(np.ones(2))
-            assert generalized_belief_divergence([m1, m2], self.PROPS, w) == pytest.approx(
+            value = generalized_belief_divergence([m1, m2], self.PROPS, w)
+            a, b = singleton_profile(m1, 3), singleton_profile(m2, 3)
+            assert value == pytest.approx(manual_ordered_pair(a, b, w), abs=1e-12)
+            assert value == pytest.approx(
                 weighted_belief_divergence(m1, m2, self.PROPS, w), abs=1e-9
             )
 
