@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -34,11 +35,19 @@ def _read_rows(path: Path) -> list[list[str]]:
 
 def _parse_cell(text: str, path: Path, line: int, column: int) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        raise CsvFormatError(
-            f"{path}:{line}:{column}: expected a number, got {text!r}"
-        ) from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise CsvFormatError(f"{path}:{line}:{column}: expected a finite number, got {text!r}")
+    return value
+
+
+def _parse_label(text: str, path: Path, line: int, column: int) -> int:
+    value = _parse_cell(text, path, line, column)
+    if not value.is_integer():
+        raise CsvFormatError(f"{path}:{line}:{column}: expected an integer label, got {text!r}")
+    return int(value)
 
 
 def read_decision_matrix(path: str | Path) -> DecisionMatrix:
@@ -93,7 +102,7 @@ def read_feature_source(path: str | Path, source_id: str | None = None) -> Featu
             [_parse_cell(cell, path, line_no, col) for col, cell in enumerate(row[:n_features], start=1)]
         )
         if has_labels:
-            labels.append(int(_parse_cell(row[-1], path, line_no, width)))
+            labels.append(_parse_label(row[-1], path, line_no, width))
     return FeatureSet(
         source_id or path.stem,
         np.asarray(features),

@@ -84,8 +84,9 @@ def _xlogy_ratio(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _mixture_terms(values: np.ndarray, weights: np.ndarray, base: LogBase) -> np.ndarray:
     """Entry (f, j) is w_f * v_fj * log(v_fj / mix_j), mix = weights @ values; 0 if w_f = 0."""
     mix = weights @ values
-    with np.errstate(invalid="ignore"):
-        terms = np.where(weights[:, None] > 0, weights[:, None] * _xlogy_ratio(values, mix), 0.0)
+    with np.errstate(invalid="ignore"):  # a zero weight may meet log(v / 0) = inf
+        terms = weights[:, None] * _xlogy_ratio(values, mix)
+    terms[weights == 0] = 0.0
     return terms / base.ln
 
 
@@ -141,8 +142,20 @@ def ordered_mixture_terms(values: np.ndarray, weights: np.ndarray, base: LogBase
     Each column is sorted descending so weight f multiplies the f-th
     largest value, then entry (f, j) is w_f * v_(f)j * log(v_(f)j / mix_j)
     where mix_j is the weight-mixed column.
+
+    Two rows are ordered with min/max, which is the sort without its
+    per-column cost. Either way the ascending array is read bottom-up, so
+    the matmul sees one memory layout and rounds the same: a contiguous
+    descending copy may take a fused multiply-add path instead.
     """
-    return _mixture_terms(np.sort(np.asarray(values, dtype=float), axis=0)[::-1], weights, base)
+    values = np.asarray(values, dtype=float)
+    if values.shape[0] == 2:
+        ascending = np.empty_like(values)
+        np.minimum(values[0], values[1], out=ascending[0])
+        np.maximum(values[0], values[1], out=ascending[1])
+    else:
+        ascending = np.sort(values, axis=0)
+    return _mixture_terms(ascending[::-1], weights, base)
 
 
 def weighted_belief_divergence(

@@ -345,14 +345,12 @@ def run_pipeline(
         expert_wpbl(b, pl, axis=config.wpbl_axis)
         for b, pl in zip(beliefs, plausibilities)
     ]
-    pair_ids = tuple(
-        (ids[i], ids[j]) for i in range(len(ids)) for j in range(i + 1, len(ids))
-    )
+    pairs = [(i, j) for i in range(len(ids)) for j in range(i + 1, len(ids))]
+    pair_ids = tuple((ids[i], ids[j]) for i, j in pairs)
     columns = {}
-    for a, b in pair_ids:
-        columns[(a, b)] = pairwise_divergence(
-            profiles[ids.index(a)], profiles[ids.index(b)],
-            pair_weights=config.pair_weights, base=base,
+    for (i, j), pair in zip(pairs, pair_ids):
+        columns[pair] = pairwise_divergence(
+            profiles[i], profiles[j], pair_weights=config.pair_weights, base=base,
         )
     pair_matrix = np.column_stack([columns[pair] for pair in pair_ids])
     dmm = divergence_matrix(columns, ids, config.mean_over_alternatives)

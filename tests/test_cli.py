@@ -120,6 +120,14 @@ class TestRankCommand:
         err = capsys.readouterr().err
         assert "bad.csv:2:3" in err
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_exits_2(self, recruitment_csvs, tmp_path, capsys, cell):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"alternative,a,b\n1,2,3\n2,{cell},4\n")
+        code = main(["rank", recruitment_csvs[0], str(bad)])
+        assert code == 2
+        assert "bad.csv:3:2" in capsys.readouterr().err
+
     def test_row_length_mismatch_exits_2(self, recruitment_csvs, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("alternative,a,b\n1,2\n2,3,4\n")
@@ -220,6 +228,38 @@ class TestFuseFeaturesCommand:
         code = main(["fuse-features", str(manifest)])
         assert code == 4
         assert "'b'" in capsys.readouterr().err
+
+
+    @staticmethod
+    def two_source_manifest(tmp_path, bad_text):
+        good = FeatureSet("a", np.random.default_rng(0).normal(size=(6, 3)),
+                          np.array([0, 0, 0, 1, 1, 1]))
+        dataio.write_feature_source(tmp_path / "a.csv", good)
+        (tmp_path / "b.csv").write_text(bad_text)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "sources": [{"id": "a", "path": "a.csv"}, {"id": "b", "path": "b.csv"}],
+        }))
+        return manifest
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_feature_exits_2(self, tmp_path, capsys, cell):
+        manifest = self.two_source_manifest(
+            tmp_path, f"f0,f1,f2,label\n1,2,3,0\n4,{cell},6,1\n"
+        )
+        assert main(["fuse-features", str(manifest)]) == 2
+        assert "b.csv:3:2" in capsys.readouterr().err
+
+    def test_non_integral_label_exits_2(self, tmp_path, capsys):
+        manifest = self.two_source_manifest(tmp_path, "f0,f1,f2,label\n1,2,3,0\n4,5,6,1.5\n")
+        assert main(["fuse-features", str(manifest)]) == 2
+        err = capsys.readouterr().err
+        assert "b.csv:3:4" in err and "'1.5'" in err
+
+    def test_integral_float_label_is_accepted(self, tmp_path):
+        (tmp_path / "s.csv").write_text("f0,label\n0.5,2.0\n0.25,1e0\n")
+        labels = dataio.read_feature_source(tmp_path / "s.csv").labels
+        np.testing.assert_array_equal(labels, [2, 1])
 
 
 class TestVerifyPaperCommand:

@@ -4,15 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from evidential_magdm import divergence
 from evidential_magdm.divergence import (
     LogBase,
+    _mixture_terms,
     belief_js_divergence,
     entropy,
     generalized_belief_divergence,
     generalized_js_divergence,
     js_divergence,
     kl_divergence,
+    ordered_mixture_terms,
     weighted_belief_divergence,
 )
 from evidential_magdm.errors import ConfigError, DivergenceUndefinedError
@@ -270,6 +274,64 @@ class TestGeneralizedBeliefDivergence:
         m = Bpa(self.FRAME, {"a": 1.0})
         with pytest.raises(ValueError):
             generalized_belief_divergence([m], self.PROPS, (1.0,))
+
+
+@st.composite
+def two_row_columns(draw):
+    """(2, n) nonnegative arrays in which some columns tie and some hold zeros."""
+    n = draw(st.integers(1, 40))
+    value = st.floats(0.0, 1.0, allow_subnormal=False)
+    rows = np.array([draw(st.lists(value, min_size=n, max_size=n)) for _ in range(2)])
+    kinds = draw(st.lists(st.sampled_from(["free", "tie", "zero", "zeros"]), min_size=n, max_size=n))
+    for j, kind in enumerate(kinds):
+        if kind == "tie":
+            rows[1, j] = rows[0, j]
+        elif kind == "zero":
+            rows[draw(st.integers(0, 1)), j] = 0.0
+        elif kind == "zeros":
+            rows[:, j] = 0.0
+    return rows
+
+
+class TestOrderedMixtureTerms:
+    """Two rows are ordered by max/min; that must equal the descending sort bit for bit."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        values=two_row_columns(),
+        weights=st.sampled_from([(0.5, 0.5), (0.8, 0.2), (1.0, 0.0), (0.0, 1.0)]),
+        base=st.sampled_from(list(LogBase)),
+    )
+    def test_two_rows_equal_sorted_kernel(self, values, weights, base):
+        w = np.array(weights)
+        expected = _mixture_terms(np.sort(values, axis=0)[::-1], w, base)
+        assert np.array_equal(ordered_mixture_terms(values, w, base), expected)
+
+    def sort_calls(self, monkeypatch, values, weights):
+        calls = []
+        real_sort = np.sort
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real_sort(*args, **kwargs)
+
+        monkeypatch.setattr(divergence.np, "sort", spy)
+        terms = ordered_mixture_terms(values, np.array(weights), LogBase.TWO)
+        monkeypatch.undo()
+        return terms, calls
+
+    def test_two_rows_skip_the_sort(self, monkeypatch):
+        values = np.array([[0.1, 0.7, 0.0], [0.4, 0.7, 0.2]])
+        _, calls = self.sort_calls(monkeypatch, values, (0.8, 0.2))
+        assert calls == []
+
+    def test_three_rows_keep_the_sort(self, monkeypatch):
+        values = np.array([[0.1, 0.7, 0.0, 0.3], [0.4, 0.7, 0.2, 0.3], [0.5, 0.0, 0.2, 0.3]])
+        w = np.array([0.5, 0.3, 0.2])
+        expected = _mixture_terms(np.sort(values, axis=0)[::-1], w, LogBase.TWO)
+        terms, calls = self.sort_calls(monkeypatch, values, w)
+        assert calls == [(3, 4)]
+        assert np.array_equal(terms, expected)
 
 
 class TestEntropy:

@@ -216,6 +216,18 @@ class TestPairwiseDivergence:
         column = result.pair_divergences[:, result.pair_ids.index(("u1", "u2"))]
         assert column[11] == pytest.approx(0.0093, abs=1e-3)
 
+    @pytest.mark.parametrize("pair_weights", [(0.0, 1.0), (1.0, 0.0)])
+    def test_single_order_statistic_weights_on_zero_cells(self, pair_weights):
+        # all weight on one order statistic makes the mixture equal to it,
+        # so every alternative's divergence is 0; with (0, 1) a zero cell
+        # puts log(v / 0) in the zero-weight row, which must be masked
+        # without a numpy warning
+        a = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0], [0.25, 0.75], [0.0, 1.0]])
+        b = np.array([[0.0, 1.0], [0.5, 0.5], [0.3, 0.7], [0.0, 1.0], [0.0, 1.0]])
+        column = pairwise_divergence(a, b, pair_weights)
+        assert np.all(np.isfinite(column)) and np.all(column >= 0)
+        assert np.array_equal(column, np.zeros(5))
+
     def test_pair_weights_affect_value(self):
         rng = np.random.default_rng(5)
         a = rng.dirichlet(np.ones(2), size=4)
