@@ -26,11 +26,15 @@ from .linguistic import DecisionMatrix
 
 
 def _read_rows(path: Path) -> list[list[str]]:
+    """All CSV rows; blank lines at the end of the file are dropped."""
     try:
         with open(path, newline="") as handle:
-            return [row for row in csv.reader(handle)]
+            rows = list(csv.reader(handle))
     except OSError as exc:
         raise CsvFormatError(f"cannot read {path}: {exc}") from exc
+    while rows and not rows[-1]:
+        rows.pop()
+    return rows
 
 
 def _parse_cell(text: str, path: Path, line: int, column: int) -> float:

@@ -88,19 +88,14 @@ def estimate_fusion_weights(sources: list[FeatureSet], config: RunConfig | None 
         for start in range(0, d, config.block_size)
     ]
     ids = tuple(s.source_id for s in sources)
+    row_labels = tuple(f"s{r}" for r in rows)
     per_block = []
     for block in blocks:
-        matrices = []
-        for s in sources:
-            sub = s.features[np.ix_(rows, block)]
-            matrices.append(
-                DecisionMatrix(
-                    s.source_id,
-                    sub,
-                    tuple(f"s{r}" for r in rows),
-                    tuple(f"f{c}" for c in block),
-                )
-            )
+        dim_labels = tuple(f"f{c}" for c in block)
+        matrices = [
+            DecisionMatrix(s.source_id, s.features[np.ix_(rows, block)], row_labels, dim_labels)
+            for s in sources
+        ]
         # degenerate-column errors surface from the linguistic stage with
         # the offending source and dimension named via the labels above
         result = run_pipeline(matrices, config, with_ranking=False)

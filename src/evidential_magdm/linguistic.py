@@ -125,28 +125,44 @@ def normalize_decision_matrix(matrix: DecisionMatrix) -> DecisionMatrix:
     )
 
 
+def _membership_kernel(values, lo, hi, segments: int, clamp: bool) -> np.ndarray:
+    """Degrees of all ``segments + 1`` terms, shape ``values.shape + (terms,)``.
+
+    ``lo`` and ``hi`` broadcast against ``values`` (scalars for one
+    partition, one entry per column for a whole matrix). Interior peaks
+    use the arithmetic of ``LinguisticPartition.peak``, so both callers
+    get bit-identical degrees.
+    """
+    arr = np.asarray(values, dtype=float)
+    if clamp:
+        arr = np.clip(arr, lo, hi)
+    else:
+        outside = (arr < lo) | (arr > hi)
+        if np.any(outside):
+            at = tuple(np.argwhere(outside)[0])
+            c, d = (float(np.broadcast_to(x, arr.shape)[at]) for x in (lo, hi))
+            raise OutOfDomainError(f"value {arr[at]} outside partition domain [{c}, {d}]")
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    span = hi - lo
+    out = np.empty(arr.shape + (segments + 1,))
+    out[..., 0] = 1.0 - (arr - lo) / span
+    out[..., segments] = (arr - lo) / span
+    x, lo, hi = arr[..., None], lo[..., None], hi[..., None]
+    peaks = lo + np.arange(1, segments) * (span[..., None] / segments)
+    rising = (x - lo) / (peaks - lo)
+    falling = 1.0 - (x - peaks) / (hi - peaks)
+    out[..., 1:segments] = np.where(x <= peaks, rising, falling)
+    return out
+
+
 def memberships(values, partition: LinguisticPartition, clamp: bool = False) -> np.ndarray:
     """Degrees of all terms for each value; shape (n, term_count).
 
     Values outside [c, d] raise ``OutOfDomainError`` unless ``clamp``.
     """
-    arr = np.asarray(values, dtype=float)
-    lo, hi, bins = partition.lower, partition.upper, partition.segments
-    if clamp:
-        arr = np.clip(arr, lo, hi)
-    elif np.any((arr < lo) | (arr > hi)):
-        bad = arr[(arr < lo) | (arr > hi)][0]
-        raise OutOfDomainError(f"value {bad} outside partition domain [{lo}, {hi}]")
-    span = hi - lo
-    out = np.empty(arr.shape + (partition.term_count,))
-    out[..., 0] = 1.0 - (arr - lo) / span
-    for term in range(2, bins + 1):
-        peak = partition.peak(term)
-        rising = (arr - lo) / (peak - lo)
-        falling = 1.0 - (arr - peak) / (hi - peak)
-        out[..., term - 1] = np.where(arr <= peak, rising, falling)
-    out[..., bins] = (arr - lo) / span
-    return out
+    return _membership_kernel(
+        values, partition.lower, partition.upper, partition.segments, clamp
+    )
 
 
 def membership(value: float, term: int, partition: LinguisticPartition, clamp: bool = False) -> float:
@@ -209,30 +225,26 @@ def membership_matrix(
     values all coincide has no partition; by default that is an error,
     with ``uniform_when_degenerate`` it yields equal degrees 1/terms.
     """
-    p, q = matrix.shape
-    degrees = np.empty((p, q, terms))
-    partitions = []
-    for j in range(q):
-        column = matrix.values[:, j]
-        try:
-            part = build_partition(column, segments=terms - 1)
-        except DegenerateDomainError:
-            if not uniform_when_degenerate:
-                raise DegenerateDomainError(
-                    f"attribute {matrix.attribute_labels[j]!r} of expert "
-                    f"{matrix.expert_id!r} has a single observed value"
-                )
-            value = float(column[0])
-            part = LinguisticPartition(value - 0.5, value + 0.5, terms - 1)
-            degrees[:, j, :] = 1.0 / terms
-            partitions.append(part)
-            continue
-        degrees[:, j, :] = memberships(column, part, clamp=clamp)
-        partitions.append(part)
+    lo, hi = matrix.values.min(axis=0), matrix.values.max(axis=0)
+    flat = lo == hi
+    if np.any(flat):
+        if not uniform_when_degenerate:
+            j = int(np.flatnonzero(flat)[0])
+            raise DegenerateDomainError(
+                f"attribute {matrix.attribute_labels[j]!r} of expert "
+                f"{matrix.expert_id!r} has a single observed value"
+            )
+        lo = np.where(flat, lo - 0.5, lo)
+        hi = np.where(flat, hi + 0.5, hi)
+    partitions = tuple(
+        LinguisticPartition(c, d, terms - 1) for c, d in zip(lo.tolist(), hi.tolist())
+    )
+    degrees = _membership_kernel(matrix.values, lo, hi, terms - 1, clamp)
+    degrees[:, flat, :] = 1.0 / terms
     return MembershipMatrix(
         matrix.expert_id,
         degrees,
-        tuple(partitions),
+        partitions,
         matrix.alternative_labels,
         matrix.attribute_labels,
     )

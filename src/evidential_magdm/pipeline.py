@@ -21,6 +21,7 @@ and configuration give bit-identical results.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -47,9 +48,10 @@ class OwaWeights:
     scheme: str = "uniform"
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
+        arr = np.array(self.values, dtype=float)  # a private, read-only copy: cached instances are shared
         if np.any(arr < 0) or abs(arr.sum() - 1.0) > 1e-9:
             raise ValueError("ordered weights must be nonnegative and sum to 1")
+        arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
     def orness(self) -> float:
@@ -66,8 +68,14 @@ def owa_weights(length: int, scheme: str = "uniform", orness: float | None = Non
     w_f = 2(l - f + 1) / (l(l + 1)); ``orness`` gives the maximum-entropy
     (geometric) weights hitting the requested orness: w_f is proportional
     to exp(u f), and bisection on [-60, 60] finds the u whose orness
-    matches, since orness falls as u grows.
+    matches, since orness falls as u grows. Results are cached per
+    ``(length, scheme, orness)``; their ``values`` are read-only.
     """
+    return _owa_weights(length, scheme, orness)
+
+
+@functools.lru_cache(maxsize=32)
+def _owa_weights(length: int, scheme: str, orness: float | None) -> OwaWeights:
     if length < 1:
         raise ValueError("length must be >= 1")
     if scheme == "uniform":
@@ -167,6 +175,9 @@ def pairwise_divergence(
     return terms.reshape(p, q).sum(axis=1)
 
 
+_PAIR_CHUNK = 256
+
+
 def divergence_matrix(
     pair_columns: dict[tuple[str, str], np.ndarray],
     expert_ids: tuple[str, ...],
@@ -175,15 +186,23 @@ def divergence_matrix(
     """Symmetric expert-by-expert matrix of aggregated pair divergences."""
     k = len(expert_ids)
     index = {e: i for i, e in enumerate(expert_ids)}
-    out = np.zeros((k, k))
-    seen = set()
-    for (a, b), column in pair_columns.items():
-        value = column.mean() if mean_over_alternatives else column.sum()
-        out[index[a], index[b]] = out[index[b], index[a]] = value
-        seen.add(frozenset((a, b)))
-    expected = {frozenset((a, b)) for i, a in enumerate(expert_ids) for b in expert_ids[i + 1:]}
-    if seen != expected:
+    pairs = [(index[a], index[b]) for a, b in pair_columns]
+    distinct = {(i, j) if i < j else (j, i) for i, j in pairs if i != j}
+    if len(pairs) != k * (k - 1) // 2 or len(distinct) != len(pairs):
         raise ValueError("pair columns do not cover every expert pair exactly once")
+    out = np.zeros((k, k))
+    if pairs:
+        # row-wise reductions over contiguous (pairs, alternatives) stacks round
+        # each row exactly like column.sum() (and column.mean() = sum / n); a
+        # stack holds at most _PAIR_CHUNK rows so no full copy of the columns is made
+        columns = list(pair_columns.values())
+        values = np.empty(len(columns))
+        for start in range(0, len(columns), _PAIR_CHUNK):
+            values[start:start + _PAIR_CHUNK] = np.array(columns[start:start + _PAIR_CHUNK]).sum(axis=1)
+        if mean_over_alternatives:
+            values /= columns[0].size
+        rows, cols = np.array(pairs, dtype=np.intp).T
+        out[rows, cols] = out[cols, rows] = values
     return out
 
 

@@ -133,6 +133,21 @@ class TestRankCommand:
         bad.write_text("alternative,a,b\n1,2\n2,3,4\n")
         assert main(["rank", recruitment_csvs[0], str(bad)]) == 2
 
+    def test_trailing_blank_lines_are_ignored(self, recruitment_csvs, tmp_path, capsys):
+        argv = ["rank", *recruitment_csvs, "--out", str(tmp_path / "out"), "--json"]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        with open(recruitment_csvs[0], "a") as handle:
+            handle.write("\n\n")
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_interior_blank_line_exits_2(self, recruitment_csvs, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("alternative,a,b\n1,2,3\n\n2,3,4\n")
+        assert main(["rank", recruitment_csvs[0], str(bad)]) == 2
+        assert "bad.csv:3: row has 0 cells" in capsys.readouterr().err
+
     def test_degenerate_attribute_exits_3(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -207,6 +222,15 @@ class TestFuseFeaturesCommand:
         fused = dataio.read_feature_source(out / "fused.csv")
         assert fused.features.shape == (240, 8)
         assert fused.labels is not None
+
+    def test_trailing_blank_line_is_ignored(self, manifest, tmp_path, capsys):
+        argv = ["fuse-features", str(manifest), "--out", str(tmp_path / "out"), "--json"]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        with open(tmp_path / "noisy-copy.csv", "a") as handle:
+            handle.write("\n")
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
 
     def test_single_source_rejected(self, tmp_path):
         sources = make_synthetic_sources(1)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from evidential_magdm import recruitment as ref
 from evidential_magdm.errors import (
@@ -13,6 +15,7 @@ from evidential_magdm.errors import (
 )
 from evidential_magdm.linguistic import (
     DecisionMatrix,
+    LinguisticPartition,
     bpa_tensor,
     build_partition,
     membership,
@@ -155,6 +158,82 @@ class TestMembershipMatrix:
         m = simple_matrix([[1.0, 2.0], [1.0, 3.0]])
         degrees = membership_matrix(m, uniform_when_degenerate=True).degrees
         np.testing.assert_allclose(degrees[:, 0, :], 0.2, atol=1e-12)
+
+
+def term_loop_memberships(values, partition, clamp=False):
+    """Oracle: one term at a time, peaks from ``LinguisticPartition.peak``."""
+    arr = np.asarray(values, dtype=float)
+    lo, hi, bins = partition.lower, partition.upper, partition.segments
+    if clamp:
+        arr = np.clip(arr, lo, hi)
+    out = np.empty(arr.shape + (partition.term_count,))
+    out[..., 0] = 1.0 - (arr - lo) / (hi - lo)
+    for term in range(2, bins + 1):
+        peak = partition.peak(term)
+        rising = (arr - lo) / (peak - lo)
+        falling = 1.0 - (arr - peak) / (hi - peak)
+        out[..., term - 1] = np.where(arr <= peak, rising, falling)
+    out[..., bins] = (arr - lo) / (hi - lo)
+    return out
+
+
+@st.composite
+def matrices_with_flat_columns(draw):
+    """(p, q) matrices of mixed sign and scale; some columns held constant."""
+    p = draw(st.integers(2, 12))
+    q = draw(st.integers(1, 6))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    # six decimals keep every non-flat column's span far above underflow
+    elements = st.floats(-1.0, 1.0).map(lambda v: round(v, 6))
+    values = draw(hnp.arrays(float, (p, q), elements=elements)) * scale
+    flat = draw(hnp.arrays(bool, q))
+    values[:, flat] = values[0, flat]
+    return values
+
+
+class TestMembershipKernel:
+    """The whole-matrix pass must equal the per-column construction bit for bit."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(values=matrices_with_flat_columns(), terms=st.integers(5, 9), clamp=st.booleans())
+    def test_matrix_equals_per_column_reference(self, values, terms, clamp):
+        m = DecisionMatrix("x", values)
+        got = membership_matrix(m, terms=terms, clamp=clamp, uniform_when_degenerate=True)
+        for j in range(values.shape[1]):
+            column = values[:, j]
+            if column.min() == column.max():
+                v = float(column[0])
+                expected = np.full((column.size, terms), 1.0 / terms)
+                part = LinguisticPartition(v - 0.5, v + 0.5, terms - 1)
+            else:
+                part = build_partition(column, terms - 1)
+                expected = memberships(column, part)
+                assert np.array_equal(expected, term_loop_memberships(column, part))
+            assert np.array_equal(got.degrees[:, j, :], expected)
+            assert got.partitions[j] == part
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(
+        column=hnp.arrays(float, st.integers(2, 20), elements=st.floats(-50.0, 50.0, width=64)),
+        lo=st.floats(-40.0, 0.0),
+        width=st.floats(1e-3, 60.0),
+        segments=st.integers(4, 8),
+    )
+    def test_clamped_values_equal_term_loop(self, column, lo, width, segments):
+        part = LinguisticPartition(lo, lo + width, segments)
+        got = memberships(column, part, clamp=True)
+        assert np.array_equal(got, term_loop_memberships(column, part, clamp=True))
+
+    def test_out_of_domain_message_names_value_and_domain(self):
+        part = LinguisticPartition(-1.0, 2.5, 4)
+        with pytest.raises(OutOfDomainError, match=r"value 3\.0 outside partition domain \[-1\.0, 2\.5\]"):
+            memberships(np.array([0.0, 3.0, -4.0]), part)
+
+    def test_flat_column_error_names_first_flat_attribute(self):
+        values = np.array([[1.0, 2.0, 7.0, 4.0], [3.0, 2.0, 7.0, 5.0]])
+        m = DecisionMatrix("e", values, ("A", "B"), ("t1", "t2", "t3", "t4"))
+        with pytest.raises(DegenerateDomainError, match="attribute 't2' of expert 'e' has a single observed value"):
+            membership_matrix(m)
 
 
 class TestBpaTensor:

@@ -85,6 +85,22 @@ class TestOwaWeights:
     def test_single_weight(self):
         np.testing.assert_allclose(owa_weights(1, "orness", orness=0.7).values, [1.0])
 
+    def test_repeat_calls_share_one_read_only_solve(self):
+        first = owa_weights(7, "orness", orness=0.65)
+        again = owa_weights(7, "orness", orness=0.65)
+        assert np.array_equal(first.values, again.values) and first.scheme == again.scheme
+        with pytest.raises(ValueError):
+            first.values[0] = 0.5
+        assert not np.array_equal(owa_weights(7, "orness", orness=0.35).values, first.values)
+
+    def test_values_are_a_private_copy(self):
+        from evidential_magdm.pipeline import OwaWeights
+
+        raw = np.array([0.5, 0.5])
+        w = OwaWeights(raw, "given")
+        raw[0] = 1.0
+        assert w.values.tolist() == [0.5, 0.5]
+
 
 class TestOrderedWeightedBelief:
     def tensor(self):
@@ -263,6 +279,29 @@ class TestDivergenceMatrix:
     def test_missing_pair_rejected(self):
         with pytest.raises(ValueError):
             divergence_matrix({("a", "b"): np.zeros(2)}, ("a", "b", "c"))
+
+    @pytest.mark.parametrize("bad", [
+        {("a", "b"): np.zeros(2), ("b", "a"): np.zeros(2), ("a", "c"): np.zeros(2)},
+        {("a", "b"): np.zeros(2), ("a", "c"): np.zeros(2), ("c", "c"): np.zeros(2)},
+        {("a", "b"): np.zeros(2), ("a", "c"): np.zeros(2), ("b", "c"): np.zeros(2), ("c", "b"): np.zeros(2)},
+    ], ids=["pair-twice-missing-one", "self-pair", "pair-twice"])
+    def test_pairs_must_appear_exactly_once(self, bad):
+        with pytest.raises(ValueError, match="exactly once"):
+            divergence_matrix(bad, ("a", "b", "c"))
+
+    @pytest.mark.parametrize("mean", [True, False])
+    def test_equals_per_column_reductions_bit_for_bit(self, mean):
+        rng = np.random.default_rng(12)
+        for k, p in ((2, 3), (3, 17), (5, 240), (9, 1000), (24, 50)):  # k=24: 276 pairs, over one chunk
+            ids = tuple(f"e{i}" for i in range(k))
+            pairs = [(a, b) if rng.random() < 0.5 else (b, a) for i, a in enumerate(ids) for b in ids[i + 1:]]
+            rng.shuffle(pairs)
+            columns = {pair: rng.exponential(1e-3, size=p) for pair in pairs}
+            expected = np.zeros((k, k))
+            for (a, b), column in columns.items():
+                i, j = ids.index(a), ids.index(b)
+                expected[i, j] = expected[j, i] = column.mean() if mean else column.sum()
+            assert np.array_equal(divergence_matrix(columns, ids, mean), expected)
 
 
 class TestExpertWeights:
