@@ -18,7 +18,6 @@ from evidential_magdm.evidence import (
     Bpa,
     FrameOfDiscernment,
     belief,
-    dempster_combine,
     plausibility,
     wpbl,
 )
@@ -30,15 +29,10 @@ singletons = [["sunny"], ["cloudy"], ["rainy"]]
 m1 = Bpa(frame, {"sunny": 0.55, ("sunny", "cloudy"): 0.3, "rainy": 0.15})
 m2 = Bpa(frame, {"cloudy": 0.4, ("sunny", "cloudy"): 0.4, "rainy": 0.2})
 
-print("m1:")
-print(m1.describe())
+print("m1:", m1)
 print("\nBel(sunny) =", round(belief(m1, ["sunny"]), 4),
       " Pl(sunny) =", round(plausibility(m1, ["sunny"]), 4))
 print("belief is the committed lower bound, plausibility the upper bound")
-
-combined, conflict = dempster_combine(m1, m2)
-print("\ncombined via the conjunctive rule (conflict K =", round(conflict, 4), "):")
-print(combined.describe())
 
 # --- the normalised belief-plausibility profile ----------------------------
 profile_1 = wpbl(m1, singletons).values

@@ -19,12 +19,10 @@ from .divergence import (
 )
 from .evidence import (
     Bpa,
-    CombinationResult,
     FrameOfDiscernment,
     PseudoBpa,
     WpblDistribution,
     belief,
-    dempster_combine,
     plausibility,
     wpbl,
 )

@@ -63,14 +63,19 @@ def read_decision_matrix(path: str | Path) -> DecisionMatrix:
     if len(header) < 2:
         raise CsvFormatError(f"{path}:1: header must name at least one attribute")
     attributes = tuple(cell.strip() for cell in header[1:])
-    labels = []
+    labels = {}  # label -> line number
     values = []
     for line_no, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise CsvFormatError(
                 f"{path}:{line_no}: row has {len(row)} cells, header has {len(header)}"
             )
-        labels.append(row[0].strip())
+        label = row[0].strip()
+        if label in labels:
+            raise CsvFormatError(
+                f"{path}:{line_no}:1: alternative {label!r} repeats line {labels[label]}"
+            )
+        labels[label] = line_no
         values.append(
             [_parse_cell(cell, path, line_no, col) for col, cell in enumerate(row[1:], start=2)]
         )

@@ -17,10 +17,6 @@ class InvalidMassError(MagdmError):
     """Mass assignment violates the BPA constraints."""
 
 
-class TotalConflictError(MagdmError):
-    """Dempster combination attempted on totally conflicting evidence (K = 1)."""
-
-
 class DegenerateEvidenceError(MagdmError):
     """Belief-plausibility normalisation has a zero denominator."""
 

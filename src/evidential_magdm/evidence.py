@@ -14,16 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import (
-    DegenerateEvidenceError,
-    FrameError,
-    InvalidMassError,
-    TotalConflictError,
-)
+from .errors import DegenerateEvidenceError, FrameError, InvalidMassError
 
 MASS_SUM_TOL = 1e-9
 
@@ -111,14 +106,6 @@ class Bpa:
     def total_mass(self) -> float:
         return sum(self.masses.values())
 
-    def describe(self) -> str:
-        """Stable text rendering (sorted focal sets) for golden-test diffing."""
-        lines = []
-        for mask in sorted(self.masses):
-            labels = ",".join(self.frame.labels(mask))
-            lines.append(f"{{{labels}}}: {self.masses[mask]:.6f}")
-        return "\n".join(lines)
-
     def __repr__(self):
         pairs = ", ".join(
             f"{{{','.join(self.frame.labels(m))}}}={v:.4g}" for m, v in sorted(self.masses.items())
@@ -160,36 +147,6 @@ def plausibility(b: Bpa, proposition: int | str | Iterable[str]) -> float:
     """Total mass of focal elements intersecting the proposition."""
     u = Bpa._as_mask(b.frame, proposition)
     return sum(v for mask, v in b.masses.items() if mask & u)
-
-
-class CombinationResult(NamedTuple):
-    bpa: Bpa
-    conflict: float
-
-
-def dempster_combine(b1: Bpa, b2: Bpa) -> CombinationResult:
-    """Normalised conjunctive combination of two BPAs on one frame.
-
-    Returns the combined BPA together with the conflict coefficient K.
-    Raises ``TotalConflictError`` when K = 1 instead of dividing by zero.
-    """
-    if b1.frame.elements != b2.frame.elements:
-        raise FrameError("cannot combine BPAs on different frames")
-    conflict = 0.0
-    combined: dict[int, float] = {}
-    for m1, v1 in b1.masses.items():
-        for m2, v2 in b2.masses.items():
-            inter = m1 & m2
-            product = v1 * v2
-            if inter == 0:
-                conflict += product
-            else:
-                combined[inter] = combined.get(inter, 0.0) + product
-    if 1.0 - conflict <= MASS_SUM_TOL:
-        raise TotalConflictError(f"total conflict between BPAs (K={conflict!r})")
-    scale = 1.0 / (1.0 - conflict)
-    normalised = {mask: v * scale for mask, v in combined.items()}
-    return CombinationResult(Bpa(b1.frame, normalised), conflict)
 
 
 def wpbl(b: Bpa, propositions: Iterable[int | str | Iterable[str]]) -> WpblDistribution:

@@ -64,6 +64,18 @@ class DecisionMatrix:
         return self.values.shape
 
 
+def _unsplittable(lo, hi, segments: int):
+    """Whether [lo, hi] leaves an interior peak on an endpoint.
+
+    Peaks are computed as in ``LinguisticPartition.peak``; the first must
+    lie above ``lo`` and the last below ``hi``, or a term's rising or
+    falling edge has zero width. That holds for a single value and for a
+    span so narrow that ``(hi - lo) / segments`` underflows or rounds away.
+    """
+    alpha = (hi - lo) / segments
+    return (lo + alpha <= lo) | (lo + (segments - 1) * alpha >= hi)
+
+
 @dataclass(frozen=True)
 class LinguisticPartition:
     """Domain [c, d] split into H+1 terms of width parameter alpha."""
@@ -73,12 +85,12 @@ class LinguisticPartition:
     segments: int  # H; term count is H + 1
 
     def __post_init__(self):
-        if not self.lower < self.upper:
-            raise DegenerateDomainError(
-                f"degenerate domain [{self.lower}, {self.upper}]"
-            )
         if self.segments < 2:
             raise ValueError("need at least 2 segments (3 terms)")
+        if _unsplittable(self.lower, self.upper, self.segments):
+            raise DegenerateDomainError(
+                f"degenerate domain [{self.lower}, {self.upper}] for {self.segments} segments"
+            )
 
     @property
     def term_count(self) -> int:
@@ -222,17 +234,19 @@ def membership_matrix(
     """Memberships of every (alternative, attribute) pair of one expert.
 
     Partitions come from the expert's own column extremes. A column whose
-    values all coincide has no partition; by default that is an error,
+    values all coincide, or whose range float arithmetic cannot split into
+    ``terms - 1`` segments, has no partition; by default that is an error,
     with ``uniform_when_degenerate`` it yields equal degrees 1/terms.
     """
     lo, hi = matrix.values.min(axis=0), matrix.values.max(axis=0)
-    flat = lo == hi
+    flat = _unsplittable(lo, hi, terms - 1)
     if np.any(flat):
         if not uniform_when_degenerate:
             j = int(np.flatnonzero(flat)[0])
             raise DegenerateDomainError(
                 f"attribute {matrix.attribute_labels[j]!r} of expert "
-                f"{matrix.expert_id!r} has a single observed value"
+                f"{matrix.expert_id!r} has a single observed value "
+                f"or a range that cannot be split into {terms - 1} segments"
             )
         lo = np.where(flat, lo - 0.5, lo)
         hi = np.where(flat, hi + 0.5, hi)

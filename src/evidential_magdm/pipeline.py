@@ -175,34 +175,28 @@ def pairwise_divergence(
     return terms.reshape(p, q).sum(axis=1)
 
 
-_PAIR_CHUNK = 256
-
-
 def divergence_matrix(
-    pair_columns: dict[tuple[str, str], np.ndarray],
-    expert_ids: tuple[str, ...],
+    table: np.ndarray,
+    k: int,
     mean_over_alternatives: bool = True,
 ) -> np.ndarray:
-    """Symmetric expert-by-expert matrix of aggregated pair divergences."""
-    k = len(expert_ids)
-    index = {e: i for i, e in enumerate(expert_ids)}
-    pairs = [(index[a], index[b]) for a, b in pair_columns]
-    distinct = {(i, j) if i < j else (j, i) for i, j in pairs if i != j}
-    if len(pairs) != k * (k - 1) // 2 or len(distinct) != len(pairs):
-        raise ValueError("pair columns do not cover every expert pair exactly once")
+    """Symmetric k x k matrix of aggregated pair divergences.
+
+    ``table`` has one row per expert pair in ``np.triu_indices(k, 1)``
+    order and one column per alternative; each row's sum (or mean) fills
+    both of its pair's cells.
+    """
+    table = np.asarray(table, dtype=float)
+    if table.ndim != 2 or table.shape[0] != k * (k - 1) // 2:
+        raise ValueError(
+            f"divergence table of shape {table.shape} needs one row per pair of {k} experts"
+        )
+    values = table.sum(axis=1)
+    if mean_over_alternatives:
+        values /= table.shape[1]
+    rows, cols = np.triu_indices(k, 1)
     out = np.zeros((k, k))
-    if pairs:
-        # row-wise reductions over contiguous (pairs, alternatives) stacks round
-        # each row exactly like column.sum() (and column.mean() = sum / n); a
-        # stack holds at most _PAIR_CHUNK rows so no full copy of the columns is made
-        columns = list(pair_columns.values())
-        values = np.empty(len(columns))
-        for start in range(0, len(columns), _PAIR_CHUNK):
-            values[start:start + _PAIR_CHUNK] = np.array(columns[start:start + _PAIR_CHUNK]).sum(axis=1)
-        if mean_over_alternatives:
-            values /= columns[0].size
-        rows, cols = np.array(pairs, dtype=np.intp).T
-        out[rows, cols] = out[cols, rows] = values
+    out[rows, cols] = out[cols, rows] = values
     return out
 
 
@@ -311,7 +305,7 @@ class PipelineResult:
     plausibilities: list[np.ndarray]
     wpbl_profiles: list[np.ndarray]
     pair_ids: tuple[tuple[str, str], ...]
-    pair_divergences: np.ndarray  # (alternatives, pairs)
+    pair_divergences: np.ndarray  # (alternatives, pairs): a transposed view of the pair table
     dmm: np.ndarray
     weights: ExpertWeights
     ranking: RankingResult | None
@@ -364,15 +358,14 @@ def run_pipeline(
         expert_wpbl(b, pl, axis=config.wpbl_axis)
         for b, pl in zip(beliefs, plausibilities)
     ]
-    pairs = [(i, j) for i in range(len(ids)) for j in range(i + 1, len(ids))]
+    pairs = np.transpose(np.triu_indices(len(ids), 1)).tolist()
     pair_ids = tuple((ids[i], ids[j]) for i, j in pairs)
-    columns = {}
-    for (i, j), pair in zip(pairs, pair_ids):
-        columns[pair] = pairwise_divergence(
+    table = np.empty((len(pairs), first.shape[0]))
+    for n, (i, j) in enumerate(pairs):
+        table[n] = pairwise_divergence(
             profiles[i], profiles[j], pair_weights=config.pair_weights, base=base,
         )
-    pair_matrix = np.column_stack([columns[pair] for pair in pair_ids])
-    dmm = divergence_matrix(columns, ids, config.mean_over_alternatives)
+    dmm = divergence_matrix(table, len(ids), config.mean_over_alternatives)
     weights = expert_weights(
         dmm, ids,
         divide_by_k=config.divide_by_k,
@@ -394,7 +387,7 @@ def run_pipeline(
         plausibilities=plausibilities,
         wpbl_profiles=profiles,
         pair_ids=pair_ids,
-        pair_divergences=pair_matrix,
+        pair_divergences=table.T,
         dmm=dmm,
         weights=weights,
         ranking=ranking,

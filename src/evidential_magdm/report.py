@@ -38,11 +38,7 @@ def pipeline_report(result: PipelineResult, include_intermediates: bool = False)
         "pairwise_divergence": {
             "pairs": ["|".join(pair) for pair in result.pair_ids],
             "per_alternative": _listify(result.pair_divergences),
-            "aggregate": _listify(
-                result.pair_divergences.mean(axis=0)
-                if result.config.mean_over_alternatives
-                else result.pair_divergences.sum(axis=0)
-            ),
+            "aggregate": _listify(result.dmm[np.triu_indices(len(result.expert_ids), 1)]),
         },
         "divergence_matrix": _listify(result.dmm),
         "average_divergence": _listify(result.weights.averages),

@@ -22,7 +22,6 @@ import numpy as np
 
 from . import recruitment as ref
 from .config import RunConfig
-from .linguistic import bpa_tensor, membership_matrix
 from .pipeline import ExpertWeights, PipelineResult, fuse, rank, run_pipeline
 
 
@@ -60,11 +59,10 @@ def _ordering_consistent(computed: np.ndarray, published: np.ndarray) -> bool:
 
 def run_reference_checks(config: RunConfig | None = None) -> tuple[list[CheckResult], PipelineResult]:
     config = config or RunConfig()
-    matrices = ref.decision_matrices()
-    result = run_pipeline(matrices, config)
+    result = run_pipeline(ref.decision_matrices(), config)
     checks: list[CheckResult] = []
 
-    membership = membership_matrix(matrices[0], terms=config.terms)
+    membership = result.memberships[0]
     reference = _published_membership_reference()
     if membership.blocked().shape != reference.shape:
         checks.append(
@@ -87,8 +85,7 @@ def run_reference_checks(config: RunConfig | None = None) -> tuple[list[CheckRes
                 "2 published cells corrected (documented transcription errata)",
             )
         )
-        masses = bpa_tensor(membership)
-        delta = float(np.abs(masses.blocked() - ref.PUBLISHED_MASSES_U1).max())
+        delta = float(np.abs(result.bpa_tensors[0].blocked() - ref.PUBLISHED_MASSES_U1).max())
         checks.append(CheckResult("mass-table", delta <= 1e-4, delta, 1e-4))
 
     mae = float(np.abs(result.pair_divergences - ref.PUBLISHED_PAIR_DIVERGENCES).mean())

@@ -148,6 +148,15 @@ class TestRankCommand:
         assert main(["rank", recruitment_csvs[0], str(bad)]) == 2
         assert "bad.csv:3: row has 0 cells" in capsys.readouterr().err
 
+    def test_duplicate_alternative_label_exits_2(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        a.write_text("alternative,t1,t2\nx,1,2\ny,3,4\nx,5,7\n")
+        b.write_text("alternative,t1,t2\nx,2,1\ny,4,3\nx,6,5\n")
+        assert main(["rank", str(a), str(b)]) == 2
+        err = capsys.readouterr().err
+        assert "a.csv:4:1: alternative 'x' repeats line 2" in err
+
     def test_degenerate_attribute_exits_3(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

@@ -1,8 +1,8 @@
 """Dempster-Shafer primitive tests.
 
 Derived expectations are computed by independent oracles inside the
-tests (dict-based enumeration for combination, direct mass sums for
-belief and plausibility) rather than by the code under test.
+tests (direct mass sums for belief and plausibility) rather than by the
+code under test.
 """
 
 import numpy as np
@@ -12,14 +12,12 @@ from evidential_magdm.errors import (
     DegenerateEvidenceError,
     FrameError,
     InvalidMassError,
-    TotalConflictError,
 )
 from evidential_magdm.evidence import (
     Bpa,
     FrameOfDiscernment,
     PseudoBpa,
     belief,
-    dempster_combine,
     plausibility,
     wpbl,
 )
@@ -77,10 +75,6 @@ class TestBpaValidation:
         with pytest.raises(InvalidMassError):
             PseudoBpa(AB, {"a": 1.5})
 
-    def test_describe_is_sorted_and_stable(self):
-        b = Bpa(AB, {("a", "b"): 0.4, "a": 0.6})
-        assert b.describe() == "{a}: 0.600000\n{a,b}: 0.400000"
-
 
 class TestBelief:
     def test_singleton(self):
@@ -115,68 +109,6 @@ class TestPlausibility:
         for _ in range(20):
             b = random_bpa(rng, ABC)
             assert plausibility(b, ABC.labels(ABC.full_set)) == pytest.approx(1.0)
-
-
-class TestDempsterCombine:
-    def test_identical_certain_evidence(self):
-        b1 = Bpa(AB, {"a": 1.0})
-        b2 = Bpa(AB, {"a": 1.0})
-        combined, conflict = dempster_combine(b1, b2)
-        assert conflict == pytest.approx(0.0)
-        assert combined.masses[AB.subset(["a"])] == pytest.approx(1.0)
-
-    def test_symmetric_split(self):
-        b1 = Bpa(AB, {"a": 0.5, "b": 0.5})
-        b2 = Bpa(AB, {"a": 0.5, "b": 0.5})
-        combined, conflict = dempster_combine(b1, b2)
-        assert conflict == pytest.approx(0.5)
-        assert combined.masses[AB.subset(["a"])] == pytest.approx(0.5)
-        assert combined.masses[AB.subset(["b"])] == pytest.approx(0.5)
-
-    def test_against_enumeration_oracle(self):
-        b1 = Bpa(AB, {"a": 0.8, ("a", "b"): 0.2})
-        b2 = Bpa(AB, {"b": 0.6, ("a", "b"): 0.4})
-        # oracle: enumerate all four intersection products by hand
-        products = {}
-        conflict = 0.0
-        for s1, v1 in {frozenset("a"): 0.8, frozenset("ab"): 0.2}.items():
-            for s2, v2 in {frozenset("b"): 0.6, frozenset("ab"): 0.4}.items():
-                inter = s1 & s2
-                if inter:
-                    products[inter] = products.get(inter, 0.0) + v1 * v2
-                else:
-                    conflict += v1 * v2
-        expected = {k: v / (1 - conflict) for k, v in products.items()}
-        combined, k_value = dempster_combine(b1, b2)
-        assert k_value == pytest.approx(conflict)
-        for subset, value in expected.items():
-            assert combined.masses[AB.subset(subset)] == pytest.approx(value)
-
-    def test_total_conflict(self):
-        b1 = Bpa(AB, {"a": 1.0})
-        b2 = Bpa(AB, {"b": 1.0})
-        with pytest.raises(TotalConflictError):
-            dempster_combine(b1, b2)
-
-    def test_different_frames_rejected(self):
-        with pytest.raises(FrameError):
-            dempster_combine(Bpa(AB, {"a": 1.0}), Bpa(ABC, {"a": 1.0}))
-
-    def test_commutative(self):
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            b1 = random_bpa(rng, ABC)
-            b2 = random_bpa(rng, ABC)
-            try:
-                left, k_left = dempster_combine(b1, b2)
-                right, k_right = dempster_combine(b2, b1)
-            except TotalConflictError:
-                continue
-            assert k_left == pytest.approx(k_right, abs=1e-12)
-            for mask in set(left.masses) | set(right.masses):
-                assert left.masses.get(mask, 0.0) == pytest.approx(
-                    right.masses.get(mask, 0.0), abs=1e-9
-                )
 
 
 class TestWpbl:

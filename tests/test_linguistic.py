@@ -1,6 +1,7 @@
 """Linguistic partition, membership, and mass-tensor tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -234,6 +235,26 @@ class TestMembershipKernel:
         m = DecisionMatrix("e", values, ("A", "B"), ("t1", "t2", "t3", "t4"))
         with pytest.raises(DegenerateDomainError, match="attribute 't2' of expert 'e' has a single observed value"):
             membership_matrix(m)
+
+    @pytest.mark.parametrize(
+        "column", [[0.0, 5e-324, 0.0], [1.0, 1.0000000000000002, 1.0]],
+        ids=["span-underflows", "peaks-round-onto-ends"],
+    )
+    def test_unsplittable_column_counts_as_flat(self, column):
+        m = DecisionMatrix("e", np.array([column, [1.0, 2.0, 3.0]]).T, ("A", "B", "C"), ("t1", "t2"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateDomainError, match="attribute 't1' of expert 'e'"):
+                membership_matrix(m)
+            degrees = membership_matrix(m, uniform_when_degenerate=True).degrees
+        assert np.array_equal(degrees[:, 0, :], np.full((3, 5), 0.2))
+
+    @pytest.mark.parametrize(
+        "lower, upper", [(0.0, 5e-324), (1.0, 1.0000000000000002)], ids=["zero-alpha", "peak-on-lower"],
+    )
+    def test_partition_rejects_unsplittable_domain(self, lower, upper):
+        with pytest.raises(DegenerateDomainError, match="degenerate domain"):
+            LinguisticPartition(lower, upper, 4)
 
 
 class TestBpaTensor:

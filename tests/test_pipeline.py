@@ -255,53 +255,62 @@ class TestPairwiseDivergence:
 
 class TestDivergenceMatrix:
     def test_two_expert_average(self):
-        columns = {("a", "b"): np.array([0.001, 0.003])}
-        out = divergence_matrix(columns, ("a", "b"))
+        out = divergence_matrix(np.array([[0.001, 0.003]]), 2)
         np.testing.assert_allclose(out, [[0, 0.002], [0.002, 0]])
 
     def test_published_averages_reproduce_published_matrix(self):
-        columns = {
-            pair: np.full(17, avg)
-            for pair, avg in zip(ref.EXPERT_PAIRS, ref.PUBLISHED_PAIR_AVERAGES)
-        }
-        out = divergence_matrix(columns, ref.EXPERT_IDS)
+        # EXPERT_PAIRS lists the pairs in triu_indices order
+        k = len(ref.EXPERT_IDS)
+        order = [(ref.EXPERT_IDS[i], ref.EXPERT_IDS[j]) for i, j in zip(*np.triu_indices(k, 1))]
+        assert list(ref.EXPERT_PAIRS) == order
+        table = np.repeat(np.asarray(ref.PUBLISHED_PAIR_AVERAGES)[:, None], 17, axis=1)
+        out = divergence_matrix(table, k)
         np.testing.assert_allclose(out, ref.PUBLISHED_DIVERGENCE_MATRIX, atol=1e-4)
 
     def test_all_zero(self):
-        columns = {("a", "b"): np.zeros(3), ("a", "c"): np.zeros(3), ("b", "c"): np.zeros(3)}
-        np.testing.assert_allclose(divergence_matrix(columns, ("a", "b", "c")), 0.0)
+        np.testing.assert_allclose(divergence_matrix(np.zeros((3, 3)), 3), 0.0)
 
     def test_sum_convention(self):
-        columns = {("a", "b"): np.array([0.001, 0.003])}
-        out = divergence_matrix(columns, ("a", "b"), mean_over_alternatives=False)
+        out = divergence_matrix(np.array([[0.001, 0.003]]), 2, mean_over_alternatives=False)
         assert out[0, 1] == pytest.approx(0.004)
 
     def test_missing_pair_rejected(self):
-        with pytest.raises(ValueError):
-            divergence_matrix({("a", "b"): np.zeros(2)}, ("a", "b", "c"))
+        with pytest.raises(ValueError, match="one row per pair of 3 experts"):
+            divergence_matrix(np.zeros((1, 2)), 3)
 
-    @pytest.mark.parametrize("bad", [
-        {("a", "b"): np.zeros(2), ("b", "a"): np.zeros(2), ("a", "c"): np.zeros(2)},
-        {("a", "b"): np.zeros(2), ("a", "c"): np.zeros(2), ("c", "c"): np.zeros(2)},
-        {("a", "b"): np.zeros(2), ("a", "c"): np.zeros(2), ("b", "c"): np.zeros(2), ("c", "b"): np.zeros(2)},
-    ], ids=["pair-twice-missing-one", "self-pair", "pair-twice"])
-    def test_pairs_must_appear_exactly_once(self, bad):
-        with pytest.raises(ValueError, match="exactly once"):
-            divergence_matrix(bad, ("a", "b", "c"))
+    def test_extra_pair_rejected(self):
+        with pytest.raises(ValueError, match="one row per pair of 3 experts"):
+            divergence_matrix(np.zeros((4, 2)), 3)
 
     @pytest.mark.parametrize("mean", [True, False])
     def test_equals_per_column_reductions_bit_for_bit(self, mean):
+        # a pair's column of pair_divergences is its row of the table
         rng = np.random.default_rng(12)
-        for k, p in ((2, 3), (3, 17), (5, 240), (9, 1000), (24, 50)):  # k=24: 276 pairs, over one chunk
-            ids = tuple(f"e{i}" for i in range(k))
-            pairs = [(a, b) if rng.random() < 0.5 else (b, a) for i, a in enumerate(ids) for b in ids[i + 1:]]
-            rng.shuffle(pairs)
-            columns = {pair: rng.exponential(1e-3, size=p) for pair in pairs}
+        for k, p in ((2, 3), (3, 17), (5, 240), (9, 1000), (24, 50)):
+            table = rng.exponential(1e-3, size=(k * (k - 1) // 2, p))
             expected = np.zeros((k, k))
-            for (a, b), column in columns.items():
-                i, j = ids.index(a), ids.index(b)
-                expected[i, j] = expected[j, i] = column.mean() if mean else column.sum()
-            assert np.array_equal(divergence_matrix(columns, ids, mean), expected)
+            for (i, j), row in zip(zip(*np.triu_indices(k, 1)), table):
+                expected[i, j] = expected[j, i] = row.mean() if mean else row.sum()
+            assert np.array_equal(divergence_matrix(table, k, mean), expected)
+
+    @pytest.mark.parametrize("mean", [True, False])
+    def test_report_aggregate_is_the_matrix_upper_triangle(self, mean):
+        config = RunConfig(mean_over_alternatives=mean, pair_weights=(0.8, 0.2))
+        result = run_pipeline(ref.decision_matrices(), config)
+        aggregate = pipeline_report(result)["pairwise_divergence"]["aggregate"]
+        k = len(result.expert_ids)
+        assert aggregate == result.dmm[np.triu_indices(k, 1)].tolist()
+
+    def test_pair_columns_follow_triu_order(self):
+        rng = np.random.default_rng(14)
+        result = run_pipeline(random_matrices(rng, experts=5, p=7), RunConfig())
+        rows, cols = np.triu_indices(5, 1)
+        assert result.pair_ids == tuple(
+            (result.expert_ids[i], result.expert_ids[j]) for i, j in zip(rows, cols)
+        )
+        for n, (i, j) in enumerate(zip(rows, cols)):
+            expected = pairwise_divergence(result.wpbl_profiles[i], result.wpbl_profiles[j])
+            assert np.array_equal(result.pair_divergences[:, n], expected)
 
 
 class TestExpertWeights:
