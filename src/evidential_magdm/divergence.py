@@ -4,7 +4,12 @@ Covers Kullback-Leibler, Jensen-Shannon (pairwise and generalized), the
 belief JS divergence between mass assignments via their normalised
 belief-plausibility distributions, and weighted/ordered generalizations.
 
-Every logarithm is taken in one masked kernel, ``x * log(x / y)``.
+Two kernels take every logarithm. ``_xlogy_ratio`` is the masked
+``x * log(x / y)`` under entropy, KL, generalized JS and the p-row
+ordered divergence (through ``_mixture_terms``). ``ordered_pair_terms``
+is the two-profile ordered divergence: one pass over 1-D (hi, lo, mix)
+arrays with an unmasked log, zeroed where a value is 0. It serves the
+all-pairs stage of the pipeline and the two-mass ordered divergences.
 
 Conventions:
   * 0 * log(0/x) contributes 0 (continuous extension); a proposition on
@@ -20,6 +25,7 @@ Conventions:
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from typing import Sequence
 
@@ -47,7 +53,7 @@ class LogBase(enum.Enum):
             return cls.NATURAL
         raise ConfigError(f"unsupported log base {text!r} (use 2 or e)")
 
-    @property
+    @functools.cached_property
     def ln(self) -> float:
         return math.log(self.value)
 
@@ -135,27 +141,52 @@ def belief_js_divergence(m1: Bpa, m2: Bpa, propositions, base: LogBase = LogBase
     return js_divergence(values[0], values[1], base)
 
 
+def ordered_pair_terms(a: np.ndarray, b: np.ndarray, weights: np.ndarray, base: LogBase) -> np.ndarray:
+    """Ordered weighted divergence terms of two 1-D profiles, shape (2, n).
+
+    Row 0 is w_0 * hi * log(hi / mix) and row 1 is w_1 * lo * log(lo / mix),
+    where hi and lo are the cell-wise max and min of ``a`` and ``b`` and
+    mix = w_0 * hi + w_1 * lo. A zero value or a zero weight contributes 0.
+    The profiles are read as they are, with no stacked copy. The mix takes
+    two roundings, w_0 * hi and then + w_1 * lo: numpy's elementwise ops
+    never fuse a multiply-add, and neither does the ``_mixture_terms``
+    matmul on a sorted, reversed (2, n) view, so both give the same bits.
+    """
+    if len(weights) != 2:
+        raise ValueError(f"two-profile divergence needs 2 weights, got {len(weights)}")
+    hi = np.maximum(a, b)
+    lo = np.minimum(a, b)
+    mix = weights[0] * hi
+    mix += weights[1] * lo
+    terms = np.zeros((2, mix.size))
+    empty_cells = not lo.all()  # hi is 0 only where lo is
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 and log(0) at empty cells
+        for row, x, w in zip(terms, (hi, lo), weights):
+            if w > 0:
+                np.divide(x, mix, out=row)
+                np.log(row, out=row)
+                row *= x
+                if empty_cells:
+                    np.putmask(row, x == 0, 0.0)
+                row *= w
+    terms /= base.ln
+    return terms
+
+
 def ordered_mixture_terms(values: np.ndarray, weights: np.ndarray, base: LogBase) -> np.ndarray:
     """Per-proposition contributions of the ordered weighted divergence.
 
     ``values`` has one row per distribution and one column per proposition.
     Each column is sorted descending so weight f multiplies the f-th
     largest value, then entry (f, j) is w_f * v_(f)j * log(v_(f)j / mix_j)
-    where mix_j is the weight-mixed column.
-
-    Two rows are ordered with min/max, which is the sort without its
-    per-column cost. Either way the ascending array is read bottom-up, so
-    the matmul sees one memory layout and rounds the same: a contiguous
-    descending copy may take a fused multiply-add path instead.
+    where mix_j is the weight-mixed column. Two rows go through
+    ``ordered_pair_terms``; more rows are sorted and go through
+    ``_mixture_terms``.
     """
     values = np.asarray(values, dtype=float)
     if values.shape[0] == 2:
-        ascending = np.empty_like(values)
-        np.minimum(values[0], values[1], out=ascending[0])
-        np.maximum(values[0], values[1], out=ascending[1])
-    else:
-        ascending = np.sort(values, axis=0)
-    return _mixture_terms(ascending[::-1], weights, base)
+        return ordered_pair_terms(values[0], values[1], weights, base)
+    return _mixture_terms(np.sort(values, axis=0)[::-1], weights, base)
 
 
 def weighted_belief_divergence(

@@ -49,6 +49,10 @@ class ZeroDivergenceError(MagdmError):
     """An expert has zero average divergence; its support 1/d is undefined."""
 
 
+class NegativeDivergenceError(MagdmError):
+    """An expert's average divergence is negative, so its weight would be too."""
+
+
 class CsvFormatError(MagdmError):
     """Malformed CSV input; carries line/column context in the message."""
 

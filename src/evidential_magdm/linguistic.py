@@ -236,24 +236,30 @@ def membership_matrix(
     Partitions come from the expert's own column extremes. A column whose
     values all coincide, or whose range float arithmetic cannot split into
     ``terms - 1`` segments, has no partition; by default that is an error,
-    with ``uniform_when_degenerate`` it yields equal degrees 1/terms.
+    with ``uniform_when_degenerate`` it yields equal degrees 1/terms and the
+    stand-in partition [lo - 0.5, hi + 0.5]. Where that is still too narrow
+    to split (from |v| >= 2**53 on), the half-width grows to
+    ``terms - 1`` units in the last place of the column's extremes.
     """
+    segments = terms - 1
     lo, hi = matrix.values.min(axis=0), matrix.values.max(axis=0)
-    flat = _unsplittable(lo, hi, terms - 1)
+    flat = _unsplittable(lo, hi, segments)
     if np.any(flat):
         if not uniform_when_degenerate:
             j = int(np.flatnonzero(flat)[0])
             raise DegenerateDomainError(
                 f"attribute {matrix.attribute_labels[j]!r} of expert "
                 f"{matrix.expert_id!r} has a single observed value "
-                f"or a range that cannot be split into {terms - 1} segments"
+                f"or a range that cannot be split into {segments} segments"
             )
-        lo = np.where(flat, lo - 0.5, lo)
-        hi = np.where(flat, hi + 0.5, hi)
+        ulp = np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
+        half = np.where(_unsplittable(lo - 0.5, hi + 0.5, segments), segments * ulp, 0.5)
+        lo = np.where(flat, lo - half, lo)
+        hi = np.where(flat, hi + half, hi)
     partitions = tuple(
-        LinguisticPartition(c, d, terms - 1) for c, d in zip(lo.tolist(), hi.tolist())
+        LinguisticPartition(c, d, segments) for c, d in zip(lo.tolist(), hi.tolist())
     )
-    degrees = _membership_kernel(matrix.values, lo, hi, terms - 1, clamp)
+    degrees = _membership_kernel(matrix.values, lo, hi, segments, clamp)
     degrees[:, flat, :] = 1.0 / terms
     return MembershipMatrix(
         matrix.expert_id,

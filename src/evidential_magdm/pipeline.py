@@ -28,8 +28,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import RunConfig
-from .divergence import LogBase, ordered_mixture_terms
-from .errors import ConfigError, DegenerateCellError, DegenerateRankingError, ZeroDivergenceError
+from .divergence import LogBase, ordered_pair_terms
+from .errors import (
+    ConfigError,
+    DegenerateCellError,
+    DegenerateRankingError,
+    NegativeDivergenceError,
+    ZeroDivergenceError,
+)
 from .linguistic import (
     BpaTensor,
     DecisionMatrix,
@@ -170,9 +176,9 @@ def pairwise_divergence(
         raise ValueError("profiles must share a shape")
     w = np.asarray(pair_weights, dtype=float)
     p, q = wpbl_1.shape
-    stacked = np.stack([wpbl_1.ravel(), wpbl_2.ravel()])
-    terms = ordered_mixture_terms(stacked, w, base).sum(axis=0)
-    return terms.reshape(p, q).sum(axis=1)
+    terms = ordered_pair_terms(wpbl_1.ravel(), wpbl_2.ravel(), w, base)
+    terms[0] += terms[1]
+    return terms[0].reshape(p, q).sum(axis=1)
 
 
 def divergence_matrix(
@@ -224,12 +230,21 @@ def expert_weights(
 
     An expert whose average divergence is zero agrees perfectly with the
     whole group; by default that is an error, under ``full-weight`` the
-    zero-average experts share all the weight.
+    zero-average experts share all the weight. A negative average is
+    always an error: a divergence is nonnegative, and rounding in the
+    kernel can push near-identical experts' values below zero.
     """
     k = len(expert_ids)
     if dmm.shape != (k, k):
         raise ValueError(f"divergence matrix shape {dmm.shape} != ({k}, {k})")
     averages = dmm.sum(axis=1) / (k if divide_by_k else 1)
+    negative = averages < 0
+    if np.any(negative):
+        negative_ids = tuple(e for e, n in zip(expert_ids, negative) if n)
+        raise NegativeDivergenceError(
+            f"experts {negative_ids} have negative average divergence "
+            f"(smallest {averages.min():.3g}); their weights would be negative"
+        )
     zero = averages == 0
     if np.any(zero):
         zero_ids = tuple(e for e, z in zip(expert_ids, zero) if z)

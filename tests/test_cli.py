@@ -166,6 +166,21 @@ class TestRankCommand:
         assert code == 3
         assert "t1" in capsys.readouterr().err
 
+    def test_negative_average_divergence_exits_3(self, tmp_path, capsys):
+        # four near-duplicate experts: rounding leaves some average divergences
+        # of about -6e-18, which would normalise into a weight of about -1.03
+        rng = np.random.default_rng(2)
+        base = rng.uniform(1, 10, (30, 4))
+        paths = []
+        for i in range(4):
+            values = base * (1 + 1e-9 * rng.standard_normal(base.shape))
+            paths.append(tmp_path / f"u{i + 1}.csv")
+            dataio.write_decision_matrix(paths[-1], DecisionMatrix(f"u{i + 1}", values))
+        code = main(["rank", *map(str, paths), "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "negative average divergence" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_bad_config_key_exits_4(self, recruitment_csvs, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"nope": 1}')

@@ -249,6 +249,25 @@ class TestMembershipKernel:
             degrees = membership_matrix(m, uniform_when_degenerate=True).degrees
         assert np.array_equal(degrees[:, 0, :], np.full((3, 5), 0.2))
 
+    @pytest.mark.parametrize("terms", [5, 7, 9])
+    @pytest.mark.parametrize("value", [1e17, -1e17, 2.0**53, 1e300])
+    def test_flat_column_beyond_unit_spacing_gets_a_partition(self, value, terms):
+        # (v - 0.5, v + 0.5) rounds to (v, v) once float spacing at v exceeds 1
+        m = DecisionMatrix("e", np.array([[value] * 3, [1.0, 2.0, 3.0]]).T)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = membership_matrix(m, terms=terms, uniform_when_degenerate=True)
+        assert np.array_equal(got.degrees[:, 0, :], np.full((3, terms), 1.0 / terms))
+        part = got.partitions[0]
+        assert part.lower < value < part.upper
+        assert got.partitions[1] == build_partition([1.0, 2.0, 3.0], terms - 1)
+
+    @pytest.mark.parametrize("value", [-3.0, 1e15])
+    def test_flat_column_keeps_unit_half_width(self, value):
+        m = DecisionMatrix("e", np.array([[value] * 3, [1.0, 2.0, 3.0]]).T)
+        part = membership_matrix(m, uniform_when_degenerate=True).partitions[0]
+        assert (part.lower, part.upper) == (value - 0.5, value + 0.5)
+
     @pytest.mark.parametrize(
         "lower, upper", [(0.0, 5e-324), (1.0, 1.0000000000000002)], ids=["zero-alpha", "peak-on-lower"],
     )

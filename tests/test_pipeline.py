@@ -11,6 +11,7 @@ from evidential_magdm.errors import (
     ConfigError,
     DegenerateCellError,
     DegenerateRankingError,
+    NegativeDivergenceError,
     ZeroDivergenceError,
 )
 from evidential_magdm.linguistic import DecisionMatrix, bpa_tensor, membership_matrix
@@ -353,6 +354,18 @@ class TestExpertWeights:
         ew = expert_weights(dmm, ("a", "b"), zero_average_policy="full-weight")
         np.testing.assert_allclose(ew.weights, [0.5, 0.5])
         assert ew.zero_average_experts == ("a", "b")
+
+    @pytest.mark.parametrize("policy", ["error", "full-weight"])
+    def test_negative_average_is_refused(self, policy):
+        # rounding gives near-identical experts cells like these: c's average is
+        # negative and b's is zero, and normalising would give c a negative weight
+        dmm = np.array([
+            [0.0, 2e-17, 1e-17],
+            [2e-17, 0.0, -2e-17],
+            [1e-17, -2e-17, 0.0],
+        ])
+        with pytest.raises(NegativeDivergenceError, match=r"experts \('c',\) have negative average"):
+            expert_weights(dmm, ("a", "b", "c"), zero_average_policy=policy)
 
 
 class TestFuse:
