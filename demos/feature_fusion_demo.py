@@ -13,15 +13,11 @@ import numpy as np
 
 from evidential_magdm.config import RunConfig
 from evidential_magdm.fusion import (
-    classification_accuracy,
-    confusion_matrix,
     estimate_fusion_weights,
     fuse_features,
+    held_out_confusion,
     make_synthetic_sources,
-    nearest_centroid_fit,
-    nearest_centroid_predict,
     score,
-    train_test_split_indices,
 )
 
 SEED = 7
@@ -42,14 +38,11 @@ print("\nnearest-centroid accuracy on a held-out 20% split:")
 for name, features in [(s.source_id, s.features) for s in sources] + [
     ("fused", fused.features)
 ]:
-    acc = classification_accuracy(features, labels, config.split_ratio, SEED)
-    print(f"  {name:12s} {acc:.3f}")
+    cm, _ = held_out_confusion(features, labels, config.split_ratio, SEED)
+    print(f"  {name:12s} {np.trace(cm) / cm.sum():.3f}")
 
-train, test = train_test_split_indices(fused.n_samples, config.split_ratio, SEED)
-model = nearest_centroid_fit(fused.features[train], labels[train])
-predicted = nearest_centroid_predict(model, fused.features[test])
-cm = confusion_matrix(labels[test], predicted, classes=model.classes)
-report = score(cm, classes=tuple(model.classes))
+cm, classes = held_out_confusion(fused.features, labels, config.split_ratio, SEED)
+report = score(cm, classes=tuple(classes))
 
 print("\nconfusion matrix on the held-out split (rows = true):")
 print(cm)

@@ -45,7 +45,6 @@ from .linguistic import (
     MembershipMatrix,
     bpa_tensor,
     build_partition,
-    membership,
     membership_matrix,
     memberships,
     normalize_decision_matrix,

@@ -42,9 +42,12 @@ def _setup_logging() -> None:
     )
 
 
-def _load_config(args) -> RunConfig:
+def _load_config(args, overrides: dict | None = None) -> RunConfig:
+    """``--config`` (or the defaults), then ``overrides``, then ``--seed``."""
     config = RunConfig.from_file(args.config) if args.config else RunConfig()
-    if getattr(args, "seed", None) is not None:
+    if overrides:
+        config = RunConfig.from_dict({**config.to_dict(), **overrides})
+    if args.seed is not None:
         config = config.replace(seed=args.seed)
     return config
 
@@ -86,14 +89,7 @@ def cmd_fuse_features(args) -> int:
     entries, manifest_config = dataio.read_manifest(args.manifest)
     if len(entries) < 2:
         raise ConfigError("feature fusion requires at least 2 sources")
-    if args.config:
-        config = RunConfig.from_file(args.config)
-        if manifest_config:
-            config = RunConfig.from_dict({**config.to_dict(), **manifest_config})
-    else:
-        config = RunConfig.from_dict(manifest_config)
-    if args.seed is not None:
-        config = config.replace(seed=args.seed)
+    config = _load_config(args, overrides=manifest_config)
     sources = [
         dataio.read_feature_source(entry["path"], entry["id"]) for entry in entries
     ]

@@ -2,11 +2,11 @@
 
 Decision matrices travel as one CSV per expert: the first row names the
 attributes (first cell is a corner label and is ignored), every other
-row is an alternative label followed by its scores, and the expert id is
-the file stem. Feature sources are plain numeric CSVs with a header, one
-row per sample, with an optional trailing ``label`` column. All writes
-go through a temp file in the target directory followed by an atomic
-rename.
+row is an alternative label followed by its nonnegative scores, and the
+expert id is the file stem. Feature sources are plain numeric CSVs with
+a header, one row per sample, with an optional trailing ``label``
+column; their values may be signed. All writes go through a temp file
+in the target directory followed by an atomic rename.
 """
 
 from __future__ import annotations
@@ -47,6 +47,13 @@ def _parse_cell(text: str, path: Path, line: int, column: int) -> float:
     return value
 
 
+def _parse_score(text: str, path: Path, line: int, column: int) -> float:
+    value = _parse_cell(text, path, line, column)
+    if value < 0:
+        raise CsvFormatError(f"{path}:{line}:{column}: expected a nonnegative score, got {text!r}")
+    return value
+
+
 def _parse_label(text: str, path: Path, line: int, column: int) -> int:
     value = _parse_cell(text, path, line, column)
     if not value.is_integer():
@@ -77,7 +84,7 @@ def read_decision_matrix(path: str | Path) -> DecisionMatrix:
             )
         labels[label] = line_no
         values.append(
-            [_parse_cell(cell, path, line_no, col) for col, cell in enumerate(row[1:], start=2)]
+            [_parse_score(cell, path, line_no, col) for col, cell in enumerate(row[1:], start=2)]
         )
     return DecisionMatrix(path.stem, np.asarray(values), tuple(labels), attributes)
 

@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import RunConfig
-from .errors import DegenerateAttributeError
-from .linguistic import DecisionMatrix
-from .pipeline import ExpertWeights, run_pipeline
+from .linguistic import DecisionMatrix, normalize_decision_matrix
+from .pipeline import ExpertWeights, fuse, run_pipeline
 
 
 @dataclass(frozen=True)
@@ -108,19 +107,19 @@ def estimate_fusion_weights(sources: list[FeatureSet], config: RunConfig | None 
 
 
 def fuse_features(sources: list[FeatureSet], weights: ExpertWeights) -> FeatureSet:
-    """Convex combination of column-normalised sources."""
-    _check_conformable(sources)
+    """Convex combination of column-normalised sources (``pipeline.fuse``).
+
+    A zero dimension is named ``f<j>`` with its source in the error.
+    """
+    _, d = _check_conformable(sources)
     if tuple(s.source_id for s in sources) != weights.expert_ids:
         raise ValueError("weights were estimated for a different source list")
-    fused = np.zeros(sources[0].features.shape)
-    for w, s in zip(weights.weights, sources):
-        norms = np.sqrt((s.features ** 2).sum(axis=0))
-        zero = np.flatnonzero(norms == 0)
-        if zero.size:
-            raise DegenerateAttributeError(
-                f"source {s.source_id!r} dimension f{zero[0]} is identically zero"
-            )
-        fused += w * (s.features / norms)
+    dims = tuple(f"f{j}" for j in range(d))
+    normalized = [
+        normalize_decision_matrix(DecisionMatrix(s.source_id, s.features, attribute_labels=dims))
+        for s in sources
+    ]
+    fused = fuse(normalized, weights.weights)
     labels = next((s.labels for s in sources if s.labels is not None), None)
     return FeatureSet("fused", fused, labels)
 
@@ -249,12 +248,19 @@ def train_test_split_indices(n: int, ratio: float, seed: int) -> tuple[np.ndarra
     return np.sort(perm[:cut]), np.sort(perm[cut:])
 
 
-def classification_accuracy(features: np.ndarray, labels: np.ndarray, ratio: float, seed: int) -> float:
-    """Nearest-centroid accuracy on a deterministic train/test split."""
+def held_out_confusion(
+    features: np.ndarray, labels: np.ndarray, ratio: float, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-centroid ``(cm, classes)`` on a deterministic train/test split.
+
+    ``classes`` holds every label, so a class seen only in the test split
+    still gets a row; held-out accuracy is ``np.trace(cm) / cm.sum()``.
+    """
     train, test = train_test_split_indices(len(labels), ratio, seed)
     model = nearest_centroid_fit(features[train], labels[train])
     predicted = nearest_centroid_predict(model, features[test])
-    return float((predicted == labels[test]).mean())
+    classes = np.unique(labels)
+    return confusion_matrix(labels[test], predicted, classes=classes), classes
 
 
 def evaluate_fusion(sources: list[FeatureSet], config: RunConfig | None = None):
@@ -268,14 +274,8 @@ def evaluate_fusion(sources: list[FeatureSet], config: RunConfig | None = None):
     fused = fuse_features(sources, weights)
     if fused.labels is None:
         raise ValueError("scoring requires labels on at least one source")
-    train, test = train_test_split_indices(fused.n_samples, config.split_ratio, config.seed)
-    model = nearest_centroid_fit(fused.features[train], fused.labels[train])
-    predicted = nearest_centroid_predict(model, fused.features[test])
-    cm = confusion_matrix(fused.labels[test], predicted, classes=model.classes)
-    return weights, fused, score(cm, classes=tuple(model.classes))
-
-
-BENCHMARK_SAMPLE_CAP = 240
+    cm, classes = held_out_confusion(fused.features, fused.labels, config.split_ratio, config.seed)
+    return weights, fused, score(cm, classes=tuple(classes))
 
 
 def make_synthetic_sources(

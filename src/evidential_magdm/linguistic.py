@@ -177,13 +177,6 @@ def memberships(values, partition: LinguisticPartition, clamp: bool = False) -> 
     )
 
 
-def membership(value: float, term: int, partition: LinguisticPartition, clamp: bool = False) -> float:
-    """Degree of one 1-based term at a single value."""
-    if not 1 <= term <= partition.term_count:
-        raise ValueError(f"term {term} outside 1..{partition.term_count}")
-    return float(memberships(np.asarray([value]), partition, clamp)[0, term - 1])
-
-
 @dataclass(frozen=True)
 class MembershipMatrix:
     """Per-expert membership degrees, shape (p, q, terms)."""

@@ -259,15 +259,15 @@ def expert_weights(
     return ExpertWeights(expert_ids, averages, supports, supports / supports.sum())
 
 
-def fuse(normalized: list[DecisionMatrix], weights: ExpertWeights) -> np.ndarray:
-    """Convex combination of the normalised expert matrices."""
-    if len(normalized) != len(weights.expert_ids):
+def fuse(normalized: list[DecisionMatrix], weights: np.ndarray) -> np.ndarray:
+    """Convex combination of the normalised matrices, one weight per matrix."""
+    if len(normalized) != len(weights):
         raise ValueError("one matrix per expert required")
     shapes = {m.shape for m in normalized}
     if len(shapes) != 1:
         raise ValueError(f"conflicting matrix shapes: {sorted(shapes)}")
     out = np.zeros(normalized[0].shape)
-    for w, m in zip(weights.weights, normalized):
+    for w, m in zip(weights, normalized):
         out += w * m.values
     return out
 
@@ -388,7 +388,7 @@ def run_pipeline(
     )
     ranking = None
     if with_ranking:
-        ranking = rank(fuse(normalized, weights), first.alternative_labels)
+        ranking = rank(fuse(normalized, weights.weights), first.alternative_labels)
     return PipelineResult(
         config=config,
         expert_ids=ids,

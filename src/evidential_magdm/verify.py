@@ -22,7 +22,7 @@ import numpy as np
 
 from . import recruitment as ref
 from .config import RunConfig
-from .pipeline import ExpertWeights, PipelineResult, fuse, rank, run_pipeline
+from .pipeline import PipelineResult, fuse, rank, run_pipeline
 
 
 @dataclass(frozen=True)
@@ -137,13 +137,7 @@ def run_reference_checks(config: RunConfig | None = None) -> tuple[list[CheckRes
     )
 
     published_w = ref.PUBLISHED_EXPERT_WEIGHTS
-    published_weights = ExpertWeights(
-        ref.EXPERT_IDS,
-        averages=1.0 / published_w,
-        supports=published_w.copy(),
-        weights=published_w / published_w.sum(),
-    )
-    fused = fuse(result.normalized, published_weights)
+    fused = fuse(result.normalized, published_w / published_w.sum())
     delta = float(np.abs(fused - ref.PUBLISHED_FUSED).max())
     checks.append(
         CheckResult(

@@ -128,6 +128,20 @@ class TestRankCommand:
         assert code == 2
         assert "bad.csv:3:2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("files", [1, 4])
+    def test_negative_score_exits_2(self, recruitment_csvs, tmp_path, capsys, files):
+        # a single negative cell used to shift the weights silently; the same
+        # cell in every file used to fail the ranking with exit 4
+        for path in recruitment_csvs[:files]:
+            lines = Path(path).read_text().splitlines(keepends=True)
+            label, score, rest = lines[2].split(",", 2)
+            lines[2] = f"{label},-{score},{rest}"
+            Path(path).write_text("".join(lines))
+        code = main(["rank", *recruitment_csvs, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "u1.csv:3:2: expected a nonnegative score, got '-65'" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_row_length_mismatch_exits_2(self, recruitment_csvs, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("alternative,a,b\n1,2\n2,3,4\n")
@@ -211,6 +225,13 @@ class TestCsvRoundTrip:
         assert back.alternative_labels == matrix.alternative_labels
         assert back.attribute_labels == matrix.attribute_labels
 
+    def test_signed_values_stay_accepted_outside_rank_csvs(self, tmp_path):
+        (tmp_path / "s.csv").write_text("f0,f1,label\n-1.5,2,0\n3,-4e2,1\n")
+        source = dataio.read_feature_source(tmp_path / "s.csv")
+        np.testing.assert_array_equal(source.features, [[-1.5, 2.0], [3.0, -400.0]])
+        matrix = DecisionMatrix("x", source.features)
+        np.testing.assert_array_equal(matrix.values, source.features)
+
     def test_feature_source_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
         source = FeatureSet("s", rng.normal(size=(7, 4)), rng.integers(0, 3, size=7))
@@ -246,6 +267,24 @@ class TestFuseFeaturesCommand:
         fused = dataio.read_feature_source(out / "fused.csv")
         assert fused.features.shape == (240, 8)
         assert fused.labels is not None
+
+    def test_config_precedence(self, manifest, tmp_path, capsys):
+        # --seed beats the manifest's "config", which beats --config
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 1, "sample_cap": 100, "block_size": 4}))
+        bare = tmp_path / "bare.json"
+        bare.write_text(json.dumps({"sources": json.loads(manifest.read_text())["sources"]}))
+
+        def config(*argv):
+            assert main(["fuse-features", *argv, "--out", str(tmp_path / "out"), "--json"]) == 0
+            c = json.loads(capsys.readouterr().out)["config"]
+            return c["seed"], c["sample_cap"], c["block_size"]
+
+        assert config(str(bare), "--config", str(cfg)) == (1, 100, 4)
+        assert config(str(manifest), "--config", str(cfg)) == (7, 240, 4)
+        assert config(str(manifest), "--config", str(cfg), "--seed", "9") == (9, 240, 4)
+        assert config(str(manifest), "--seed", "9") == (9, 240, 8)
+        assert config(str(bare)) == (0, 64, 8)
 
     def test_trailing_blank_line_is_ignored(self, manifest, tmp_path, capsys):
         argv = ["fuse-features", str(manifest), "--out", str(tmp_path / "out"), "--json"]

@@ -9,17 +9,18 @@ from evidential_magdm.config import RunConfig
 from evidential_magdm.errors import DegenerateAttributeError
 from evidential_magdm.fusion import (
     FeatureSet,
-    classification_accuracy,
     confusion_matrix,
     estimate_fusion_weights,
     evaluate_fusion,
     fuse_features,
+    held_out_confusion,
     make_synthetic_sources,
     nearest_centroid_fit,
     nearest_centroid_predict,
     score,
     train_test_split_indices,
 )
+from evidential_magdm.pipeline import ExpertWeights
 
 
 def sources_from(*arrays, labels=None):
@@ -27,6 +28,19 @@ def sources_from(*arrays, labels=None):
         FeatureSet(f"s{i}", arr, labels if i == 0 else None)
         for i, arr in enumerate(arrays)
     ]
+
+
+def convex_combination(arrays, weights):
+    """sum_i w_i * (x_i / ||x_i||) over columns, accumulated in source order."""
+    out = np.zeros(arrays[0].shape)
+    for w, x in zip(weights, arrays):
+        out += w * (x / np.sqrt((x ** 2).sum(axis=0)))
+    return out
+
+
+def held_out_accuracy(features, labels, seed):
+    cm, _ = held_out_confusion(features, labels, 0.8, seed)
+    return np.trace(cm) / cm.sum()
 
 
 class TestFeatureSet:
@@ -165,47 +179,47 @@ class TestFuseFeatures:
         sources = sources_from(base, base.copy())
         weights = estimate_fusion_weights(sources, RunConfig(block_size=3))
         fused = fuse_features(sources, weights)
+        assert np.array_equal(fused.features, convex_combination([base, base], weights.weights))
         np.testing.assert_allclose(
             fused.features, base / np.sqrt((base ** 2).sum(axis=0)), atol=1e-12
         )
 
     def test_one_hot_weights_select_source(self):
-        from evidential_magdm.pipeline import ExpertWeights
-
         rng = np.random.default_rng(5)
         a, b = rng.uniform(1, 5, (4, 2)), rng.uniform(1, 5, (4, 2))
         sources = sources_from(a, b)
         ew = ExpertWeights(("s0", "s1"), np.ones(2), np.ones(2), np.array([0.0, 1.0]))
         fused = fuse_features(sources, ew)
-        np.testing.assert_allclose(
-            fused.features, b / np.sqrt((b ** 2).sum(axis=0)), atol=1e-12
-        )
+        assert np.array_equal(fused.features, b / np.sqrt((b ** 2).sum(axis=0)))
 
     def test_two_by_two_weighted_average(self):
-        from evidential_magdm.pipeline import ExpertWeights
-
         a = np.array([[3.0, 0.0], [4.0, 1.0]])
         b = np.array([[0.0, 2.0], [1.0, 0.0]])
         na = a / np.sqrt((a ** 2).sum(axis=0))
         nb = b / np.sqrt((b ** 2).sum(axis=0))
         ew = ExpertWeights(("s0", "s1"), np.ones(2), np.ones(2), np.array([0.25, 0.75]))
         fused = fuse_features(sources_from(a, b), ew)
-        np.testing.assert_allclose(fused.features, 0.25 * na + 0.75 * nb, atol=1e-12)
+        assert np.array_equal(fused.features, 0.25 * na + 0.75 * nb)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_weighted_sum_of_normalised_signed_sources(self, seed):
+        rng = np.random.default_rng(seed)
+        arrays = [rng.normal(0.0, 3.0, (30, 7)) for _ in range(3)]
+        w = rng.dirichlet(np.ones(3))
+        ew = ExpertWeights(("s0", "s1", "s2"), np.ones(3), np.ones(3), w)
+        fused = fuse_features(sources_from(*arrays), ew)
+        assert np.array_equal(fused.features, convex_combination(arrays, w))
 
     def test_zero_column_rejected(self):
-        from evidential_magdm.pipeline import ExpertWeights
-
         a = np.array([[0.0, 1.0], [0.0, 2.0]])
         b = np.array([[1.0, 1.0], [2.0, 2.0]])
         ew = ExpertWeights(("s0", "s1"), np.ones(2), np.ones(2), np.full(2, 0.5))
-        with pytest.raises(DegenerateAttributeError, match="f0"):
+        with pytest.raises(DegenerateAttributeError, match="'f0' of expert 's0'"):
             fuse_features(sources_from(a, b), ew)
 
     def test_carries_labels_and_id(self):
         labels = np.array([0, 1, 0])
         sources = sources_from(np.ones((3, 2)), np.full((3, 2), 2.0), labels=labels)
-        from evidential_magdm.pipeline import ExpertWeights
-
         ew = ExpertWeights(("s0", "s1"), np.ones(2), np.ones(2), np.full(2, 0.5))
         fused = fuse_features(sources, ew)
         assert fused.source_id == "fused"
@@ -323,15 +337,43 @@ class TestSplitAndEvaluate:
         assert fused.source_id == "fused"
         assert metrics.macro["accuracy"] > 0.6
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_held_out_accuracy_equals_prediction_mean(self, seed):
+        sources = make_synthetic_sources(seed)
+        labels = sources[0].labels
+        train, test = train_test_split_indices(labels.size, 0.8, seed)
+        for source in sources:
+            model = nearest_centroid_fit(source.features[train], labels[train])
+            predicted = nearest_centroid_predict(model, source.features[test])
+            cm, classes = held_out_confusion(source.features, labels, 0.8, seed)
+            np.testing.assert_array_equal(classes, model.classes)
+            assert cm.sum() == test.size
+            assert np.trace(cm) / cm.sum() == (predicted == labels[test]).mean()
+
+    def test_evaluate_fusion_scores_the_held_out_confusion(self):
+        sources = make_synthetic_sources(3)
+        cfg = RunConfig(seed=3, sample_cap=240)
+        _, fused, metrics = evaluate_fusion(sources, cfg)
+        cm, classes = held_out_confusion(fused.features, fused.labels, cfg.split_ratio, cfg.seed)
+        assert metrics == score(cm, classes=tuple(classes))
+
+    def test_class_seen_only_in_test_split_gets_a_row(self):
+        train, test = train_test_split_indices(10, 0.8, 0)
+        labels = np.zeros(10, dtype=int)
+        labels[test[0]] = 1
+        features = np.arange(10.0)[:, None]
+        cm, classes = held_out_confusion(features, labels, 0.8, 0)
+        np.testing.assert_array_equal(classes, [0, 1])
+        assert cm[1].sum() == 1 and cm[:, 1].sum() == 0
+        assert score(cm, classes=tuple(classes)).per_class[1]["sensitivity"] == 0.0
+
     def test_fused_beats_pure_noise(self):
         sources = make_synthetic_sources(12)
         cfg = RunConfig(seed=12, sample_cap=240)
         weights = estimate_fusion_weights(sources, cfg)
         fused = fuse_features(sources, weights)
-        acc_fused = classification_accuracy(fused.features, fused.labels, 0.8, 12)
-        acc_noise = classification_accuracy(
-            sources[2].features, sources[0].labels, 0.8, 12
-        )
+        acc_fused = held_out_accuracy(fused.features, fused.labels, 12)
+        acc_noise = held_out_accuracy(sources[2].features, sources[0].labels, 12)
         assert acc_fused > acc_noise
 
     def test_two_source_fusion_keeps_signal(self):
@@ -345,8 +387,8 @@ class TestSplitAndEvaluate:
             weights = estimate_fusion_weights(pair, RunConfig(seed=seed, sample_cap=240))
             fused = fuse_features(pair, weights)
             labels = informative.labels
-            acc_fused = classification_accuracy(fused.features, labels, 0.8, seed)
-            acc_noise = classification_accuracy(noise.features, labels, 0.8, seed)
+            acc_fused = held_out_accuracy(fused.features, labels, seed)
+            acc_noise = held_out_accuracy(noise.features, labels, seed)
             wins += acc_fused >= acc_noise
         assert wins >= 40
 

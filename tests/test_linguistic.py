@@ -19,7 +19,6 @@ from evidential_magdm.linguistic import (
     LinguisticPartition,
     bpa_tensor,
     build_partition,
-    membership,
     membership_matrix,
     memberships,
     normalize_decision_matrix,
@@ -96,8 +95,8 @@ class TestMembership:
         np.testing.assert_allclose(got, [0.25, 1 / 3, 0.5, 1.0, 0.75], atol=1e-12)
 
     def test_lower_endpoint(self):
-        assert membership(50.0, 1, self.PART) == pytest.approx(1.0)
-        assert membership(50.0, 5, self.PART) == pytest.approx(0.0)
+        assert memberships(np.array([50.0]), self.PART)[0, 0] == pytest.approx(1.0)
+        assert memberships(np.array([50.0]), self.PART)[0, 4] == pytest.approx(0.0)
 
     def test_upper_endpoint(self):
         got = memberships(np.array([90.0]), self.PART)[0]
@@ -110,7 +109,7 @@ class TestMembership:
             segments = int(rng.integers(2, 9))
             part = build_partition(np.array([lo, lo + width]), segments=segments)
             for term in range(2, part.term_count):
-                assert membership(part.peak(term), term, part) == pytest.approx(1.0)
+                assert memberships(np.array([part.peak(term)]), part)[0, term - 1] == pytest.approx(1.0)
 
     def test_bounded_on_domain(self):
         rng = np.random.default_rng(4)
@@ -121,12 +120,8 @@ class TestMembership:
 
     def test_out_of_domain(self):
         with pytest.raises(OutOfDomainError):
-            membership(49.0, 1, self.PART)
-        assert membership(49.0, 1, self.PART, clamp=True) == pytest.approx(1.0)
-
-    def test_term_index_validation(self):
-        with pytest.raises(ValueError):
-            membership(60.0, 6, self.PART)
+            memberships(np.array([49.0]), self.PART)
+        assert memberships(np.array([49.0]), self.PART, clamp=True)[0, 0] == pytest.approx(1.0)
 
 
 class TestMembershipMatrix:

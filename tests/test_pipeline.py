@@ -16,7 +16,6 @@ from evidential_magdm.errors import (
 )
 from evidential_magdm.linguistic import DecisionMatrix, bpa_tensor, membership_matrix
 from evidential_magdm.pipeline import (
-    ExpertWeights,
     divergence_matrix,
     expert_weights,
     expert_wpbl,
@@ -372,21 +371,18 @@ class TestFuse:
     def test_identical_matrices(self):
         m = DecisionMatrix("a", np.array([[1.0, 2.0], [3.0, 4.0]]))
         ms = [m, DecisionMatrix("b", m.values.copy())]
-        ew = ExpertWeights(("a", "b"), np.ones(2), np.ones(2), np.array([0.3, 0.7]))
-        np.testing.assert_allclose(fuse(ms, ew), m.values)
+        np.testing.assert_allclose(fuse(ms, np.array([0.3, 0.7])), m.values)
 
     def test_one_hot_selects_expert(self):
         a = DecisionMatrix("a", np.array([[1.0], [2.0]]))
         b = DecisionMatrix("b", np.array([[5.0], [6.0]]))
-        ew = ExpertWeights(("a", "b"), np.ones(2), np.ones(2), np.array([1.0, 0.0]))
-        np.testing.assert_allclose(fuse([a, b], ew), a.values)
+        np.testing.assert_allclose(fuse([a, b], np.array([1.0, 0.0])), a.values)
 
     def test_shape_mismatch(self):
         a = DecisionMatrix("a", np.ones((2, 2)))
         b = DecisionMatrix("b", np.ones((3, 2)))
-        ew = ExpertWeights(("a", "b"), np.ones(2), np.ones(2), np.full(2, 0.5))
         with pytest.raises(ValueError):
-            fuse([a, b], ew)
+            fuse([a, b], np.full(2, 0.5))
 
 
 class TestRank:
