@@ -24,15 +24,16 @@ print("=== raw scores (expert u1, first five candidates) ===")
 print(matrices[0].values[:5])
 
 # Stage 1: each attribute's observed range is split into five linguistic
-# terms; a candidate's score gets a degree in every term.
-memberships = membership_matrix(matrices[0], terms=config.terms)
+# terms; a candidate's score gets a degree in every term. The stage takes
+# the whole expert group at once; here it is a group of one.
+memberships = membership_matrix(matrices[:1], terms=config.terms)[0]
 print("\n=== membership degrees, candidate 1 (panel / 1-on-1) ===")
 print(memberships.degrees[0])
 print("partition for the panel column:", memberships.partitions[0])
 
 # Column-normalising over candidates turns each (attribute, term) column
 # into a mass assignment over the candidates.
-masses = bpa_tensor(memberships)
+masses = bpa_tensor([memberships])[0]
 print("\n=== masses, candidate 1 ===")
 print(masses.masses[0])
 print("every (attribute, term) column sums to one:",

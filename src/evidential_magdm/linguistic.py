@@ -11,11 +11,22 @@ normalised column-wise over alternatives, which makes each
 The membership construction depends only on a value's position within
 [c, d], so positive rescaling of a column leaves degrees unchanged, and
 it does not matter whether the decision matrix is normalised before or
-after membership computation.
+after membership computation. A range wider than the float range (where
+``d - c`` overflows) is therefore taken at half scale.
+
+Layout: ``membership_matrix`` and ``bpa_tensor`` work on a whole expert
+group at once. The k experts' (p, q) matrices are placed side by side as
+one (p, k*q) matrix, and degrees and masses live in one term-major
+(terms, p, k*q) slab: every ufunc runs once per term over a whole
+(p, k*q) plane, and sums over alternatives run along axis 1, off the
+innermost axis, in the same sequential order as a per-expert
+(p, q, terms) tensor would sum them. Each expert's ``degrees`` and
+``masses`` are (p, q, terms) views of the slab.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +38,9 @@ from .errors import (
 )
 
 DEFAULT_TERMS = 5
+_TINY = float(np.finfo(float).tiny)
+_MAX = float(np.finfo(float).max)
+_HALF_MAX = _MAX / 2
 
 
 @dataclass(frozen=True)
@@ -64,6 +78,17 @@ class DecisionMatrix:
         return self.values.shape
 
 
+def _span_scale(lo, hi):
+    """1.0, or 0.5 where ``hi - lo`` overflows; elementwise on arrays.
+
+    Degrees depend only on a value's position in [lo, hi], so a range
+    taken at half scale keeps them, and halving is exact at such
+    magnitudes. ``hi/2 - lo/2`` exceeds ``max/2`` exactly when
+    ``hi - lo`` rounds to infinity, and it cannot overflow itself.
+    """
+    return 1.0 - 0.5 * (hi * 0.5 - lo * 0.5 > _HALF_MAX)
+
+
 def _unsplittable(lo, hi, segments: int):
     """Whether [lo, hi] leaves an interior peak on an endpoint.
 
@@ -72,6 +97,8 @@ def _unsplittable(lo, hi, segments: int):
     falling edge has zero width. That holds for a single value and for a
     span so narrow that ``(hi - lo) / segments`` underflows or rounds away.
     """
+    scale = _span_scale(lo, hi)
+    lo, hi = lo * scale, hi * scale
     alpha = (hi - lo) / segments
     return (lo + alpha <= lo) | (lo + (segments - 1) * alpha >= hi)
 
@@ -98,7 +125,8 @@ class LinguisticPartition:
 
     @property
     def alpha(self) -> float:
-        return (self.upper - self.lower) / self.segments
+        scale = _span_scale(self.lower, self.upper)
+        return (self.upper * scale - self.lower * scale) / self.segments / scale
 
     def peak(self, term: int) -> float:
         """Location where the given 1-based term reaches membership 1."""
@@ -106,7 +134,9 @@ class LinguisticPartition:
             return self.lower
         if term == self.term_count:
             return self.upper
-        return self.lower + (term - 1) * self.alpha
+        scale = _span_scale(self.lower, self.upper)
+        lo = self.lower * scale
+        return (lo + (term - 1) * ((self.upper * scale - lo) / self.segments)) / scale
 
 
 def build_partition(values, segments: int = DEFAULT_TERMS - 1) -> LinguisticPartition:
@@ -121,65 +151,92 @@ def build_partition(values, segments: int = DEFAULT_TERMS - 1) -> LinguisticPart
 
 
 def normalize_decision_matrix(matrix: DecisionMatrix) -> DecisionMatrix:
-    """Divide each attribute column by its Euclidean norm (benefit attributes)."""
-    norms = np.sqrt((matrix.values ** 2).sum(axis=0))
-    zero = np.flatnonzero(norms == 0)
-    if zero.size:
-        bad = matrix.attribute_labels[zero[0]]
-        raise DegenerateAttributeError(
-            f"attribute {bad!r} of expert {matrix.expert_id!r} is identically zero"
-        )
+    """Divide each attribute column by its Euclidean norm (benefit attributes).
+
+    A column whose sum of squares leaves the normal float range (it
+    overflows, or it underflows while the column holds a nonzero value)
+    is first divided by its largest magnitude, where it cannot; every
+    other column is divided by its norm directly.
+    """
+    values = matrix.values
+    with np.errstate(over="ignore"):
+        squares = (values ** 2).sum(axis=0)
+    norms = np.sqrt(squares)
+    rescale = ~((squares >= _TINY) & (squares <= _MAX))
+    if np.any(rescale):
+        peaks = np.where(rescale, np.abs(values).max(axis=0), 1.0)
+        zero = np.flatnonzero(peaks == 0)
+        if zero.size:
+            bad = matrix.attribute_labels[zero[0]]
+            raise DegenerateAttributeError(
+                f"attribute {bad!r} of expert {matrix.expert_id!r} is identically zero"
+            )
+        values = values / peaks
+        norms = np.where(rescale, np.sqrt((values ** 2).sum(axis=0)), norms)
     return DecisionMatrix(
         matrix.expert_id,
-        matrix.values / norms,
+        values / norms,
         matrix.alternative_labels,
         matrix.attribute_labels,
     )
 
 
-def _membership_kernel(values, lo, hi, segments: int, clamp: bool) -> np.ndarray:
-    """Degrees of all ``segments + 1`` terms, shape ``values.shape + (terms,)``.
+def _membership_kernel(values, lo, hi, segments: int, out: np.ndarray) -> np.ndarray:
+    """Degrees of all ``segments + 1`` terms, term-major, written into ``out``.
 
+    ``out[h]`` has the shape of ``values`` and holds term ``h + 1``;
     ``lo`` and ``hi`` broadcast against ``values`` (scalars for one
-    partition, one entry per column for a whole matrix). Interior peaks
-    use the arithmetic of ``LinguisticPartition.peak``, so both callers
-    get bit-identical degrees.
+    partition, one entry per column for a group slab). Every value must
+    lie in its [lo, hi]. Each ufunc runs once per term over the whole
+    ``values`` plane, and interior peaks use the arithmetic of
+    ``LinguisticPartition.peak``, so both callers get bit-identical
+    degrees. A range whose span overflows is taken at half scale.
+    """
+    scale = _span_scale(lo, hi)
+    if np.any(scale != 1.0):
+        values, lo, hi = values * scale, lo * scale, hi * scale
+    span = hi - lo
+    offset = values - lo
+    np.divide(offset, span, out=out[segments])
+    np.subtract(1.0, out[segments], out=out[0])
+    step = span / segments
+    falling = np.empty_like(offset)
+    for h in range(1, segments):
+        peak = lo + h * step
+        np.divide(offset, peak - lo, out=out[h])
+        np.subtract(values, peak, out=falling)
+        falling /= hi - peak
+        np.subtract(1.0, falling, out=falling)
+        np.copyto(out[h], falling, where=values > peak)
+    return out
+
+
+def memberships(values, partition: LinguisticPartition, clamp: bool = False) -> np.ndarray:
+    """Degrees of all terms for each value; shape ``values.shape + (term_count,)``.
+
+    Values outside [c, d] raise ``OutOfDomainError`` unless ``clamp``.
+    The result is a view of the kernel's term-major array.
     """
     arr = np.asarray(values, dtype=float)
+    lo, hi = partition.lower, partition.upper
     if clamp:
         arr = np.clip(arr, lo, hi)
     else:
         outside = (arr < lo) | (arr > hi)
         if np.any(outside):
             at = tuple(np.argwhere(outside)[0])
-            c, d = (float(np.broadcast_to(x, arr.shape)[at]) for x in (lo, hi))
-            raise OutOfDomainError(f"value {arr[at]} outside partition domain [{c}, {d}]")
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    span = hi - lo
-    out = np.empty(arr.shape + (segments + 1,))
-    out[..., 0] = 1.0 - (arr - lo) / span
-    out[..., segments] = (arr - lo) / span
-    x, lo, hi = arr[..., None], lo[..., None], hi[..., None]
-    peaks = lo + np.arange(1, segments) * (span[..., None] / segments)
-    rising = (x - lo) / (peaks - lo)
-    falling = 1.0 - (x - peaks) / (hi - peaks)
-    out[..., 1:segments] = np.where(x <= peaks, rising, falling)
-    return out
-
-
-def memberships(values, partition: LinguisticPartition, clamp: bool = False) -> np.ndarray:
-    """Degrees of all terms for each value; shape (n, term_count).
-
-    Values outside [c, d] raise ``OutOfDomainError`` unless ``clamp``.
-    """
-    return _membership_kernel(
-        values, partition.lower, partition.upper, partition.segments, clamp
-    )
+            raise OutOfDomainError(f"value {arr[at]} outside partition domain [{lo}, {hi}]")
+    out = np.empty((partition.term_count,) + arr.shape)
+    return np.moveaxis(_membership_kernel(arr, lo, hi, partition.segments, out), 0, -1)
 
 
 @dataclass(frozen=True)
 class MembershipMatrix:
-    """Per-expert membership degrees, shape (p, q, terms)."""
+    """Per-expert membership degrees, shape (p, q, terms).
+
+    ``degrees`` is a view of the group's term-major (terms, p, columns)
+    slab, so writing to it writes to the slab.
+    """
 
     expert_id: str
     degrees: np.ndarray = field(repr=False)
@@ -199,7 +256,8 @@ class BpaTensor:
 
     Each (attribute, term) column sums to 1 over alternatives unless the
     membership column was identically zero, in which case the masses stay
-    zero and the column index is recorded in ``zero_columns``.
+    zero and the column index is recorded in ``zero_columns``. ``masses``
+    is a view of the group's term-major mass slab.
     """
 
     expert_id: str
@@ -218,64 +276,125 @@ class BpaTensor:
         return self.masses.reshape(p, q * terms)
 
 
-def membership_matrix(
-    matrix: DecisionMatrix,
-    terms: int = DEFAULT_TERMS,
-    clamp: bool = False,
-    uniform_when_degenerate: bool = False,
-) -> MembershipMatrix:
-    """Memberships of every (alternative, attribute) pair of one expert.
+def term_major(arrays) -> np.ndarray:
+    """The (terms, p, columns) slab of per-expert (p, q, terms) arrays.
 
-    Partitions come from the expert's own column extremes. A column whose
-    values all coincide, or whose range float arithmetic cannot split into
-    ``terms - 1`` segments, has no partition; by default that is an error,
-    with ``uniform_when_degenerate`` it yields equal degrees 1/terms and the
-    stand-in partition [lo - 0.5, hi + 0.5]. Where that is still too narrow
-    to split (from |v| >= 2**53 on), the half-width grows to
-    ``terms - 1`` units in the last place of the column's extremes.
+    The experts' attribute columns sit side by side in expert order.
+    Arrays that are, in order, adjacent column blocks of one term-major
+    slab (as a group pass leaves them) give a view of that slab, with no
+    copy; anything else is copied into a new array. Read it, do not
+    write to it.
+    """
+    slab = arrays[0].base
+    if slab is not None and slab.ndim == 3 and slab.flags.c_contiguous:
+        terms, p, _ = slab.shape
+        strides = (slab.strides[1], slab.strides[2], slab.strides[0])
+        origin = slab.__array_interface__["data"][0]
+        first = (arrays[0].__array_interface__["data"][0] - origin) // slab.itemsize
+        column = first
+        for a in arrays:
+            if (a.base is not slab or a.dtype != slab.dtype or a.strides != strides
+                    or a.shape[::2] != (p, terms)
+                    or a.__array_interface__["data"][0] != origin + column * slab.itemsize):
+                break
+            column += a.shape[1]
+        else:
+            return slab[:, :, first:column]
+    return np.concatenate([a.transpose(2, 0, 1) for a in arrays], axis=2)
+
+
+def _column_offsets(widths) -> list[int]:
+    """Start of each expert's columns in a group slab, plus the end."""
+    return np.concatenate([[0], np.cumsum(widths)]).tolist()
+
+
+def membership_matrix(
+    matrices: list[DecisionMatrix],
+    terms: int = DEFAULT_TERMS,
+    uniform_when_degenerate: bool = False,
+) -> list[MembershipMatrix]:
+    """Memberships of every (alternative, attribute) pair of each expert.
+
+    The experts' columns are placed side by side in one (p, columns)
+    matrix, and all degrees are computed in one term-major
+    (terms, p, columns) slab; a single expert is a group of one.
+    Partitions come from each column's own extremes, so every value lies
+    in its domain. A column whose values all coincide, or whose range
+    float arithmetic cannot split into ``terms - 1`` segments, has no
+    partition; by default that is an error naming the first such column
+    in expert order, with ``uniform_when_degenerate`` it yields equal
+    degrees 1/terms and the stand-in partition [lo - 0.5, hi + 0.5].
+    Where that is still too narrow to split (from |v| >= 2**53 on), the
+    half-width grows to ``terms - 1`` units in the last place of the
+    column's extremes.
     """
     segments = terms - 1
-    lo, hi = matrix.values.min(axis=0), matrix.values.max(axis=0)
+    offsets = _column_offsets([m.shape[1] for m in matrices])
+    values = np.concatenate([m.values for m in matrices], axis=1)
+    lo, hi = values.min(axis=0), values.max(axis=0)
     flat = _unsplittable(lo, hi, segments)
-    if np.any(flat):
+    any_flat = np.any(flat)
+    if any_flat:
         if not uniform_when_degenerate:
-            j = int(np.flatnonzero(flat)[0])
+            column = int(np.flatnonzero(flat)[0])
+            e = bisect.bisect_right(offsets, column) - 1
             raise DegenerateDomainError(
-                f"attribute {matrix.attribute_labels[j]!r} of expert "
-                f"{matrix.expert_id!r} has a single observed value "
+                f"attribute {matrices[e].attribute_labels[column - offsets[e]]!r} of expert "
+                f"{matrices[e].expert_id!r} has a single observed value "
                 f"or a range that cannot be split into {segments} segments"
             )
         ulp = np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
         half = np.where(_unsplittable(lo - 0.5, hi + 0.5, segments), segments * ulp, 0.5)
         lo = np.where(flat, lo - half, lo)
         hi = np.where(flat, hi + half, hi)
-    partitions = tuple(
+    partitions = [
         LinguisticPartition(c, d, segments) for c, d in zip(lo.tolist(), hi.tolist())
-    )
-    degrees = _membership_kernel(matrix.values, lo, hi, segments, clamp)
-    degrees[:, flat, :] = 1.0 / terms
-    return MembershipMatrix(
-        matrix.expert_id,
-        degrees,
-        partitions,
-        matrix.alternative_labels,
-        matrix.attribute_labels,
-    )
+    ]
+    degrees = _membership_kernel(values, lo, hi, segments, np.empty((terms,) + values.shape))
+    if any_flat:
+        degrees[:, :, flat] = 1.0 / terms
+    return [
+        MembershipMatrix(
+            m.expert_id,
+            degrees[:, :, a:b].transpose(1, 2, 0),
+            tuple(partitions[a:b]),
+            m.alternative_labels,
+            m.attribute_labels,
+        )
+        for m, a, b in zip(matrices, offsets, offsets[1:])
+    ]
 
 
-def bpa_tensor(r: MembershipMatrix) -> BpaTensor:
-    """Normalise each (attribute, term) column over alternatives."""
-    sums = r.degrees.sum(axis=0, keepdims=True)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        masses = np.where(sums > 0, r.degrees / sums, 0.0)
-    zero = tuple(
-        (int(j), int(f)) for j, f in np.argwhere(sums[0] == 0)
-    )
-    return BpaTensor(
-        r.expert_id,
-        masses,
-        r.partitions,
-        r.alternative_labels,
-        r.attribute_labels,
-        zero_columns=zero,
-    )
+def bpa_tensor(memberships: list[MembershipMatrix]) -> list[BpaTensor]:
+    """Normalise each (attribute, term) column over alternatives, for a group.
+
+    The masses of all experts form one new term-major slab; each
+    expert's ``masses`` is a view of it.
+    """
+    degrees = term_major([r.degrees for r in memberships])
+    if degrees.shape[2] == 1:
+        # a lone column would make the alternative axis innermost, where
+        # numpy sums pairwise; accumulating keeps the sequential order
+        # that every other layout (and the per-expert sum) uses
+        sums = np.cumsum(degrees, axis=1)[:, -1:]
+    else:
+        sums = degrees.sum(axis=1, keepdims=True)
+    positive = sums > 0
+    if positive.all():
+        masses = degrees / sums
+    else:
+        masses = np.zeros(degrees.shape)
+        np.divide(degrees, sums, out=masses, where=positive)
+    zero = sums[:, 0, :].T == 0
+    offsets = _column_offsets([r.degrees.shape[1] for r in memberships])
+    return [
+        BpaTensor(
+            r.expert_id,
+            masses[:, :, a:b].transpose(1, 2, 0),
+            r.partitions,
+            r.alternative_labels,
+            r.attribute_labels,
+            zero_columns=tuple((int(j), int(f)) for j, f in np.argwhere(zero[a:b])),
+        )
+        for r, a, b in zip(memberships, offsets, offsets[1:])
+    ]

@@ -2,9 +2,14 @@
 
 Stages, all pure functions of their inputs:
 
-1. normalise each expert's matrix column-wise (Euclidean norm);
-2. linguistic masses per expert (``linguistic`` module);
-3. ordered weighted belief per (alternative, attribute) cell;
+1. normalise each expert's matrix column-wise (Euclidean norm); only
+   the fused ranking reads the result, so ``with_ranking=False`` skips it;
+2. linguistic memberships and masses for the whole expert group in one
+   term-major (terms, p, k*q) slab (``linguistic`` module), one call
+   each per run;
+3. ordered weighted belief per (alternative, attribute) cell, also one
+   call for the group: a compare-exchange network sorts the masses
+   along the term axis, and the dot with the OWA weights runs per expert;
 4. cross-expert plausibility: an expert's share of the cell's total belief;
 5. belief-plausibility profiles per expert, normalised along the
    configured axis (attribute propositions by default);
@@ -43,6 +48,7 @@ from .linguistic import (
     bpa_tensor,
     membership_matrix,
     normalize_decision_matrix,
+    term_major,
 )
 
 
@@ -115,14 +121,74 @@ def _owa_weights(length: int, scheme: str, orness: float | None) -> OwaWeights:
     raise ConfigError(f"unknown ordered-weighting scheme {scheme!r}")
 
 
-def ordered_weighted_belief(tensor: BpaTensor, weights: OwaWeights) -> np.ndarray:
-    """Per-cell belief: masses sorted descending, dotted with the weights."""
-    if weights.values.size != tensor.term_count:
-        raise ValueError(
-            f"weight length {weights.values.size} != term count {tensor.term_count}"
-        )
-    sorted_desc = -np.sort(-tensor.masses, axis=2)
-    return sorted_desc @ weights.values
+@functools.lru_cache(maxsize=8)
+def _descending_network(length: int) -> tuple[tuple[int, int], ...]:
+    """Compare-exchange steps ``(i, j)``, ``i < j``, that sort ``length`` values.
+
+    Batcher's odd-even merge network for the next power of two, without
+    the steps that touch a position at or past ``length`` (those act as
+    smallest values, which never move up). Putting the larger value of
+    each pair at ``i`` sorts descending; 9, 16 and 28 steps for 5, 7 and
+    9 terms.
+    """
+    size = 1 << max(0, length - 1).bit_length()
+    steps = []
+    block = 1
+    while block < size:
+        gap = block
+        while gap >= 1:
+            for start in range(gap % block, size - gap, 2 * gap):
+                for i in range(min(gap, size - start - gap)):
+                    a, b = start + i, start + i + gap
+                    if a // (2 * block) == b // (2 * block) and b < length:
+                        steps.append((a, b))
+            gap //= 2
+        block *= 2
+    return tuple(steps)
+
+
+# (alternative, attribute) cells sorted per chunk of experts: bounds the
+# work planes, which at k = 64 would otherwise add several MB to peak RSS
+_SORT_CELLS = 1 << 14
+
+
+def ordered_weighted_belief(tensors: list[BpaTensor], weights: OwaWeights) -> list[np.ndarray]:
+    """Per-cell belief of each expert: masses sorted descending, dotted with the weights.
+
+    A chunk of experts' masses is read as one term-major slab and sorted
+    along the term axis by a compare-exchange network: each step writes
+    the larger and the smaller of two whole (p, columns) planes into two
+    work planes, so the masses themselves stay untouched. The dot runs
+    per expert on a (p, q, terms) view with unit term stride, as on a
+    sorted per-expert tensor, so its sums keep their order.
+    """
+    terms = weights.values.size
+    for t in tensors:
+        if t.term_count != terms:
+            raise ValueError(f"weight length {terms} != term count {t.term_count}")
+    network = _descending_network(terms)
+    per_chunk = max(1, _SORT_CELLS // tensors[0].masses[..., 0].size)
+    beliefs = []
+    for first in range(0, len(tensors), per_chunk):
+        chunk = tensors[first:first + per_chunk]
+        planes = list(term_major([t.masses for t in chunk]))  # read only
+        free = []  # work planes that no position holds any more
+        for a, b in network:
+            high = free.pop() if free else np.empty(planes[a].shape)
+            low = free.pop() if free else np.empty(planes[a].shape)
+            np.maximum(planes[a], planes[b], out=high)
+            np.minimum(planes[a], planes[b], out=low)
+            free += [x for x in (planes[a], planes[b]) if x.base is None]
+            planes[a], planes[b] = high, low
+        ordered = np.empty(planes[0].shape + (terms,))
+        for f in range(terms):
+            ordered[:, :, f] = planes[f]
+        start = 0
+        for t in chunk:
+            stop = start + t.masses.shape[1]
+            beliefs.append(ordered[:, start:stop] @ weights.values)
+            start = stop
+    return beliefs
 
 
 def ordered_weighted_plausibility(beliefs: list[np.ndarray]) -> list[np.ndarray]:
@@ -355,19 +421,13 @@ def run_pipeline(
             raise ValueError(f"expert {m.expert_id!r} attribute labels differ")
 
     base = LogBase.parse(config.log_base)
-    normalized = [normalize_decision_matrix(m) for m in matrices]
-    memberships = [
-        membership_matrix(
-            m,
-            terms=config.terms,
-            clamp=config.clamp_out_of_domain,
-            uniform_when_degenerate=config.uniform_when_degenerate,
-        )
-        for m in matrices
-    ]
-    tensors = [bpa_tensor(r) for r in memberships]
+    normalized = [normalize_decision_matrix(m) for m in matrices] if with_ranking else []
+    memberships = membership_matrix(
+        matrices, terms=config.terms, uniform_when_degenerate=config.uniform_when_degenerate,
+    )
+    tensors = bpa_tensor(memberships)
     owa = owa_weights(config.terms, config.owa_scheme, config.orness)
-    beliefs = [ordered_weighted_belief(t, owa) for t in tensors]
+    beliefs = ordered_weighted_belief(tensors, owa)
     plausibilities = ordered_weighted_plausibility(beliefs)
     profiles = [
         expert_wpbl(b, pl, axis=config.wpbl_axis)

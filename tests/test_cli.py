@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 import importlib.resources as resources
 from pathlib import Path
 
@@ -316,6 +317,52 @@ class TestFuseFeaturesCommand:
         assert code == 4
         assert "'b'" in capsys.readouterr().err
 
+
+    @staticmethod
+    def manifest_with(tmp_path, name, edit, config=None):
+        """The synthetic three-source manifest with ``edit`` applied to the sources' features."""
+        sources = make_synthetic_sources(7)
+        edit({s.source_id: s.features for s in sources})
+        folder = tmp_path / name
+        folder.mkdir()
+        for s in sources:
+            dataio.write_feature_source(folder / f"{s.source_id}.csv", s)
+        manifest = folder / "manifest.json"
+        manifest.write_text(json.dumps({
+            "sources": [{"id": s.source_id, "path": f"{s.source_id}.csv"} for s in sources],
+            "config": {"seed": 7, **(config or {})},
+        }))
+        return manifest
+
+    def test_column_spanning_the_float_range_fuses(self, tmp_path, capsys):
+        # hi - lo of the first dimension overflows; memberships are
+        # scale-invariant, so the run must equal the one on the halved column
+        wide = np.clip(np.random.default_rng(3).normal(0.0, 2.0, size=240), -1.0, 1.0) * 1.7e308
+
+        def set_column(scale):
+            def edit(features):
+                features["informative"][:, 0] = wide * scale
+            return edit
+
+        payloads = []
+        for name, scale in (("wide", 1.0), ("halved", 0.5)):
+            manifest = self.manifest_with(tmp_path, name, set_column(scale))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(["fuse-features", str(manifest), "--out", str(tmp_path / name / "out"), "--json"])
+            assert code == 0, capsys.readouterr().err
+            payloads.append(json.loads(capsys.readouterr().out))
+        assert payloads[0]["weights"] == payloads[1]["weights"]
+        assert sum(payloads[0]["weights"]) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("uniform", [False, True], ids=["flat-column-error", "uniform-then-normalise"])
+    def test_all_zero_feature_column_exits_3_naming_source_and_dimension(self, tmp_path, capsys, uniform):
+        def edit(features):
+            features["noisy-copy"][:, 3] = 0.0
+
+        manifest = self.manifest_with(tmp_path, "zero", edit, {"uniform_when_degenerate": uniform})
+        assert main(["fuse-features", str(manifest), "--out", str(tmp_path / "out")]) == 3
+        assert "attribute 'f3' of expert 'noisy-copy'" in capsys.readouterr().err
 
     @staticmethod
     def two_source_manifest(tmp_path, bad_text):

@@ -22,6 +22,7 @@ from evidential_magdm.linguistic import (
     membership_matrix,
     memberships,
     normalize_decision_matrix,
+    term_major,
 )
 
 
@@ -64,6 +65,23 @@ class TestNormalize:
         m = simple_matrix(rng.uniform(1, 9, size=(6, 4)))
         out = normalize_decision_matrix(m)
         np.testing.assert_allclose((out.values ** 2).sum(axis=0), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-170, 1e-160], ids=["overflow", "underflow", "subnormal"])
+    def test_column_outside_the_square_range_is_rescaled(self, scale):
+        # the sum of squares of the first column overflows, underflows to
+        # zero, or is subnormal; the second column must not notice
+        ordinary = np.array([[1.0], [2.0], [2.0], [4.0]])
+        m = simple_matrix(np.hstack([ordinary * scale, ordinary * 7.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = normalize_decision_matrix(m).values
+        np.testing.assert_allclose(out[:, 0], [0.2, 0.4, 0.4, 0.8], rtol=1e-15)
+        assert np.array_equal(out[:, 1], normalize_decision_matrix(simple_matrix(ordinary * 7.0)).values[:, 0])
+
+    def test_zero_column_named_after_a_rescaled_one(self):
+        m = DecisionMatrix("e", np.array([[1e200, 0.0], [1.0, 0.0]]), attribute_labels=("big", "none"))
+        with pytest.raises(DegenerateAttributeError, match="attribute 'none' of expert 'e' is identically zero"):
+            normalize_decision_matrix(m)
 
 
 class TestBuildPartition:
@@ -129,30 +147,30 @@ class TestMembershipMatrix:
         table = ref.PUBLISHED_MEMBERSHIPS_U1.copy()
         for cell, corrected in ref.MEMBERSHIP_ERRATA.items():
             table[cell] = corrected
-        computed = membership_matrix(ref.decision_matrices()[0]).blocked()
+        computed = membership_matrix(ref.decision_matrices()[:1])[0].blocked()
         np.testing.assert_allclose(computed, table, atol=1e-4)
 
     def test_extremes_one_hot(self):
         m = simple_matrix([[0.0], [1.0], [0.5]])
-        degrees = membership_matrix(m).degrees[:, 0, :]
+        degrees = membership_matrix([m])[0].degrees[:, 0, :]
         np.testing.assert_allclose(degrees[0], [1, 0, 0, 0, 0], atol=1e-12)
         np.testing.assert_allclose(degrees[1], [0, 0, 0, 0, 1], atol=1e-12)
 
     def test_scaling_leaves_memberships_unchanged(self):
         rng = np.random.default_rng(5)
         values = rng.uniform(10, 99, size=(8, 3))
-        base = membership_matrix(simple_matrix(values)).degrees
-        scaled = membership_matrix(simple_matrix(values * 3.7)).degrees
+        base = membership_matrix([simple_matrix(values)])[0].degrees
+        scaled = membership_matrix([simple_matrix(values * 3.7)])[0].degrees
         np.testing.assert_allclose(base, scaled, atol=1e-12)
 
     def test_degenerate_column_error_names_attribute(self):
         m = DecisionMatrix("e", np.array([[1.0, 2.0], [1.0, 3.0]]), ("A", "B"), ("t1", "t2"))
         with pytest.raises(DegenerateDomainError, match="t1"):
-            membership_matrix(m)
+            membership_matrix([m])
 
     def test_degenerate_column_uniform_override(self):
         m = simple_matrix([[1.0, 2.0], [1.0, 3.0]])
-        degrees = membership_matrix(m, uniform_when_degenerate=True).degrees
+        degrees = membership_matrix([m], uniform_when_degenerate=True)[0].degrees
         np.testing.assert_allclose(degrees[:, 0, :], 0.2, atol=1e-12)
 
 
@@ -191,10 +209,10 @@ class TestMembershipKernel:
     """The whole-matrix pass must equal the per-column construction bit for bit."""
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-    @given(values=matrices_with_flat_columns(), terms=st.integers(5, 9), clamp=st.booleans())
-    def test_matrix_equals_per_column_reference(self, values, terms, clamp):
+    @given(values=matrices_with_flat_columns(), terms=st.integers(5, 9))
+    def test_matrix_equals_per_column_reference(self, values, terms):
         m = DecisionMatrix("x", values)
-        got = membership_matrix(m, terms=terms, clamp=clamp, uniform_when_degenerate=True)
+        got = membership_matrix([m], terms=terms, uniform_when_degenerate=True)[0]
         for j in range(values.shape[1]):
             column = values[:, j]
             if column.min() == column.max():
@@ -229,7 +247,16 @@ class TestMembershipKernel:
         values = np.array([[1.0, 2.0, 7.0, 4.0], [3.0, 2.0, 7.0, 5.0]])
         m = DecisionMatrix("e", values, ("A", "B"), ("t1", "t2", "t3", "t4"))
         with pytest.raises(DegenerateDomainError, match="attribute 't2' of expert 'e' has a single observed value"):
-            membership_matrix(m)
+            membership_matrix([m])
+
+    def test_flat_column_error_names_first_flat_column_in_expert_order(self):
+        plain = np.array([[1.0, 2.0, 7.0], [3.0, 4.0, 8.0]])
+        flat_t3 = np.array([[1.0, 2.0, 7.0], [3.0, 4.0, 7.0]])
+        flat_t1 = np.array([[1.0, 2.0, 7.0], [1.0, 4.0, 8.0]])
+        labels = (("A", "B"), ("t1", "t2", "t3"))
+        group = [DecisionMatrix(e, v, *labels) for e, v in (("a", plain), ("b", flat_t3), ("c", flat_t1))]
+        with pytest.raises(DegenerateDomainError, match="attribute 't3' of expert 'b' has a single observed value"):
+            membership_matrix(group)
 
     @pytest.mark.parametrize(
         "column", [[0.0, 5e-324, 0.0], [1.0, 1.0000000000000002, 1.0]],
@@ -240,8 +267,8 @@ class TestMembershipKernel:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DegenerateDomainError, match="attribute 't1' of expert 'e'"):
-                membership_matrix(m)
-            degrees = membership_matrix(m, uniform_when_degenerate=True).degrees
+                membership_matrix([m])
+            degrees = membership_matrix([m], uniform_when_degenerate=True)[0].degrees
         assert np.array_equal(degrees[:, 0, :], np.full((3, 5), 0.2))
 
     @pytest.mark.parametrize("terms", [5, 7, 9])
@@ -251,7 +278,7 @@ class TestMembershipKernel:
         m = DecisionMatrix("e", np.array([[value] * 3, [1.0, 2.0, 3.0]]).T)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = membership_matrix(m, terms=terms, uniform_when_degenerate=True)
+            got = membership_matrix([m], terms=terms, uniform_when_degenerate=True)[0]
         assert np.array_equal(got.degrees[:, 0, :], np.full((3, terms), 1.0 / terms))
         part = got.partitions[0]
         assert part.lower < value < part.upper
@@ -260,8 +287,26 @@ class TestMembershipKernel:
     @pytest.mark.parametrize("value", [-3.0, 1e15])
     def test_flat_column_keeps_unit_half_width(self, value):
         m = DecisionMatrix("e", np.array([[value] * 3, [1.0, 2.0, 3.0]]).T)
-        part = membership_matrix(m, uniform_when_degenerate=True).partitions[0]
+        part = membership_matrix([m], uniform_when_degenerate=True)[0].partitions[0]
         assert (part.lower, part.upper) == (value - 0.5, value + 0.5)
+
+    @pytest.mark.parametrize("terms", [5, 7, 9])
+    def test_span_beyond_float_range_is_taken_at_half_scale(self, terms):
+        # hi - lo overflows; degrees are scale-invariant, so the column must
+        # get exactly the degrees of its halves, with no warning
+        rng = np.random.default_rng(terms)
+        column = np.concatenate([[-1e308, 1.7e308, 0.0], rng.uniform(-1.0, 1.7, size=9) * 1e308])
+        wide = DecisionMatrix("e", np.column_stack([column, np.arange(12.0)]))
+        halved = DecisionMatrix("e", np.column_stack([column * 0.5, np.arange(12.0)]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = membership_matrix([wide], terms=terms)[0]
+            expected = membership_matrix([halved], terms=terms)[0]
+            peaks = [got.partitions[0].peak(t) for t in range(1, terms + 1)]
+        assert np.array_equal(got.degrees, expected.degrees)
+        assert (got.partitions[0].lower, got.partitions[0].upper) == (-1e308, 1.7e308)
+        assert peaks == [2 * v for v in (expected.partitions[0].peak(t) for t in range(1, terms + 1))]
+        assert got.partitions[0].alpha == 2 * expected.partitions[0].alpha
 
     @pytest.mark.parametrize(
         "lower, upper", [(0.0, 5e-324), (1.0, 1.0000000000000002)], ids=["zero-alpha", "peak-on-lower"],
@@ -273,33 +318,33 @@ class TestMembershipKernel:
 
 class TestBpaTensor:
     def test_reference_expert_matches_published_table(self):
-        computed = bpa_tensor(membership_matrix(ref.decision_matrices()[0]))
+        computed = bpa_tensor(membership_matrix(ref.decision_matrices()[:1]))[0]
         np.testing.assert_allclose(computed.blocked(), ref.PUBLISHED_MASSES_U1, atol=1e-4)
 
     def test_first_candidate_first_term_share(self):
-        computed = bpa_tensor(membership_matrix(ref.decision_matrices()[0]))
+        computed = bpa_tensor(membership_matrix(ref.decision_matrices()[:1]))[0]
         assert computed.masses[0, 0, 0] == pytest.approx(0.25 / 7.125, abs=1e-12)
         assert computed.masses[0, 0, 0] == pytest.approx(0.0351, abs=1e-4)
 
     def test_uniform_memberships_share_equally(self):
         m = simple_matrix([[1.0, 9.0], [2.0, 8.0], [3.0, 7.0], [4.0, 6.0]])
-        r = membership_matrix(m)
+        r = membership_matrix([m])[0]
         r.degrees[:] = 0.5
-        masses = bpa_tensor(r).masses
+        masses = bpa_tensor([r])[0].masses
         np.testing.assert_allclose(masses, 0.25, atol=1e-12)
 
     def test_one_hot_column(self):
         m = simple_matrix([[1.0], [2.0], [3.0]])
-        r = membership_matrix(m)
+        r = membership_matrix([m])[0]
         r.degrees[:, 0, 2] = [0.0, 1.0, 0.0]
-        masses = bpa_tensor(r).masses
+        masses = bpa_tensor([r])[0].masses
         np.testing.assert_allclose(masses[:, 0, 2], [0.0, 1.0, 0.0], atol=1e-12)
 
     def test_columns_sum_to_one_or_are_flagged(self):
         m = simple_matrix([[1.0], [2.0], [3.0]])
-        r = membership_matrix(m)
+        r = membership_matrix([m])[0]
         r.degrees[:, 0, 1] = 0.0
-        tensor = bpa_tensor(r)
+        tensor = bpa_tensor([r])[0]
         sums = tensor.masses.sum(axis=0)
         assert tensor.zero_columns == ((0, 1),)
         np.testing.assert_allclose(np.delete(sums[0], 1), 1.0, atol=1e-9)
@@ -310,9 +355,38 @@ class TestBpaTensor:
         # computation gives bit-comparable masses
         rng = np.random.default_rng(6)
         m = simple_matrix(rng.uniform(20, 80, size=(9, 2)))
-        direct = bpa_tensor(membership_matrix(m)).masses
-        via_normalized = bpa_tensor(membership_matrix(normalize_decision_matrix(m))).masses
+        direct = bpa_tensor(membership_matrix([m]))[0].masses
+        via_normalized = bpa_tensor(membership_matrix([normalize_decision_matrix(m)]))[0].masses
         np.testing.assert_allclose(direct, via_normalized, atol=1e-12)
+
+
+class TestTermMajor:
+    @staticmethod
+    def group():
+        rng = np.random.default_rng(9)
+        return membership_matrix([simple_matrix(rng.uniform(0, 9, size=(5, q)), f"e{q}") for q in (1, 3, 2, 4)])
+
+    @pytest.mark.parametrize(
+        "order", [(0, 1, 2, 3), (1, 2), (3,), (2, 1), (0, 2), (3, 2, 1, 0)],
+        ids=["whole", "middle", "last", "swapped", "gap", "reversed"],
+    )
+    def test_equals_the_concatenated_columns(self, order):
+        group = self.group()
+        arrays = [group[i].degrees for i in order]
+        expected = np.concatenate([a.transpose(2, 0, 1) for a in arrays], axis=2)
+        got = term_major(arrays)
+        assert np.array_equal(got, expected)
+        # adjacent blocks in group order are read in place, anything else is copied
+        in_order = list(order) == list(range(order[0], order[-1] + 1))
+        assert np.shares_memory(got, arrays[0]) == in_order
+
+    def test_masses_of_a_subgroup_equal_the_group_masses(self):
+        group = self.group()
+        whole = bpa_tensor(group)
+        for part in ([group[1], group[2]], [group[3], group[0]]):
+            for t in bpa_tensor(part):
+                match = next(w for w in whole if w.expert_id == t.expert_id)
+                assert np.array_equal(t.masses, match.masses)
 
 
 class TestDecisionMatrixValidation:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evidential_magdm import recruitment as ref
 from evidential_magdm.config import RunConfig
@@ -11,11 +12,13 @@ from evidential_magdm.errors import (
     ConfigError,
     DegenerateCellError,
     DegenerateRankingError,
+    MagdmError,
     NegativeDivergenceError,
     ZeroDivergenceError,
 )
 from evidential_magdm.linguistic import DecisionMatrix, bpa_tensor, membership_matrix
 from evidential_magdm.pipeline import (
+    _descending_network,
     divergence_matrix,
     expert_weights,
     expert_wpbl,
@@ -104,11 +107,11 @@ class TestOwaWeights:
 
 class TestOrderedWeightedBelief:
     def tensor(self):
-        return bpa_tensor(membership_matrix(ref.decision_matrices()[0]))
+        return bpa_tensor(membership_matrix(ref.decision_matrices()[:1]))[0]
 
     def test_uniform_weights_give_row_mean(self):
         tensor = self.tensor()
-        bel = ordered_weighted_belief(tensor, owa_weights(5, "uniform"))
+        bel = ordered_weighted_belief([tensor], owa_weights(5, "uniform"))[0]
         np.testing.assert_allclose(bel, tensor.masses.mean(axis=2), atol=1e-12)
 
     def test_top_weight_gives_row_max(self):
@@ -116,7 +119,7 @@ class TestOrderedWeightedBelief:
         from evidential_magdm.pipeline import OwaWeights
 
         top = OwaWeights(np.array([1.0, 0, 0, 0, 0]), "top")
-        bel = ordered_weighted_belief(tensor, top)
+        bel = ordered_weighted_belief([tensor], top)[0]
         np.testing.assert_allclose(bel, tensor.masses.max(axis=2), atol=1e-12)
 
     def test_hand_dot_product_oracle(self):
@@ -129,14 +132,108 @@ class TestOrderedWeightedBelief:
         from evidential_magdm.pipeline import OwaWeights
 
         w = OwaWeights(np.array([0.4, 0.3, 0.2, 0.1, 0.0]), "linear-descending")
-        bel = ordered_weighted_belief(tensor, w)
+        bel = ordered_weighted_belief([tensor], w)[0]
         sorted_row = sorted(row, reverse=True)
         oracle = sum(wf * v for wf, v in zip(w.values, sorted_row))
         assert bel[0, 0] == pytest.approx(oracle, abs=1e-4)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            ordered_weighted_belief(self.tensor(), owa_weights(4, "uniform"))
+            ordered_weighted_belief([self.tensor()], owa_weights(4, "uniform"))
+
+
+    @pytest.mark.parametrize("length", range(1, 13))
+    def test_network_sorts_every_zero_one_sequence(self, length):
+        # 0-1 principle: a comparator network that sorts every 0/1 input sorts all inputs
+        network = _descending_network(length)
+        assert all(0 <= a < b < length for a, b in network)
+        for code in range(2 ** length):
+            v = [(code >> i) & 1 for i in range(length)]
+            for a, b in network:
+                v[a], v[b] = max(v[a], v[b]), min(v[a], v[b])
+            assert v == sorted(v, reverse=True)
+
+    def test_many_experts_sort_in_chunks(self):
+        # 40 experts of 30 x 20 cells exceed one sort chunk
+        rng = np.random.default_rng(8)
+        matrices = [DecisionMatrix(f"e{e}", rng.uniform(0, 9, size=(30, 20))) for e in range(40)]
+        tensors = bpa_tensor(membership_matrix(matrices, terms=7))
+        w = owa_weights(7, "linear-descending")
+        beliefs = ordered_weighted_belief(tensors, w)
+        for t, bel in zip(tensors, beliefs):
+            assert np.array_equal(bel, -np.sort(-np.ascontiguousarray(t.masses), axis=2) @ w.values)
+
+
+@st.composite
+def expert_groups(draw):
+    """k experts' (p, q) matrices with plain, flat and two-valued columns.
+
+    Two-valued columns leave every interior term without mass (zero-mass
+    BPA columns); flat ones need ``uniform_when_degenerate``.
+    """
+    k, p, q = draw(st.integers(2, 16)), draw(st.integers(2, 40)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.uniform(-50.0, 50.0, size=(k, p, q))
+    kinds = rng.integers(0, 3, size=(k, q))
+    for e, j in zip(*np.nonzero(kinds == 1)):
+        values[e, :, j] = values[e, 0, j]
+    for e, j in zip(*np.nonzero(kinds == 2)):
+        values[e, :, j] = np.where(rng.random(p) < 0.5, -3.0, 4.5)
+    matrices = [DecisionMatrix(f"e{e}", values[e]) for e in range(k)]
+    scheme = draw(st.sampled_from(["uniform", "linear-descending", "orness"]))
+    orness = draw(st.sampled_from([0.2, 0.7, 0.95])) if scheme == "orness" else 0.95
+    config = RunConfig(
+        terms=draw(st.sampled_from([5, 7, 9])), owa_scheme=scheme, orness=orness,
+        uniform_when_degenerate=True, zero_average_policy="full-weight",
+    )
+    return matrices, config
+
+
+class TestGroupPass:
+    """The per-expert stages run once on the whole group; each expert's part
+    must not depend on the rest of the group or its order."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(group=expert_groups())
+    def test_group_equals_each_expert_alone(self, group):
+        matrices, config = group
+        owa = owa_weights(config.terms, config.owa_scheme, config.orness)
+        memberships = membership_matrix(matrices, config.terms, uniform_when_degenerate=True)
+        tensors = bpa_tensor(memberships)
+        beliefs = ordered_weighted_belief(tensors, owa)
+        for m, r, t, bel in zip(matrices, memberships, tensors, beliefs):
+            [alone] = membership_matrix([m], config.terms, uniform_when_degenerate=True)
+            [alone_t] = bpa_tensor([alone])
+            [alone_bel] = ordered_weighted_belief([alone_t], owa)
+            assert np.array_equal(r.degrees, alone.degrees) and r.partitions == alone.partitions
+            assert np.array_equal(t.masses, alone_t.masses) and t.zero_columns == alone_t.zero_columns
+            assert np.array_equal(bel, alone_bel)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(group=expert_groups(), data=st.data())
+    def test_permuting_experts_permutes_outputs(self, group, data):
+        matrices, config = group
+        order = data.draw(st.permutations(range(len(matrices))))
+
+        def outcome(ms):
+            try:
+                return run_pipeline(ms, config, with_ranking=False)
+            except MagdmError as exc:
+                return type(exc)
+
+        base, permuted = outcome(matrices), outcome([matrices[i] for i in order])
+        if isinstance(base, type) or isinstance(permuted, type):
+            assert base == permuted
+            return
+        for n, i in enumerate(order):
+            assert np.array_equal(permuted.memberships[n].degrees, base.memberships[i].degrees)
+            assert np.array_equal(permuted.bpa_tensors[n].masses, base.bpa_tensors[i].masses)
+            assert np.array_equal(permuted.beliefs[n], base.beliefs[i])
+        np.testing.assert_allclose(permuted.weights.weights, base.weights.weights[list(order)], rtol=0, atol=1e-12)
+
+    def test_without_ranking_nothing_is_normalised(self):
+        result = run_pipeline(random_matrices(np.random.default_rng(4)), with_ranking=False)
+        assert result.normalized == [] and result.ranking is None
 
 
 class TestOrderedWeightedPlausibility:

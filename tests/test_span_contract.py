@@ -2,13 +2,16 @@
 
 ``perfbench/tracing.py`` wraps library functions by name; a renamed or
 deleted one makes ``Instrumentation`` fail and every traced benchmark op
-with it. This test only reads ``perfbench/``.
+with it. The per-expert stages take the whole expert group, so each of
+their spans records one call per ``run_pipeline``. These tests only read
+``perfbench/``.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -44,3 +47,19 @@ def test_instrumentation_installs_and_restores(tracing):
     with tracing.Instrumentation(tracer):
         assert pipeline.run_pipeline is not original
     assert pipeline.run_pipeline is original
+
+
+@pytest.mark.parametrize("with_ranking", [True, False])
+def test_per_expert_stages_run_once_per_pipeline(tracing, with_ranking):
+    from evidential_magdm import pipeline
+    from evidential_magdm.linguistic import DecisionMatrix
+
+    rng = np.random.default_rng(0)
+    matrices = [DecisionMatrix(f"e{e}", rng.uniform(1, 9, size=(6, 3))) for e in range(4)]
+    tracer = tracing.Tracer()
+    with tracing.Instrumentation(tracer):
+        pipeline.run_pipeline(matrices, with_ranking=with_ranking)
+    calls = {name: row["calls"] for name, row in tracing.summarize(tracer.spans).items()}
+    for stage in ("linguistic.membership_matrix", "linguistic.bpa_tensor", "pipeline.ordered_weighted_belief"):
+        assert calls[stage] == 1
+    assert calls.get("linguistic.normalize_decision_matrix", 0) == (4 if with_ranking else 0)
