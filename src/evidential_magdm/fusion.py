@@ -71,7 +71,9 @@ def estimate_fusion_weights(sources: list[FeatureSet], config: RunConfig | None 
     At most ``sample_cap`` rows (deterministic seeded choice, kept in row
     order) act as alternatives; feature dimensions are processed in
     blocks of ``block_size`` attributes, and block weights are averaged
-    and renormalised. Sources with zero average divergence (for example
+    and renormalised. Each source's sampled rows are gathered once (not
+    at all when every row is kept), and each block is a column-slice
+    view of them. Sources with zero average divergence (for example
     byte-identical duplicates) share the full weight, so identical
     sources come out uniform.
     """
@@ -80,20 +82,19 @@ def estimate_fusion_weights(sources: list[FeatureSet], config: RunConfig | None 
     rng = np.random.default_rng(config.seed)
     if n > config.sample_cap:
         rows = np.sort(rng.choice(n, size=config.sample_cap, replace=False))
+        sampled = [s.features[rows] for s in sources]
     else:
         rows = np.arange(n)
-    blocks = [
-        np.arange(start, min(start + config.block_size, d))
-        for start in range(0, d, config.block_size)
-    ]
+        sampled = [s.features for s in sources]
     ids = tuple(s.source_id for s in sources)
     row_labels = tuple(f"s{r}" for r in rows)
     per_block = []
-    for block in blocks:
-        dim_labels = tuple(f"f{c}" for c in block)
+    for start in range(0, d, config.block_size):
+        stop = min(start + config.block_size, d)
+        dim_labels = tuple(f"f{c}" for c in range(start, stop))
         matrices = [
-            DecisionMatrix(s.source_id, s.features[np.ix_(rows, block)], row_labels, dim_labels)
-            for s in sources
+            DecisionMatrix(s.source_id, f[:, start:stop], row_labels, dim_labels)
+            for s, f in zip(sources, sampled)
         ]
         # degenerate-column errors surface from the linguistic stage with
         # the offending source and dimension named via the labels above

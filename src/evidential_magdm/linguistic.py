@@ -27,6 +27,7 @@ innermost axis, in the same sequential order as a per-expert
 from __future__ import annotations
 
 import bisect
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -191,23 +192,29 @@ def _membership_kernel(values, lo, hi, segments: int, out: np.ndarray) -> np.nda
     ``values`` plane, and interior peaks use the arithmetic of
     ``LinguisticPartition.peak``, so both callers get bit-identical
     degrees. A range whose span overflows is taken at half scale.
+
+    An interior degree is the smaller of its rising and falling edges,
+    which is the edge on the value's side of the peak, bit for bit:
+    rounding is monotone, so at or below the peak rising <= 1 <= falling,
+    above it falling <= 1 <= rising, and on the peak both are exactly 1.
     """
     scale = _span_scale(lo, hi)
     if np.any(scale != 1.0):
         values, lo, hi = values * scale, lo * scale, hi * scale
     span = hi - lo
-    offset = values - lo
-    np.divide(offset, span, out=out[segments])
-    np.subtract(1.0, out[segments], out=out[0])
     step = span / segments
-    falling = np.empty_like(offset)
+    # the end terms' planes hold offsets and falling edges until written
+    offset = np.subtract(values, lo, out=out[segments])
+    falling = out[0]
     for h in range(1, segments):
         peak = lo + h * step
         np.divide(offset, peak - lo, out=out[h])
         np.subtract(values, peak, out=falling)
         falling /= hi - peak
         np.subtract(1.0, falling, out=falling)
-        np.copyto(out[h], falling, where=values > peak)
+        np.minimum(out[h], falling, out=out[h])
+    offset /= span
+    np.subtract(1.0, offset, out=out[0])
     return out
 
 
@@ -305,7 +312,7 @@ def term_major(arrays) -> np.ndarray:
 
 def _column_offsets(widths) -> list[int]:
     """Start of each expert's columns in a group slab, plus the end."""
-    return np.concatenate([[0], np.cumsum(widths)]).tolist()
+    return list(itertools.accumulate(widths, initial=0))
 
 
 def membership_matrix(
@@ -326,7 +333,8 @@ def membership_matrix(
     degrees 1/terms and the stand-in partition [lo - 0.5, hi + 0.5].
     Where that is still too narrow to split (from |v| >= 2**53 on), the
     half-width grows to ``terms - 1`` units in the last place of the
-    column's extremes.
+    column's extremes, taken toward zero; where the window would leave
+    the float range (at ±max), it slides inward by its half-width.
     """
     segments = terms - 1
     offsets = _column_offsets([m.shape[1] for m in matrices])
@@ -343,10 +351,13 @@ def membership_matrix(
                 f"{matrices[e].expert_id!r} has a single observed value "
                 f"or a range that cannot be split into {segments} segments"
             )
-        ulp = np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
+        top = np.maximum(np.abs(lo), np.abs(hi))
+        ulp = top - np.nextafter(top, 0.0)
         half = np.where(_unsplittable(lo - 0.5, hi + 0.5, segments), segments * ulp, 0.5)
-        lo = np.where(flat, lo - half, lo)
-        hi = np.where(flat, hi + half, hi)
+        # moves the window inward where it would pass ±max; no step overflows
+        inward = (np.minimum(hi, _MAX - half) - hi) + (np.maximum(lo, half - _MAX) - lo)
+        lo = np.where(flat, lo + (inward - half), lo)
+        hi = np.where(flat, hi + (half + inward), hi)
     partitions = [
         LinguisticPartition(c, d, segments) for c, d in zip(lo.tolist(), hi.tolist())
     ]
@@ -380,12 +391,13 @@ def bpa_tensor(memberships: list[MembershipMatrix]) -> list[BpaTensor]:
     else:
         sums = degrees.sum(axis=1, keepdims=True)
     positive = sums > 0
+    zero = None
     if positive.all():
         masses = degrees / sums
     else:
         masses = np.zeros(degrees.shape)
         np.divide(degrees, sums, out=masses, where=positive)
-    zero = sums[:, 0, :].T == 0
+        zero = ~positive[:, 0, :].T
     offsets = _column_offsets([r.degrees.shape[1] for r in memberships])
     return [
         BpaTensor(
@@ -394,7 +406,9 @@ def bpa_tensor(memberships: list[MembershipMatrix]) -> list[BpaTensor]:
             r.partitions,
             r.alternative_labels,
             r.attribute_labels,
-            zero_columns=tuple((int(j), int(f)) for j, f in np.argwhere(zero[a:b])),
+            zero_columns=() if zero is None else tuple(
+                (int(j), int(f)) for j, f in np.argwhere(zero[a:b])
+            ),
         )
         for r, a, b in zip(memberships, offsets, offsets[1:])
     ]

@@ -147,6 +147,15 @@ def _descending_network(length: int) -> tuple[tuple[int, int], ...]:
     return tuple(steps)
 
 
+@functools.lru_cache(maxsize=8)
+def _expert_pairs(k: int) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, int], ...]]:
+    """``np.triu_indices(k, 1)`` as read-only arrays, and as ``(i, j)`` pairs."""
+    rows, cols = np.triu_indices(k, 1)
+    for a in (rows, cols):
+        a.setflags(write=False)
+    return rows, cols, tuple(zip(rows.tolist(), cols.tolist()))
+
+
 # (alternative, attribute) cells sorted per chunk of experts: bounds the
 # work planes, which at k = 64 would otherwise add several MB to peak RSS
 _SORT_CELLS = 1 << 14
@@ -200,9 +209,8 @@ def ordered_weighted_plausibility(beliefs: list[np.ndarray]) -> list[np.ndarray]
         raise ValueError("plausibility needs at least 2 experts")
     stack = np.stack(beliefs)
     totals = stack.sum(axis=0)
-    zero = np.argwhere(totals == 0)
-    if zero.size:
-        i, j = zero[0]
+    if not totals.all():
+        i, j = np.argwhere(totals == 0)[0]
         raise DegenerateCellError(
             f"no expert assigns belief to alternative {i + 1}, attribute {j + 1}"
         )
@@ -266,7 +274,7 @@ def divergence_matrix(
     values = table.sum(axis=1)
     if mean_over_alternatives:
         values /= table.shape[1]
-    rows, cols = np.triu_indices(k, 1)
+    rows, cols, _ = _expert_pairs(k)
     out = np.zeros((k, k))
     out[rows, cols] = out[cols, rows] = values
     return out
@@ -433,7 +441,7 @@ def run_pipeline(
         expert_wpbl(b, pl, axis=config.wpbl_axis)
         for b, pl in zip(beliefs, plausibilities)
     ]
-    pairs = np.transpose(np.triu_indices(len(ids), 1)).tolist()
+    _, _, pairs = _expert_pairs(len(ids))
     pair_ids = tuple((ids[i], ids[j]) for i, j in pairs)
     table = np.empty((len(pairs), first.shape[0]))
     for n, (i, j) in enumerate(pairs):

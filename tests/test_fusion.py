@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from evidential_magdm import fusion
 from evidential_magdm.config import RunConfig
-from evidential_magdm.errors import DegenerateAttributeError
+from evidential_magdm.errors import DegenerateAttributeError, DegenerateDomainError
 from evidential_magdm.fusion import (
     FeatureSet,
     confusion_matrix,
@@ -20,7 +21,8 @@ from evidential_magdm.fusion import (
     score,
     train_test_split_indices,
 )
-from evidential_magdm.pipeline import ExpertWeights
+from evidential_magdm.linguistic import DecisionMatrix
+from evidential_magdm.pipeline import ExpertWeights, run_pipeline
 
 
 def sources_from(*arrays, labels=None):
@@ -170,6 +172,91 @@ class TestEstimateFusionWeights:
         np.testing.assert_allclose(
             result.pair_divergences[:, 0], per_alt, atol=1e-12
         )
+
+
+def ix_gather_weights(sources, config):
+    """Reference: every block gathered with ``np.ix_`` and weighted by ``run_pipeline``."""
+    config = config.replace(zero_average_policy="full-weight")
+    n, d = sources[0].features.shape
+    rng = np.random.default_rng(config.seed)
+    if n > config.sample_cap:
+        rows = np.sort(rng.choice(n, size=config.sample_cap, replace=False))
+    else:
+        rows = np.arange(n)
+    per_block = []
+    for start in range(0, d, config.block_size):
+        block = np.arange(start, min(start + config.block_size, d))
+        matrices = [
+            DecisionMatrix(
+                s.source_id, s.features[np.ix_(rows, block)],
+                tuple(f"s{r}" for r in rows), tuple(f"f{c}" for c in block),
+            )
+            for s in sources
+        ]
+        per_block.append(run_pipeline(matrices, config, with_ranking=False).weights.weights)
+    mean = np.mean(per_block, axis=0)
+    return mean / mean.sum()
+
+
+class TestFusionBlocks:
+    """Blocks are column slices of one row selection per source."""
+
+    CASES = {
+        "all-rows": (16, RunConfig(seed=5, sample_cap=240)),
+        "sampled-rows": (16, RunConfig(seed=6, sample_cap=100)),
+        "ragged-last-block": (19, RunConfig(seed=7, sample_cap=240, block_size=8)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_weights_equal_ix_gather_reference(self, case):
+        dims, config = self.CASES[case]
+        sources = make_synthetic_sources(config.seed, n_dims=dims)
+        got = estimate_fusion_weights(sources, config)
+        assert got.weights.tobytes() == ix_gather_weights(sources, config).tobytes()
+
+    def capture_blocks(self, monkeypatch, sources, config):
+        seen = []
+
+        def recording(matrices, *args, **kwargs):
+            seen.append(matrices)
+            return run_pipeline(matrices, *args, **kwargs)
+
+        monkeypatch.setattr(fusion, "run_pipeline", recording)
+        estimate_fusion_weights(sources, config)
+        return seen
+
+    def test_all_rows_are_used_without_a_copy(self, monkeypatch):
+        sources = make_synthetic_sources(5, n_dims=19)
+        blocks = self.capture_blocks(monkeypatch, sources, RunConfig(sample_cap=240))
+        assert [m.shape for m in blocks[-1]] == [(240, 3)] * 3
+        for matrices in blocks:
+            for s, m in zip(sources, matrices):
+                assert np.shares_memory(m.values, s.features)
+
+    def test_sampled_rows_are_gathered_once_per_source(self, monkeypatch):
+        sources = make_synthetic_sources(6, n_dims=16)
+        blocks = self.capture_blocks(monkeypatch, sources, RunConfig(sample_cap=100))
+        for e, s in enumerate(sources):
+            gathered = blocks[0][e].values.base
+            assert gathered.shape == (100, 16) and not np.shares_memory(gathered, s.features)
+            assert all(b[e].values.base is gathered for b in blocks)
+
+    @pytest.mark.parametrize(
+        "block_size, named", [(8, "attribute 'f5' of expert 'b'"), (4, "attribute 'f2' of expert 'c'")],
+        ids=["same-block", "earlier-block"],
+    )
+    def test_flat_columns_in_two_sources_name_the_first_block_then_expert(self, block_size, named):
+        # b is flat at dimension 5 and c at dimension 2: within one block the
+        # first flat column in expert order is named, across blocks the
+        # first block's
+        rng = np.random.default_rng(8)
+        a, b, c = (rng.normal(size=(12, 8)) for _ in range(3))
+        b[:, 5] = 1.5
+        c[:, 2] = -0.5
+        sources = [FeatureSet("a", a), FeatureSet("b", b), FeatureSet("c", c)]
+        message = f"{named} has a single observed value or a range that cannot be split into 4 segments"
+        with pytest.raises(DegenerateDomainError, match=f"^{message}$"):
+            estimate_fusion_weights(sources, RunConfig(block_size=block_size))
 
 
 class TestFuseFeatures:

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from evidential_magdm import recruitment as ref
@@ -17,6 +17,7 @@ from evidential_magdm.errors import (
 from evidential_magdm.linguistic import (
     DecisionMatrix,
     LinguisticPartition,
+    _membership_kernel,
     bpa_tensor,
     build_partition,
     membership_matrix,
@@ -24,6 +25,9 @@ from evidential_magdm.linguistic import (
     normalize_decision_matrix,
     term_major,
 )
+
+
+_MAX = float(np.finfo(float).max)
 
 
 def simple_matrix(values, expert="x"):
@@ -284,6 +288,23 @@ class TestMembershipKernel:
         assert part.lower < value < part.upper
         assert got.partitions[1] == build_partition([1.0, 2.0, 3.0], terms - 1)
 
+    @pytest.mark.parametrize("terms", [3, 5, 9])
+    @pytest.mark.parametrize("value", [_MAX, -_MAX], ids=["+max", "-max"])
+    def test_flat_column_at_float_max_keeps_a_finite_partition(self, value, terms):
+        # the half-width is taken in ulps toward zero (2**971 at max), and the
+        # window slides inward by it rather than pass the float range
+        m = DecisionMatrix("e", np.array([[value] * 3, [1.0, 2.0, 3.0]]).T)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = membership_matrix([m], terms=terms, uniform_when_degenerate=True)[0]
+            part = got.partitions[0]
+            assert LinguisticPartition(part.lower, part.upper, terms - 1) == part
+        assert math.isfinite(part.lower) and math.isfinite(part.upper)
+        width = 2 * (terms - 1) * 2.0**971
+        expected = (value - width, value) if value > 0 else (value, value + width)
+        assert (part.lower, part.upper) == expected
+        assert np.array_equal(got.degrees[:, 0, :], np.full((3, terms), 1.0 / terms))
+
     @pytest.mark.parametrize("value", [-3.0, 1e15])
     def test_flat_column_keeps_unit_half_width(self, value):
         m = DecisionMatrix("e", np.array([[value] * 3, [1.0, 2.0, 3.0]]).T)
@@ -314,6 +335,101 @@ class TestMembershipKernel:
     def test_partition_rejects_unsplittable_domain(self, lower, upper):
         with pytest.raises(DegenerateDomainError, match="degenerate domain"):
             LinguisticPartition(lower, upper, 4)
+
+
+def masked_select_kernel(values, lo, hi, segments, out):
+    """Reference: each interior degree picks its edge by ``values > peak``."""
+    scale = 1.0 - 0.5 * (hi * 0.5 - lo * 0.5 > _MAX / 2)
+    if np.any(scale != 1.0):
+        values, lo, hi = values * scale, lo * scale, hi * scale
+    span = hi - lo
+    offset = values - lo
+    np.divide(offset, span, out=out[segments])
+    np.subtract(1.0, out[segments], out=out[0])
+    step = span / segments
+    falling = np.empty_like(offset)
+    for h in range(1, segments):
+        peak = lo + h * step
+        np.divide(offset, peak - lo, out=out[h])
+        np.subtract(values, peak, out=falling)
+        falling /= hi - peak
+        np.subtract(1.0, falling, out=falling)
+        np.copyto(out[h], falling, where=values > peak)
+    return out
+
+
+@st.composite
+def kernel_columns(draw, segments):
+    """One column's (values, lo, hi): values on the peaks, their neighbours,
+    the ends and inside, for unit, negative, half-scale, integer-tie and
+    ulp-narrow ranges."""
+    kind = draw(st.sampled_from(["unit", "negative", "half-scale", "integer", "narrow"]))
+    if kind == "unit":
+        lo = draw(st.floats(-10.0, 10.0))
+        hi = lo + draw(st.floats(1e-3, 100.0))
+    elif kind == "negative":
+        lo = draw(st.floats(-1e6, -1.0))
+        hi = lo * draw(st.floats(0.01, 0.99))
+    elif kind == "half-scale":
+        # hi - lo overflows, so the kernel works on the halved column
+        lo = draw(st.floats(-_MAX, -_MAX / 2))
+        hi = draw(st.floats(_MAX / 2, _MAX))
+    elif kind == "integer":
+        lo = float(draw(st.integers(-20, 0)))
+        hi = lo + draw(st.integers(segments, 3 * segments))
+    else:
+        lo = draw(st.floats(-1e3, 1e3))
+        hi = lo
+        for _ in range(draw(st.integers(2 * segments, 8 * segments))):
+            hi = float(np.nextafter(hi, np.inf))
+    assume(hi > lo)
+    try:
+        part = LinguisticPartition(lo, hi, segments)
+    except DegenerateDomainError:
+        assume(False)
+    peaks = [part.peak(t) for t in range(1, segments + 2)]
+    near = [float(np.nextafter(v, end)) for v in peaks for end in (lo, hi)]
+    fractions = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+    inside = [lo * (1 - f) + hi * f for f in fractions]
+    if kind == "integer":
+        inside += [float(v) for v in range(int(lo), int(hi) + 1)]
+    candidates = np.clip(np.array(peaks + near + inside), lo, hi)
+    picks = draw(st.lists(st.integers(0, candidates.size - 1), min_size=2, max_size=24))
+    return candidates[picks], lo, hi
+
+
+@st.composite
+def kernel_slabs(draw):
+    """(values, lo, hi, segments) for a (p, columns) plane of mixed columns."""
+    segments = draw(st.integers(2, 8))
+    columns = draw(st.lists(kernel_columns(segments), min_size=1, max_size=5))
+    p = min(len(v) for v, _, _ in columns)
+    values = np.column_stack([v[:p] for v, _, _ in columns])
+    lo = np.array([c for _, c, _ in columns])
+    hi = np.array([d for _, _, d in columns])
+    return values, lo, hi, segments
+
+
+class TestMinEdgeKernel:
+    """The min of the two interior edges equals the masked select bit for bit."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(slab=kernel_slabs())
+    def test_matches_masked_select(self, slab):
+        values, lo, hi, segments = slab
+        shape = (segments + 1,) + values.shape
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _membership_kernel(values, lo, hi, segments, np.empty(shape))
+        expected = masked_select_kernel(values, lo, hi, segments, np.empty(shape))
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("segments", [2, 4, 8])
+    def test_values_on_every_peak_get_degree_one(self, segments):
+        part = LinguisticPartition(-3.0, 7.0, segments)
+        peaks = np.array([part.peak(t) for t in range(1, segments + 2)])
+        got = _membership_kernel(peaks, part.lower, part.upper, segments, np.empty((segments + 1, peaks.size)))
+        assert np.array_equal(np.diag(got), np.ones(segments + 1))
 
 
 class TestBpaTensor:

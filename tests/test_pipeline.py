@@ -19,6 +19,7 @@ from evidential_magdm.errors import (
 from evidential_magdm.linguistic import DecisionMatrix, bpa_tensor, membership_matrix
 from evidential_magdm.pipeline import (
     _descending_network,
+    _expert_pairs,
     divergence_matrix,
     expert_weights,
     expert_wpbl,
@@ -408,6 +409,26 @@ class TestDivergenceMatrix:
         for n, (i, j) in enumerate(zip(rows, cols)):
             expected = pairwise_divergence(result.wpbl_profiles[i], result.wpbl_profiles[j])
             assert np.array_equal(result.pair_divergences[:, n], expected)
+
+
+class TestExpertPairs:
+    def test_cached_pairs_match_triu_indices_and_are_read_only(self):
+        for k in range(2, 71):
+            rows, cols, pairs = _expert_pairs(k)
+            want_rows, want_cols = np.triu_indices(k, 1)
+            assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+            assert pairs == tuple(zip(want_rows.tolist(), want_cols.tolist()))
+            for a in (rows, cols):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 1
+            assert _expert_pairs(k)[0] is rows
+
+    @pytest.mark.parametrize("k", [2, 3, 6])
+    def test_pair_ids_run_row_major_over_the_upper_triangle(self, k):
+        rng = np.random.default_rng(k)
+        result = run_pipeline(random_matrices(rng, experts=k), RunConfig())
+        ids = result.expert_ids
+        assert result.pair_ids == tuple((ids[i], ids[j]) for i in range(k) for j in range(i + 1, k))
 
 
 class TestExpertWeights:
