@@ -33,7 +33,6 @@ class RunConfig:
     wpbl_axis: str = "attributes"
     mean_over_alternatives: bool = True
     divide_by_k: bool = True
-    clamp_out_of_domain: bool = False
     uniform_when_degenerate: bool = False
     zero_average_policy: str = "error"
     seed: int = 0

@@ -6,10 +6,10 @@ belief-plausibility distributions, and weighted/ordered generalizations.
 
 Two kernels take every logarithm. ``_xlogy_ratio`` is the masked
 ``x * log(x / y)`` under entropy, KL, generalized JS and the p-row
-ordered divergence (through ``_mixture_terms``). ``ordered_pair_terms``
-is the two-profile ordered divergence: one pass over 1-D (hi, lo, mix)
-arrays with an unmasked log, zeroed where a value is 0. It serves the
-all-pairs stage of the pipeline and the two-mass ordered divergences.
+ordered divergence (through ``_mixture_terms``). ``pair_rows`` is the
+two-profile ordered divergence: one pass over two 1-D value rows and
+their mix, with an unmasked log, zeroed where a value is 0. It serves
+the two-mass ordered divergences and the pipeline's all-pairs stage.
 
 Conventions:
   * 0 * log(0/x) contributes 0 (continuous extension); a proposition on
@@ -24,6 +24,7 @@ Conventions:
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import functools
 import math
@@ -141,15 +142,33 @@ def belief_js_divergence(m1: Bpa, m2: Bpa, propositions, base: LogBase = LogBase
     return js_divergence(values[0], values[1], base)
 
 
-def ordered_pair_terms(a: np.ndarray, b: np.ndarray, weights: np.ndarray, base: LogBase) -> np.ndarray:
+def pair_rows(x0, x1, mix, weights, empty: bool, base: LogBase) -> np.ndarray:
+    """Rows w_f * x_f * log(x_f / mix) / ln(base), shape (2, n); 0 where x_f or w_f is 0.
+
+    Only if ``empty`` (a 0 in ``mix`` or an ``x_f``) are 0 * log(0) masked and warnings silenced."""
+    terms = np.zeros((2, mix.size))
+    with np.errstate(divide="ignore", invalid="ignore") if empty else contextlib.nullcontext():
+        for row, x, w in zip(terms, (x0, x1), weights):
+            if w > 0:
+                np.divide(x, mix, out=row)
+                np.log(row, out=row)
+                row *= x
+                if empty:
+                    np.putmask(row, x == 0, 0.0)
+                row *= w
+    terms /= base.ln
+    return terms
+
+
+def ordered_pair_terms(a, b, weights, base: LogBase, empty: bool | None = None) -> np.ndarray:
     """Ordered weighted divergence terms of two 1-D profiles, shape (2, n).
 
     Row 0 is w_0 * hi * log(hi / mix) and row 1 is w_1 * lo * log(lo / mix),
     where hi and lo are the cell-wise max and min of ``a`` and ``b`` and
     mix = w_0 * hi + w_1 * lo. A zero value or a zero weight contributes 0.
-    The profiles are read as they are, with no stacked copy. The mix takes
-    two roundings, w_0 * hi and then + w_1 * lo: numpy's elementwise ops
-    never fuse a multiply-add, and neither does the ``_mixture_terms``
+    ``empty`` is the ``pair_rows`` flag, if the caller knows it. The mix
+    takes two roundings, w_0 * hi and then + w_1 * lo: numpy's elementwise
+    ops never fuse a multiply-add, and neither does the ``_mixture_terms``
     matmul on a sorted, reversed (2, n) view, so both give the same bits.
     """
     if len(weights) != 2:
@@ -158,19 +177,8 @@ def ordered_pair_terms(a: np.ndarray, b: np.ndarray, weights: np.ndarray, base: 
     lo = np.minimum(a, b)
     mix = weights[0] * hi
     mix += weights[1] * lo
-    terms = np.zeros((2, mix.size))
-    empty_cells = not lo.all()  # hi is 0 only where lo is
-    with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 and log(0) at empty cells
-        for row, x, w in zip(terms, (hi, lo), weights):
-            if w > 0:
-                np.divide(x, mix, out=row)
-                np.log(row, out=row)
-                row *= x
-                if empty_cells:
-                    np.putmask(row, x == 0, 0.0)
-                row *= w
-    terms /= base.ln
-    return terms
+    empty = not (lo.all() and mix.all()) if empty is None else empty
+    return pair_rows(hi, lo, mix, weights, empty, base)
 
 
 def ordered_mixture_terms(values: np.ndarray, weights: np.ndarray, base: LogBase) -> np.ndarray:

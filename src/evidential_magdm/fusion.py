@@ -73,9 +73,9 @@ def estimate_fusion_weights(sources: list[FeatureSet], config: RunConfig | None 
     blocks of ``block_size`` attributes, and block weights are averaged
     and renormalised. Each source's sampled rows are gathered once (not
     at all when every row is kept), and each block is a column-slice
-    view of them. Sources with zero average divergence (for example
-    byte-identical duplicates) share the full weight, so identical
-    sources come out uniform.
+    view of them; a non-finite sampled value is reported before any block
+    runs. Sources with zero average divergence (for example byte-identical
+    duplicates) share the full weight, so identical sources come out uniform.
     """
     config = (config or RunConfig()).replace(zero_average_policy="full-weight")
     n, d = _check_conformable(sources)
@@ -86,6 +86,10 @@ def estimate_fusion_weights(sources: list[FeatureSet], config: RunConfig | None 
     else:
         rows = np.arange(n)
         sampled = [s.features for s in sources]
+    for s, f in zip(sources, sampled):
+        if not np.isfinite(f).all():
+            i, j = np.argwhere(~np.isfinite(f))[0]
+            raise ValueError(f"source {s.source_id!r} has non-finite value {f[i, j]} in f{j} at sample s{rows[i]}")
     ids = tuple(s.source_id for s in sources)
     row_labels = tuple(f"s{r}" for r in rows)
     per_block = []

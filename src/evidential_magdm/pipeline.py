@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import RunConfig
-from .divergence import LogBase, ordered_pair_terms
+from .divergence import LogBase, ordered_pair_terms, pair_rows
 from .errors import (
     ConfigError,
     DegenerateCellError,
@@ -234,25 +234,42 @@ def expert_wpbl(belief: np.ndarray, plausibility: np.ndarray, axis: str = "attri
     return total / sums
 
 
+def pair_operand(profile: np.ndarray, pair_weights) -> tuple[np.ndarray, np.ndarray, bool]:
+    """A profile flattened, scaled by w_0, and flagged when a scaled cell is 0:
+    a pair's value or mix (>= w_0 times the larger value) is 0 only there."""
+    if len(pair_weights) != 2:
+        raise ValueError(f"two-profile divergence needs 2 weights, got {len(pair_weights)}")
+    flat = np.ravel(profile)
+    scaled = pair_weights[0] * flat
+    return flat, scaled, not scaled.all()
+
+
 def pairwise_divergence(
     wpbl_1: np.ndarray,
     wpbl_2: np.ndarray,
     pair_weights=(0.5, 0.5),
     base: LogBase = LogBase.TWO,
+    operands: tuple | None = None,
 ) -> np.ndarray:
     """Per-alternative divergence between two experts' profiles.
 
     Every (alternative, attribute) cell contributes its ordered weighted
     divergence summand; an alternative's value is its row total. With
-    pair weights (1/2, 1/2) the summand is the belief-JS kernel.
+    pair weights (1/2, 1/2) the summand is the belief-JS kernel. Equal
+    weights w skip the (max, min) cell ordering: w hi + w lo is w a + w b,
+    and a cell's two summands commute. ``operands`` come from ``pair_operand``.
     """
     if wpbl_1.shape != wpbl_2.shape:
         raise ValueError("profiles must share a shape")
-    w = np.asarray(pair_weights, dtype=float)
-    p, q = wpbl_1.shape
-    terms = ordered_pair_terms(wpbl_1.ravel(), wpbl_2.ravel(), w, base)
+    if operands is None:
+        operands = (pair_operand(wpbl_1, pair_weights), pair_operand(wpbl_2, pair_weights))
+    (a, scaled_a, empty_a), (b, scaled_b, empty_b) = operands
+    if pair_weights[0] == pair_weights[1]:
+        terms = pair_rows(a, b, scaled_a + scaled_b, pair_weights, empty_a or empty_b, base)
+    else:
+        terms = ordered_pair_terms(a, b, pair_weights, base, empty_a or empty_b)
     terms[0] += terms[1]
-    return terms[0].reshape(p, q).sum(axis=1)
+    return terms[0].reshape(wpbl_1.shape).sum(axis=1)
 
 
 def divergence_matrix(
@@ -409,7 +426,8 @@ def run_pipeline(
 
     ``with_ranking=False`` stops after the expert weights, which is what
     the feature-fusion harness needs (feature matrices may be negative,
-    so the nonnegative ideal-solution ranking does not apply).
+    so the nonnegative ideal-solution ranking does not apply). Each
+    expert's profile is prepared once for the pair loop (``pair_operand``).
     """
     config = config or RunConfig()
     if len(matrices) < 2:
@@ -443,10 +461,11 @@ def run_pipeline(
     ]
     _, _, pairs = _expert_pairs(len(ids))
     pair_ids = tuple((ids[i], ids[j]) for i, j in pairs)
+    operands = [pair_operand(pr, config.pair_weights) for pr in profiles]
     table = np.empty((len(pairs), first.shape[0]))
     for n, (i, j) in enumerate(pairs):
         table[n] = pairwise_divergence(
-            profiles[i], profiles[j], pair_weights=config.pair_weights, base=base,
+            profiles[i], profiles[j], config.pair_weights, base, operands=(operands[i], operands[j]),
         )
     dmm = divergence_matrix(table, len(ids), config.mean_over_alternatives)
     weights = expert_weights(

@@ -201,6 +201,13 @@ class TestRankCommand:
         cfg.write_text('{"nope": 1}')
         assert main(["rank", *recruitment_csvs, "--config", str(cfg)]) == 4
 
+    def test_removed_clamp_key_exits_4(self, recruitment_csvs, tmp_path, capsys):
+        # the deleted field is rejected like any other unknown key
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"clamp_out_of_domain": true}')
+        assert main(["rank", *recruitment_csvs, "--config", str(cfg)]) == 4
+        assert "unknown config keys: ['clamp_out_of_domain']" in capsys.readouterr().err
+
     def test_config_controls_pipeline(self, recruitment_csvs, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"owa_scheme": "uniform"}')

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from evidential_magdm import divergence
 from evidential_magdm.divergence import (
@@ -20,9 +20,11 @@ from evidential_magdm.divergence import (
     ordered_mixture_terms,
     weighted_belief_divergence,
 )
-from evidential_magdm.errors import ConfigError, DivergenceUndefinedError
+from evidential_magdm.config import RunConfig
+from evidential_magdm.errors import ConfigError, DivergenceUndefinedError, NegativeDivergenceError
 from evidential_magdm.evidence import Bpa, FrameOfDiscernment, PseudoBpa
-from evidential_magdm.pipeline import pairwise_divergence
+from evidential_magdm.linguistic import DecisionMatrix
+from evidential_magdm.pipeline import pairwise_divergence, run_pipeline
 
 AB = FrameOfDiscernment(("a", "b"))
 SINGLETONS = [["a"], ["b"]]
@@ -380,8 +382,9 @@ class TestPairwiseDivergenceKernel:
 
     def test_weight_count_checked(self):
         profile = np.array([[0.5, 0.5]])
-        with pytest.raises(ValueError, match="2 weights, got 3"):
-            pairwise_divergence(profile, profile, (0.5, 0.25, 0.25))
+        for weights in ((0.5, 0.25, 0.25), (1.0,)):
+            with pytest.raises(ValueError, match=f"2 weights, got {len(weights)}"):
+                pairwise_divergence(profile, profile, weights)
 
     @pytest.mark.parametrize("weights", [(1.0, 0.0), (0.0, 1.0)])
     def test_zero_weight_pairs_emit_no_warning(self, weights):
@@ -392,3 +395,101 @@ class TestPairwiseDivergenceKernel:
             got = pairwise_divergence(a, b, weights)
         assert np.array_equal(got, stacked_pair_divergence(a, b, weights, LogBase.TWO))
         assert np.all(np.isfinite(got))
+
+
+def masked_pair_divergence(a, b, weights, base):
+    """``pairwise_divergence`` before profiles were prepared: every pair orders
+    its cells into (max, min), mixes w_0 * hi + w_1 * lo and masks both rows."""
+    hi, lo = np.maximum(a.ravel(), b.ravel()), np.minimum(a.ravel(), b.ravel())
+    mix = weights[0] * hi
+    mix += weights[1] * lo
+    terms = np.zeros((2, mix.size))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for row, x, w in zip(terms, (hi, lo), weights):
+            if w > 0:
+                np.divide(x, mix, out=row)
+                np.log(row, out=row)
+                row *= x
+                np.putmask(row, x == 0, 0.0)
+                row *= w
+    terms /= base.ln
+    terms[0] += terms[1]
+    return terms[0].reshape(a.shape).sum(axis=1)
+
+
+# equal but not 1/2 each: the unordered path must not assume w = 1/2
+PREPARED_PAIR_WEIGHTS = [(0.5, 0.5), (0.8, 0.2), (0.3, 0.7), (1.0, 0.0), (0.0, 1.0), (0.5000000001, 0.5000000001)]
+
+
+@st.composite
+def expert_profiles(draw):
+    """k (p, q) profiles: some experts have empty cells (shared or not), some
+    tie another expert on a share of cells, some copy another outright."""
+    k, p, q = draw(st.integers(2, 12)), draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    profiles = rng.uniform(0.0, 1.0, size=(k, p, q))
+    for e in range(1, k):
+        other = profiles[rng.integers(e)]
+        kind = draw(st.sampled_from(["free", "empty", "shared-empty", "tie", "copy"]))
+        cells = rng.random((p, q)) < 0.4
+        if kind == "empty":
+            profiles[e][cells] = 0.0
+        elif kind == "shared-empty":
+            other[cells] = profiles[e][cells] = 0.0
+        elif kind == "tie":
+            profiles[e][cells] = other[cells]
+        elif kind == "copy":
+            profiles[e] = other
+    return list(profiles)
+
+
+class TestPreparedPairPath:
+    """Profiles prepared once per expert give the bits of the per-pair kernel."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        profiles=expert_profiles(),
+        weights=st.sampled_from(PREPARED_PAIR_WEIGHTS),
+        base=st.sampled_from(list(LogBase)),
+    )
+    def test_standalone_calls_equal_masked_reference(self, profiles, weights, base):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for i, j in zip(*np.triu_indices(len(profiles), 1)):
+                for a, b in ((profiles[i], profiles[j]), (profiles[j], profiles[i])):
+                    got = pairwise_divergence(a, b, weights, base)
+                    assert np.array_equal(got, masked_pair_divergence(a, b, weights, base))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        k=st.integers(2, 12),
+        p=st.integers(2, 12),
+        q=st.integers(2, 12),
+        copies=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+        weights=st.sampled_from(PREPARED_PAIR_WEIGHTS),
+        base=st.sampled_from(["2", "e"]),
+    )
+    def test_run_pipeline_pair_table_equals_masked_reference(self, k, p, q, copies, seed, weights, base):
+        # copies repeat the first expert's matrix under new ids: identical
+        # profiles, so some pairs are (near) zero throughout
+        rng = np.random.default_rng(seed)
+        values = list(rng.uniform(1.0, 9.0, size=(k, p, q))) + [None] * copies
+        values[k:] = [values[0]] * copies
+        matrices = [DecisionMatrix(f"e{e}", v) for e, v in enumerate(values)]
+        config = RunConfig(
+            pair_weights=weights, log_base=base,
+            uniform_when_degenerate=True, zero_average_policy="full-weight",
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                result = run_pipeline(matrices, config, with_ranking=False)
+            except NegativeDivergenceError:
+                reject()  # rounding on identical experts; the pair table is not returned
+        profiles = result.wpbl_profiles
+        expected = [
+            masked_pair_divergence(profiles[i], profiles[j], weights, LogBase.parse(base))
+            for i, j in zip(*np.triu_indices(len(profiles), 1))
+        ]
+        assert np.array_equal(result.pair_divergences.T, np.array(expected))

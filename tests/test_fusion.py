@@ -1,6 +1,7 @@
 """Feature-fusion harness tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -257,6 +258,22 @@ class TestFusionBlocks:
         message = f"{named} has a single observed value or a range that cannot be split into 4 segments"
         with pytest.raises(DegenerateDomainError, match=f"^{message}$"):
             estimate_fusion_weights(sources, RunConfig(block_size=block_size))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("sample_cap", [240, 100], ids=["all-rows", "sampled-rows"])
+    def test_non_finite_value_is_named_before_the_first_block(self, monkeypatch, value, sample_cap):
+        # dimension 11 lies in the second block; the row is the last sampled one
+        config = RunConfig(seed=6, sample_cap=sample_cap)
+        sources = make_synthetic_sources(config.seed, n_dims=16)
+        rows = np.random.default_rng(config.seed).choice(240, size=100, replace=False)
+        row = int(rows.max()) if sample_cap == 100 else 239
+        sources[1].features[row, 11] = value
+        blocks = []
+        monkeypatch.setattr(fusion, "run_pipeline", lambda *args, **kwargs: blocks.append(args))
+        message = f"source 'noisy-copy' has non-finite value {value} in f11 at sample s{row}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            estimate_fusion_weights(sources, config)
+        assert blocks == []
 
 
 class TestFuseFeatures:

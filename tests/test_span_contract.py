@@ -3,8 +3,8 @@
 ``perfbench/tracing.py`` wraps library functions by name; a renamed or
 deleted one makes ``Instrumentation`` fail and every traced benchmark op
 with it. The per-expert stages take the whole expert group, so each of
-their spans records one call per ``run_pipeline``. These tests only read
-``perfbench/``.
+their spans records one call per ``run_pipeline``; the pair stage records
+one call per expert pair. These tests only read ``perfbench/``.
 """
 
 import importlib
@@ -63,3 +63,20 @@ def test_per_expert_stages_run_once_per_pipeline(tracing, with_ranking):
     for stage in ("linguistic.membership_matrix", "linguistic.bpa_tensor", "pipeline.ordered_weighted_belief"):
         assert calls[stage] == 1
     assert calls.get("linguistic.normalize_decision_matrix", 0) == (4 if with_ranking else 0)
+
+
+def test_pair_divergence_runs_once_per_pair_on_the_profiles(tracing):
+    # the benchmark counts one pairwise_divergence span per expert pair and
+    # reads the cells from its first positional argument, the (p, q) profile
+    from evidential_magdm import pipeline
+    from evidential_magdm.linguistic import DecisionMatrix
+
+    k, p, q = 6, 7, 3
+    rng = np.random.default_rng(1)
+    matrices = [DecisionMatrix(f"e{e}", rng.uniform(1, 9, size=(p, q))) for e in range(k)]
+    tracer = tracing.Tracer()
+    with tracing.Instrumentation(tracer):
+        pipeline.run_pipeline(matrices)
+    calls = {name: row["calls"] for name, row in tracing.summarize(tracer.spans).items()}
+    assert calls["pipeline.pairwise_divergence"] == 15
+    assert tracer.cells == 15 * p * q
