@@ -4,12 +4,17 @@ Covers Kullback-Leibler, Jensen-Shannon (pairwise and generalized), the
 belief JS divergence between mass assignments via their normalised
 belief-plausibility distributions, and weighted/ordered generalizations.
 
-Two kernels take every logarithm. ``_xlogy_ratio`` is the masked
+Three kernels take every logarithm. ``_xlogy_ratio`` is the masked
 ``x * log(x / y)`` under entropy, KL, generalized JS and the p-row
-ordered divergence (through ``_mixture_terms``). ``pair_rows`` is the
-two-profile ordered divergence: one pass over two 1-D value rows and
-their mix, with an unmasked log, zeroed where a value is 0. It serves
-the two-mass ordered divergences and the pipeline's all-pairs stage.
+ordered divergence (through ``_mixture_terms``). ``js_cells`` is the
+two-profile divergence at weights (1/2, 1/2) in a closed form whose
+summands do not cancel, so near-identical profiles keep their relative
+accuracy. ``ordered_pair_terms`` is the two-profile ordered divergence
+at any other weights: one pass over the cell-wise max and min and their
+mix, with an unmasked log, zeroed where a value is 0. Its signed terms
+still cancel for close values. ``pair_cells`` picks between the two by
+the weights; it serves the JS divergence, the ordered divergence of two
+mass assignments and the pipeline's all-pairs stage.
 
 Conventions:
   * 0 * log(0/x) contributes 0 (continuous extension); a proposition on
@@ -36,6 +41,7 @@ from .errors import ConfigError, DivergenceUndefinedError
 from .evidence import Bpa, wpbl
 
 PROB_SUM_TOL = 1e-9
+_TINY = np.finfo(float).tiny
 
 
 class LogBase(enum.Enum):
@@ -117,8 +123,14 @@ def kl_divergence(a, b, base: LogBase = LogBase.TWO) -> float:
 
 
 def js_divergence(a, b, base: LogBase = LogBase.TWO) -> float:
-    """Jensen-Shannon divergence; symmetric and bounded by 1 in base 2."""
-    return generalized_js_divergence([a, b], (0.5, 0.5), base)
+    """Jensen-Shannon divergence; symmetric and bounded by 1 in base 2.
+
+    Summed from ``js_cells``, so it stays >= 0 for near-identical inputs."""
+    pa = as_probability_vector(a, "first distribution")
+    pb = as_probability_vector(b, "second distribution")
+    if pa.size != pb.size:
+        raise ValueError("distributions must share a length")
+    return float(pair_cells(pa, pb, (0.5, 0.5), base).sum())
 
 
 def generalized_js_divergence(dists: Sequence, weights, base: LogBase = LogBase.TWO) -> float:
@@ -138,26 +150,69 @@ def _wpbl_matrix(masses: Sequence[Bpa], propositions) -> tuple[np.ndarray, tuple
 
 def belief_js_divergence(m1: Bpa, m2: Bpa, propositions, base: LogBase = LogBase.TWO) -> float:
     """JS divergence between two mass assignments' Bel+Pl distributions."""
-    values, _ = _wpbl_matrix([m1, m2], propositions)
-    return js_divergence(values[0], values[1], base)
+    return weighted_belief_divergence(m1, m2, propositions, (0.5, 0.5), base)
 
 
-def pair_rows(x0, x1, mix, weights, empty: bool, base: LogBase) -> np.ndarray:
-    """Rows w_f * x_f * log(x_f / mix) / ln(base), shape (2, n); 0 where x_f or w_f is 0.
+def js_cells(a: np.ndarray, b: np.ndarray, narrow: bool = False) -> np.ndarray:
+    """4 ln(base) times each cell's (1/2, 1/2) divergence, for two 1-D profiles.
 
-    Only if ``empty`` (a 0 in ``mix`` or an ``x_f``) are 0 * log(0) masked and warnings silenced."""
-    terms = np.zeros((2, mix.size))
-    with np.errstate(divide="ignore", invalid="ignore") if empty else contextlib.nullcontext():
-        for row, x, w in zip(terms, (x0, x1), weights):
-            if w > 0:
-                np.divide(x, mix, out=row)
-                np.log(row, out=row)
-                row *= x
-                if empty:
-                    np.putmask(row, x == 0, 0.0)
-                row *= w
-    terms /= base.ln
-    return terms
+    With s = a + b, d = a - b and t = d / s a cell is
+    s * (log1p(-t^2) + 2t atanh(t)), taken as s log1p(-t^2) + d log1p(d / b)
+    (2t atanh(t) = t log(a / b)). The first summand is about -s t^2 and the
+    second about 2 s t^2, so close values (small t) lose nothing to
+    cancellation, and there is no mix. Where the values differ by a
+    factor 3 or more (t^2 >= 1/4) the rounding of t^2 leaves 1 - t^2 few
+    digits, and an empty cell makes both summands infinite; those cells
+    take the direct form 2a log(2a / s) + 2b log(2b / s), which is
+    accurate there, with 0 log 0 = 0. ``narrow`` says that no cell is
+    empty or wide, so the check, its mask and ``np.errstate`` are skipped.
+    """
+    with contextlib.nullcontext() if narrow else np.errstate(divide="ignore", invalid="ignore"):
+        s = a + b
+        d = a - b
+        t = d / s
+        t *= t
+        wide = () if narrow else np.flatnonzero(~(t < 0.25))  # an empty cell's t^2 is 1 or NaN
+        np.negative(t, out=t)
+        np.log1p(t, out=t)
+        t *= s
+        cells = d / b
+        np.log1p(cells, out=cells)
+        cells *= d
+        cells += t
+        if len(wide):
+            # v log(v / half) per value, half = s / 2; fmax turns the ratio of
+            # an empty value (0 or 0/0) into the smallest normal, so v = 0 gives 0
+            half = s[wide]
+            half *= 0.5
+            direct = np.zeros(wide.size)
+            for v in (a[wide], b[wide]):
+                ratio = v / half
+                np.fmax(ratio, _TINY, out=ratio)
+                np.log(ratio, out=ratio)
+                ratio *= v
+                direct += ratio
+            direct *= 2
+            cells[wide] = direct
+    return cells
+
+
+def pair_cells(a, b, weights, base: LogBase, narrow: bool = False) -> np.ndarray:
+    """Each cell's ordered weighted divergence of two 1-D profiles, in ``base``.
+
+    Weights (1/2, 1/2) take ``js_cells`` (``narrow`` as there); any other
+    pair, equal weights near 1/2 included, sums the two rows of
+    ``ordered_pair_terms``, whose signed terms still cancel for close values.
+    """
+    if len(weights) != 2:
+        raise ValueError(f"two-profile divergence needs 2 weights, got {len(weights)}")
+    if weights[0] == weights[1] == 0.5:
+        cells = js_cells(a, b, narrow)
+        cells *= 0.25 / base.ln
+        return cells
+    terms = ordered_pair_terms(a, b, weights, base, empty=False if narrow else None)
+    terms[0] += terms[1]
+    return terms[0]
 
 
 def ordered_pair_terms(a, b, weights, base: LogBase, empty: bool | None = None) -> np.ndarray:
@@ -166,9 +221,10 @@ def ordered_pair_terms(a, b, weights, base: LogBase, empty: bool | None = None) 
     Row 0 is w_0 * hi * log(hi / mix) and row 1 is w_1 * lo * log(lo / mix),
     where hi and lo are the cell-wise max and min of ``a`` and ``b`` and
     mix = w_0 * hi + w_1 * lo. A zero value or a zero weight contributes 0.
-    ``empty`` is the ``pair_rows`` flag, if the caller knows it. The mix
-    takes two roundings, w_0 * hi and then + w_1 * lo: numpy's elementwise
-    ops never fuse a multiply-add, and neither does the ``_mixture_terms``
+    ``empty`` says whether ``mix`` or ``lo`` holds a 0, if the caller knows;
+    only then are 0 * log(0) masked and warnings silenced. The mix takes
+    two roundings, w_0 * hi and then + w_1 * lo: numpy's elementwise ops
+    never fuse a multiply-add, and neither does the ``_mixture_terms``
     matmul on a sorted, reversed (2, n) view, so both give the same bits.
     """
     if len(weights) != 2:
@@ -178,7 +234,18 @@ def ordered_pair_terms(a, b, weights, base: LogBase, empty: bool | None = None) 
     mix = weights[0] * hi
     mix += weights[1] * lo
     empty = not (lo.all() and mix.all()) if empty is None else empty
-    return pair_rows(hi, lo, mix, weights, empty, base)
+    terms = np.zeros((2, mix.size))
+    with np.errstate(divide="ignore", invalid="ignore") if empty else contextlib.nullcontext():
+        for row, x, w in zip(terms, (hi, lo), weights):
+            if w > 0:
+                np.divide(x, mix, out=row)
+                np.log(row, out=row)
+                row *= x
+                if empty:
+                    np.putmask(row, x == 0, 0.0)
+                row *= w
+    terms /= base.ln
+    return terms
 
 
 def ordered_mixture_terms(values: np.ndarray, weights: np.ndarray, base: LogBase) -> np.ndarray:
@@ -206,11 +273,12 @@ def weighted_belief_divergence(
 ) -> float:
     """Ordered weighted divergence between two mass assignments.
 
-    With weights (1/2, 1/2) this equals ``belief_js_divergence``.
+    Summed from ``pair_cells``, as in the pipeline's pair stage; with
+    weights (1/2, 1/2) this is ``belief_js_divergence``.
     """
     w = as_weight_vector(weights, length=2)
     values, _ = _wpbl_matrix([m1, m2], propositions)
-    return float(ordered_mixture_terms(values, w, base).sum())
+    return float(pair_cells(values[0], values[1], w, base).sum())
 
 
 def generalized_belief_divergence(

@@ -51,6 +51,7 @@ class FeatureSet:
 
 
 def _check_conformable(sources: list[FeatureSet]) -> tuple[int, int]:
+    """Shared shape, distinct ids and finite values; returns (samples, dims)."""
     if len(sources) < 2:
         raise ValueError("fusion needs at least 2 sources")
     shape = sources[0].features.shape
@@ -62,6 +63,10 @@ def _check_conformable(sources: list[FeatureSet]) -> tuple[int, int]:
     ids = [s.source_id for s in sources]
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate source ids: {ids}")
+    for s in sources:
+        if not np.isfinite(s.features).all():
+            i, j = np.argwhere(~np.isfinite(s.features))[0]
+            raise ValueError(f"source {s.source_id!r} has non-finite value {s.features[i, j]} in f{j} at sample s{i}")
     return shape
 
 
@@ -73,8 +78,9 @@ def estimate_fusion_weights(sources: list[FeatureSet], config: RunConfig | None 
     blocks of ``block_size`` attributes, and block weights are averaged
     and renormalised. Each source's sampled rows are gathered once (not
     at all when every row is kept), and each block is a column-slice
-    view of them; a non-finite sampled value is reported before any block
-    runs. Sources with zero average divergence (for example byte-identical
+    view of them. A non-finite value in any row, sampled or not, is
+    reported with its source, dimension and row before any block runs.
+    Sources with zero average divergence (for example byte-identical
     duplicates) share the full weight, so identical sources come out uniform.
     """
     config = (config or RunConfig()).replace(zero_average_policy="full-weight")
@@ -86,10 +92,6 @@ def estimate_fusion_weights(sources: list[FeatureSet], config: RunConfig | None 
     else:
         rows = np.arange(n)
         sampled = [s.features for s in sources]
-    for s, f in zip(sources, sampled):
-        if not np.isfinite(f).all():
-            i, j = np.argwhere(~np.isfinite(f))[0]
-            raise ValueError(f"source {s.source_id!r} has non-finite value {f[i, j]} in f{j} at sample s{rows[i]}")
     ids = tuple(s.source_id for s in sources)
     row_labels = tuple(f"s{r}" for r in rows)
     per_block = []

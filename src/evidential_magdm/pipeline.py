@@ -14,14 +14,17 @@ Stages, all pure functions of their inputs:
 5. belief-plausibility profiles per expert, normalised along the
    configured axis (attribute propositions by default);
 6. pairwise expert divergence per alternative with the ordered weighted
-   divergence kernel; aggregated (mean over alternatives by default)
-   into a symmetric expert-by-expert matrix;
+   divergence kernel, at the default pair weights (1/2, 1/2) the
+   cancellation-free closed form of ``divergence.pair_cells``, so experts who
+   agree to many digits still get positive divergences; aggregated (mean
+   over alternatives by default) into a symmetric expert-by-expert matrix;
 7. average divergence per expert (divided by the expert count by
    default), reciprocal supports, and normalised expert weights;
 8. weight-fused matrix and ideal-solution ranking.
 
-Floating-point reductions run in fixed index order, so identical inputs
-and configuration give bit-identical results.
+Floating-point reductions run in fixed index order (a pair's cells
+attribute-major, see ``pair_operand``), so identical inputs and
+configuration give bit-identical results.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import RunConfig
-from .divergence import LogBase, ordered_pair_terms, pair_rows
+from .divergence import LogBase, pair_cells
 from .errors import (
     ConfigError,
     DegenerateCellError,
@@ -234,14 +237,11 @@ def expert_wpbl(belief: np.ndarray, plausibility: np.ndarray, axis: str = "attri
     return total / sums
 
 
-def pair_operand(profile: np.ndarray, pair_weights) -> tuple[np.ndarray, np.ndarray, bool]:
-    """A profile flattened, scaled by w_0, and flagged when a scaled cell is 0:
-    a pair's value or mix (>= w_0 times the larger value) is 0 only there."""
-    if len(pair_weights) != 2:
-        raise ValueError(f"two-profile divergence needs 2 weights, got {len(pair_weights)}")
-    flat = np.ravel(profile)
-    scaled = pair_weights[0] * flat
-    return flat, scaled, not scaled.all()
+def pair_operand(profile: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """A (p, q) profile flattened attribute-major (cell (i, j) at j * p + i),
+    with its smallest and largest cell."""
+    flat = np.ravel(profile.T)
+    return flat, float(flat.min()), float(flat.max())
 
 
 def pairwise_divergence(
@@ -251,25 +251,26 @@ def pairwise_divergence(
     base: LogBase = LogBase.TWO,
     operands: tuple | None = None,
 ) -> np.ndarray:
-    """Per-alternative divergence between two experts' profiles.
+    """Per-alternative divergence between two experts' (p, q) profiles.
 
     Every (alternative, attribute) cell contributes its ordered weighted
-    divergence summand; an alternative's value is its row total. With
-    pair weights (1/2, 1/2) the summand is the belief-JS kernel. Equal
-    weights w skip the (max, min) cell ordering: w hi + w lo is w a + w b,
-    and a cell's two summands commute. ``operands`` come from ``pair_operand``.
+    divergence summand (``divergence.pair_cells``); an alternative's value
+    is its row total. The cells run attribute-major, so the p totals are
+    q - 1 vector adds of length-p rows. At pair weights (1/2, 1/2) a cell
+    is the belief-JS kernel, exact for near-identical experts. When every
+    cell of one profile is within a factor 3 of every cell of the other
+    (read from the smallest and largest cells), no cell is empty or wide
+    and the kernel skips its check for them. ``operands`` come from
+    ``pair_operand``.
     """
     if wpbl_1.shape != wpbl_2.shape:
         raise ValueError("profiles must share a shape")
     if operands is None:
-        operands = (pair_operand(wpbl_1, pair_weights), pair_operand(wpbl_2, pair_weights))
-    (a, scaled_a, empty_a), (b, scaled_b, empty_b) = operands
-    if pair_weights[0] == pair_weights[1]:
-        terms = pair_rows(a, b, scaled_a + scaled_b, pair_weights, empty_a or empty_b, base)
-    else:
-        terms = ordered_pair_terms(a, b, pair_weights, base, empty_a or empty_b)
-    terms[0] += terms[1]
-    return terms[0].reshape(wpbl_1.shape).sum(axis=1)
+        operands = (pair_operand(wpbl_1), pair_operand(wpbl_2))
+    (a, lo_a, hi_a), (b, lo_b, hi_b) = operands
+    narrow = 0 < hi_a <= 3 * lo_b and 0 < hi_b <= 3 * lo_a
+    p, q = wpbl_1.shape
+    return pair_cells(a, b, pair_weights, base, narrow).reshape(q, p).sum(axis=0)
 
 
 def divergence_matrix(
@@ -322,8 +323,9 @@ def expert_weights(
     An expert whose average divergence is zero agrees perfectly with the
     whole group; by default that is an error, under ``full-weight`` the
     zero-average experts share all the weight. A negative average is
-    always an error: a divergence is nonnegative, and rounding in the
-    kernel can push near-identical experts' values below zero.
+    always an error: a divergence is nonnegative, but a caller's own
+    ``dmm`` may hold anything, and at unequal pair weights the kernel's
+    rounding can still push near-identical experts' values below zero.
     """
     k = len(expert_ids)
     if dmm.shape != (k, k):
@@ -427,7 +429,7 @@ def run_pipeline(
     ``with_ranking=False`` stops after the expert weights, which is what
     the feature-fusion harness needs (feature matrices may be negative,
     so the nonnegative ideal-solution ranking does not apply). Each
-    expert's profile is prepared once for the pair loop (``pair_operand``).
+    expert's profile is laid out once for the pair loop (``pair_operand``).
     """
     config = config or RunConfig()
     if len(matrices) < 2:
@@ -461,7 +463,7 @@ def run_pipeline(
     ]
     _, _, pairs = _expert_pairs(len(ids))
     pair_ids = tuple((ids[i], ids[j]) for i, j in pairs)
-    operands = [pair_operand(pr, config.pair_weights) for pr in profiles]
+    operands = [pair_operand(pr) for pr in profiles]
     table = np.empty((len(pairs), first.shape[0]))
     for n, (i, j) in enumerate(pairs):
         table[n] = pairwise_divergence(

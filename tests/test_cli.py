@@ -18,6 +18,9 @@ from evidential_magdm.config import RunConfig
 from evidential_magdm.errors import ConfigError
 from evidential_magdm.fusion import FeatureSet, make_synthetic_sources
 from evidential_magdm.linguistic import DecisionMatrix
+from evidential_magdm.pipeline import run_pipeline
+
+import decimal_oracle
 
 
 @pytest.fixture
@@ -181,9 +184,9 @@ class TestRankCommand:
         assert code == 3
         assert "t1" in capsys.readouterr().err
 
-    def test_negative_average_divergence_exits_3(self, tmp_path, capsys):
-        # four near-duplicate experts: rounding leaves some average divergences
-        # of about -6e-18, which would normalise into a weight of about -1.03
+    def test_near_duplicate_experts_get_the_oracle_weights(self, tmp_path, capsys):
+        # four near-duplicate experts: pair divergences of about 1e-19, which
+        # the signed log-ratio form rounded to negative averages (exit 3)
         rng = np.random.default_rng(2)
         base = rng.uniform(1, 10, (30, 4))
         paths = []
@@ -192,9 +195,11 @@ class TestRankCommand:
             paths.append(tmp_path / f"u{i + 1}.csv")
             dataio.write_decision_matrix(paths[-1], DecisionMatrix(f"u{i + 1}", values))
         code = main(["rank", *map(str, paths), "--out", str(tmp_path / "out")])
-        assert code == 3
-        assert "negative average divergence" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "report.json").exists()
+        assert code == 0, capsys.readouterr().err
+        weights = json.loads((tmp_path / "out" / "report.json").read_text())["weights"]
+        profiles = run_pipeline([dataio.read_decision_matrix(p) for p in paths]).wpbl_profiles
+        assert min(weights) >= 0
+        np.testing.assert_allclose(weights, decimal_oracle.expert_weights(profiles), rtol=0, atol=1e-9)
 
     def test_bad_config_key_exits_4(self, recruitment_csvs, tmp_path):
         cfg = tmp_path / "cfg.json"

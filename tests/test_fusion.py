@@ -275,6 +275,19 @@ class TestFusionBlocks:
             estimate_fusion_weights(sources, config)
         assert blocks == []
 
+    def test_non_finite_value_in_an_unsampled_row_is_named(self):
+        # the default sample_cap keeps 64 of 240 rows for the weights; fusion reads them all
+        config = RunConfig()
+        sources = make_synthetic_sources(6, n_dims=16)
+        sampled = set(np.random.default_rng(config.seed).choice(240, size=config.sample_cap, replace=False).tolist())
+        row = min(set(range(240)) - sampled)
+        sources[1].features[row, 3] = math.nan
+        message = f"source 'noisy-copy' has non-finite value nan in f3 at sample s{row}"
+        uniform = ExpertWeights(tuple(s.source_id for s in sources), *[np.full(3, 1 / 3)] * 3)
+        for call in (lambda: estimate_fusion_weights(sources, config), lambda: fuse_features(sources, uniform)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call()
+
 
 class TestFuseFeatures:
     def test_identical_sources_recover_normalised_source(self):
