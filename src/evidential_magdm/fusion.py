@@ -131,6 +131,14 @@ def fuse_features(sources: list[FeatureSet], weights: ExpertWeights) -> FeatureS
     return FeatureSet("fused", fused, labels)
 
 
+def _distinct(values) -> np.ndarray:
+    """Sorted distinct values, flattened: ``np.unique`` without its import of ``numpy.ma``."""
+    ordered = np.sort(values, axis=None)
+    first = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return ordered[first]
+
+
 @dataclass(frozen=True)
 class CentroidModel:
     classes: np.ndarray = field(repr=False)
@@ -141,7 +149,7 @@ def nearest_centroid_fit(features: np.ndarray, labels: np.ndarray) -> CentroidMo
     """Class mean vectors; every class needs at least one sample."""
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels)
-    classes = np.unique(labels)
+    classes = _distinct(labels)
     if classes.size < 1:
         raise ValueError("no training samples")
     centroids = np.vstack([features[labels == c].mean(axis=0) for c in classes])
@@ -160,7 +168,7 @@ def confusion_matrix(y_true, y_pred, classes=None) -> np.ndarray:
     y_true = np.asarray(y_true)
     y_pred = np.asarray(y_pred)
     if classes is None:
-        classes = np.unique(np.concatenate([y_true, y_pred]))
+        classes = _distinct(np.concatenate([y_true, y_pred]))
     index = {c: i for i, c in enumerate(classes)}
     out = np.zeros((len(classes), len(classes)), dtype=int)
     for t, p in zip(y_true, y_pred):
@@ -266,7 +274,7 @@ def held_out_confusion(
     train, test = train_test_split_indices(len(labels), ratio, seed)
     model = nearest_centroid_fit(features[train], labels[train])
     predicted = nearest_centroid_predict(model, features[test])
-    classes = np.unique(labels)
+    classes = _distinct(labels)
     return confusion_matrix(labels[test], predicted, classes=classes), classes
 
 

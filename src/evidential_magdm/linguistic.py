@@ -21,7 +21,9 @@ one (p, k*q) matrix, and degrees and masses live in one term-major
 (p, k*q) plane, and sums over alternatives run along axis 1, off the
 innermost axis, in the same sequential order as a per-expert
 (p, q, terms) tensor would sum them. Each expert's ``degrees`` and
-``masses`` are (p, q, terms) views of the slab.
+``masses`` are (p, q, terms) views of the slab. Column domains are
+checked as arrays and kept as ``lo``/``hi``; no stage needs partition
+objects, so ``partitions`` builds them only when read.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ class DecisionMatrix:
         p, q = arr.shape
         if p < 2 or q < 1:
             raise ValueError(f"need at least 2 alternatives and 1 attribute, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError(f"non-finite values in decision matrix {self.expert_id!r}")
         object.__setattr__(self, "values", arr)
         if not self.alternative_labels:
@@ -199,7 +201,7 @@ def _membership_kernel(values, lo, hi, segments: int, out: np.ndarray) -> np.nda
     above it falling <= 1 <= rising, and on the peak both are exactly 1.
     """
     scale = _span_scale(lo, hi)
-    if np.any(scale != 1.0):
+    if np.not_equal(scale, 1.0).any():  # a ufunc, so a scalar pair gives np.bool_
         values, lo, hi = values * scale, lo * scale, hi * scale
     span = hi - lo
     step = span / segments
@@ -237,17 +239,30 @@ def memberships(values, partition: LinguisticPartition, clamp: bool = False) -> 
     return np.moveaxis(_membership_kernel(arr, lo, hi, partition.segments, out), 0, -1)
 
 
+class _ColumnDomains:
+    """Per-column domains [lo[j], hi[j]], each split into ``segments``."""
+
+    @property
+    def partitions(self) -> tuple[LinguisticPartition, ...]:
+        """One ``LinguisticPartition`` per attribute column, built when read."""
+        return tuple(LinguisticPartition(c, d, self.segments) for c, d in zip(self.lo.tolist(), self.hi.tolist()))
+
+
 @dataclass(frozen=True)
-class MembershipMatrix:
+class MembershipMatrix(_ColumnDomains):
     """Per-expert membership degrees, shape (p, q, terms).
 
     ``degrees`` is a view of the group's term-major (terms, p, columns)
-    slab, so writing to it writes to the slab.
+    slab, so writing to it writes to the slab. Column j's domain is
+    [``lo[j]``, ``hi[j]``] (read-only arrays); ``partitions`` builds the
+    matching ``LinguisticPartition`` objects on request.
     """
 
     expert_id: str
     degrees: np.ndarray = field(repr=False)
-    partitions: tuple[LinguisticPartition, ...]
+    lo: np.ndarray = field(repr=False)
+    hi: np.ndarray = field(repr=False)
+    segments: int
     alternative_labels: tuple[str, ...]
     attribute_labels: tuple[str, ...]
 
@@ -258,18 +273,21 @@ class MembershipMatrix:
 
 
 @dataclass(frozen=True)
-class BpaTensor:
+class BpaTensor(_ColumnDomains):
     """Column-normalised masses, same layout as the membership matrix.
 
     Each (attribute, term) column sums to 1 over alternatives unless the
     membership column was identically zero, in which case the masses stay
     zero and the column index is recorded in ``zero_columns``. ``masses``
-    is a view of the group's term-major mass slab.
+    is a view of the group's term-major mass slab; the column domains
+    are the memberships' own.
     """
 
     expert_id: str
     masses: np.ndarray = field(repr=False)
-    partitions: tuple[LinguisticPartition, ...]
+    lo: np.ndarray = field(repr=False)
+    hi: np.ndarray = field(repr=False)
+    segments: int
     alternative_labels: tuple[str, ...]
     attribute_labels: tuple[str, ...]
     zero_columns: tuple[tuple[int, int], ...] = ()
@@ -325,23 +343,25 @@ def membership_matrix(
     The experts' columns are placed side by side in one (p, columns)
     matrix, and all degrees are computed in one term-major
     (terms, p, columns) slab; a single expert is a group of one.
-    Partitions come from each column's own extremes, so every value lies
-    in its domain. A column whose values all coincide, or whose range
-    float arithmetic cannot split into ``terms - 1`` segments, has no
+    Each column's domain [lo, hi] is its own extremes, so every value lies
+    in it. A column whose values all coincide, or whose range float
+    arithmetic cannot split into ``terms - 1`` segments, has no
     partition; by default that is an error naming the first such column
     in expert order, with ``uniform_when_degenerate`` it yields equal
-    degrees 1/terms and the stand-in partition [lo - 0.5, hi + 0.5].
+    degrees 1/terms and the stand-in domain [lo - 0.5, hi + 0.5].
     Where that is still too narrow to split (from |v| >= 2**53 on), the
     half-width grows to ``terms - 1`` units in the last place of the
     column's extremes, taken toward zero; where the window would leave
     the float range (at ±max), it slides inward by its half-width.
     """
     segments = terms - 1
+    if segments < 2:
+        raise ValueError("need at least 2 segments (3 terms)")
     offsets = _column_offsets([m.shape[1] for m in matrices])
     values = np.concatenate([m.values for m in matrices], axis=1)
     lo, hi = values.min(axis=0), values.max(axis=0)
     flat = _unsplittable(lo, hi, segments)
-    any_flat = np.any(flat)
+    any_flat = flat.any()
     if any_flat:
         if not uniform_when_degenerate:
             column = int(np.flatnonzero(flat)[0])
@@ -358,19 +378,18 @@ def membership_matrix(
         inward = (np.minimum(hi, _MAX - half) - hi) + (np.maximum(lo, half - _MAX) - lo)
         lo = np.where(flat, lo + (inward - half), lo)
         hi = np.where(flat, hi + (half + inward), hi)
-    partitions = [
-        LinguisticPartition(c, d, segments) for c, d in zip(lo.tolist(), hi.tolist())
-    ]
+        still = np.flatnonzero(_unsplittable(lo, hi, segments))
+        if still.size:
+            raise DegenerateDomainError(f"degenerate domain [{lo[still[0]]}, {hi[still[0]]}] for {segments} segments")
+    lo.setflags(write=False)
+    hi.setflags(write=False)
     degrees = _membership_kernel(values, lo, hi, segments, np.empty((terms,) + values.shape))
     if any_flat:
         degrees[:, :, flat] = 1.0 / terms
     return [
         MembershipMatrix(
-            m.expert_id,
-            degrees[:, :, a:b].transpose(1, 2, 0),
-            tuple(partitions[a:b]),
-            m.alternative_labels,
-            m.attribute_labels,
+            m.expert_id, degrees[:, :, a:b].transpose(1, 2, 0), lo[a:b], hi[a:b], segments,
+            m.alternative_labels, m.attribute_labels,
         )
         for m, a, b in zip(matrices, offsets, offsets[1:])
     ]
@@ -401,11 +420,8 @@ def bpa_tensor(memberships: list[MembershipMatrix]) -> list[BpaTensor]:
     offsets = _column_offsets([r.degrees.shape[1] for r in memberships])
     return [
         BpaTensor(
-            r.expert_id,
-            masses[:, :, a:b].transpose(1, 2, 0),
-            r.partitions,
-            r.alternative_labels,
-            r.attribute_labels,
+            r.expert_id, masses[:, :, a:b].transpose(1, 2, 0), r.lo, r.hi, r.segments,
+            r.alternative_labels, r.attribute_labels,
             zero_columns=() if zero is None else tuple(
                 (int(j), int(f)) for j, f in np.argwhere(zero[a:b])
             ),

@@ -9,7 +9,8 @@ Stages, all pure functions of their inputs:
    each per run;
 3. ordered weighted belief per (alternative, attribute) cell, also one
    call for the group: a compare-exchange network sorts the masses
-   along the term axis, and the dot with the OWA weights runs per expert;
+   along the term axis, and each belief is the fixed-order sum of the
+   OWA-weighted sorted planes;
 4. cross-expert plausibility: an expert's share of the cell's total belief;
 5. belief-plausibility profiles per expert, normalised along the
    configured axis (attribute propositions by default);
@@ -165,20 +166,24 @@ _SORT_CELLS = 1 << 14
 
 
 def ordered_weighted_belief(tensors: list[BpaTensor], weights: OwaWeights) -> list[np.ndarray]:
-    """Per-cell belief of each expert: masses sorted descending, dotted with the weights.
+    """Per-cell belief of each expert: Σ_f w_f · (f-th largest mass).
 
     A chunk of experts' masses is read as one term-major slab and sorted
     along the term axis by a compare-exchange network: each step writes
     the larger and the smaller of two whole (p, columns) planes into two
-    work planes, so the masses themselves stay untouched. The dot runs
-    per expert on a (p, q, terms) view with unit term stride, as on a
-    sorted per-expert tensor, so its sums keep their order.
+    work planes, so the masses themselves stay untouched. The belief is
+    then the fixed-order sum w_1·plane_1 + w_2·plane_2 + ... over the
+    sorted planes, one multiply and one add per term on whole planes, so
+    every cell rounds the same way whatever the chunking, the group size
+    or the BLAS build. Each expert's belief is a (p, q) view of its
+    chunk's belief plane.
     """
     terms = weights.values.size
     for t in tensors:
         if t.term_count != terms:
             raise ValueError(f"weight length {terms} != term count {t.term_count}")
     network = _descending_network(terms)
+    w = weights.values.tolist()
     per_chunk = max(1, _SORT_CELLS // tensors[0].masses[..., 0].size)
     beliefs = []
     for first in range(0, len(tensors), per_chunk):
@@ -192,13 +197,15 @@ def ordered_weighted_belief(tensors: list[BpaTensor], weights: OwaWeights) -> li
             np.minimum(planes[a], planes[b], out=low)
             free += [x for x in (planes[a], planes[b]) if x.base is None]
             planes[a], planes[b] = high, low
-        ordered = np.empty(planes[0].shape + (terms,))
-        for f in range(terms):
-            ordered[:, :, f] = planes[f]
+        belief = planes[0] * w[0]
+        term = free.pop() if free else np.empty(belief.shape)
+        for f in range(1, terms):
+            np.multiply(planes[f], w[f], out=term)
+            belief += term
         start = 0
         for t in chunk:
             stop = start + t.masses.shape[1]
-            beliefs.append(ordered[:, start:stop] @ weights.values)
+            beliefs.append(belief[:, start:stop])
             start = stop
     return beliefs
 
@@ -206,12 +213,15 @@ def ordered_weighted_belief(tensors: list[BpaTensor], weights: OwaWeights) -> li
 def ordered_weighted_plausibility(beliefs: list[np.ndarray]) -> list[np.ndarray]:
     """Each expert's share of the cross-expert belief total, cell by cell.
 
-    The shares at any cell sum to one across experts.
+    The shares at any cell sum to one across experts. The totals add the
+    experts in order, as a sum over a stacked expert axis would, with no
+    stacked copy of the (often strided) belief views.
     """
     if len(beliefs) < 2:
         raise ValueError("plausibility needs at least 2 experts")
-    stack = np.stack(beliefs)
-    totals = stack.sum(axis=0)
+    totals = beliefs[0] + beliefs[1]
+    for b in beliefs[2:]:
+        totals += b
     if not totals.all():
         i, j = np.argwhere(totals == 0)[0]
         raise DegenerateCellError(
@@ -230,7 +240,7 @@ def expert_wpbl(belief: np.ndarray, plausibility: np.ndarray, axis: str = "attri
     total = belief + plausibility
     ax = 1 if axis == "attributes" else 0
     sums = total.sum(axis=ax, keepdims=True)
-    if np.any(sums == 0):
+    if (sums == 0).any():
         what = "alternative" if ax == 1 else "attribute"
         idx = int(np.argwhere(sums == 0)[0][1 - ax])
         raise DegenerateCellError(f"{what} {idx + 1} has zero belief+plausibility mass")
@@ -270,7 +280,7 @@ def pairwise_divergence(
     (a, lo_a, hi_a), (b, lo_b, hi_b) = operands
     narrow = 0 < hi_a <= 3 * lo_b and 0 < hi_b <= 3 * lo_a
     p, q = wpbl_1.shape
-    return pair_cells(a, b, pair_weights, base, narrow).reshape(q, p).sum(axis=0)
+    return np.add.reduce(pair_cells(a, b, pair_weights, base, narrow).reshape(q, p), axis=0)
 
 
 def divergence_matrix(
@@ -332,14 +342,14 @@ def expert_weights(
         raise ValueError(f"divergence matrix shape {dmm.shape} != ({k}, {k})")
     averages = dmm.sum(axis=1) / (k if divide_by_k else 1)
     negative = averages < 0
-    if np.any(negative):
+    if negative.any():
         negative_ids = tuple(e for e, n in zip(expert_ids, negative) if n)
         raise NegativeDivergenceError(
             f"experts {negative_ids} have negative average divergence "
             f"(smallest {averages.min():.3g}); their weights would be negative"
         )
     zero = averages == 0
-    if np.any(zero):
+    if zero.any():
         zero_ids = tuple(e for e, z in zip(expert_ids, zero) if z)
         if zero_average_policy == "error":
             raise ZeroDivergenceError(

@@ -7,11 +7,9 @@ four-decimal precision would suggest; their ``detail`` strings say so.
 The residual traces to a handful of candidates where one expert scores
 at a domain boundary, and no construction or weighting in the calibration
 grid reproduces those cells (the published table appears internally
-inconsistent there, like the membership-table errata).
-
-``calibration_grid`` and ``select_calibration`` document how the frozen
-default configuration was chosen: smallest mean absolute error against
-the published pairwise divergence table.
+inconsistent there, like the membership-table errata). The calibration
+search that chose the frozen default configuration lives with the
+acceptance tests.
 """
 
 from __future__ import annotations
@@ -160,36 +158,3 @@ def run_reference_checks(config: RunConfig | None = None) -> tuple[list[CheckRes
         )
     )
     return checks, result
-
-
-def calibration_grid() -> list[RunConfig]:
-    """Candidate configurations for the divergence-table calibration.
-
-    The documented base grid ({uniform, linear-descending, orness 0.6,
-    0.7, 0.8} x {log2, ln}) is extended with finer high-orness steps;
-    none of the base grid reproduces the published table, the extension
-    does (see the decisions notes).
-    """
-    configs = []
-    schemes: list[tuple[str, float | None]] = [("uniform", None), ("linear-descending", None)]
-    schemes += [("orness", t) for t in (0.6, 0.7, 0.8, 0.9, 0.94, 0.95, 0.96)]
-    for scheme, theta in schemes:
-        for log_base in ("2", "e"):
-            kwargs = {"owa_scheme": scheme, "log_base": log_base}
-            if theta is not None:
-                kwargs["orness"] = theta
-            configs.append(RunConfig(**kwargs))
-    return configs
-
-
-def select_calibration(candidates: list[RunConfig] | None = None) -> tuple[RunConfig, float]:
-    """Pick the candidate with the smallest MAE against the published table."""
-    matrices = ref.decision_matrices()
-    best: tuple[RunConfig, float] | None = None
-    for config in candidates or calibration_grid():
-        result = run_pipeline(matrices, config, with_ranking=False)
-        mae = float(np.abs(result.pair_divergences - ref.PUBLISHED_PAIR_DIVERGENCES).mean())
-        if best is None or mae < best[1]:
-            best = (config, mae)
-    assert best is not None
-    return best

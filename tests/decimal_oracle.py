@@ -70,3 +70,15 @@ def expert_weights(profiles, base: LogBase = LogBase.TWO) -> list[float]:
                 sums[j] += mean
         supports = [k / s for s in sums]
         return [float(s / sum(supports, Decimal(0))) for s in supports]
+
+
+def ordered_weighted_sums(masses, weights) -> list[Decimal]:
+    """Σ_f w_f · (f-th largest mass) for each cell of a (..., terms) array, in C order."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        w = [Decimal(x) for x in np.asarray(weights, dtype=float).tolist()]
+        cells = np.asarray(masses, dtype=float).reshape(-1, len(w)).tolist()
+        return [
+            sum((wf * Decimal(m) for wf, m in zip(w, sorted(cell, reverse=True))), Decimal(0))
+            for cell in cells
+        ]

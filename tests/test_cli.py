@@ -465,14 +465,38 @@ class TestUsageErrors:
         assert "--out" in capsys.readouterr().out
 
 
-def test_cli_import_loads_no_scipy():
+def fresh_python(*argv: str) -> subprocess.CompletedProcess:
+    """``python *argv`` in a new interpreter that imports this checkout's library."""
     src = str(Path(__import__("evidential_magdm").__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, evidential_magdm.cli; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-        capture_output=True, text=True, env=env,
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+
+
+def test_cli_import_loads_no_scipy():
+    proc = fresh_python(
+        "-c",
+        "import sys, evidential_magdm.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cold_fuse_features_loads_no_numpy_ma(tmp_path):
+    # numpy.ma costs a cold process 15-20 ms to import; np.unique pulls it in
+    for s in make_synthetic_sources(3):
+        dataio.write_feature_source(tmp_path / f"{s.source_id}.csv", s)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"sources": [
+        {"id": s, "path": f"{s}.csv"} for s in ("informative", "noisy-copy", "pure-noise")
+    ]}))
+    proc = fresh_python(
+        "-c",
+        "import sys; from evidential_magdm.cli import main; "
+        "code = main(sys.argv[1:]); "
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma'])); sys.exit(code)",
+        "fuse-features", str(manifest), "--out", str(tmp_path / "out"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "fused.csv").is_file()
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from evidential_magdm import recruitment as ref
+from evidential_magdm import linguistic, recruitment as ref
 from evidential_magdm.errors import (
     DegenerateAttributeError,
     DegenerateDomainError,
     OutOfDomainError,
 )
 from evidential_magdm.linguistic import (
+    DEFAULT_TERMS,
     DecisionMatrix,
     LinguisticPartition,
     _membership_kernel,
@@ -25,6 +26,7 @@ from evidential_magdm.linguistic import (
     normalize_decision_matrix,
     term_major,
 )
+from evidential_magdm.pipeline import run_pipeline
 
 
 _MAX = float(np.finfo(float).max)
@@ -335,6 +337,73 @@ class TestMembershipKernel:
     def test_partition_rejects_unsplittable_domain(self, lower, upper):
         with pytest.raises(DegenerateDomainError, match="degenerate domain"):
             LinguisticPartition(lower, upper, 4)
+
+
+@pytest.fixture
+def built_partitions(monkeypatch):
+    """Every ``LinguisticPartition`` constructed while the test runs."""
+    built = []
+    check = LinguisticPartition.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(LinguisticPartition, "__post_init__", counted)
+    return built
+
+
+class TestPartitionsOnRequest:
+    """Column domains are arrays; partitions are built only when read."""
+
+    @pytest.mark.parametrize("k, p, q", [(3, 240, 8), (64, 30, 4)])
+    def test_pipeline_builds_no_partition(self, built_partitions, k, p, q):
+        rng = np.random.default_rng(k)
+        matrices = [DecisionMatrix(f"e{e}", rng.normal(size=(p, q))) for e in range(k)]
+        result = run_pipeline(matrices, with_ranking=False)
+        assert built_partitions == []
+        parts = result.bpa_tensors[1].partitions
+        assert len(built_partitions) == q
+        column = matrices[1].values
+        segments = DEFAULT_TERMS - 1
+        assert parts == tuple(LinguisticPartition(c, d, segments) for c, d in zip(column.min(0), column.max(0)))
+        assert result.memberships[1].partitions == parts
+
+    @pytest.mark.parametrize("terms", [5, 9])
+    def test_flat_stand_ins_read_as_partitions(self, terms):
+        values = [-_MAX, _MAX, 2.0**53, -1e17, 1e300, -3.0]
+        m = DecisionMatrix("e", np.column_stack([[v] * 3 for v in values] + [[1.0, 2.0, 3.0]]))
+        got = membership_matrix([m], terms=terms, uniform_when_degenerate=True)[0]
+        segments = terms - 1
+        expected = []
+        for v in values:
+            ulp = abs(v) - math.nextafter(abs(v), 0.0)
+            half = 0.5 if abs(v) < 2.0**53 else segments * ulp
+            lower, upper = v - half, v + half
+            if abs(v) == _MAX:
+                lower, upper = (v - 2 * half, v) if v > 0 else (v, v + 2 * half)
+            expected.append(LinguisticPartition(lower, upper, segments))
+        expected.append(LinguisticPartition(1.0, 3.0, segments))
+        assert got.partitions == tuple(expected)
+        assert (got.lo.tolist(), got.hi.tolist()) == ([e.lower for e in expected], [e.upper for e in expected])
+        assert bpa_tensor([got])[0].partitions == got.partitions
+
+    def test_domains_are_read_only(self):
+        got = membership_matrix([simple_matrix([[1.0, 4.0], [2.0, 3.0]])])[0]
+        with pytest.raises(ValueError):
+            got.lo[0] = 0.0
+
+    def test_unsplittable_stand_in_raises_at_membership_time(self, monkeypatch):
+        # every real stand-in splits; a domain check that rejects every column
+        # shows that membership_matrix itself, not a later partition read, raises
+        monkeypatch.setattr(linguistic, "_unsplittable", lambda lo, hi, segments: np.ones(np.shape(lo), bool))
+        m = simple_matrix([[1.0, 4.0], [1.0, 3.0]])
+        with pytest.raises(DegenerateDomainError, match=r"degenerate domain \[[-+.e0-9]+, [-+.e0-9]+\] for 4 segments"):
+            membership_matrix([m], uniform_when_degenerate=True)
+
+    def test_too_few_terms_is_an_error(self):
+        with pytest.raises(ValueError, match="at least 2 segments"):
+            membership_matrix([simple_matrix([[1.0], [2.0]])], terms=2)
 
 
 def masked_select_kernel(values, lo, hi, segments, out):

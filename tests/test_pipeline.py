@@ -1,12 +1,14 @@
 """Pipeline stage tests and whole-pipeline invariants."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evidential_magdm import recruitment as ref
+from decimal_oracle import ordered_weighted_sums, relative_errors
+from evidential_magdm import pipeline, recruitment as ref
 from evidential_magdm.config import RunConfig
 from evidential_magdm.errors import (
     ConfigError,
@@ -32,6 +34,27 @@ from evidential_magdm.pipeline import (
     run_pipeline,
 )
 from evidential_magdm.report import dump_json, pipeline_report
+
+
+def fixed_order_belief(masses, weights):
+    """Reference: masses sorted descending, then w_1·m_1 + w_2·m_2 + ... in term order."""
+    ordered = -np.sort(-np.ascontiguousarray(masses), axis=2)
+    total = ordered[..., 0] * weights[0]
+    for f in range(1, weights.size):
+        total = total + ordered[..., f] * weights[f]
+    return total
+
+
+@st.composite
+def belief_groups(draw):
+    """Mass tensors of k random experts with the OWA weights of a drawn scheme."""
+    k, p, q = draw(st.integers(1, 6)), draw(st.integers(2, 30)), draw(st.integers(1, 6))
+    terms = draw(st.sampled_from([5, 7, 9]))
+    scheme = draw(st.sampled_from(["uniform", "linear-descending", "orness"]))
+    orness = draw(st.sampled_from([0.2, 0.7, 0.95])) if scheme == "orness" else None
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrices = [DecisionMatrix(f"e{e}", rng.uniform(-5.0, 5.0, size=(p, q))) for e in range(k)]
+    return bpa_tensor(membership_matrix(matrices, terms)), owa_weights(terms, scheme, orness)
 
 
 def random_matrices(rng, experts=3, p=6, q=3):
@@ -162,7 +185,27 @@ class TestOrderedWeightedBelief:
         w = owa_weights(7, "linear-descending")
         beliefs = ordered_weighted_belief(tensors, w)
         for t, bel in zip(tensors, beliefs):
-            assert np.array_equal(bel, -np.sort(-np.ascontiguousarray(t.masses), axis=2) @ w.values)
+            assert np.array_equal(bel, fixed_order_belief(t.masses, w.values))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(group=belief_groups())
+    def test_sum_matches_decimal_oracle(self, group):
+        tensors, owa = group
+        for t, bel in zip(tensors, ordered_weighted_belief(tensors, owa)):
+            expected = ordered_weighted_sums(t.masses, owa.values)
+            assert max(relative_errors(bel.ravel(), expected)) <= 1e-15
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(group=belief_groups(), data=st.data())
+    def test_chunking_does_not_change_a_bit(self, group, data):
+        tensors, owa = group
+        whole = ordered_weighted_belief(tensors, owa)
+        assert len(tensors) * tensors[0].masses[..., 0].size <= pipeline._SORT_CELLS
+        per_chunk = data.draw(st.integers(1, len(tensors)))
+        with mock.patch.object(pipeline, "_SORT_CELLS", per_chunk * tensors[0].masses[..., 0].size):
+            split = ordered_weighted_belief(tensors, owa)
+        for a, b in zip(whole, split):
+            assert a.tobytes() == b.tobytes()
 
 
 @st.composite
