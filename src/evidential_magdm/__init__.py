@@ -44,9 +44,7 @@ from .linguistic import (
     LinguisticPartition,
     MembershipMatrix,
     bpa_tensor,
-    build_partition,
     membership_matrix,
-    memberships,
     normalize_decision_matrix,
 )
 from .pipeline import (

@@ -56,7 +56,7 @@ def cmd_rank(args) -> int:
     config = _load_config(args)
     if len(args.inputs) < 2:
         raise ConfigError("group decision requires at least 2 expert CSV files")
-    matrices = [dataio.read_decision_matrix(path) for path in args.inputs]
+    matrices = dataio.read_decision_matrices(args.inputs)
     # the output directory stays out of the echoed config so that identical
     # inputs give byte-identical reports wherever they are written
     config = config.replace(inputs=tuple(str(p) for p in args.inputs))
@@ -90,9 +90,7 @@ def cmd_fuse_features(args) -> int:
     if len(entries) < 2:
         raise ConfigError("feature fusion requires at least 2 sources")
     config = _load_config(args, overrides=manifest_config)
-    sources = [
-        dataio.read_feature_source(entry["path"], entry["id"]) for entry in entries
-    ]
+    sources = dataio.read_feature_sources(entries)
     weights, fused, metrics = evaluate_fusion(sources, config)
     out_dir = Path(args.out)
     dataio.write_feature_source(out_dir / "fused.csv", fused)

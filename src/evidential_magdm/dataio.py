@@ -89,6 +89,34 @@ def read_decision_matrix(path: str | Path) -> DecisionMatrix:
     return DecisionMatrix(path.stem, np.asarray(values), tuple(labels), attributes)
 
 
+def _row_count_error(path, count: int, first_path, first_count: int, rows: str) -> CsvFormatError:
+    """A file whose data rows outnumber the first file's, at its first extra
+    row, or fall short of them, at its last row."""
+    line = first_count + 2 if count > first_count else count + 1
+    return CsvFormatError(f"{path}:{line}: {count} {rows}, {first_path} has {first_count}")
+
+
+def read_decision_matrices(paths) -> list[DecisionMatrix]:
+    """One matrix per expert file, each on the first file's attributes and
+    alternatives, in order; a file that differs is a format error at its
+    first differing line."""
+    matrices = [read_decision_matrix(path) for path in paths]
+    first, first_path = matrices[0], paths[0]
+    for path, m in zip(paths[1:], matrices[1:]):
+        if m.attribute_labels != first.attribute_labels:
+            raise CsvFormatError(
+                f"{path}:1: attributes {list(m.attribute_labels)}, "
+                f"{first_path} has {list(first.attribute_labels)}"
+            )
+        ours, theirs = m.alternative_labels, first.alternative_labels
+        for i, (a, b) in enumerate(zip(ours, theirs)):
+            if a != b:
+                raise CsvFormatError(f"{path}:{i + 2}:1: alternative {a!r}, {first_path} has {b!r}")
+        if len(ours) != len(theirs):
+            raise _row_count_error(path, len(ours), first_path, len(theirs), "alternatives")
+    return matrices
+
+
 def write_decision_matrix(path: str | Path, matrix: DecisionMatrix) -> None:
     lines = ["alternative," + ",".join(matrix.attribute_labels)]
     for label, row in zip(matrix.alternative_labels, matrix.values):
@@ -124,6 +152,20 @@ def read_feature_source(path: str | Path, source_id: str | None = None) -> Featu
         np.asarray(features),
         np.asarray(labels) if has_labels else None,
     )
+
+
+def read_feature_sources(entries: list[dict]) -> list[FeatureSet]:
+    """One source per manifest entry (``{"path", "id"}``), each with the
+    first source's dimensions and samples; a file that differs is a format
+    error at its header or at its first unmatched sample line."""
+    sources = [read_feature_source(entry["path"], entry["id"]) for entry in entries]
+    first, first_path = sources[0], entries[0]["path"]
+    for entry, s in zip(entries[1:], sources[1:]):
+        if s.n_dims != first.n_dims:
+            raise CsvFormatError(f"{entry['path']}:1: {s.n_dims} feature columns, {first_path} has {first.n_dims}")
+        if s.n_samples != first.n_samples:
+            raise _row_count_error(entry["path"], s.n_samples, first_path, first.n_samples, "samples")
+    return sources
 
 
 def write_feature_source(path: str | Path, source: FeatureSet) -> None:

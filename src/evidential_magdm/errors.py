@@ -33,10 +33,6 @@ class DegenerateDomainError(MagdmError):
     """All observed values of an attribute coincide; no linguistic partition exists."""
 
 
-class OutOfDomainError(MagdmError):
-    """A value falls outside the partition domain [c, d] and clamping is disabled."""
-
-
 class DegenerateCellError(MagdmError):
     """Cross-expert belief sum is zero for some (alternative, attribute) cell."""
 

@@ -76,10 +76,11 @@ def estimate_fusion_weights(sources: list[FeatureSet], config: RunConfig | None 
     At most ``sample_cap`` rows (deterministic seeded choice, kept in row
     order) act as alternatives; feature dimensions are processed in
     blocks of ``block_size`` attributes, and block weights are averaged
-    and renormalised. Each source's sampled rows are gathered once (not
-    at all when every row is kept), and each block is a column-slice
-    view of them. A non-finite value in any row, sampled or not, is
-    reported with its source, dimension and row before any block runs.
+    and renormalised. Each source's sampled rows are gathered once into
+    one C-contiguous (dims, samples) array, and each block is the
+    transpose of a row slice of it, which the expert stage stacks as it
+    is. A non-finite value in any row, sampled or not, is reported with
+    its source, dimension and row before any block runs.
     Sources with zero average divergence (for example byte-identical
     duplicates) share the full weight, so identical sources come out uniform.
     """
@@ -92,6 +93,7 @@ def estimate_fusion_weights(sources: list[FeatureSet], config: RunConfig | None 
     else:
         rows = np.arange(n)
         sampled = [s.features for s in sources]
+    transposed = [np.ascontiguousarray(f.T) for f in sampled]
     ids = tuple(s.source_id for s in sources)
     row_labels = tuple(f"s{r}" for r in rows)
     per_block = []
@@ -99,8 +101,8 @@ def estimate_fusion_weights(sources: list[FeatureSet], config: RunConfig | None 
         stop = min(start + config.block_size, d)
         dim_labels = tuple(f"f{c}" for c in range(start, stop))
         matrices = [
-            DecisionMatrix(s.source_id, f[:, start:stop], row_labels, dim_labels)
-            for s, f in zip(sources, sampled)
+            DecisionMatrix(s.source_id, f[start:stop].T, row_labels, dim_labels)
+            for s, f in zip(sources, transposed)
         ]
         # degenerate-column errors surface from the linguistic stage with
         # the offending source and dimension named via the labels above

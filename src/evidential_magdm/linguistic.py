@@ -15,15 +15,17 @@ after membership computation. A range wider than the float range (where
 ``d - c`` overflows) is therefore taken at half scale.
 
 Layout: ``membership_matrix`` and ``bpa_tensor`` work on a whole expert
-group at once. The k experts' (p, q) matrices are placed side by side as
-one (p, k*q) matrix, and degrees and masses live in one term-major
-(terms, p, k*q) slab: every ufunc runs once per term over a whole
-(p, k*q) plane, and sums over alternatives run along axis 1, off the
-innermost axis, in the same sequential order as a per-expert
-(p, q, terms) tensor would sum them. Each expert's ``degrees`` and
-``masses`` are (p, q, terms) views of the slab. Column domains are
-checked as arrays and kept as ``lo``/``hi``; no stage needs partition
-objects, so ``partitions`` builds them only when read.
+group at once. The k experts' transposed (q, p) matrices are stacked as
+one (k*q, p) matrix, one row per attribute column, and degrees and
+masses live in one alternative-innermost (terms, k*q, p) slab: every
+ufunc runs once per term over a whole (k*q, p) plane, with each column's
+domain broadcast as a (k*q, 1) column, and the sums over alternatives
+reduce contiguous rows (numpy sums them pairwise). Each expert's block is
+the row range ``columns`` of the slab; its ``degrees`` and ``masses`` are
+(p, q, terms) views of that block, and the next stage reads the group's
+slab from the records' ``slab`` and ``columns`` (``group_slab``). Column
+domains are checked as arrays and kept as ``lo``/``hi``; no stage needs
+partition objects, so ``partitions`` builds them only when read.
 """
 
 from __future__ import annotations
@@ -34,11 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateAttributeError,
-    DegenerateDomainError,
-    OutOfDomainError,
-)
+from .errors import DegenerateAttributeError, DegenerateDomainError
 
 DEFAULT_TERMS = 5
 _TINY = float(np.finfo(float).tiny)
@@ -92,15 +90,17 @@ def _span_scale(lo, hi):
     return 1.0 - 0.5 * (hi * 0.5 - lo * 0.5 > _HALF_MAX)
 
 
-def _unsplittable(lo, hi, segments: int):
+def _unsplittable(lo, hi, segments: int, scale=None):
     """Whether [lo, hi] leaves an interior peak on an endpoint.
 
     Peaks are computed as in ``LinguisticPartition.peak``; the first must
     lie above ``lo`` and the last below ``hi``, or a term's rising or
     falling edge has zero width. That holds for a single value and for a
     span so narrow that ``(hi - lo) / segments`` underflows or rounds away.
+    ``scale`` is ``_span_scale(lo, hi)``, computed here when not given.
     """
-    scale = _span_scale(lo, hi)
+    if scale is None:
+        scale = _span_scale(lo, hi)
     lo, hi = lo * scale, hi * scale
     alpha = (hi - lo) / segments
     return (lo + alpha <= lo) | (lo + (segments - 1) * alpha >= hi)
@@ -142,17 +142,6 @@ class LinguisticPartition:
         return (lo + (term - 1) * ((self.upper * scale - lo) / self.segments)) / scale
 
 
-def build_partition(values, segments: int = DEFAULT_TERMS - 1) -> LinguisticPartition:
-    """Partition an attribute column's observed range [min, max]."""
-    arr = np.asarray(values, dtype=float)
-    lo, hi = float(arr.min()), float(arr.max())
-    if lo == hi:
-        raise DegenerateDomainError(
-            f"all {arr.size} values equal {lo}; no partition possible"
-        )
-    return LinguisticPartition(lo, hi, segments)
-
-
 def normalize_decision_matrix(matrix: DecisionMatrix) -> DecisionMatrix:
     """Divide each attribute column by its Euclidean norm (benefit attributes).
 
@@ -184,24 +173,23 @@ def normalize_decision_matrix(matrix: DecisionMatrix) -> DecisionMatrix:
     )
 
 
-def _membership_kernel(values, lo, hi, segments: int, out: np.ndarray) -> np.ndarray:
+def _membership_kernel(values, lo, hi, scale, segments: int, out: np.ndarray) -> np.ndarray:
     """Degrees of all ``segments + 1`` terms, term-major, written into ``out``.
 
     ``out[h]`` has the shape of ``values`` and holds term ``h + 1``;
-    ``lo`` and ``hi`` broadcast against ``values`` (scalars for one
-    partition, one entry per column for a group slab). Every value must
-    lie in its [lo, hi]. Each ufunc runs once per term over the whole
-    ``values`` plane, and interior peaks use the arithmetic of
-    ``LinguisticPartition.peak``, so both callers get bit-identical
-    degrees. A range whose span overflows is taken at half scale.
+    ``lo`` and ``hi`` broadcast against ``values`` (a (columns, 1) column
+    each for a group slab). Every value must lie in its [lo, hi]. Each
+    ufunc runs once per term over the whole ``values`` plane, and
+    interior peaks use the arithmetic of ``LinguisticPartition.peak``, so
+    degrees match the partitions bit for bit. A range whose span
+    overflows is taken at half scale: ``scale`` is ``_span_scale(lo, hi)``.
 
     An interior degree is the smaller of its rising and falling edges,
     which is the edge on the value's side of the peak, bit for bit:
     rounding is monotone, so at or below the peak rising <= 1 <= falling,
     above it falling <= 1 <= rising, and on the peak both are exactly 1.
     """
-    scale = _span_scale(lo, hi)
-    if np.not_equal(scale, 1.0).any():  # a ufunc, so a scalar pair gives np.bool_
+    if np.not_equal(scale, 1.0).any():  # a ufunc, so a scalar scale gives np.bool_
         values, lo, hi = values * scale, lo * scale, hi * scale
     span = hi - lo
     step = span / segments
@@ -220,27 +208,14 @@ def _membership_kernel(values, lo, hi, segments: int, out: np.ndarray) -> np.nda
     return out
 
 
-def memberships(values, partition: LinguisticPartition, clamp: bool = False) -> np.ndarray:
-    """Degrees of all terms for each value; shape ``values.shape + (term_count,)``.
+class _GroupBlock:
+    """An expert's block of a group pass: rows ``columns`` of the group's
+    (terms, columns, p) ``slab``, one row per attribute column, with column
+    j's domain [lo[j], hi[j]] split into ``segments``."""
 
-    Values outside [c, d] raise ``OutOfDomainError`` unless ``clamp``.
-    The result is a view of the kernel's term-major array.
-    """
-    arr = np.asarray(values, dtype=float)
-    lo, hi = partition.lower, partition.upper
-    if clamp:
-        arr = np.clip(arr, lo, hi)
-    else:
-        outside = (arr < lo) | (arr > hi)
-        if np.any(outside):
-            at = tuple(np.argwhere(outside)[0])
-            raise OutOfDomainError(f"value {arr[at]} outside partition domain [{lo}, {hi}]")
-    out = np.empty((partition.term_count,) + arr.shape)
-    return np.moveaxis(_membership_kernel(arr, lo, hi, partition.segments, out), 0, -1)
-
-
-class _ColumnDomains:
-    """Per-column domains [lo[j], hi[j]], each split into ``segments``."""
+    def _view(self) -> np.ndarray:
+        """The block as a (p, q, terms) view of the slab."""
+        return self.slab[:, self.columns].transpose(2, 1, 0)
 
     @property
     def partitions(self) -> tuple[LinguisticPartition, ...]:
@@ -249,22 +224,27 @@ class _ColumnDomains:
 
 
 @dataclass(frozen=True)
-class MembershipMatrix(_ColumnDomains):
+class MembershipMatrix(_GroupBlock):
     """Per-expert membership degrees, shape (p, q, terms).
 
-    ``degrees`` is a view of the group's term-major (terms, p, columns)
-    slab, so writing to it writes to the slab. Column j's domain is
+    ``degrees`` is a view of the expert's rows of the group's degree
+    ``slab``, so writing to it writes to the slab. Column j's domain is
     [``lo[j]``, ``hi[j]``] (read-only arrays); ``partitions`` builds the
     matching ``LinguisticPartition`` objects on request.
     """
 
     expert_id: str
-    degrees: np.ndarray = field(repr=False)
+    slab: np.ndarray = field(repr=False)
+    columns: slice
     lo: np.ndarray = field(repr=False)
     hi: np.ndarray = field(repr=False)
     segments: int
     alternative_labels: tuple[str, ...]
     attribute_labels: tuple[str, ...]
+
+    @property
+    def degrees(self) -> np.ndarray:
+        return self._view()
 
     def blocked(self) -> np.ndarray:
         """2-d layout p x (q * terms), attribute blocks side by side."""
@@ -273,18 +253,19 @@ class MembershipMatrix(_ColumnDomains):
 
 
 @dataclass(frozen=True)
-class BpaTensor(_ColumnDomains):
+class BpaTensor(_GroupBlock):
     """Column-normalised masses, same layout as the membership matrix.
 
     Each (attribute, term) column sums to 1 over alternatives unless the
     membership column was identically zero, in which case the masses stay
     zero and the column index is recorded in ``zero_columns``. ``masses``
-    is a view of the group's term-major mass slab; the column domains
-    are the memberships' own.
+    is a view of the expert's rows of the group's mass ``slab``; the
+    column domains are the memberships' own.
     """
 
     expert_id: str
-    masses: np.ndarray = field(repr=False)
+    slab: np.ndarray = field(repr=False)
+    columns: slice
     lo: np.ndarray = field(repr=False)
     hi: np.ndarray = field(repr=False)
     segments: int
@@ -293,39 +274,32 @@ class BpaTensor(_ColumnDomains):
     zero_columns: tuple[tuple[int, int], ...] = ()
 
     @property
+    def masses(self) -> np.ndarray:
+        return self._view()
+
+    @property
     def term_count(self) -> int:
-        return self.masses.shape[2]
+        return self.slab.shape[0]
 
     def blocked(self) -> np.ndarray:
         p, q, terms = self.masses.shape
         return self.masses.reshape(p, q * terms)
 
 
-def term_major(arrays) -> np.ndarray:
-    """The (terms, p, columns) slab of per-expert (p, q, terms) arrays.
+def group_slab(records) -> np.ndarray:
+    """The (terms, columns, p) slab of a list of group records, in list order.
 
-    The experts' attribute columns sit side by side in expert order.
-    Arrays that are, in order, adjacent column blocks of one term-major
-    slab (as a group pass leaves them) give a view of that slab, with no
-    copy; anything else is copied into a new array. Read it, do not
-    write to it.
+    Records that are, in order, adjacent blocks of one slab (a group
+    pass's records, or any run of them) read it in place; any other list
+    is copied into a new slab. Read it, do not write to it.
     """
-    slab = arrays[0].base
-    if slab is not None and slab.ndim == 3 and slab.flags.c_contiguous:
-        terms, p, _ = slab.shape
-        strides = (slab.strides[1], slab.strides[2], slab.strides[0])
-        origin = slab.__array_interface__["data"][0]
-        first = (arrays[0].__array_interface__["data"][0] - origin) // slab.itemsize
-        column = first
-        for a in arrays:
-            if (a.base is not slab or a.dtype != slab.dtype or a.strides != strides
-                    or a.shape[::2] != (p, terms)
-                    or a.__array_interface__["data"][0] != origin + column * slab.itemsize):
-                break
-            column += a.shape[1]
-        else:
-            return slab[:, :, first:column]
-    return np.concatenate([a.transpose(2, 0, 1) for a in arrays], axis=2)
+    slab, start = records[0].slab, records[0].columns.start
+    stop = start
+    for r in records:
+        if r.slab is not slab or r.columns.start != stop:
+            return np.concatenate([r.slab[:, r.columns] for r in records], axis=1)
+        stop = r.columns.stop
+    return slab[:, start:stop]
 
 
 def _column_offsets(widths) -> list[int]:
@@ -340,9 +314,9 @@ def membership_matrix(
 ) -> list[MembershipMatrix]:
     """Memberships of every (alternative, attribute) pair of each expert.
 
-    The experts' columns are placed side by side in one (p, columns)
-    matrix, and all degrees are computed in one term-major
-    (terms, p, columns) slab; a single expert is a group of one.
+    The experts' transposed matrices are stacked as one (columns, p)
+    matrix, and all degrees are computed in one alternative-innermost
+    (terms, columns, p) slab; a single expert is a group of one.
     Each column's domain [lo, hi] is its own extremes, so every value lies
     in it. A column whose values all coincide, or whose range float
     arithmetic cannot split into ``terms - 1`` segments, has no
@@ -358,9 +332,11 @@ def membership_matrix(
     if segments < 2:
         raise ValueError("need at least 2 segments (3 terms)")
     offsets = _column_offsets([m.shape[1] for m in matrices])
-    values = np.concatenate([m.values for m in matrices], axis=1)
-    lo, hi = values.min(axis=0), values.max(axis=0)
-    flat = _unsplittable(lo, hi, segments)
+    values = np.empty((offsets[-1], matrices[0].shape[0]))
+    np.concatenate([m.values for m in matrices], axis=1, out=values.T)
+    lo, hi = values.min(axis=1), values.max(axis=1)
+    scale = _span_scale(lo, hi)
+    flat = _unsplittable(lo, hi, segments, scale)
     any_flat = flat.any()
     if any_flat:
         if not uniform_when_degenerate:
@@ -378,17 +354,20 @@ def membership_matrix(
         inward = (np.minimum(hi, _MAX - half) - hi) + (np.maximum(lo, half - _MAX) - lo)
         lo = np.where(flat, lo + (inward - half), lo)
         hi = np.where(flat, hi + (half + inward), hi)
-        still = np.flatnonzero(_unsplittable(lo, hi, segments))
+        # a flagged span is narrow, and so is its stand-in: the scale stays 1
+        still = np.flatnonzero(_unsplittable(lo, hi, segments, scale))
         if still.size:
             raise DegenerateDomainError(f"degenerate domain [{lo[still[0]]}, {hi[still[0]]}] for {segments} segments")
     lo.setflags(write=False)
     hi.setflags(write=False)
-    degrees = _membership_kernel(values, lo, hi, segments, np.empty((terms,) + values.shape))
+    degrees = _membership_kernel(
+        values, lo[:, None], hi[:, None], scale[:, None], segments, np.empty((terms,) + values.shape),
+    )
     if any_flat:
-        degrees[:, :, flat] = 1.0 / terms
+        degrees[:, flat] = 1.0 / terms
     return [
         MembershipMatrix(
-            m.expert_id, degrees[:, :, a:b].transpose(1, 2, 0), lo[a:b], hi[a:b], segments,
+            m.expert_id, degrees, slice(a, b), lo[a:b], hi[a:b], segments,
             m.alternative_labels, m.attribute_labels,
         )
         for m, a, b in zip(matrices, offsets, offsets[1:])
@@ -398,17 +377,11 @@ def membership_matrix(
 def bpa_tensor(memberships: list[MembershipMatrix]) -> list[BpaTensor]:
     """Normalise each (attribute, term) column over alternatives, for a group.
 
-    The masses of all experts form one new term-major slab; each
-    expert's ``masses`` is a view of it.
+    The masses of all experts form one new (terms, columns, p) slab, and
+    each column's sum over alternatives reduces one contiguous row.
     """
-    degrees = term_major([r.degrees for r in memberships])
-    if degrees.shape[2] == 1:
-        # a lone column would make the alternative axis innermost, where
-        # numpy sums pairwise; accumulating keeps the sequential order
-        # that every other layout (and the per-expert sum) uses
-        sums = np.cumsum(degrees, axis=1)[:, -1:]
-    else:
-        sums = degrees.sum(axis=1, keepdims=True)
+    degrees = group_slab(memberships)
+    sums = degrees.sum(axis=2, keepdims=True)
     positive = sums > 0
     zero = None
     if positive.all():
@@ -416,11 +389,11 @@ def bpa_tensor(memberships: list[MembershipMatrix]) -> list[BpaTensor]:
     else:
         masses = np.zeros(degrees.shape)
         np.divide(degrees, sums, out=masses, where=positive)
-        zero = ~positive[:, 0, :].T
-    offsets = _column_offsets([r.degrees.shape[1] for r in memberships])
+        zero = ~positive[:, :, 0].T
+    offsets = _column_offsets([r.columns.stop - r.columns.start for r in memberships])
     return [
         BpaTensor(
-            r.expert_id, masses[:, :, a:b].transpose(1, 2, 0), r.lo, r.hi, r.segments,
+            r.expert_id, masses, slice(a, b), r.lo, r.hi, r.segments,
             r.alternative_labels, r.attribute_labels,
             zero_columns=() if zero is None else tuple(
                 (int(j), int(f)) for j, f in np.argwhere(zero[a:b])

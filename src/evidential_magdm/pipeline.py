@@ -5,12 +5,15 @@ Stages, all pure functions of their inputs:
 1. normalise each expert's matrix column-wise (Euclidean norm); only
    the fused ranking reads the result, so ``with_ranking=False`` skips it;
 2. linguistic memberships and masses for the whole expert group in one
-   term-major (terms, p, k*q) slab (``linguistic`` module), one call
-   each per run;
+   alternative-innermost (terms, k*q, p) slab (``linguistic`` module),
+   one call each per run;
 3. ordered weighted belief per (alternative, attribute) cell, also one
    call for the group: a compare-exchange network sorts the masses
    along the term axis, and each belief is the fixed-order sum of the
-   OWA-weighted sorted planes;
+   OWA-weighted sorted planes. Each expert's belief is the (p, q)
+   transpose of a C-contiguous (q, p) block, and the elementwise stages
+   below keep that layout, so plausibilities and profiles are such
+   transposes too;
 4. cross-expert plausibility: an expert's share of the cell's total belief;
 5. belief-plausibility profiles per expert, normalised along the
    configured axis (attribute propositions by default);
@@ -50,9 +53,9 @@ from .linguistic import (
     DecisionMatrix,
     MembershipMatrix,
     bpa_tensor,
+    group_slab,
     membership_matrix,
     normalize_decision_matrix,
-    term_major,
 )
 
 
@@ -168,15 +171,16 @@ _SORT_CELLS = 1 << 14
 def ordered_weighted_belief(tensors: list[BpaTensor], weights: OwaWeights) -> list[np.ndarray]:
     """Per-cell belief of each expert: Σ_f w_f · (f-th largest mass).
 
-    A chunk of experts' masses is read as one term-major slab and sorted
-    along the term axis by a compare-exchange network: each step writes
-    the larger and the smaller of two whole (p, columns) planes into two
-    work planes, so the masses themselves stay untouched. The belief is
-    then the fixed-order sum w_1·plane_1 + w_2·plane_2 + ... over the
-    sorted planes, one multiply and one add per term on whole planes, so
-    every cell rounds the same way whatever the chunking, the group size
-    or the BLAS build. Each expert's belief is a (p, q) view of its
-    chunk's belief plane.
+    A chunk of experts' masses is read as one (terms, columns, p) slab
+    (``group_slab``) and sorted along the term axis by a compare-exchange
+    network: each step writes the larger and the smaller of two whole
+    (columns, p) planes into two work planes, so the masses themselves
+    stay untouched. The belief is then the fixed-order sum
+    w_1·plane_1 + w_2·plane_2 + ... over the sorted planes, one multiply
+    and one add per term on whole planes, so every cell rounds the same
+    way whatever the chunking, the group size or the BLAS build. Each
+    expert's belief is the (p, q) transpose of its C-contiguous (q, p)
+    rows of its chunk's belief plane.
     """
     terms = weights.values.size
     for t in tensors:
@@ -188,7 +192,7 @@ def ordered_weighted_belief(tensors: list[BpaTensor], weights: OwaWeights) -> li
     beliefs = []
     for first in range(0, len(tensors), per_chunk):
         chunk = tensors[first:first + per_chunk]
-        planes = list(term_major([t.masses for t in chunk]))  # read only
+        planes = list(group_slab(chunk))  # read only
         free = []  # work planes that no position holds any more
         for a, b in network:
             high = free.pop() if free else np.empty(planes[a].shape)
@@ -204,8 +208,8 @@ def ordered_weighted_belief(tensors: list[BpaTensor], weights: OwaWeights) -> li
             belief += term
         start = 0
         for t in chunk:
-            stop = start + t.masses.shape[1]
-            beliefs.append(belief[:, start:stop])
+            stop = start + t.columns.stop - t.columns.start
+            beliefs.append(belief[start:stop].T)
             start = stop
     return beliefs
 
@@ -215,7 +219,7 @@ def ordered_weighted_plausibility(beliefs: list[np.ndarray]) -> list[np.ndarray]
 
     The shares at any cell sum to one across experts. The totals add the
     experts in order, as a sum over a stacked expert axis would, with no
-    stacked copy of the (often strided) belief views.
+    stacked copy of the belief views.
     """
     if len(beliefs) < 2:
         raise ValueError("plausibility needs at least 2 experts")
@@ -249,7 +253,8 @@ def expert_wpbl(belief: np.ndarray, plausibility: np.ndarray, axis: str = "attri
 
 def pair_operand(profile: np.ndarray) -> tuple[np.ndarray, float, float]:
     """A (p, q) profile flattened attribute-major (cell (i, j) at j * p + i),
-    with its smallest and largest cell."""
+    with its smallest and largest cell. The pipeline's profiles are
+    transposes of C-contiguous (q, p) blocks, so the flat array is a view."""
     flat = np.ravel(profile.T)
     return flat, float(flat.min()), float(flat.max())
 

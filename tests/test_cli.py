@@ -175,6 +175,26 @@ class TestRankCommand:
         err = capsys.readouterr().err
         assert "a.csv:4:1: alternative 'x' repeats line 2" in err
 
+    @pytest.mark.parametrize(
+        "other, message",
+        [
+            ("alternative,t1,t2\nx,2,1\ny,4,3\nz,6,5\nw,8,7\n", "b.csv:5: 4 alternatives, {a} has 3"),
+            ("alternative,t1,t2\nx,2,1\ny,4,3\n", "b.csv:3: 2 alternatives, {a} has 3"),
+            ("alternative,t1,t2\nx,2,1\nq,4,3\nz,6,5\n", "b.csv:3:1: alternative 'q', {a} has 'y'"),
+            ("alternative,t1,t3\nx,2,1\ny,4,3\nz,6,5\n", "b.csv:1: attributes ['t1', 't3'], {a} has ['t1', 't2']"),
+            ("alternative,t1\nx,2\ny,4\nz,6\n", "b.csv:1: attributes ['t1'], {a} has ['t1', 't2']"),
+        ],
+        ids=["more-alternatives", "fewer-alternatives", "alternative-label", "attribute-label", "fewer-attributes"],
+    )
+    def test_expert_files_that_disagree_exit_2_at_the_line(self, tmp_path, capsys, other, message):
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        a.write_text("alternative,t1,t2\nx,1,2\ny,3,4\nz,5,6\n")
+        b.write_text(other)
+        assert main(["rank", str(a), str(b), "--out", str(tmp_path / "out")]) == 2
+        assert f"error: {tmp_path / message.format(a=a)}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_degenerate_attribute_exits_3(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -326,8 +346,22 @@ class TestFuseFeaturesCommand:
             "sources": [{"id": "a", "path": "a.csv"}, {"id": "b", "path": "b.csv"}],
         }))
         code = main(["fuse-features", str(manifest)])
-        assert code == 4
-        assert "'b'" in capsys.readouterr().err
+        assert code == 2
+        assert f"{tmp_path / 'b.csv'}:1: 4 feature columns, {tmp_path / 'a.csv'} has 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("samples, line", [(7, 8), (5, 6)], ids=["more-samples", "fewer-samples"])
+    def test_sample_count_mismatch_exits_2_at_the_line(self, tmp_path, capsys, samples, line):
+        rng = np.random.default_rng(0)
+        dataio.write_feature_source(tmp_path / "a.csv", FeatureSet("a", rng.normal(size=(6, 3)), np.arange(6) % 2))
+        dataio.write_feature_source(tmp_path / "b.csv", FeatureSet("b", rng.normal(size=(samples, 3))))
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "sources": [{"id": "a", "path": "a.csv"}, {"id": "b", "path": "b.csv"}],
+        }))
+        assert main(["fuse-features", str(manifest), "--out", str(tmp_path / "out")]) == 2
+        message = f"{tmp_path / 'b.csv'}:{line}: {samples} samples, {tmp_path / 'a.csv'} has 6"
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
     @staticmethod

@@ -226,21 +226,29 @@ class TestFusionBlocks:
         estimate_fusion_weights(sources, config)
         return seen
 
-    def test_all_rows_are_used_without_a_copy(self, monkeypatch):
-        sources = make_synthetic_sources(5, n_dims=19)
-        blocks = self.capture_blocks(monkeypatch, sources, RunConfig(sample_cap=240))
-        assert [m.shape for m in blocks[-1]] == [(240, 3)] * 3
-        for matrices in blocks:
-            for s, m in zip(sources, matrices):
-                assert np.shares_memory(m.values, s.features)
-
-    def test_sampled_rows_are_gathered_once_per_source(self, monkeypatch):
-        sources = make_synthetic_sources(6, n_dims=16)
-        blocks = self.capture_blocks(monkeypatch, sources, RunConfig(sample_cap=100))
+    @pytest.mark.parametrize(
+        "dims, sample_cap, rows", [(19, 240, 240), (16, 100, 100)], ids=["all-rows", "sampled-rows"],
+    )
+    def test_each_source_is_gathered_once_transposed(self, monkeypatch, dims, sample_cap, rows):
+        # one C-contiguous (dims, rows) copy per source; every block of the
+        # source is the transpose of a row slice of it
+        sources = make_synthetic_sources(5, n_dims=dims)
+        blocks = self.capture_blocks(monkeypatch, sources, RunConfig(seed=6, sample_cap=sample_cap))
+        assert [m.shape for m in blocks[-1]] == [(rows, dims % 8 or 8)] * 3
         for e, s in enumerate(sources):
             gathered = blocks[0][e].values.base
-            assert gathered.shape == (100, 16) and not np.shares_memory(gathered, s.features)
-            assert all(b[e].values.base is gathered for b in blocks)
+            assert gathered.shape == (dims, rows) and gathered.flags.c_contiguous
+            assert not np.shares_memory(gathered, s.features)
+            for b in blocks:
+                assert b[e].values.base is gathered and b[e].values.T.flags.c_contiguous
+
+    def test_blocks_hold_the_sampled_rows_in_order(self, monkeypatch):
+        config = RunConfig(seed=6, sample_cap=100)
+        sources = make_synthetic_sources(6, n_dims=16)
+        blocks = self.capture_blocks(monkeypatch, sources, config)
+        rows = np.sort(np.random.default_rng(config.seed).choice(240, size=100, replace=False))
+        for e, s in enumerate(sources):
+            assert np.array_equal(np.hstack([b[e].values for b in blocks]), s.features[rows])
 
     @pytest.mark.parametrize(
         "block_size, named", [(8, "attribute 'f5' of expert 'b'"), (4, "attribute 'f2' of expert 'c'")],

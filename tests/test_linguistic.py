@@ -9,22 +9,17 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from evidential_magdm import linguistic, recruitment as ref
-from evidential_magdm.errors import (
-    DegenerateAttributeError,
-    DegenerateDomainError,
-    OutOfDomainError,
-)
+from evidential_magdm.errors import DegenerateAttributeError, DegenerateDomainError
 from evidential_magdm.linguistic import (
     DEFAULT_TERMS,
     DecisionMatrix,
     LinguisticPartition,
     _membership_kernel,
+    _span_scale,
     bpa_tensor,
-    build_partition,
+    group_slab,
     membership_matrix,
-    memberships,
     normalize_decision_matrix,
-    term_major,
 )
 from evidential_magdm.pipeline import run_pipeline
 
@@ -90,62 +85,69 @@ class TestNormalize:
             normalize_decision_matrix(m)
 
 
-class TestBuildPartition:
+def column_memberships(column, terms=DEFAULT_TERMS):
+    """One expert's single column through ``membership_matrix``: (degrees, partition)."""
+    [got] = membership_matrix([simple_matrix(np.asarray(column, dtype=float)[:, None])], terms=terms)
+    return got.degrees[:, 0, :], got.partitions[0]
+
+
+class TestColumnPartition:
+    """A column's partition is its observed range [min, max]."""
+
     def test_reference_panel_extremes(self):
-        panel = np.array([row[0] for row in ref.RAW_SCORES["u1"]], dtype=float)
-        part = build_partition(panel, segments=4)
+        panel = [row[0] for row in ref.RAW_SCORES["u1"]]
+        _, part = column_memberships(panel)
         assert (part.lower, part.upper) == (50.0, 90.0)
         assert part.alpha == pytest.approx(10.0)
         assert part.term_count == 5
 
     def test_unit_interval(self):
-        part = build_partition(np.array([0.0, 1.0]), segments=2)
+        _, part = column_memberships([0.0, 1.0], terms=3)
         assert (part.lower, part.upper, part.alpha) == (0.0, 1.0, 0.5)
 
     def test_degenerate_domain(self):
-        with pytest.raises(DegenerateDomainError):
-            build_partition(np.array([5.0, 5.0, 5.0]))
+        with pytest.raises(DegenerateDomainError, match="single observed value"):
+            column_memberships([5.0, 5.0, 5.0])
 
     def test_interior_peaks(self):
-        part = build_partition(np.array([0.0, 8.0]), segments=4)
+        _, part = column_memberships([0.0, 8.0])
         assert [part.peak(t) for t in range(1, 6)] == [0.0, 2.0, 4.0, 6.0, 8.0]
 
 
 class TestMembership:
-    PART = build_partition(np.array([50.0, 90.0]), segments=4)
+    """Degrees of single values on the panel range [50, 90]."""
+
+    def degrees(self, value):
+        degrees, _ = column_memberships([50.0, value, 90.0])
+        return degrees[1]
 
     def test_published_row_values(self):
-        got = memberships(np.array([80.0]), self.PART)[0]
-        np.testing.assert_allclose(got, [0.25, 1 / 3, 0.5, 1.0, 0.75], atol=1e-12)
+        np.testing.assert_allclose(self.degrees(80.0), [0.25, 1 / 3, 0.5, 1.0, 0.75], atol=1e-12)
 
     def test_lower_endpoint(self):
-        assert memberships(np.array([50.0]), self.PART)[0, 0] == pytest.approx(1.0)
-        assert memberships(np.array([50.0]), self.PART)[0, 4] == pytest.approx(0.0)
+        assert self.degrees(50.0)[0] == pytest.approx(1.0)
+        assert self.degrees(50.0)[4] == pytest.approx(0.0)
 
     def test_upper_endpoint(self):
-        got = memberships(np.array([90.0]), self.PART)[0]
-        np.testing.assert_allclose(got, [0.0, 0.0, 0.0, 0.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(self.degrees(90.0), [0.0, 0.0, 0.0, 0.0, 1.0], atol=1e-12)
 
     def test_interior_terms_peak_at_one(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
             lo, width = rng.uniform(-5, 5), rng.uniform(0.5, 10)
-            segments = int(rng.integers(2, 9))
-            part = build_partition(np.array([lo, lo + width]), segments=segments)
-            for term in range(2, part.term_count):
-                assert memberships(np.array([part.peak(term)]), part)[0, term - 1] == pytest.approx(1.0)
+            terms = int(rng.integers(3, 10))
+            part = LinguisticPartition(lo, lo + width, terms - 1)
+            peaks = [part.peak(t) for t in range(1, terms + 1)]
+            degrees, got = column_memberships(peaks, terms=terms)
+            assert got == part
+            for term in range(2, terms):
+                assert degrees[term - 1, term - 1] == pytest.approx(1.0)
 
     def test_bounded_on_domain(self):
         rng = np.random.default_rng(4)
-        part = build_partition(np.array([-2.0, 3.0]), segments=4)
-        values = rng.uniform(-2.0, 3.0, size=100_000)
-        mu = memberships(values, part)
+        values = np.concatenate([[-2.0, 3.0], rng.uniform(-2.0, 3.0, size=100_000)])
+        mu, _ = column_memberships(values)
         assert mu.min() >= -1e-12 and mu.max() <= 1.0 + 1e-12
-
-    def test_out_of_domain(self):
-        with pytest.raises(OutOfDomainError):
-            memberships(np.array([49.0]), self.PART)
-        assert memberships(np.array([49.0]), self.PART, clamp=True)[0, 0] == pytest.approx(1.0)
 
 
 class TestMembershipMatrix:
@@ -180,12 +182,10 @@ class TestMembershipMatrix:
         np.testing.assert_allclose(degrees[:, 0, :], 0.2, atol=1e-12)
 
 
-def term_loop_memberships(values, partition, clamp=False):
+def term_loop_memberships(values, partition):
     """Oracle: one term at a time, peaks from ``LinguisticPartition.peak``."""
     arr = np.asarray(values, dtype=float)
     lo, hi, bins = partition.lower, partition.upper, partition.segments
-    if clamp:
-        arr = np.clip(arr, lo, hi)
     out = np.empty(arr.shape + (partition.term_count,))
     out[..., 0] = 1.0 - (arr - lo) / (hi - lo)
     for term in range(2, bins + 1):
@@ -226,28 +226,23 @@ class TestMembershipKernel:
                 expected = np.full((column.size, terms), 1.0 / terms)
                 part = LinguisticPartition(v - 0.5, v + 0.5, terms - 1)
             else:
-                part = build_partition(column, terms - 1)
-                expected = memberships(column, part)
-                assert np.array_equal(expected, term_loop_memberships(column, part))
+                part = LinguisticPartition(column.min(), column.max(), terms - 1)
+                expected = term_loop_memberships(column, part)
             assert np.array_equal(got.degrees[:, j, :], expected)
             assert got.partitions[j] == part
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(
         column=hnp.arrays(float, st.integers(2, 20), elements=st.floats(-50.0, 50.0, width=64)),
-        lo=st.floats(-40.0, 0.0),
-        width=st.floats(1e-3, 60.0),
         segments=st.integers(4, 8),
     )
-    def test_clamped_values_equal_term_loop(self, column, lo, width, segments):
-        part = LinguisticPartition(lo, lo + width, segments)
-        got = memberships(column, part, clamp=True)
-        assert np.array_equal(got, term_loop_memberships(column, part, clamp=True))
-
-    def test_out_of_domain_message_names_value_and_domain(self):
-        part = LinguisticPartition(-1.0, 2.5, 4)
-        with pytest.raises(OutOfDomainError, match=r"value 3\.0 outside partition domain \[-1\.0, 2\.5\]"):
-            memberships(np.array([0.0, 3.0, -4.0]), part)
+    def test_wide_column_equals_term_loop(self, column, segments):
+        try:
+            part = LinguisticPartition(column.min(), column.max(), segments)
+        except DegenerateDomainError:
+            assume(False)
+        got = membership_matrix([DecisionMatrix("x", column[:, None])], terms=segments + 1)[0]
+        assert np.array_equal(got.degrees[:, 0, :], term_loop_memberships(column, part))
 
     def test_flat_column_error_names_first_flat_attribute(self):
         values = np.array([[1.0, 2.0, 7.0, 4.0], [3.0, 2.0, 7.0, 5.0]])
@@ -288,7 +283,7 @@ class TestMembershipKernel:
         assert np.array_equal(got.degrees[:, 0, :], np.full((3, terms), 1.0 / terms))
         part = got.partitions[0]
         assert part.lower < value < part.upper
-        assert got.partitions[1] == build_partition([1.0, 2.0, 3.0], terms - 1)
+        assert got.partitions[1] == LinguisticPartition(1.0, 3.0, terms - 1)
 
     @pytest.mark.parametrize("terms", [3, 5, 9])
     @pytest.mark.parametrize("value", [_MAX, -_MAX], ids=["+max", "-max"])
@@ -396,7 +391,7 @@ class TestPartitionsOnRequest:
     def test_unsplittable_stand_in_raises_at_membership_time(self, monkeypatch):
         # every real stand-in splits; a domain check that rejects every column
         # shows that membership_matrix itself, not a later partition read, raises
-        monkeypatch.setattr(linguistic, "_unsplittable", lambda lo, hi, segments: np.ones(np.shape(lo), bool))
+        monkeypatch.setattr(linguistic, "_unsplittable", lambda lo, hi, segments, scale=None: np.ones(np.shape(lo), bool))
         m = simple_matrix([[1.0, 4.0], [1.0, 3.0]])
         with pytest.raises(DegenerateDomainError, match=r"degenerate domain \[[-+.e0-9]+, [-+.e0-9]+\] for 4 segments"):
             membership_matrix([m], uniform_when_degenerate=True)
@@ -489,7 +484,7 @@ class TestMinEdgeKernel:
         shape = (segments + 1,) + values.shape
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _membership_kernel(values, lo, hi, segments, np.empty(shape))
+            got = _membership_kernel(values, lo, hi, _span_scale(lo, hi), segments, np.empty(shape))
         expected = masked_select_kernel(values, lo, hi, segments, np.empty(shape))
         assert got.tobytes() == expected.tobytes()
 
@@ -497,7 +492,8 @@ class TestMinEdgeKernel:
     def test_values_on_every_peak_get_degree_one(self, segments):
         part = LinguisticPartition(-3.0, 7.0, segments)
         peaks = np.array([part.peak(t) for t in range(1, segments + 2)])
-        got = _membership_kernel(peaks, part.lower, part.upper, segments, np.empty((segments + 1, peaks.size)))
+        lo, hi = part.lower, part.upper
+        got = _membership_kernel(peaks, lo, hi, _span_scale(lo, hi), segments, np.empty((segments + 1, peaks.size)))
         assert np.array_equal(np.diag(got), np.ones(segments + 1))
 
 
@@ -545,7 +541,7 @@ class TestBpaTensor:
         np.testing.assert_allclose(direct, via_normalized, atol=1e-12)
 
 
-class TestTermMajor:
+class TestGroupSlab:
     @staticmethod
     def group():
         rng = np.random.default_rng(9)
@@ -555,15 +551,23 @@ class TestTermMajor:
         "order", [(0, 1, 2, 3), (1, 2), (3,), (2, 1), (0, 2), (3, 2, 1, 0)],
         ids=["whole", "middle", "last", "swapped", "gap", "reversed"],
     )
-    def test_equals_the_concatenated_columns(self, order):
+    def test_equals_the_stacked_columns(self, order):
         group = self.group()
-        arrays = [group[i].degrees for i in order]
-        expected = np.concatenate([a.transpose(2, 0, 1) for a in arrays], axis=2)
-        got = term_major(arrays)
+        records = [group[i] for i in order]
+        expected = np.concatenate([r.degrees.transpose(2, 1, 0) for r in records], axis=1)
+        got = group_slab(records)
         assert np.array_equal(got, expected)
         # adjacent blocks in group order are read in place, anything else is copied
         in_order = list(order) == list(range(order[0], order[-1] + 1))
-        assert np.shares_memory(got, arrays[0]) == in_order
+        assert np.shares_memory(got, group[0].slab) == in_order
+
+    def test_each_record_reads_its_own_rows(self):
+        group = self.group()
+        assert all(r.slab is group[0].slab for r in group)
+        assert [(r.columns.start, r.columns.stop) for r in group] == [(0, 1), (1, 4), (4, 6), (6, 10)]
+        for r in group:
+            assert np.shares_memory(r.degrees, r.slab)
+            assert r.degrees.transpose(2, 1, 0).base is r.slab
 
     def test_masses_of_a_subgroup_equal_the_group_masses(self):
         group = self.group()

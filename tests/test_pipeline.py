@@ -29,6 +29,7 @@ from evidential_magdm.pipeline import (
     ordered_weighted_belief,
     ordered_weighted_plausibility,
     owa_weights,
+    pair_operand,
     pairwise_divergence,
     rank,
     run_pipeline,
@@ -278,6 +279,33 @@ class TestGroupPass:
     def test_without_ranking_nothing_is_normalised(self):
         result = run_pipeline(random_matrices(np.random.default_rng(4)), with_ranking=False)
         assert result.normalized == [] and result.ranking is None
+
+
+class TestExpertStageLayout:
+    """Each expert's arrays are transposes of C-contiguous (q, p) blocks."""
+
+    @pytest.mark.parametrize("axis", ["attributes", "alternatives"])
+    @pytest.mark.parametrize("k, p, q", [(3, 240, 8), (64, 30, 4), (2, 17, 1)])
+    def test_per_expert_arrays_are_contiguous_transposes(self, k, p, q, axis):
+        rng = np.random.default_rng(k)
+        matrices = [DecisionMatrix(f"e{e}", rng.normal(size=(p, q))) for e in range(k)]
+        config = RunConfig(wpbl_axis=axis, zero_average_policy="full-weight")  # q = 1 profiles agree
+        result = run_pipeline(matrices, config, with_ranking=False)
+        for arrays in (result.beliefs, result.plausibilities, result.wpbl_profiles):
+            assert all(a.shape == (p, q) and a.T.flags.c_contiguous for a in arrays)
+        for profile in result.wpbl_profiles:
+            flat, lo, hi = pair_operand(profile)
+            assert np.shares_memory(flat, profile)
+            assert np.array_equal(flat, np.concatenate(list(profile.T)))  # attribute-major
+            assert (lo, hi) == (profile.min(), profile.max())
+
+    @pytest.mark.parametrize("k, p, q", [(3, 240, 8), (64, 30, 4), (4, 17, 2), (2, 1000, 1)])
+    def test_masses_sum_to_one_within_4_ulp(self, k, p, q):
+        rng = np.random.default_rng(p)
+        matrices = [DecisionMatrix(f"e{e}", rng.normal(size=(p, q))) for e in range(k)]
+        for t in bpa_tensor(membership_matrix(matrices)):
+            columns = t.masses.reshape(p, -1).T
+            assert max(abs(math.fsum(c) - 1.0) for c in columns) <= 4 * np.finfo(float).eps
 
 
 class TestOrderedWeightedPlausibility:

@@ -4,23 +4,29 @@
 deleted one makes ``Instrumentation`` fail and every traced benchmark op
 with it. The per-expert stages take the whole expert group, so each of
 their spans records one call per ``run_pipeline``; the pair stage records
-one call per expert pair. These tests only read ``perfbench/``.
+one call per expert pair, and feature fusion runs the counts that
+``FusionWide.expected`` states. These tests only read ``perfbench/``.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    return spec, importlib.util.module_from_spec(spec)
 
 
 @pytest.fixture(scope="module")
 def tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
+    spec, module = load("tracing")
     spec.loader.exec_module(module)
     return module
 
@@ -80,3 +86,28 @@ def test_pair_divergence_runs_once_per_pair_on_the_profiles(tracing):
     calls = {name: row["calls"] for name, row in tracing.summarize(tracer.spans).items()}
     assert calls["pipeline.pairwise_divergence"] == 15
     assert tracer.cells == 15 * p * q
+
+
+def test_fusion_blocks_run_the_counts_the_benchmark_states(tracing, monkeypatch):
+    # FusionWide.expected on 32 dimensions instead of 256: 4 blocks of k = 3
+    from evidential_magdm import fusion
+
+    spec, workloads = load("workloads")
+    monkeypatch.setitem(sys.modules, "tracing", tracing)  # workloads imports it by name
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    workload = workloads.FusionWide()
+    workload.n_dims = 32
+    item = workload.pool(0, None)[0]
+    tracer = tracing.Tracer()
+    with tracing.Instrumentation(tracer):
+        fusion.estimate_fusion_weights(item, workload.config)
+    calls = {name: row["calls"] for name, row in tracing.summarize(tracer.spans).items()}
+    expected = workload.expected(item)
+    cells = expected.pop(tracing.CELLS)
+    assert expected == {"pipeline.run_pipeline": 4, "pipeline.owa_weights": 4, "pipeline.pairwise_divergence": 12}
+    assert cells == 12 * 240 * 8
+    assert {name: calls.get(name, 0) for name in expected} == expected
+    assert tracer.cells == cells
+    for stage in ("linguistic.membership_matrix", "linguistic.bpa_tensor", "pipeline.ordered_weighted_belief"):
+        assert calls[stage] == 4
