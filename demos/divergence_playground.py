@@ -7,7 +7,6 @@ import numpy as np
 
 from evidential_magdm.divergence import (
     LogBase,
-    belief_js_divergence,
     generalized_belief_divergence,
     generalized_js_divergence,
     js_divergence,
@@ -47,13 +46,12 @@ print("JS is symmetric and bounded by one in base 2:")
 print("  JS((1,0),(0,1)) =", js_divergence((1.0, 0.0), (0.0, 1.0)))
 print("  JS(m1,m2 profiles) =", round(js_divergence(profile_1, profile_2), 6))
 
-print("\nbelief JS divergence goes through the profiles directly:")
-print("  ", round(belief_js_divergence(m1, m2, singletons), 6))
+print("\nbelief JS divergence: the weighted divergence at its default (0.5, 0.5),")
+print("which is the JS divergence of the two profiles:")
+print("  ", round(weighted_belief_divergence(m1, m2, singletons), 6))
 
 print("\nweighted divergence with uneven weights (0.7, 0.3):")
 print("  ", round(weighted_belief_divergence(m1, m2, singletons, (0.7, 0.3)), 6))
-print("with (0.5, 0.5) it collapses to the belief JS value:")
-print("  ", round(weighted_belief_divergence(m1, m2, singletons), 6))
 
 m3 = Bpa(frame, {"sunny": 0.2, "cloudy": 0.2, "rainy": 0.6})
 value = generalized_belief_divergence([m1, m2, m3], singletons, (0.4, 0.4, 0.2))

@@ -9,7 +9,6 @@ feature matrices.
 from .config import RunConfig
 from .divergence import (
     LogBase,
-    belief_js_divergence,
     entropy,
     generalized_belief_divergence,
     generalized_js_divergence,

@@ -4,9 +4,9 @@ Decision matrices travel as one CSV per expert: the first row names the
 attributes (first cell is a corner label and is ignored), every other
 row is an alternative label followed by its nonnegative scores, and the
 expert id is the file stem. Feature sources are plain numeric CSVs with
-a header, one row per sample, with an optional trailing ``label``
-column; their values may be signed. All writes go through a temp file
-in the target directory followed by an atomic rename.
+a header and one row per sample (at least 2), with an optional trailing
+``label`` column; their values may be signed. All writes go through a
+temp file in the target directory followed by an atomic rename.
 """
 
 from __future__ import annotations
@@ -127,8 +127,8 @@ def write_decision_matrix(path: str | Path, matrix: DecisionMatrix) -> None:
 def read_feature_source(path: str | Path, source_id: str | None = None) -> FeatureSet:
     path = Path(path)
     rows = _read_rows(path)
-    if len(rows) < 2:
-        raise CsvFormatError(f"{path}: need a header and at least one sample")
+    if len(rows) < 3:
+        raise CsvFormatError(f"{path}: need a header and at least 2 samples")
     header = [cell.strip() for cell in rows[0]]
     has_labels = bool(header) and header[-1].lower() == "label"
     width = len(header)

@@ -1,20 +1,20 @@
 """Divergence measures between probability vectors and mass assignments.
 
-Covers Kullback-Leibler, Jensen-Shannon (pairwise and generalized), the
-belief JS divergence between mass assignments via their normalised
-belief-plausibility distributions, and weighted/ordered generalizations.
+Covers Kullback-Leibler, Jensen-Shannon (pairwise and generalized), and
+the weighted/ordered divergences between mass assignments via their
+normalised belief-plausibility distributions; at weights (1/2, 1/2) the
+divergence of two assignments is the belief JS divergence.
 
-Three kernels take every logarithm. ``_xlogy_ratio`` is the masked
+Two kernels take every logarithm. ``_xlogy_ratio`` is the masked
 ``x * log(x / y)`` under entropy, KL, generalized JS and the p-row
-ordered divergence (through ``_mixture_terms``). ``js_cells`` is the
-two-profile divergence at weights (1/2, 1/2) in a closed form whose
-summands do not cancel, so near-identical profiles keep their relative
-accuracy. ``ordered_pair_terms`` is the two-profile ordered divergence
-at any other weights: one pass over the cell-wise max and min and their
-mix, with an unmasked log, zeroed where a value is 0. Its signed terms
-still cancel for close values. ``pair_cells`` picks between the two by
-the weights; it serves the JS divergence, the ordered divergence of two
-mass assignments and the pipeline's all-pairs stage.
+ordered divergence (through ``_mixture_terms``). ``pair_cells`` is the
+two-profile ordered divergence, cell by cell; it serves the JS
+divergence, the ordered divergence of two mass assignments and the
+pipeline's all-pairs stage. At weights (1/2, 1/2) it takes ``js_cells``,
+a closed form whose summands do not cancel, so near-identical profiles
+keep their relative accuracy. At any other weights it sums the signed
+terms of the cell-wise max and min against their mix, which still
+cancel for close values.
 
 Conventions:
   * 0 * log(0/x) contributes 0 (continuous extension); a proposition on
@@ -148,11 +148,6 @@ def _wpbl_matrix(masses: Sequence[Bpa], propositions) -> tuple[np.ndarray, tuple
     return np.vstack([d.values for d in dists]), masks
 
 
-def belief_js_divergence(m1: Bpa, m2: Bpa, propositions, base: LogBase = LogBase.TWO) -> float:
-    """JS divergence between two mass assignments' Bel+Pl distributions."""
-    return weighted_belief_divergence(m1, m2, propositions, (0.5, 0.5), base)
-
-
 def js_cells(a: np.ndarray, b: np.ndarray, narrow: bool = False) -> np.ndarray:
     """4 ln(base) times each cell's (1/2, 1/2) divergence, for two 1-D profiles.
 
@@ -200,9 +195,18 @@ def js_cells(a: np.ndarray, b: np.ndarray, narrow: bool = False) -> np.ndarray:
 def pair_cells(a, b, weights, base: LogBase, narrow: bool = False) -> np.ndarray:
     """Each cell's ordered weighted divergence of two 1-D profiles, in ``base``.
 
-    Weights (1/2, 1/2) take ``js_cells`` (``narrow`` as there); any other
-    pair, equal weights near 1/2 included, sums the two rows of
-    ``ordered_pair_terms``, whose signed terms still cancel for close values.
+    Weights (1/2, 1/2) take ``js_cells`` (``narrow`` as there). Any other
+    pair, equal weights near 1/2 included, sums w_0 * hi * log(hi / mix)
+    and w_1 * lo * log(lo / mix), where hi and lo are the cell-wise max
+    and min of ``a`` and ``b`` and mix = w_0 * hi + w_1 * lo; these signed
+    terms still cancel for close values. A zero value or a zero weight
+    contributes 0; ``narrow`` says that no value is 0, so 0 * log(0) is
+    not masked and warnings are not silenced. Each term is divided by
+    ``base.ln`` before the two are added. The mix takes two roundings,
+    w_0 * hi and then + w_1 * lo: numpy's elementwise ops never fuse a
+    multiply-add, and neither does the ``_mixture_terms`` matmul on a
+    sorted, reversed (2, n) view, so ``ordered_mixture_terms`` of the two
+    rows sums to the same bits.
     """
     if len(weights) != 2:
         raise ValueError(f"two-profile divergence needs 2 weights, got {len(weights)}")
@@ -210,42 +214,23 @@ def pair_cells(a, b, weights, base: LogBase, narrow: bool = False) -> np.ndarray
         cells = js_cells(a, b, narrow)
         cells *= 0.25 / base.ln
         return cells
-    terms = ordered_pair_terms(a, b, weights, base, empty=False if narrow else None)
-    terms[0] += terms[1]
-    return terms[0]
-
-
-def ordered_pair_terms(a, b, weights, base: LogBase, empty: bool | None = None) -> np.ndarray:
-    """Ordered weighted divergence terms of two 1-D profiles, shape (2, n).
-
-    Row 0 is w_0 * hi * log(hi / mix) and row 1 is w_1 * lo * log(lo / mix),
-    where hi and lo are the cell-wise max and min of ``a`` and ``b`` and
-    mix = w_0 * hi + w_1 * lo. A zero value or a zero weight contributes 0.
-    ``empty`` says whether ``mix`` or ``lo`` holds a 0, if the caller knows;
-    only then are 0 * log(0) masked and warnings silenced. The mix takes
-    two roundings, w_0 * hi and then + w_1 * lo: numpy's elementwise ops
-    never fuse a multiply-add, and neither does the ``_mixture_terms``
-    matmul on a sorted, reversed (2, n) view, so both give the same bits.
-    """
-    if len(weights) != 2:
-        raise ValueError(f"two-profile divergence needs 2 weights, got {len(weights)}")
     hi = np.maximum(a, b)
     lo = np.minimum(a, b)
     mix = weights[0] * hi
     mix += weights[1] * lo
-    empty = not (lo.all() and mix.all()) if empty is None else empty
-    terms = np.zeros((2, mix.size))
-    with np.errstate(divide="ignore", invalid="ignore") if empty else contextlib.nullcontext():
-        for row, x, w in zip(terms, (hi, lo), weights):
+    cells = np.zeros(mix.size)
+    with contextlib.nullcontext() if narrow else np.errstate(divide="ignore", invalid="ignore"):
+        for x, w in zip((hi, lo), weights):
             if w > 0:
-                np.divide(x, mix, out=row)
-                np.log(row, out=row)
-                row *= x
-                if empty:
-                    np.putmask(row, x == 0, 0.0)
-                row *= w
-    terms /= base.ln
-    return terms
+                term = x / mix
+                np.log(term, out=term)
+                term *= x
+                if not narrow:
+                    np.putmask(term, x == 0, 0.0)
+                term *= w
+                term /= base.ln
+                cells += term
+    return cells
 
 
 def ordered_mixture_terms(values: np.ndarray, weights: np.ndarray, base: LogBase) -> np.ndarray:
@@ -254,13 +239,9 @@ def ordered_mixture_terms(values: np.ndarray, weights: np.ndarray, base: LogBase
     ``values`` has one row per distribution and one column per proposition.
     Each column is sorted descending so weight f multiplies the f-th
     largest value, then entry (f, j) is w_f * v_(f)j * log(v_(f)j / mix_j)
-    where mix_j is the weight-mixed column. Two rows go through
-    ``ordered_pair_terms``; more rows are sorted and go through
-    ``_mixture_terms``.
+    where mix_j is the weight-mixed column (``_mixture_terms``).
     """
     values = np.asarray(values, dtype=float)
-    if values.shape[0] == 2:
-        return ordered_pair_terms(values[0], values[1], weights, base)
     return _mixture_terms(np.sort(values, axis=0)[::-1], weights, base)
 
 
@@ -274,7 +255,8 @@ def weighted_belief_divergence(
     """Ordered weighted divergence between two mass assignments.
 
     Summed from ``pair_cells``, as in the pipeline's pair stage; with
-    weights (1/2, 1/2) this is ``belief_js_divergence``.
+    weights (1/2, 1/2) this is the belief JS divergence, the JS divergence
+    of the two ``wpbl`` profiles.
     """
     w = as_weight_vector(weights, length=2)
     values, _ = _wpbl_matrix([m1, m2], propositions)

@@ -208,14 +208,30 @@ def _membership_kernel(values, lo, hi, scale, segments: int, out: np.ndarray) ->
     return out
 
 
+@dataclass(frozen=True)
 class _GroupBlock:
     """An expert's block of a group pass: rows ``columns`` of the group's
     (terms, columns, p) ``slab``, one row per attribute column, with column
-    j's domain [lo[j], hi[j]] split into ``segments``."""
+    j's domain [``lo[j]``, ``hi[j]``] (read-only arrays) split into
+    ``segments``."""
+
+    expert_id: str
+    slab: np.ndarray = field(repr=False)
+    columns: slice
+    lo: np.ndarray = field(repr=False)
+    hi: np.ndarray = field(repr=False)
+    segments: int
+    alternative_labels: tuple[str, ...]
+    attribute_labels: tuple[str, ...]
 
     def _view(self) -> np.ndarray:
         """The block as a (p, q, terms) view of the slab."""
         return self.slab[:, self.columns].transpose(2, 1, 0)
+
+    def blocked(self) -> np.ndarray:
+        """2-d layout p x (q * terms), attribute blocks side by side."""
+        view = self._view()
+        return view.reshape(view.shape[0], -1)
 
     @property
     def partitions(self) -> tuple[LinguisticPartition, ...]:
@@ -228,28 +244,13 @@ class MembershipMatrix(_GroupBlock):
     """Per-expert membership degrees, shape (p, q, terms).
 
     ``degrees`` is a view of the expert's rows of the group's degree
-    ``slab``, so writing to it writes to the slab. Column j's domain is
-    [``lo[j]``, ``hi[j]``] (read-only arrays); ``partitions`` builds the
-    matching ``LinguisticPartition`` objects on request.
+    ``slab``, so writing to it writes to the slab; ``partitions`` builds
+    the matching ``LinguisticPartition`` objects on request.
     """
-
-    expert_id: str
-    slab: np.ndarray = field(repr=False)
-    columns: slice
-    lo: np.ndarray = field(repr=False)
-    hi: np.ndarray = field(repr=False)
-    segments: int
-    alternative_labels: tuple[str, ...]
-    attribute_labels: tuple[str, ...]
 
     @property
     def degrees(self) -> np.ndarray:
         return self._view()
-
-    def blocked(self) -> np.ndarray:
-        """2-d layout p x (q * terms), attribute blocks side by side."""
-        p, q, terms = self.degrees.shape
-        return self.degrees.reshape(p, q * terms)
 
 
 @dataclass(frozen=True)
@@ -263,14 +264,6 @@ class BpaTensor(_GroupBlock):
     column domains are the memberships' own.
     """
 
-    expert_id: str
-    slab: np.ndarray = field(repr=False)
-    columns: slice
-    lo: np.ndarray = field(repr=False)
-    hi: np.ndarray = field(repr=False)
-    segments: int
-    alternative_labels: tuple[str, ...]
-    attribute_labels: tuple[str, ...]
     zero_columns: tuple[tuple[int, int], ...] = ()
 
     @property
@@ -280,10 +273,6 @@ class BpaTensor(_GroupBlock):
     @property
     def term_count(self) -> int:
         return self.slab.shape[0]
-
-    def blocked(self) -> np.ndarray:
-        p, q, terms = self.masses.shape
-        return self.masses.reshape(p, q * terms)
 
 
 def group_slab(records) -> np.ndarray:

@@ -436,6 +436,18 @@ class TestFuseFeaturesCommand:
         err = capsys.readouterr().err
         assert "b.csv:3:4" in err and "'1.5'" in err
 
+    def test_single_sample_sources_exit_2_naming_the_file(self, tmp_path, capsys):
+        # every source agrees on one sample, so only the reader can catch it
+        for name in ("a", "b"):
+            (tmp_path / f"{name}.csv").write_text("f0,f1,label\n1,2,0\n")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "sources": [{"id": "a", "path": "a.csv"}, {"id": "b", "path": "b.csv"}],
+        }))
+        assert main(["fuse-features", str(manifest), "--out", str(tmp_path / "out")]) == 2
+        assert f"{tmp_path / 'a.csv'}: need a header and at least 2 samples" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_integral_float_label_is_accepted(self, tmp_path):
         (tmp_path / "s.csv").write_text("f0,label\n0.5,2.0\n0.25,1e0\n")
         labels = dataio.read_feature_source(tmp_path / "s.csv").labels

@@ -11,7 +11,6 @@ from evidential_magdm import divergence
 from evidential_magdm.divergence import (
     LogBase,
     _mixture_terms,
-    belief_js_divergence,
     entropy,
     generalized_belief_divergence,
     generalized_js_divergence,
@@ -19,11 +18,12 @@ from evidential_magdm.divergence import (
     js_divergence,
     kl_divergence,
     ordered_mixture_terms,
+    pair_cells,
     weighted_belief_divergence,
 )
 from evidential_magdm.config import RunConfig
 from evidential_magdm.errors import ConfigError, DivergenceUndefinedError, NegativeDivergenceError
-from evidential_magdm.evidence import Bpa, FrameOfDiscernment, PseudoBpa
+from evidential_magdm.evidence import Bpa, FrameOfDiscernment, PseudoBpa, wpbl
 from evidential_magdm.linguistic import DecisionMatrix
 from evidential_magdm.pipeline import pairwise_divergence, run_pipeline
 
@@ -158,22 +158,32 @@ class TestGeneralizedJs:
             assert value == pytest.approx(js_divergence(a, b), abs=1e-9)
 
 
+def profile_js(m1, m2, propositions):
+    """Belief JS by definition: the JS divergence of the two wpbl profiles."""
+    return js_divergence(wpbl(m1, propositions).values, wpbl(m2, propositions).values)
+
+
 class TestBeliefJs:
+    """``weighted_belief_divergence`` at its default weights (1/2, 1/2)."""
+
     def test_identical_masses(self):
         m = Bpa(AB, {"a": 0.3, "b": 0.2, ("a", "b"): 0.5})
-        assert belief_js_divergence(m, m, SINGLETONS) == pytest.approx(0.0)
+        assert weighted_belief_divergence(m, m, SINGLETONS) == pytest.approx(0.0)
 
     def test_disjoint_certain_masses(self):
         m1 = Bpa(AB, {"a": 1.0})
         m2 = Bpa(AB, {"b": 1.0})
-        assert belief_js_divergence(m1, m2, SINGLETONS) == pytest.approx(1.0)
+        assert weighted_belief_divergence(m1, m2, SINGLETONS) == pytest.approx(1.0)
+        assert profile_js(m1, m2, SINGLETONS) == pytest.approx(1.0)
 
     def test_manual_profile_oracle(self):
         m1 = Bpa(AB, {"a": 0.3, "b": 0.2, ("a", "b"): 0.5})
         m2 = Bpa(AB, {"a": 0.5, "b": 0.5})
         # oracle: profiles (0.55, 0.45) and (0.5, 0.5), then plain JS
         expected = manual_js((0.55, 0.45), (0.5, 0.5))
-        assert belief_js_divergence(m1, m2, SINGLETONS) == pytest.approx(expected, abs=1e-12)
+        value = weighted_belief_divergence(m1, m2, SINGLETONS)
+        assert value == pytest.approx(expected, abs=1e-12)
+        assert value == pytest.approx(profile_js(m1, m2, SINGLETONS), abs=1e-12)
 
 
 class TestWeightedBeliefDivergence:
@@ -191,7 +201,7 @@ class TestWeightedBeliefDivergence:
             value = weighted_belief_divergence(m1, m2, SINGLETONS)
             # oracle: singleton-only masses have profile m / sum(m) = (a, b)
             assert value == pytest.approx(manual_js((a1, b1), (a2, b2)), abs=1e-12)
-            assert value == pytest.approx(belief_js_divergence(m1, m2, SINGLETONS), abs=1e-9)
+            assert value == pytest.approx(profile_js(m1, m2, SINGLETONS), abs=1e-9)
 
     def test_term_by_term_oracle(self):
         m1 = Bpa(AB, {"a": 0.3, "b": 0.2, ("a", "b"): 0.5})
@@ -292,13 +302,15 @@ class TestGeneralizedBeliefDivergence:
 
 
 @st.composite
-def two_row_columns(draw, n=None):
-    """(2, n) nonnegative arrays in which some columns tie and some hold zeros."""
+def two_row_columns(draw, n=None, zeros=True):
+    """(2, n) nonnegative arrays in which some columns tie and, with
+    ``zeros``, some hold zeros; without, every value is positive."""
     if n is None:
         n = draw(st.integers(1, 40))
-    value = st.floats(0.0, 1.0, allow_subnormal=False)
+    value = st.floats(0.0, 1.0, exclude_min=not zeros, allow_subnormal=False)
     rows = np.array([draw(st.lists(value, min_size=n, max_size=n)) for _ in range(2)])
-    kinds = draw(st.lists(st.sampled_from(["free", "tie", "zero", "zeros"]), min_size=n, max_size=n))
+    kinds = ["free", "tie", "zero", "zeros"] if zeros else ["free", "tie"]
+    kinds = draw(st.lists(st.sampled_from(kinds), min_size=n, max_size=n))
     for j, kind in enumerate(kinds):
         if kind == "tie":
             rows[1, j] = rows[0, j]
@@ -316,18 +328,20 @@ ORDERED_PAIR_WEIGHTS = PAIR_WEIGHTS[1:] + [(0.5000000001, 0.5000000001)]
 
 
 class TestOrderedMixtureTerms:
-    """Two rows are ordered by max/min; that must equal the descending sort bit for bit."""
+    """Two sorted rows must sum to the pair kernel's ordered cells bit for bit."""
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
-        values=two_row_columns(),
-        weights=st.sampled_from(PAIR_WEIGHTS),
+        values=st.one_of(two_row_columns(), two_row_columns(zeros=False)),
+        weights=st.sampled_from(ORDERED_PAIR_WEIGHTS),
         base=st.sampled_from(list(LogBase)),
+        narrow=st.booleans(),
     )
-    def test_two_rows_equal_sorted_kernel(self, values, weights, base):
+    def test_two_rows_equal_sorted_kernel(self, values, weights, base, narrow):
         w = np.array(weights)
-        expected = _mixture_terms(np.sort(values, axis=0)[::-1], w, base)
-        assert np.array_equal(ordered_mixture_terms(values, w, base), expected)
+        narrow = narrow and bool(values.all())  # narrow promises that no value is 0
+        cells = pair_cells(values[0], values[1], w, base, narrow)
+        assert np.array_equal(ordered_mixture_terms(values, w, base).sum(axis=0), cells)
 
     def sort_calls(self, monkeypatch, values, weights):
         calls = []
@@ -341,11 +355,6 @@ class TestOrderedMixtureTerms:
         terms = ordered_mixture_terms(values, np.array(weights), LogBase.TWO)
         monkeypatch.undo()
         return terms, calls
-
-    def test_two_rows_skip_the_sort(self, monkeypatch):
-        values = np.array([[0.1, 0.7, 0.0], [0.4, 0.7, 0.2]])
-        _, calls = self.sort_calls(monkeypatch, values, (0.8, 0.2))
-        assert calls == []
 
     def test_three_rows_keep_the_sort(self, monkeypatch):
         values = np.array([[0.1, 0.7, 0.0, 0.3], [0.4, 0.7, 0.2, 0.3], [0.5, 0.0, 0.2, 0.3]])
