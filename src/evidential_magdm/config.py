@@ -58,8 +58,8 @@ class RunConfig:
         if self.log_base not in ("2", "e"):
             raise ConfigError(f"log_base must be '2' or 'e', got {self.log_base!r}")
         pw = tuple(float(w) for w in self.pair_weights)
-        if len(pw) != 2 or min(pw) < 0 or abs(sum(pw) - 1.0) > 1e-9:
-            raise ConfigError(f"pair_weights must be two nonnegative values summing to 1, got {pw}")
+        if len(pw) != 2 or min(pw) <= 0 or abs(sum(pw) - 1.0) > 1e-9:  # a zero weight zeroes every divergence
+            raise ConfigError(f"pair_weights must be two positive values summing to 1, got {pw}")
         object.__setattr__(self, "pair_weights", pw)
         if self.wpbl_axis not in WPBL_AXES:
             raise ConfigError(f"wpbl_axis must be one of {WPBL_AXES}, got {self.wpbl_axis!r}")

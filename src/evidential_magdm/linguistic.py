@@ -270,10 +270,6 @@ class BpaTensor(_GroupBlock):
     def masses(self) -> np.ndarray:
         return self._view()
 
-    @property
-    def term_count(self) -> int:
-        return self.slab.shape[0]
-
 
 def group_slab(records) -> np.ndarray:
     """The (terms, columns, p) slab of a list of group records, in list order.

@@ -10,12 +10,11 @@ Stages, all pure functions of their inputs:
 3. ordered weighted belief per (alternative, attribute) cell, also one
    call for the group: a compare-exchange network sorts the masses
    along the term axis, and each belief is the fixed-order sum of the
-   OWA-weighted sorted planes. Each expert's belief is the (p, q)
-   transpose of a C-contiguous (q, p) block, and the elementwise stages
-   below keep that layout, so plausibilities and profiles are such
-   transposes too;
+   OWA-weighted sorted planes. The beliefs are one (k, p, q) stack, the
+   transpose of a C-contiguous (k, q, p) block, and the elementwise
+   stages below keep that layout for plausibilities and profiles;
 4. cross-expert plausibility: an expert's share of the cell's total belief;
-5. belief-plausibility profiles per expert, normalised along the
+5. belief-plausibility profiles of the stack, normalised along the
    configured axis (attribute propositions by default);
 6. pairwise expert divergence per alternative with the ordered weighted
    divergence kernel, at the default pair weights (1/2, 1/2) the
@@ -27,7 +26,7 @@ Stages, all pure functions of their inputs:
 8. weight-fused matrix and ideal-solution ranking.
 
 Floating-point reductions run in fixed index order (a pair's cells
-attribute-major, see ``pair_operand``), so identical inputs and
+attribute-major, see ``pairwise_divergence``), so identical inputs and
 configuration give bit-identical results.
 """
 
@@ -168,8 +167,8 @@ def _expert_pairs(k: int) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, int]
 _SORT_CELLS = 1 << 14
 
 
-def ordered_weighted_belief(tensors: list[BpaTensor], weights: OwaWeights) -> list[np.ndarray]:
-    """Per-cell belief of each expert: Σ_f w_f · (f-th largest mass).
+def ordered_weighted_belief(tensors: list[BpaTensor], weights: OwaWeights) -> np.ndarray:
+    """(k, p, q) stack of each expert's per-cell Σ_f w_f · (f-th largest mass).
 
     A chunk of experts' masses is read as one (terms, columns, p) slab
     (``group_slab``) and sorted along the term axis by a compare-exchange
@@ -179,17 +178,20 @@ def ordered_weighted_belief(tensors: list[BpaTensor], weights: OwaWeights) -> li
     w_1·plane_1 + w_2·plane_2 + ... over the sorted planes, one multiply
     and one add per term on whole planes, so every cell rounds the same
     way whatever the chunking, the group size or the BLAS build. Each
-    expert's belief is the (p, q) transpose of its C-contiguous (q, p)
-    rows of its chunk's belief plane.
+    chunk's sum fills its rows of one C-contiguous (k·q, p) block, and
+    the stack is its (k, p, q) transpose view: expert e's belief is the
+    transpose of the C-contiguous (q, p) block ``e``.
     """
-    terms = weights.values.size
-    for t in tensors:
-        if t.term_count != terms:
-            raise ValueError(f"weight length {terms} != term count {t.term_count}")
+    shapes = {t.masses.shape for t in tensors}  # (p, q, terms)
+    if len(shapes) != 1:
+        raise ValueError(f"experts' mass shapes differ: {sorted(shapes)}")
+    [(p, q, terms)] = shapes
+    if weights.values.size != terms:
+        raise ValueError(f"weight length {weights.values.size} != term count {terms}")
     network = _descending_network(terms)
     w = weights.values.tolist()
-    per_chunk = max(1, _SORT_CELLS // tensors[0].masses[..., 0].size)
-    beliefs = []
+    per_chunk = max(1, _SORT_CELLS // (p * q))
+    block = np.empty((len(tensors) * q, p))
     for first in range(0, len(tensors), per_chunk):
         chunk = tensors[first:first + per_chunk]
         planes = list(group_slab(chunk))  # read only
@@ -201,62 +203,52 @@ def ordered_weighted_belief(tensors: list[BpaTensor], weights: OwaWeights) -> li
             np.minimum(planes[a], planes[b], out=low)
             free += [x for x in (planes[a], planes[b]) if x.base is None]
             planes[a], planes[b] = high, low
-        belief = planes[0] * w[0]
+        belief = np.multiply(planes[0], w[0], out=block[first * q:(first + len(chunk)) * q])
         term = free.pop() if free else np.empty(belief.shape)
         for f in range(1, terms):
             np.multiply(planes[f], w[f], out=term)
             belief += term
-        start = 0
-        for t in chunk:
-            stop = start + t.columns.stop - t.columns.start
-            beliefs.append(belief[start:stop].T)
-            start = stop
-    return beliefs
+    return block.reshape(len(tensors), q, p).transpose(0, 2, 1)
 
 
-def ordered_weighted_plausibility(beliefs: list[np.ndarray]) -> list[np.ndarray]:
+def ordered_weighted_plausibility(beliefs) -> np.ndarray:
     """Each expert's share of the cross-expert belief total, cell by cell.
 
-    The shares at any cell sum to one across experts. The totals add the
-    experts in order, as a sum over a stacked expert axis would, with no
-    stacked copy of the belief views.
+    ``beliefs`` is a (k, p, q) stack, or a sequence of k equal-shape
+    (p, q) beliefs. The shares at any cell sum to one across experts; the
+    totals are a sum over the outer expert axis, which adds the experts
+    in order.
     """
+    beliefs = np.asarray(beliefs)
     if len(beliefs) < 2:
         raise ValueError("plausibility needs at least 2 experts")
-    totals = beliefs[0] + beliefs[1]
-    for b in beliefs[2:]:
-        totals += b
+    totals = beliefs.sum(axis=0)
     if not totals.all():
         i, j = np.argwhere(totals == 0)[0]
         raise DegenerateCellError(
             f"no expert assigns belief to alternative {i + 1}, attribute {j + 1}"
         )
-    return [b / totals for b in beliefs]
+    return beliefs / totals
 
 
 def expert_wpbl(belief: np.ndarray, plausibility: np.ndarray, axis: str = "attributes") -> np.ndarray:
-    """Normalised belief-plausibility profile of one expert.
+    """Normalised belief-plausibility profile of one expert or a stack.
 
     ``axis="attributes"`` yields one distribution per alternative over
     the attribute propositions; ``axis="alternatives"`` yields one
-    distribution per attribute over the alternatives.
+    distribution per attribute over the alternatives. Given (k, p, q)
+    stacks, it returns every expert's profile.
     """
     total = belief + plausibility
-    ax = 1 if axis == "attributes" else 0
+    ax = -1 if axis == "attributes" else -2
     sums = total.sum(axis=ax, keepdims=True)
     if (sums == 0).any():
-        what = "alternative" if ax == 1 else "attribute"
-        idx = int(np.argwhere(sums == 0)[0][1 - ax])
-        raise DegenerateCellError(f"{what} {idx + 1} has zero belief+plausibility mass")
-    return total / sums
-
-
-def pair_operand(profile: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """A (p, q) profile flattened attribute-major (cell (i, j) at j * p + i),
-    with its smallest and largest cell. The pipeline's profiles are
-    transposes of C-contiguous (q, p) blocks, so the flat array is a view."""
-    flat = np.ravel(profile.T)
-    return flat, float(flat.min()), float(flat.max())
+        *expert, i, j = np.argwhere(sums == 0)[0]
+        what, idx = ("alternative", i) if ax == -1 else ("attribute", j)
+        where = f"expert {expert[0] + 1}: " if expert else ""
+        raise DegenerateCellError(f"{where}{what} {idx + 1} has zero belief+plausibility mass")
+    total /= sums  # in place: no second stack
+    return total
 
 
 def pairwise_divergence(
@@ -275,13 +267,14 @@ def pairwise_divergence(
     is the belief-JS kernel, exact for near-identical experts. When every
     cell of one profile is within a factor 3 of every cell of the other
     (read from the smallest and largest cells), no cell is empty or wide
-    and the kernel skips its check for them. ``operands`` come from
-    ``pair_operand``.
+    and the kernel skips its check for them. ``operands`` are each
+    profile's cells attribute-major (cell (i, j) at j * p + i) with their
+    smallest and largest value, derived here when not given.
     """
     if wpbl_1.shape != wpbl_2.shape:
         raise ValueError("profiles must share a shape")
     if operands is None:
-        operands = (pair_operand(wpbl_1), pair_operand(wpbl_2))
+        operands = [(f, f.min(), f.max()) for f in (np.ravel(wpbl_1.T), np.ravel(wpbl_2.T))]
     (a, lo_a, hi_a), (b, lo_b, hi_b) = operands
     narrow = 0 < hi_a <= 3 * lo_b and 0 < hi_b <= 3 * lo_a
     p, q = wpbl_1.shape
@@ -424,9 +417,9 @@ class PipelineResult:
     memberships: list[MembershipMatrix]
     bpa_tensors: list[BpaTensor]
     owa: OwaWeights
-    beliefs: list[np.ndarray]
-    plausibilities: list[np.ndarray]
-    wpbl_profiles: list[np.ndarray]
+    beliefs: np.ndarray  # (k, p, q); row e is expert e's (p, q) array
+    plausibilities: np.ndarray  # (k, p, q)
+    wpbl_profiles: np.ndarray  # (k, p, q)
     pair_ids: tuple[tuple[str, str], ...]
     pair_divergences: np.ndarray  # (alternatives, pairs): a transposed view of the pair table
     dmm: np.ndarray
@@ -443,8 +436,8 @@ def run_pipeline(
 
     ``with_ranking=False`` stops after the expert weights, which is what
     the feature-fusion harness needs (feature matrices may be negative,
-    so the nonnegative ideal-solution ranking does not apply). Each
-    expert's profile is laid out once for the pair loop (``pair_operand``).
+    so the nonnegative ideal-solution ranking does not apply). The pair
+    loop reads rows of one (k, p*q) attribute-major view of the profiles.
     """
     config = config or RunConfig()
     if len(matrices) < 2:
@@ -472,13 +465,11 @@ def run_pipeline(
     owa = owa_weights(config.terms, config.owa_scheme, config.orness)
     beliefs = ordered_weighted_belief(tensors, owa)
     plausibilities = ordered_weighted_plausibility(beliefs)
-    profiles = [
-        expert_wpbl(b, pl, axis=config.wpbl_axis)
-        for b, pl in zip(beliefs, plausibilities)
-    ]
+    profiles = expert_wpbl(beliefs, plausibilities, axis=config.wpbl_axis)
     _, _, pairs = _expert_pairs(len(ids))
     pair_ids = tuple((ids[i], ids[j]) for i, j in pairs)
-    operands = [pair_operand(pr) for pr in profiles]
+    flat = profiles.transpose(0, 2, 1).reshape(len(ids), -1)
+    operands = list(zip(flat, flat.min(axis=1).tolist(), flat.max(axis=1).tolist()))
     table = np.empty((len(pairs), first.shape[0]))
     for n, (i, j) in enumerate(pairs):
         table[n] = pairwise_divergence(

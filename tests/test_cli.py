@@ -58,6 +58,12 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(pair_weights=(0.7, 0.6))
 
+    @pytest.mark.parametrize("weights", [(1.0, 0.0), (0.0, 1.0)])
+    def test_zero_pair_weight_rejected(self, weights):
+        # either zero weight makes every pair divergence 0: no expert can be weighted
+        with pytest.raises(ConfigError, match="pair_weights"):
+            RunConfig(pair_weights=weights)
+
     def test_round_trip_via_dict(self):
         cfg = RunConfig(orness=0.7, log_base="e", seed=11)
         clone = RunConfig.from_dict(cfg.to_dict())
@@ -233,6 +239,13 @@ class TestRankCommand:
         assert main(["rank", *recruitment_csvs, "--config", str(cfg)]) == 4
         assert "unknown config keys: ['clamp_out_of_domain']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("weights", ["[1.0, 0.0]", "[0.0, 1.0]"])
+    def test_zero_pair_weight_exits_4(self, recruitment_csvs, tmp_path, capsys, weights):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"pair_weights": {weights}}}')
+        assert main(["rank", *recruitment_csvs, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+        assert "pair_weights" in capsys.readouterr().err
+
     def test_config_controls_pipeline(self, recruitment_csvs, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"owa_scheme": "uniform"}')
@@ -257,6 +270,16 @@ class TestCsvRoundTrip:
         np.testing.assert_allclose(back.values, matrix.values, atol=1e-12)
         assert back.alternative_labels == matrix.alternative_labels
         assert back.attribute_labels == matrix.attribute_labels
+
+    def test_bundled_csvs_hold_the_recruitment_study(self, recruitment_csvs):
+        # verify-paper reads recruitment.RAW_SCORES, rank the CSVs: one study, two copies
+        from evidential_magdm import recruitment
+
+        for got, want in zip(dataio.read_decision_matrices(recruitment_csvs), recruitment.decision_matrices(), strict=True):
+            assert got.expert_id == want.expert_id
+            assert np.array_equal(got.values, want.values)
+            assert got.alternative_labels == want.alternative_labels
+            assert got.attribute_labels == want.attribute_labels
 
     def test_signed_values_stay_accepted_outside_rank_csvs(self, tmp_path):
         (tmp_path / "s.csv").write_text("f0,f1,label\n-1.5,2,0\n3,-4e2,1\n")
@@ -456,10 +479,7 @@ class TestFuseFeaturesCommand:
 
 class TestVerifyPaperCommand:
     def test_module_entry_point(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "evidential_magdm.cli", "verify-paper"],
-            capture_output=True, text=True,
-        )
+        proc = fresh_python("-m", "evidential_magdm.cli", "verify-paper")
         assert proc.returncode == 0
         assert "all checks passed" in proc.stdout
 

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from decimal_oracle import ordered_weighted_sums, relative_errors
 from evidential_magdm import pipeline, recruitment as ref
@@ -29,7 +29,6 @@ from evidential_magdm.pipeline import (
     ordered_weighted_belief,
     ordered_weighted_plausibility,
     owa_weights,
-    pair_operand,
     pairwise_divergence,
     rank,
     run_pipeline,
@@ -166,6 +165,15 @@ class TestOrderedWeightedBelief:
         with pytest.raises(ValueError):
             ordered_weighted_belief([self.tensor()], owa_weights(4, "uniform"))
 
+    @pytest.mark.parametrize("shapes", [[(17, 2), (17, 3)], [(17, 2), (12, 2)]])
+    def test_experts_of_different_shapes_are_refused(self, shapes):
+        rng = np.random.default_rng(5)
+        tensors = [
+            t for e, shape in enumerate(shapes)
+            for t in bpa_tensor(membership_matrix([DecisionMatrix(f"e{e}", rng.uniform(0, 9, size=shape))]))
+        ]
+        with pytest.raises(ValueError, match="shapes differ"):
+            ordered_weighted_belief(tensors, owa_weights(5, "uniform"))
 
     @pytest.mark.parametrize("length", range(1, 13))
     def test_network_sorts_every_zero_one_sequence(self, length):
@@ -282,7 +290,9 @@ class TestGroupPass:
 
 
 class TestExpertStageLayout:
-    """Each expert's arrays are transposes of C-contiguous (q, p) blocks."""
+    """Beliefs, plausibilities and profiles are (k, p, q) stacks, each the
+    transpose of a C-contiguous (k, q, p) block; the pair loop reads rows
+    of a (k, p*q) view of the profiles."""
 
     @pytest.mark.parametrize("axis", ["attributes", "alternatives"])
     @pytest.mark.parametrize("k, p, q", [(3, 240, 8), (64, 30, 4), (2, 17, 1)])
@@ -290,14 +300,18 @@ class TestExpertStageLayout:
         rng = np.random.default_rng(k)
         matrices = [DecisionMatrix(f"e{e}", rng.normal(size=(p, q))) for e in range(k)]
         config = RunConfig(wpbl_axis=axis, zero_average_policy="full-weight")  # q = 1 profiles agree
-        result = run_pipeline(matrices, config, with_ranking=False)
-        for arrays in (result.beliefs, result.plausibilities, result.wpbl_profiles):
-            assert all(a.shape == (p, q) and a.T.flags.c_contiguous for a in arrays)
-        for profile in result.wpbl_profiles:
-            flat, lo, hi = pair_operand(profile)
-            assert np.shares_memory(flat, profile)
-            assert np.array_equal(flat, np.concatenate(list(profile.T)))  # attribute-major
-            assert (lo, hi) == (profile.min(), profile.max())
+        with mock.patch.object(pipeline, "pairwise_divergence", wraps=pipeline.pairwise_divergence) as pair:
+            result = run_pipeline(matrices, config, with_ranking=False)
+        profiles = result.wpbl_profiles
+        for stack in (result.beliefs, result.plausibilities, profiles):
+            assert stack.shape == (k, p, q) and stack.transpose(0, 2, 1).flags.c_contiguous
+        assert pair.call_count == k * (k - 1) // 2
+        for (first, second, *_), kwargs in pair.call_args_list:
+            for profile, (flat, lo, hi) in zip((first, second), kwargs["operands"]):
+                # a contiguous row of the (k, p*q) view, not a copy
+                assert flat.flags.c_contiguous and np.shares_memory(flat, profile)
+                assert np.array_equal(flat, np.concatenate(list(profile.T)))  # attribute-major
+                assert (lo, hi) == (profile.min(), profile.max())
 
     @pytest.mark.parametrize("k, p, q", [(3, 240, 8), (64, 30, 4), (4, 17, 2), (2, 1000, 1)])
     def test_masses_sum_to_one_within_4_ulp(self, k, p, q):
@@ -334,6 +348,50 @@ class TestOrderedWeightedPlausibility:
         bels = [rng.uniform(0.01, 1, size=(5, 3)) for _ in range(4)]
         pls = ordered_weighted_plausibility(bels)
         np.testing.assert_allclose(sum(pls), 1.0, atol=1e-9)
+
+
+@st.composite
+def belief_stacks(draw):
+    """A group's (k, p, q) belief stack, its groups up to k = 64 experts."""
+    k, p, q = draw(st.integers(2, 64)), draw(st.integers(2, 40)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrices = [DecisionMatrix(f"e{e}", rng.uniform(-5.0, 5.0, size=(p, q))) for e in range(k)]
+    return ordered_weighted_belief(bpa_tensor(membership_matrix(matrices)), owa_weights(5, "orness", 0.95))
+
+
+class TestStackedWeightingStage:
+    """Plausibility and profiles on the whole stack equal per-expert 2-d calls, bit for bit."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(beliefs=belief_stacks(), axis=st.sampled_from(["attributes", "alternatives"]))
+    @example(
+        # 64 experts of 40 x 8 cells fill two sort chunks
+        beliefs=ordered_weighted_belief(
+            bpa_tensor(membership_matrix([
+                DecisionMatrix(f"e{e}", np.random.default_rng(e).uniform(0, 9, size=(40, 8))) for e in range(64)
+            ])),
+            owa_weights(5, "orness", 0.95),
+        ),
+        axis="alternatives",
+    )
+    def test_stack_equals_per_expert_calls(self, beliefs, axis):
+        totals = beliefs[0] + beliefs[1]
+        for b in beliefs[2:]:
+            totals = totals + b  # experts added in order
+        plausibilities = ordered_weighted_plausibility(beliefs)
+        profiles = expert_wpbl(beliefs, plausibilities, axis=axis)
+        assert plausibilities.tobytes() == np.array([b / totals for b in beliefs]).tobytes()
+        assert ordered_weighted_plausibility(list(beliefs)).tobytes() == plausibilities.tobytes()
+        alone = [expert_wpbl(b, pl, axis=axis) for b, pl in zip(beliefs, plausibilities)]
+        assert profiles.tobytes() == np.array(alone).tobytes()
+
+    def test_zero_mass_error_names_the_expert(self):
+        bel = np.full((3, 2, 2), 0.2)
+        bel[1, 0] = 0.0
+        with pytest.raises(DegenerateCellError, match="expert 2: alternative 1 has zero"):
+            expert_wpbl(bel, bel, axis="attributes")
+        with pytest.raises(DegenerateCellError, match="^alternative 1 has zero"):
+            expert_wpbl(bel[1], bel[1], axis="attributes")
 
 
 class TestExpertWpbl:

@@ -2,10 +2,10 @@
 
 ``perfbench/tracing.py`` wraps library functions by name; a renamed or
 deleted one makes ``Instrumentation`` fail and every traced benchmark op
-with it. The per-expert stages take the whole expert group, so each of
-their spans records one call per ``run_pipeline``; the pair stage records
-one call per expert pair, and feature fusion runs the counts that
-``FusionWide.expected`` states. These tests only read ``perfbench/``.
+with it. The stages from memberships to profiles take the whole expert
+group, so each of their spans records one call per ``run_pipeline``;
+the pair stage records one call per expert pair, and feature fusion
+runs the counts that ``FusionWide.expected`` states. These tests only read ``perfbench/``.
 """
 
 import importlib
@@ -17,6 +17,14 @@ import numpy as np
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+# stages that take the whole expert group: one span per run_pipeline
+GROUP_STAGES = (
+    "linguistic.membership_matrix",
+    "linguistic.bpa_tensor",
+    "pipeline.ordered_weighted_belief",
+    "pipeline.ordered_weighted_plausibility",
+    "pipeline.expert_wpbl",
+)
 
 
 def load(name):
@@ -66,7 +74,7 @@ def test_per_expert_stages_run_once_per_pipeline(tracing, with_ranking):
     with tracing.Instrumentation(tracer):
         pipeline.run_pipeline(matrices, with_ranking=with_ranking)
     calls = {name: row["calls"] for name, row in tracing.summarize(tracer.spans).items()}
-    for stage in ("linguistic.membership_matrix", "linguistic.bpa_tensor", "pipeline.ordered_weighted_belief"):
+    for stage in GROUP_STAGES:
         assert calls[stage] == 1
     assert calls.get("linguistic.normalize_decision_matrix", 0) == (4 if with_ranking else 0)
 
@@ -109,5 +117,5 @@ def test_fusion_blocks_run_the_counts_the_benchmark_states(tracing, monkeypatch)
     assert cells == 12 * 240 * 8
     assert {name: calls.get(name, 0) for name in expected} == expected
     assert tracer.cells == cells
-    for stage in ("linguistic.membership_matrix", "linguistic.bpa_tensor", "pipeline.ordered_weighted_belief"):
+    for stage in GROUP_STAGES:
         assert calls[stage] == 4
