@@ -43,12 +43,10 @@ def _setup_logging() -> None:
 
 
 def _load_config(args, overrides: dict | None = None) -> RunConfig:
-    """``--config`` (or the defaults), then ``overrides``, then ``--seed``."""
+    """``--config`` (or the defaults), then ``overrides``."""
     config = RunConfig.from_file(args.config) if args.config else RunConfig()
     if overrides:
         config = RunConfig.from_dict({**config.to_dict(), **overrides})
-    if args.seed is not None:
-        config = config.replace(seed=args.seed)
     return config
 
 
@@ -89,8 +87,14 @@ def cmd_fuse_features(args) -> int:
     entries, manifest_config = dataio.read_manifest(args.manifest)
     if len(entries) < 2:
         raise ConfigError("feature fusion requires at least 2 sources")
+    if args.seed is not None:
+        manifest_config = {**manifest_config, "seed": args.seed}
     config = _load_config(args, overrides=manifest_config)
     sources = dataio.read_feature_sources(entries)
+    if all(s.labels is None for s in sources):
+        raise CsvFormatError(
+            f"{entries[0]['path']}:1: no source has a 'label' column, which scoring needs"
+        )
     weights, fused, metrics = evaluate_fusion(sources, config)
     out_dir = Path(args.out)
     dataio.write_feature_source(out_dir / "fused.csv", fused)
@@ -170,6 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     fuse_p = sub.add_parser("fuse-features", help="weight and fuse feature sources")
     fuse_p.add_argument("manifest", help="JSON manifest listing source CSVs and config")
+    fuse_p.add_argument("--seed", type=int, default=None,
+                        help="override the sampling and split seed of --config and the manifest")
     fuse_p.set_defaults(func=cmd_fuse_features)
 
     verify_p = sub.add_parser(
@@ -181,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON run-configuration file")
         p.add_argument("--out", default=".", help="output directory (default: .)")
         p.add_argument("--json", action="store_true", help="machine-readable stdout")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
     return parser
 
 

@@ -3,9 +3,7 @@
 The defaults are the calibrated settings that best reproduce the bundled
 recruitment study's published divergence table (see ``verify.py``):
 max-entropy ordered weights at orness 0.95, log base 2, pair weights
-(1/2, 1/2), belief-plausibility profiles over attribute propositions,
-per-pair aggregation by mean over alternatives, and expert averages
-divided by the number of experts.
+(1/2, 1/2) and belief-plausibility profiles over attribute propositions.
 """
 
 from __future__ import annotations
@@ -31,8 +29,6 @@ class RunConfig:
     log_base: str = "2"
     pair_weights: tuple[float, float] = (0.5, 0.5)
     wpbl_axis: str = "attributes"
-    mean_over_alternatives: bool = True
-    divide_by_k: bool = True
     uniform_when_degenerate: bool = False
     zero_average_policy: str = "error"
     seed: int = 0

@@ -69,7 +69,14 @@ def read_decision_matrix(path: str | Path) -> DecisionMatrix:
     header = rows[0]
     if len(header) < 2:
         raise CsvFormatError(f"{path}:1: header must name at least one attribute")
-    attributes = tuple(cell.strip() for cell in header[1:])
+    attributes = {}  # attribute -> column number
+    for col, cell in enumerate(header[1:], start=2):
+        name = cell.strip()
+        if name in attributes:
+            raise CsvFormatError(
+                f"{path}:1:{col}: attribute {name!r} repeats column {attributes[name]}"
+            )
+        attributes[name] = col
     labels = {}  # label -> line number
     values = []
     for line_no, row in enumerate(rows[1:], start=2):
@@ -86,7 +93,7 @@ def read_decision_matrix(path: str | Path) -> DecisionMatrix:
         values.append(
             [_parse_score(cell, path, line_no, col) for col, cell in enumerate(row[1:], start=2)]
         )
-    return DecisionMatrix(path.stem, np.asarray(values), tuple(labels), attributes)
+    return DecisionMatrix(path.stem, np.asarray(values), tuple(labels), tuple(attributes))
 
 
 def _row_count_error(path, count: int, first_path, first_count: int, rows: str) -> CsvFormatError:

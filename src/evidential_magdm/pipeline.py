@@ -20,9 +20,9 @@ Stages, all pure functions of their inputs:
    divergence kernel, at the default pair weights (1/2, 1/2) the
    cancellation-free closed form of ``divergence.pair_cells``, so experts who
    agree to many digits still get positive divergences; aggregated (mean
-   over alternatives by default) into a symmetric expert-by-expert matrix;
-7. average divergence per expert (divided by the expert count by
-   default), reciprocal supports, and normalised expert weights;
+   over alternatives) into a symmetric expert-by-expert matrix;
+7. average divergence per expert (row sum divided by the expert count),
+   reciprocal supports, and normalised expert weights;
 8. weight-fused matrix and ideal-solution ranking.
 
 Floating-point reductions run in fixed index order (a pair's cells
@@ -281,25 +281,19 @@ def pairwise_divergence(
     return np.add.reduce(pair_cells(a, b, pair_weights, base, narrow).reshape(q, p), axis=0)
 
 
-def divergence_matrix(
-    table: np.ndarray,
-    k: int,
-    mean_over_alternatives: bool = True,
-) -> np.ndarray:
+def divergence_matrix(table: np.ndarray, k: int) -> np.ndarray:
     """Symmetric k x k matrix of aggregated pair divergences.
 
     ``table`` has one row per expert pair in ``np.triu_indices(k, 1)``
-    order and one column per alternative; each row's sum (or mean) fills
-    both of its pair's cells.
+    order and one column per alternative; each row's mean fills both of
+    its pair's cells.
     """
     table = np.asarray(table, dtype=float)
     if table.ndim != 2 or table.shape[0] != k * (k - 1) // 2:
         raise ValueError(
             f"divergence table of shape {table.shape} needs one row per pair of {k} experts"
         )
-    values = table.sum(axis=1)
-    if mean_over_alternatives:
-        values /= table.shape[1]
+    values = table.sum(axis=1) / table.shape[1]
     rows, cols, _ = _expert_pairs(k)
     out = np.zeros((k, k))
     out[rows, cols] = out[cols, rows] = values
@@ -323,10 +317,10 @@ class ExpertWeights:
 def expert_weights(
     dmm: np.ndarray,
     expert_ids: tuple[str, ...],
-    divide_by_k: bool = True,
     zero_average_policy: str = "error",
 ) -> ExpertWeights:
-    """Average divergence per expert, reciprocal support, normalised weight.
+    """Average divergence per expert (row sum / k), reciprocal support,
+    normalised weight.
 
     An expert whose average divergence is zero agrees perfectly with the
     whole group; by default that is an error, under ``full-weight`` the
@@ -338,7 +332,7 @@ def expert_weights(
     k = len(expert_ids)
     if dmm.shape != (k, k):
         raise ValueError(f"divergence matrix shape {dmm.shape} != ({k}, {k})")
-    averages = dmm.sum(axis=1) / (k if divide_by_k else 1)
+    averages = dmm.sum(axis=1) / k
     negative = averages < 0
     if negative.any():
         negative_ids = tuple(e for e, n in zip(expert_ids, negative) if n)
@@ -475,12 +469,8 @@ def run_pipeline(
         table[n] = pairwise_divergence(
             profiles[i], profiles[j], config.pair_weights, base, operands=(operands[i], operands[j]),
         )
-    dmm = divergence_matrix(table, len(ids), config.mean_over_alternatives)
-    weights = expert_weights(
-        dmm, ids,
-        divide_by_k=config.divide_by_k,
-        zero_average_policy=config.zero_average_policy,
-    )
+    dmm = divergence_matrix(table, len(ids))
+    weights = expert_weights(dmm, ids, zero_average_policy=config.zero_average_policy)
     ranking = None
     if with_ranking:
         ranking = rank(fuse(normalized, weights.weights), first.alternative_labels)

@@ -15,45 +15,26 @@ consistent with the corrected values, not the printed ones.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
+from .dataio import read_decision_matrices
 from .linguistic import DecisionMatrix
 
 EXPERT_IDS = ("u1", "u2", "u3", "u4")
-ATTRIBUTES = ("Panel interview", "1-on-1 interview")
 EXPERT_PAIRS = (
     ("u1", "u2"), ("u1", "u3"), ("u1", "u4"),
     ("u2", "u3"), ("u2", "u4"), ("u3", "u4"),
 )
 
-# Raw scores: rows are candidates 1..17, columns (panel, 1-on-1).
-RAW_SCORES = {
-    "u1": [(80, 75), (65, 75), (90, 85), (65, 70), (75, 80), (80, 80), (65, 70),
-           (70, 60), (80, 85), (70, 75), (50, 60), (60, 65), (75, 75), (80, 70),
-           (70, 65), (90, 95), (80, 85)],
-    "u2": [(85, 80), (60, 70), (80, 85), (55, 60), (75, 80), (75, 85), (70, 60),
-           (75, 65), (95, 85), (75, 80), (62, 65), (65, 75), (80, 80), (75, 72),
-           (75, 70), (92, 90), (70, 75)],
-    "u3": [(75, 70), (70, 77), (80, 90), (68, 72), (50, 55), (77, 82), (65, 72),
-           (75, 67), (90, 85), (68, 78), (60, 65), (50, 60), (65, 75), (80, 70),
-           (65, 70), (85, 80), (75, 80)],
-    "u4": [(90, 85), (60, 70), (90, 95), (62, 72), (70, 75), (75, 75), (67, 75),
-           (82, 85), (90, 92), (65, 70), (65, 70), (45, 50), (70, 75), (75, 75),
-           (60, 65), (88, 90), (70, 75)],
-}
+DATA_DIR = Path(__file__).parent / "data" / "recruitment"
 
 
 def decision_matrices() -> list[DecisionMatrix]:
-    """The case study as one decision matrix per expert."""
-    return [
-        DecisionMatrix(
-            expert,
-            np.asarray(RAW_SCORES[expert], dtype=float),
-            tuple(str(i) for i in range(1, 18)),
-            ATTRIBUTES,
-        )
-        for expert in EXPERT_IDS
-    ]
+    """The case study as one decision matrix per expert, read from the
+    bundled CSVs (rows are candidates 1..17, columns panel and 1-on-1)."""
+    return read_decision_matrices([DATA_DIR / f"{expert}.csv" for expert in EXPERT_IDS])
 
 
 # Published membership degrees for expert u1 (panel terms 1..5, then

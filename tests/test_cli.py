@@ -1,7 +1,11 @@
 """CLI and configuration contract tests."""
 
+import argparse
+import dataclasses
+import itertools
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -13,7 +17,7 @@ import numpy as np
 import pytest
 
 from evidential_magdm import dataio
-from evidential_magdm.cli import main
+from evidential_magdm.cli import build_parser, main
 from evidential_magdm.config import RunConfig
 from evidential_magdm.errors import ConfigError
 from evidential_magdm.fusion import FeatureSet, make_synthetic_sources
@@ -181,6 +185,16 @@ class TestRankCommand:
         err = capsys.readouterr().err
         assert "a.csv:4:1: alternative 'x' repeats line 2" in err
 
+    def test_duplicate_attribute_exits_2_at_its_column(self, tmp_path, capsys):
+        # a repeated attribute would make the long-format dumps ambiguous
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        a.write_text("alternative,t1,t2,t1\nx,1,2,3\ny,3,4,5\n")
+        b.write_text("alternative,t1,t2,t1\nx,2,1,3\ny,4,3,5\n")
+        assert main(["rank", str(a), str(b), "--out", str(tmp_path / "out")]) == 2
+        assert "a.csv:1:4: attribute 't1' repeats column 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "other, message",
         [
@@ -232,12 +246,14 @@ class TestRankCommand:
         cfg.write_text('{"nope": 1}')
         assert main(["rank", *recruitment_csvs, "--config", str(cfg)]) == 4
 
-    def test_removed_clamp_key_exits_4(self, recruitment_csvs, tmp_path, capsys):
-        # the deleted field is rejected like any other unknown key
+    @pytest.mark.parametrize("key", ["clamp_out_of_domain", "mean_over_alternatives", "divide_by_k"])
+    def test_removed_key_exits_4(self, recruitment_csvs, tmp_path, capsys, key):
+        # a deleted field is rejected like any other unknown key
         cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"clamp_out_of_domain": true}')
-        assert main(["rank", *recruitment_csvs, "--config", str(cfg)]) == 4
-        assert "unknown config keys: ['clamp_out_of_domain']" in capsys.readouterr().err
+        cfg.write_text(json.dumps({key: True}))
+        assert main(["rank", *recruitment_csvs, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+        assert f"unknown config keys: [{key!r}]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("weights", ["[1.0, 0.0]", "[0.0, 1.0]"])
     def test_zero_pair_weight_exits_4(self, recruitment_csvs, tmp_path, capsys, weights):
@@ -270,16 +286,6 @@ class TestCsvRoundTrip:
         np.testing.assert_allclose(back.values, matrix.values, atol=1e-12)
         assert back.alternative_labels == matrix.alternative_labels
         assert back.attribute_labels == matrix.attribute_labels
-
-    def test_bundled_csvs_hold_the_recruitment_study(self, recruitment_csvs):
-        # verify-paper reads recruitment.RAW_SCORES, rank the CSVs: one study, two copies
-        from evidential_magdm import recruitment
-
-        for got, want in zip(dataio.read_decision_matrices(recruitment_csvs), recruitment.decision_matrices(), strict=True):
-            assert got.expert_id == want.expert_id
-            assert np.array_equal(got.values, want.values)
-            assert got.alternative_labels == want.alternative_labels
-            assert got.attribute_labels == want.attribute_labels
 
     def test_signed_values_stay_accepted_outside_rank_csvs(self, tmp_path):
         (tmp_path / "s.csv").write_text("f0,f1,label\n-1.5,2,0\n3,-4e2,1\n")
@@ -471,6 +477,29 @@ class TestFuseFeaturesCommand:
         assert f"{tmp_path / 'a.csv'}: need a header and at least 2 samples" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key", ["mean_over_alternatives", "divide_by_k"])
+    def test_removed_aggregation_keys_in_manifest_exit_4(self, tmp_path, capsys, key):
+        manifest = self.manifest_with(tmp_path, "removed", lambda features: None, {key: True})
+        assert main(["fuse-features", str(manifest), "--out", str(tmp_path / "out")]) == 4
+        assert f"unknown config keys: [{key!r}]" in capsys.readouterr().err
+
+    def test_unlabelled_sources_exit_2_before_weighting(self, tmp_path, capsys, monkeypatch):
+        rng = np.random.default_rng(0)
+        for name in ("a", "b"):
+            dataio.write_feature_source(tmp_path / f"{name}.csv", FeatureSet(name, rng.normal(size=(6, 3))))
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "sources": [{"id": "a", "path": "a.csv"}, {"id": "b", "path": "b.csv"}],
+        }))
+
+        def no_weighting(*args, **kwargs):
+            raise AssertionError("the weighting stage ran")
+
+        monkeypatch.setattr("evidential_magdm.cli.evaluate_fusion", no_weighting)
+        assert main(["fuse-features", str(manifest), "--out", str(tmp_path / "out")]) == 2
+        assert f"{tmp_path / 'a.csv'}:1: no source has a 'label' column" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_integral_float_label_is_accepted(self, tmp_path):
         (tmp_path / "s.csv").write_text("f0,label\n0.5,2.0\n0.25,1e0\n")
         labels = dataio.read_feature_source(tmp_path / "s.csv").labels
@@ -513,7 +542,7 @@ class TestUsageErrors:
         ["rank"],
         [],
         ["no-such-command"],
-        ["rank", "a.csv", "b.csv", "--seed", "x"],
+        ["fuse-features", "manifest.json", "--seed", "x"],
         ["verify-paper", "--dump-intermediates"],
         ["fuse-features", "manifest.json", "--dump-intermediates"],
     ])
@@ -524,11 +553,54 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("usage: ") and "error:" in err
 
+    @pytest.mark.parametrize("argv", [["rank", "a.csv", "b.csv", "--seed", "3"], ["verify-paper", "--seed", "3"]])
+    def test_seed_is_refused_outside_fuse_features(self, argv, capsys):
+        # only fusion samples and splits at random
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 4
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify-paper", "--help"])
         assert exc.value.code == 0
         assert "--out" in capsys.readouterr().out
+
+
+class TestReadmeTables:
+    """The README's flag and configuration tables list what the code takes."""
+
+    README = Path(__file__).resolve().parents[1] / "README.md"
+
+    def table_rows(self, heading: str) -> dict[str, str]:
+        """First cell -> second cell of the README table whose header row is ``heading``."""
+        lines = self.README.read_text().splitlines()
+        start = lines.index(heading) + 2
+        rows = {}
+        for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start:]):
+            cells = [cell.strip() for cell in line.strip("|").split("|")]
+            rows[cells[0]] = cells[1]
+        return rows
+
+    def test_flag_table_matches_the_parser(self):
+        [commands] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        documented = {
+            command.strip("`"): set(re.findall(r"`(--[\w-]+)", flags))
+            for command, flags in self.table_rows("| command | flags |").items()
+        }
+        parsed = {
+            name: {a.option_strings[-1] for a in sub._actions
+                   if a.option_strings and not isinstance(a, argparse._HelpAction)}
+            for name, sub in commands.choices.items()
+        }
+        assert documented == parsed
+
+    def test_config_table_names_every_field(self):
+        documented = set()
+        for keys in self.table_rows("| key | default | meaning |"):
+            documented.update(re.findall(r"`(\w+)`", keys))
+        assert documented == {f.name for f in dataclasses.fields(RunConfig)}
 
 
 def fresh_python(*argv: str) -> subprocess.CompletedProcess:

@@ -39,10 +39,10 @@ class TestNormalize:
 
     def test_reference_column_oracle(self):
         # oracle: explicit sum of squares over the bundled panel column
-        panel = [row[0] for row in ref.RAW_SCORES["u1"]]
+        m = ref.decision_matrices()[0]
+        panel = m.values[:, 0].tolist()
         norm = math.sqrt(sum(v * v for v in panel))
         assert norm == pytest.approx(math.sqrt(92925.0))
-        m = ref.decision_matrices()[0]
         out = normalize_decision_matrix(m)
         assert out.values[0, 0] == pytest.approx(80.0 / norm)
         assert out.values[0, 0] == pytest.approx(0.2624, abs=5e-5)
@@ -95,7 +95,7 @@ class TestColumnPartition:
     """A column's partition is its observed range [min, max]."""
 
     def test_reference_panel_extremes(self):
-        panel = [row[0] for row in ref.RAW_SCORES["u1"]]
+        panel = ref.decision_matrices()[0].values[:, 0]
         _, part = column_memberships(panel)
         assert (part.lower, part.upper) == (50.0, 90.0)
         assert part.alpha == pytest.approx(10.0)

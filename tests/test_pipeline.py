@@ -497,10 +497,6 @@ class TestDivergenceMatrix:
     def test_all_zero(self):
         np.testing.assert_allclose(divergence_matrix(np.zeros((3, 3)), 3), 0.0)
 
-    def test_sum_convention(self):
-        out = divergence_matrix(np.array([[0.001, 0.003]]), 2, mean_over_alternatives=False)
-        assert out[0, 1] == pytest.approx(0.004)
-
     def test_missing_pair_rejected(self):
         with pytest.raises(ValueError, match="one row per pair of 3 experts"):
             divergence_matrix(np.zeros((1, 2)), 3)
@@ -509,20 +505,18 @@ class TestDivergenceMatrix:
         with pytest.raises(ValueError, match="one row per pair of 3 experts"):
             divergence_matrix(np.zeros((4, 2)), 3)
 
-    @pytest.mark.parametrize("mean", [True, False])
-    def test_equals_per_column_reductions_bit_for_bit(self, mean):
+    def test_equals_per_column_reductions_bit_for_bit(self):
         # a pair's column of pair_divergences is its row of the table
         rng = np.random.default_rng(12)
         for k, p in ((2, 3), (3, 17), (5, 240), (9, 1000), (24, 50)):
             table = rng.exponential(1e-3, size=(k * (k - 1) // 2, p))
             expected = np.zeros((k, k))
             for (i, j), row in zip(zip(*np.triu_indices(k, 1)), table):
-                expected[i, j] = expected[j, i] = row.mean() if mean else row.sum()
-            assert np.array_equal(divergence_matrix(table, k, mean), expected)
+                expected[i, j] = expected[j, i] = row.mean()
+            assert np.array_equal(divergence_matrix(table, k), expected)
 
-    @pytest.mark.parametrize("mean", [True, False])
-    def test_report_aggregate_is_the_matrix_upper_triangle(self, mean):
-        config = RunConfig(mean_over_alternatives=mean, pair_weights=(0.8, 0.2))
+    def test_report_aggregate_is_the_matrix_upper_triangle(self):
+        config = RunConfig(pair_weights=(0.8, 0.2))
         result = run_pipeline(ref.decision_matrices(), config)
         aggregate = pipeline_report(result)["pairwise_divergence"]["aggregate"]
         k = len(result.expert_ids)
@@ -585,13 +579,6 @@ class TestExpertWeights:
         base = expert_weights(dmm, ("a", "b", "c", "d"))
         scaled = expert_weights(dmm * 37.0, ("a", "b", "c", "d"))
         np.testing.assert_allclose(base.weights, scaled.weights, atol=1e-12)
-
-    def test_literal_sum_convention_same_weights(self):
-        dmm = ref.PUBLISHED_DIVERGENCE_MATRIX
-        by_k = expert_weights(dmm, ref.EXPERT_IDS, divide_by_k=True)
-        literal = expert_weights(dmm, ref.EXPERT_IDS, divide_by_k=False)
-        np.testing.assert_allclose(by_k.weights, literal.weights, atol=1e-12)
-        np.testing.assert_allclose(literal.averages, by_k.averages * 4, atol=1e-15)
 
     def test_zero_average_policies(self):
         dmm = np.zeros((2, 2))
