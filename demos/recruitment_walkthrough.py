@@ -25,19 +25,20 @@ print(matrices[0].values[:5])
 
 # Stage 1: each attribute's observed range is split into five linguistic
 # terms; a candidate's score gets a degree in every term. The stage takes
-# the whole expert group at once; here it is a group of one.
-memberships = membership_matrix(matrices[:1], terms=config.terms)[0]
-print("\n=== membership degrees, candidate 1 (panel / 1-on-1) ===")
-print(memberships.degrees[0])
-print("partition for the panel column:", memberships.partitions[0])
+# the whole expert group at once and returns one (expert, candidate,
+# attribute, term) stack; row 0 is expert u1.
+memberships = membership_matrix(matrices, terms=config.terms)
+print("\n=== membership degrees, expert u1, candidate 1 (panel / 1-on-1) ===")
+print(memberships.degrees[0, 0])
+print("partition for u1's panel column:", memberships.partitions(0)[0])
 
 # Column-normalising over candidates turns each (attribute, term) column
 # into a mass assignment over the candidates.
-masses = bpa_tensor([memberships])[0]
-print("\n=== masses, candidate 1 ===")
-print(masses.masses[0])
-print("every (attribute, term) column sums to one:",
-      np.allclose(masses.masses.sum(axis=0), 1.0))
+masses = bpa_tensor(memberships).masses
+print("\n=== masses, expert u1, candidate 1 ===")
+print(masses[0, 0])
+print("every (expert, attribute, term) column sums to one:",
+      np.allclose(masses.sum(axis=1), 1.0))
 
 # Stages 2-8 inside run_pipeline: ordered weighted belief, cross-expert
 # plausibility, belief-plausibility profiles, pairwise divergences,

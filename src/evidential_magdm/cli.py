@@ -64,11 +64,11 @@ def cmd_rank(args) -> int:
     dataio.atomic_write_text(out_dir / "report.json", report_mod.dump_json(report))
     dataio.atomic_write_text(out_dir / "report.md", report_mod.render_markdown(report))
     if args.dump_intermediates:
-        for membership, tensor in zip(result.memberships, result.bpa_tensors):
-            for kind, values in (("memberships", membership.degrees), ("masses", tensor.masses)):
+        for e, expert_id in enumerate(result.expert_ids):
+            for kind, stack in (("memberships", result.memberships.degrees), ("masses", result.bpa_tensors.masses)):
                 dataio.write_term_values(
-                    out_dir / f"{tensor.expert_id}_{kind}.csv", tensor.expert_id,
-                    values, tensor.alternative_labels, tensor.attribute_labels,
+                    out_dir / f"{expert_id}_{kind}.csv", expert_id,
+                    stack[e], result.alternative_labels, result.attribute_labels,
                 )
     log.info("wrote %s and %s", out_dir / "report.json", out_dir / "report.md")
     if args.json:

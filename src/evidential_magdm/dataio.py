@@ -106,10 +106,15 @@ def _row_count_error(path, count: int, first_path, first_count: int, rows: str) 
 def read_decision_matrices(paths) -> list[DecisionMatrix]:
     """One matrix per expert file, each on the first file's attributes and
     alternatives, in order; a file that differs is a format error at its
-    first differing line."""
+    first differing line, and so is a file whose stem (the expert id)
+    repeats an earlier file's."""
     matrices = [read_decision_matrix(path) for path in paths]
     first, first_path = matrices[0], paths[0]
+    seen = {first.expert_id: first_path}
     for path, m in zip(paths[1:], matrices[1:]):
+        if m.expert_id in seen:
+            raise CsvFormatError(f"{path}:1: expert id {m.expert_id!r} (the file stem) repeats {seen[m.expert_id]}")
+        seen[m.expert_id] = path
         if m.attribute_labels != first.attribute_labels:
             raise CsvFormatError(
                 f"{path}:1: attributes {list(m.attribute_labels)}, "

@@ -20,18 +20,17 @@ one (k*q, p) matrix, one row per attribute column, and degrees and
 masses live in one alternative-innermost (terms, k*q, p) slab: every
 ufunc runs once per term over a whole (k*q, p) plane, with each column's
 domain broadcast as a (k*q, 1) column, and the sums over alternatives
-reduce contiguous rows (numpy sums them pairwise). Each expert's block is
-the row range ``columns`` of the slab; its ``degrees`` and ``masses`` are
-(p, q, terms) views of that block, and the next stage reads the group's
-slab from the records' ``slab`` and ``columns`` (``group_slab``). Column
-domains are checked as arrays and kept as ``lo``/``hi``; no stage needs
-partition objects, so ``partitions`` builds them only when read.
+reduce contiguous rows (numpy sums them pairwise). Each stage returns
+one record whose ``degrees`` or ``masses`` is the (k, p, q, terms) view
+``slab.reshape(terms, k, q, p).transpose(1, 3, 2, 0)``; the next stage
+reads the slab back with ``term_slab``, a view of a stage's own stack
+and a copy of a sub-stack or a reordering. Column domains are checked as arrays and kept as (k, q)
+``lo``/``hi``; no stage needs partition objects, so ``partitions(e)``
+builds them only on request.
 """
 
 from __future__ import annotations
 
-import bisect
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,6 +62,11 @@ class DecisionMatrix:
         if not np.isfinite(arr).all():
             raise ValueError(f"non-finite values in decision matrix {self.expert_id!r}")
         object.__setattr__(self, "values", arr)
+        # the caller's labels; the defaults below are unique by construction
+        for kind, labels in (("alternative", self.alternative_labels), ("attribute", self.attribute_labels)):
+            if len(set(labels)) != len(labels):
+                repeated = next(a for n, a in enumerate(labels) if a in labels[:n])
+                raise ValueError(f"{kind} label {repeated!r} repeats in decision matrix {self.expert_id!r}")
         if not self.alternative_labels:
             object.__setattr__(
                 self, "alternative_labels", tuple(str(i + 1) for i in range(p))
@@ -209,99 +213,61 @@ def _membership_kernel(values, lo, hi, scale, segments: int, out: np.ndarray) ->
 
 
 @dataclass(frozen=True)
-class _GroupBlock:
-    """An expert's block of a group pass: rows ``columns`` of the group's
-    (terms, columns, p) ``slab``, one row per attribute column, with column
-    j's domain [``lo[j]``, ``hi[j]``] (read-only arrays) split into
-    ``segments``."""
+class MembershipMatrix:
+    """Membership degrees of a whole expert group, shape (k, p, q, terms).
 
-    expert_id: str
-    slab: np.ndarray = field(repr=False)
-    columns: slice
+    ``degrees`` is the (k, p, q, terms) view of one alternative-innermost
+    (terms, k*q, p) slab, so writing to it writes to the slab. Column j
+    of expert e has the domain [``lo[e, j]``, ``hi[e, j]``] (read-only
+    (k, q) arrays) split into ``segments``; ``partitions(e)`` builds
+    expert e's ``LinguisticPartition`` objects on request.
+    """
+
+    degrees: np.ndarray = field(repr=False)
     lo: np.ndarray = field(repr=False)
     hi: np.ndarray = field(repr=False)
     segments: int
-    alternative_labels: tuple[str, ...]
-    attribute_labels: tuple[str, ...]
 
-    def _view(self) -> np.ndarray:
-        """The block as a (p, q, terms) view of the slab."""
-        return self.slab[:, self.columns].transpose(2, 1, 0)
-
-    def blocked(self) -> np.ndarray:
-        """2-d layout p x (q * terms), attribute blocks side by side."""
-        view = self._view()
-        return view.reshape(view.shape[0], -1)
-
-    @property
-    def partitions(self) -> tuple[LinguisticPartition, ...]:
-        """One ``LinguisticPartition`` per attribute column, built when read."""
-        return tuple(LinguisticPartition(c, d, self.segments) for c, d in zip(self.lo.tolist(), self.hi.tolist()))
+    def partitions(self, e: int) -> tuple[LinguisticPartition, ...]:
+        """One ``LinguisticPartition`` per attribute column of expert ``e``."""
+        return tuple(LinguisticPartition(c, d, self.segments) for c, d in zip(self.lo[e].tolist(), self.hi[e].tolist()))
 
 
 @dataclass(frozen=True)
-class MembershipMatrix(_GroupBlock):
-    """Per-expert membership degrees, shape (p, q, terms).
+class BpaTensor:
+    """Column-normalised masses of a whole expert group, shape (k, p, q, terms).
 
-    ``degrees`` is a view of the expert's rows of the group's degree
-    ``slab``, so writing to it writes to the slab; ``partitions`` builds
-    the matching ``LinguisticPartition`` objects on request.
+    Each (expert, attribute, term) column sums to 1 over alternatives
+    unless the membership column was identically zero, in which case the
+    masses stay zero and the column is recorded in ``zero_columns`` as an
+    (expert, attribute, term) triple.
     """
 
-    @property
-    def degrees(self) -> np.ndarray:
-        return self._view()
+    masses: np.ndarray = field(repr=False)
+    zero_columns: tuple[tuple[int, int, int], ...] = ()
 
 
-@dataclass(frozen=True)
-class BpaTensor(_GroupBlock):
-    """Column-normalised masses, same layout as the membership matrix.
+def term_slab(stack: np.ndarray) -> np.ndarray:
+    """The (terms, k*q, p) slab behind a (k, p, q, terms) stack.
 
-    Each (attribute, term) column sums to 1 over alternatives unless the
-    membership column was identically zero, in which case the masses stay
-    zero and the column index is recorded in ``zero_columns``. ``masses``
-    is a view of the expert's rows of the group's mass ``slab``; the
-    column domains are the memberships' own.
+    A view of a stage's own stack or of a slice of its experts, and a
+    copy of any other selection or reordering. Read it, do not write to it.
     """
-
-    zero_columns: tuple[tuple[int, int], ...] = ()
-
-    @property
-    def masses(self) -> np.ndarray:
-        return self._view()
-
-
-def group_slab(records) -> np.ndarray:
-    """The (terms, columns, p) slab of a list of group records, in list order.
-
-    Records that are, in order, adjacent blocks of one slab (a group
-    pass's records, or any run of them) read it in place; any other list
-    is copied into a new slab. Read it, do not write to it.
-    """
-    slab, start = records[0].slab, records[0].columns.start
-    stop = start
-    for r in records:
-        if r.slab is not slab or r.columns.start != stop:
-            return np.concatenate([r.slab[:, r.columns] for r in records], axis=1)
-        stop = r.columns.stop
-    return slab[:, start:stop]
-
-
-def _column_offsets(widths) -> list[int]:
-    """Start of each expert's columns in a group slab, plus the end."""
-    return list(itertools.accumulate(widths, initial=0))
+    k, p, q, terms = stack.shape
+    return stack.transpose(3, 0, 2, 1).reshape(terms, k * q, p)
 
 
 def membership_matrix(
     matrices: list[DecisionMatrix],
     terms: int = DEFAULT_TERMS,
     uniform_when_degenerate: bool = False,
-) -> list[MembershipMatrix]:
+) -> MembershipMatrix:
     """Memberships of every (alternative, attribute) pair of each expert.
 
-    The experts' transposed matrices are stacked as one (columns, p)
-    matrix, and all degrees are computed in one alternative-innermost
-    (terms, columns, p) slab; a single expert is a group of one.
+    The experts' matrices must share one (p, q) shape; a single expert is
+    a group of one. Their transposed matrices are stacked as one
+    (k*q, p) matrix, and all degrees are computed in one
+    alternative-innermost (terms, k*q, p) slab.
     Each column's domain [lo, hi] is its own extremes, so every value lies
     in it. A column whose values all coincide, or whose range float
     arithmetic cannot split into ``terms - 1`` segments, has no
@@ -316,8 +282,11 @@ def membership_matrix(
     segments = terms - 1
     if segments < 2:
         raise ValueError("need at least 2 segments (3 terms)")
-    offsets = _column_offsets([m.shape[1] for m in matrices])
-    values = np.empty((offsets[-1], matrices[0].shape[0]))
+    k, (p, q) = len(matrices), matrices[0].shape
+    for m in matrices[1:]:
+        if m.shape != (p, q):
+            raise ValueError(f"expert {m.expert_id!r} matrix shape {m.shape} != {(p, q)}")
+    values = np.empty((k * q, p))
     np.concatenate([m.values for m in matrices], axis=1, out=values.T)
     lo, hi = values.min(axis=1), values.max(axis=1)
     scale = _span_scale(lo, hi)
@@ -325,10 +294,9 @@ def membership_matrix(
     any_flat = flat.any()
     if any_flat:
         if not uniform_when_degenerate:
-            column = int(np.flatnonzero(flat)[0])
-            e = bisect.bisect_right(offsets, column) - 1
+            e, j = divmod(int(np.flatnonzero(flat)[0]), q)
             raise DegenerateDomainError(
-                f"attribute {matrices[e].attribute_labels[column - offsets[e]]!r} of expert "
+                f"attribute {matrices[e].attribute_labels[j]!r} of expert "
                 f"{matrices[e].expert_id!r} has a single observed value "
                 f"or a range that cannot be split into {segments} segments"
             )
@@ -350,39 +318,28 @@ def membership_matrix(
     )
     if any_flat:
         degrees[:, flat] = 1.0 / terms
-    return [
-        MembershipMatrix(
-            m.expert_id, degrees, slice(a, b), lo[a:b], hi[a:b], segments,
-            m.alternative_labels, m.attribute_labels,
-        )
-        for m, a, b in zip(matrices, offsets, offsets[1:])
-    ]
+    return MembershipMatrix(
+        degrees.reshape(terms, k, q, p).transpose(1, 3, 2, 0), lo.reshape(k, q), hi.reshape(k, q), segments,
+    )
 
 
-def bpa_tensor(memberships: list[MembershipMatrix]) -> list[BpaTensor]:
+def bpa_tensor(memberships: MembershipMatrix) -> BpaTensor:
     """Normalise each (attribute, term) column over alternatives, for a group.
 
-    The masses of all experts form one new (terms, columns, p) slab, and
-    each column's sum over alternatives reduces one contiguous row.
+    The degrees are read as their ``term_slab``; the masses form one new
+    slab of that layout, and each column's sum over alternatives reduces
+    one contiguous row.
     """
-    degrees = group_slab(memberships)
+    k, p, q, terms = memberships.degrees.shape
+    degrees = term_slab(memberships.degrees)
     sums = degrees.sum(axis=2, keepdims=True)
     positive = sums > 0
-    zero = None
+    zero_columns = ()
     if positive.all():
         masses = degrees / sums
     else:
         masses = np.zeros(degrees.shape)
         np.divide(degrees, sums, out=masses, where=positive)
-        zero = ~positive[:, :, 0].T
-    offsets = _column_offsets([r.columns.stop - r.columns.start for r in memberships])
-    return [
-        BpaTensor(
-            r.expert_id, masses, slice(a, b), r.lo, r.hi, r.segments,
-            r.alternative_labels, r.attribute_labels,
-            zero_columns=() if zero is None else tuple(
-                (int(j), int(f)) for j, f in np.argwhere(zero[a:b])
-            ),
-        )
-        for r, a, b in zip(memberships, offsets, offsets[1:])
-    ]
+        zero = ~positive[:, :, 0].T.reshape(k, q, terms)
+        zero_columns = tuple(tuple(c) for c in np.argwhere(zero).tolist())
+    return BpaTensor(masses.reshape(terms, k, q, p).transpose(1, 3, 2, 0), zero_columns)

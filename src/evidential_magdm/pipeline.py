@@ -4,11 +4,12 @@ Stages, all pure functions of their inputs:
 
 1. normalise each expert's matrix column-wise (Euclidean norm); only
    the fused ranking reads the result, so ``with_ranking=False`` skips it;
-2. linguistic memberships and masses for the whole expert group in one
-   alternative-innermost (terms, k*q, p) slab (``linguistic`` module),
-   one call each per run;
+2. linguistic memberships and masses for the whole expert group, one
+   call each per run (``linguistic`` module): each is one record holding
+   a (k, p, q, terms) stack, the view of one alternative-innermost
+   (terms, k*q, p) slab;
 3. ordered weighted belief per (alternative, attribute) cell, also one
-   call for the group: a compare-exchange network sorts the masses
+   call for the group: a compare-exchange network sorts the masses' slab
    along the term axis, and each belief is the fixed-order sum of the
    OWA-weighted sorted planes. The beliefs are one (k, p, q) stack, the
    transpose of a C-contiguous (k, q, p) block, and the elementwise
@@ -52,9 +53,9 @@ from .linguistic import (
     DecisionMatrix,
     MembershipMatrix,
     bpa_tensor,
-    group_slab,
     membership_matrix,
     normalize_decision_matrix,
+    term_slab,
 )
 
 
@@ -167,34 +168,33 @@ def _expert_pairs(k: int) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, int]
 _SORT_CELLS = 1 << 14
 
 
-def ordered_weighted_belief(tensors: list[BpaTensor], weights: OwaWeights) -> np.ndarray:
+def ordered_weighted_belief(tensors: BpaTensor, weights: OwaWeights) -> np.ndarray:
     """(k, p, q) stack of each expert's per-cell Σ_f w_f · (f-th largest mass).
 
-    A chunk of experts' masses is read as one (terms, columns, p) slab
-    (``group_slab``) and sorted along the term axis by a compare-exchange
-    network: each step writes the larger and the smaller of two whole
-    (columns, p) planes into two work planes, so the masses themselves
-    stay untouched. The belief is then the fixed-order sum
-    w_1·plane_1 + w_2·plane_2 + ... over the sorted planes, one multiply
-    and one add per term on whole planes, so every cell rounds the same
-    way whatever the chunking, the group size or the BLAS build. Each
-    chunk's sum fills its rows of one C-contiguous (k·q, p) block, and
-    the stack is its (k, p, q) transpose view: expert e's belief is the
-    transpose of the C-contiguous (q, p) block ``e``.
+    A chunk of experts' (k, p, q, terms) masses is read as its
+    (terms, columns, p) ``term_slab``, a view of a group pass's own stack,
+    and sorted along the term axis by a compare-exchange network: each step
+    writes the larger and the smaller of two whole (columns, p) planes
+    into two work planes, so the masses themselves stay untouched. The
+    belief is then the fixed-order sum w_1·plane_1 + w_2·plane_2 + ...
+    over the sorted planes, one multiply and one add per term on whole
+    planes, so every cell rounds the same way whatever the chunking, the
+    group size or the BLAS build. Each chunk's sum fills its rows of one
+    C-contiguous (k·q, p) block, and the stack is its (k, p, q) transpose
+    view: expert e's belief is the transpose of the C-contiguous (q, p)
+    block ``e``.
     """
-    shapes = {t.masses.shape for t in tensors}  # (p, q, terms)
-    if len(shapes) != 1:
-        raise ValueError(f"experts' mass shapes differ: {sorted(shapes)}")
-    [(p, q, terms)] = shapes
+    masses = tensors.masses
+    k, p, q, terms = masses.shape
     if weights.values.size != terms:
         raise ValueError(f"weight length {weights.values.size} != term count {terms}")
     network = _descending_network(terms)
     w = weights.values.tolist()
     per_chunk = max(1, _SORT_CELLS // (p * q))
-    block = np.empty((len(tensors) * q, p))
-    for first in range(0, len(tensors), per_chunk):
-        chunk = tensors[first:first + per_chunk]
-        planes = list(group_slab(chunk))  # read only
+    block = np.empty((k * q, p))
+    for first in range(0, k, per_chunk):
+        chunk = masses[first:first + per_chunk]
+        planes = list(term_slab(chunk))  # read only
         free = []  # work planes that no position holds any more
         for a, b in network:
             high = free.pop() if free else np.empty(planes[a].shape)
@@ -208,7 +208,7 @@ def ordered_weighted_belief(tensors: list[BpaTensor], weights: OwaWeights) -> np
         for f in range(1, terms):
             np.multiply(planes[f], w[f], out=term)
             belief += term
-    return block.reshape(len(tensors), q, p).transpose(0, 2, 1)
+    return block.reshape(k, q, p).transpose(0, 2, 1)
 
 
 def ordered_weighted_plausibility(beliefs) -> np.ndarray:
@@ -408,8 +408,8 @@ class PipelineResult:
     alternative_labels: tuple[str, ...]
     attribute_labels: tuple[str, ...]
     normalized: list[DecisionMatrix]
-    memberships: list[MembershipMatrix]
-    bpa_tensors: list[BpaTensor]
+    memberships: MembershipMatrix  # degrees (k, p, q, terms); row e is expert e
+    bpa_tensors: BpaTensor  # masses (k, p, q, terms), zero columns as (expert, attribute, term)
     owa: OwaWeights
     beliefs: np.ndarray  # (k, p, q); row e is expert e's (p, q) array
     plausibilities: np.ndarray  # (k, p, q)

@@ -56,18 +56,13 @@ def pipeline_report(result: PipelineResult, include_intermediates: bool = False)
             }
         )
     if include_intermediates:
-        report["memberships"] = {
-            r.expert_id: _listify(r.blocked()) for r in result.memberships
-        }
-        report["bpa"] = {
-            t.expert_id: _listify(t.blocked()) for t in result.bpa_tensors
-        }
-        report["wpbl"] = {
-            e: _listify(w) for e, w in zip(result.expert_ids, result.wpbl_profiles)
-        }
-        report["zero_bpa_columns"] = {
-            t.expert_id: [list(c) for c in t.zero_columns] for t in result.bpa_tensors
-        }
+        ids = result.expert_ids
+        p = len(result.alternative_labels)
+        report["memberships"] = {e: _listify(d.reshape(p, -1)) for e, d in zip(ids, result.memberships.degrees)}
+        report["bpa"] = {e: _listify(m.reshape(p, -1)) for e, m in zip(ids, result.bpa_tensors.masses)}
+        report["wpbl"] = {e: _listify(w) for e, w in zip(ids, result.wpbl_profiles)}
+        zero = result.bpa_tensors.zero_columns
+        report["zero_bpa_columns"] = {e: [[j, f] for i, j, f in zero if i == n] for n, e in enumerate(ids)}
     return report
 
 

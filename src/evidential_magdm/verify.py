@@ -60,9 +60,10 @@ def run_reference_checks(config: RunConfig | None = None) -> tuple[list[CheckRes
     result = run_pipeline(ref.decision_matrices(), config)
     checks: list[CheckResult] = []
 
-    membership = result.memberships[0]
+    p = len(result.alternative_labels)
+    membership = result.memberships.degrees[0].reshape(p, -1)
     reference = _published_membership_reference()
-    if membership.blocked().shape != reference.shape:
+    if membership.shape != reference.shape:
         checks.append(
             CheckResult(
                 "membership-table", False, None, None,
@@ -76,14 +77,14 @@ def run_reference_checks(config: RunConfig | None = None) -> tuple[list[CheckRes
             )
         )
     else:
-        delta = float(np.abs(membership.blocked() - reference).max())
+        delta = float(np.abs(membership - reference).max())
         checks.append(
             CheckResult(
                 "membership-table", delta <= 1e-4, delta, 1e-4,
                 "2 published cells corrected (documented transcription errata)",
             )
         )
-        delta = float(np.abs(result.bpa_tensors[0].blocked() - ref.PUBLISHED_MASSES_U1).max())
+        delta = float(np.abs(result.bpa_tensors.masses[0].reshape(p, -1) - ref.PUBLISHED_MASSES_U1).max())
         checks.append(CheckResult("mass-table", delta <= 1e-4, delta, 1e-4))
 
     mae = float(np.abs(result.pair_divergences - ref.PUBLISHED_PAIR_DIVERGENCES).mean())

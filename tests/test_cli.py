@@ -195,6 +195,17 @@ class TestRankCommand:
         assert "a.csv:1:4: attribute 't1' repeats column 2" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_repeated_file_stem_exits_2_naming_both_files(self, recruitment_csvs, tmp_path, capsys):
+        # the expert id is the file stem, so a/u1.csv and b/u1.csv are one expert twice
+        other = tmp_path / "b" / "u1.csv"
+        other.parent.mkdir()
+        shutil.copy(recruitment_csvs[1], other)
+        argv = ["rank", recruitment_csvs[0], str(other), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: {other}:1: expert id 'u1' (the file stem) repeats {recruitment_csvs[0]}" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "other, message",
         [

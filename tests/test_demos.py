@@ -1,6 +1,8 @@
-"""Every demo script runs to completion, warning-free, against the library."""
+"""Every demo script, and the README's library quick start, runs to
+completion, warning-free, against the library."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,13 +11,24 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs_without_warnings(demo):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
         [sys.executable, "-W", "error", str(demo)],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+        cwd=ROOT, env=ENV, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start_runs_without_warnings(tmp_path):
+    section = (ROOT / "README.md").read_text().split("## Library quick start\n", 1)[1]
+    block = re.match(r"\s*```python\n(.*?)```", section, re.S).group(1)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", block],
+        cwd=tmp_path, env=ENV, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout

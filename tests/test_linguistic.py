@@ -1,6 +1,7 @@
 """Linguistic partition, membership, and mass-tensor tests."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -16,10 +17,11 @@ from evidential_magdm.linguistic import (
     LinguisticPartition,
     _membership_kernel,
     _span_scale,
+    MembershipMatrix,
     bpa_tensor,
-    group_slab,
     membership_matrix,
     normalize_decision_matrix,
+    term_slab,
 )
 from evidential_magdm.pipeline import run_pipeline
 
@@ -87,8 +89,8 @@ class TestNormalize:
 
 def column_memberships(column, terms=DEFAULT_TERMS):
     """One expert's single column through ``membership_matrix``: (degrees, partition)."""
-    [got] = membership_matrix([simple_matrix(np.asarray(column, dtype=float)[:, None])], terms=terms)
-    return got.degrees[:, 0, :], got.partitions[0]
+    got = membership_matrix([simple_matrix(np.asarray(column, dtype=float)[:, None])], terms=terms)
+    return got.degrees[0, :, 0, :], got.partitions(0)[0]
 
 
 class TestColumnPartition:
@@ -155,20 +157,20 @@ class TestMembershipMatrix:
         table = ref.PUBLISHED_MEMBERSHIPS_U1.copy()
         for cell, corrected in ref.MEMBERSHIP_ERRATA.items():
             table[cell] = corrected
-        computed = membership_matrix(ref.decision_matrices()[:1])[0].blocked()
+        computed = membership_matrix(ref.decision_matrices()[:1]).degrees[0].reshape(17, -1)
         np.testing.assert_allclose(computed, table, atol=1e-4)
 
     def test_extremes_one_hot(self):
         m = simple_matrix([[0.0], [1.0], [0.5]])
-        degrees = membership_matrix([m])[0].degrees[:, 0, :]
+        degrees = membership_matrix([m]).degrees[0, :, 0, :]
         np.testing.assert_allclose(degrees[0], [1, 0, 0, 0, 0], atol=1e-12)
         np.testing.assert_allclose(degrees[1], [0, 0, 0, 0, 1], atol=1e-12)
 
     def test_scaling_leaves_memberships_unchanged(self):
         rng = np.random.default_rng(5)
         values = rng.uniform(10, 99, size=(8, 3))
-        base = membership_matrix([simple_matrix(values)])[0].degrees
-        scaled = membership_matrix([simple_matrix(values * 3.7)])[0].degrees
+        base = membership_matrix([simple_matrix(values)]).degrees
+        scaled = membership_matrix([simple_matrix(values * 3.7)]).degrees
         np.testing.assert_allclose(base, scaled, atol=1e-12)
 
     def test_degenerate_column_error_names_attribute(self):
@@ -178,7 +180,7 @@ class TestMembershipMatrix:
 
     def test_degenerate_column_uniform_override(self):
         m = simple_matrix([[1.0, 2.0], [1.0, 3.0]])
-        degrees = membership_matrix([m], uniform_when_degenerate=True)[0].degrees
+        degrees = membership_matrix([m], uniform_when_degenerate=True).degrees[0]
         np.testing.assert_allclose(degrees[:, 0, :], 0.2, atol=1e-12)
 
 
@@ -218,7 +220,7 @@ class TestMembershipKernel:
     @given(values=matrices_with_flat_columns(), terms=st.integers(5, 9))
     def test_matrix_equals_per_column_reference(self, values, terms):
         m = DecisionMatrix("x", values)
-        got = membership_matrix([m], terms=terms, uniform_when_degenerate=True)[0]
+        got = membership_matrix([m], terms=terms, uniform_when_degenerate=True)
         for j in range(values.shape[1]):
             column = values[:, j]
             if column.min() == column.max():
@@ -228,8 +230,8 @@ class TestMembershipKernel:
             else:
                 part = LinguisticPartition(column.min(), column.max(), terms - 1)
                 expected = term_loop_memberships(column, part)
-            assert np.array_equal(got.degrees[:, j, :], expected)
-            assert got.partitions[j] == part
+            assert np.array_equal(got.degrees[0, :, j, :], expected)
+            assert got.partitions(0)[j] == part
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(
@@ -241,8 +243,8 @@ class TestMembershipKernel:
             part = LinguisticPartition(column.min(), column.max(), segments)
         except DegenerateDomainError:
             assume(False)
-        got = membership_matrix([DecisionMatrix("x", column[:, None])], terms=segments + 1)[0]
-        assert np.array_equal(got.degrees[:, 0, :], term_loop_memberships(column, part))
+        got = membership_matrix([DecisionMatrix("x", column[:, None])], terms=segments + 1)
+        assert np.array_equal(got.degrees[0, :, 0, :], term_loop_memberships(column, part))
 
     def test_flat_column_error_names_first_flat_attribute(self):
         values = np.array([[1.0, 2.0, 7.0, 4.0], [3.0, 2.0, 7.0, 5.0]])
@@ -269,7 +271,7 @@ class TestMembershipKernel:
             warnings.simplefilter("error")
             with pytest.raises(DegenerateDomainError, match="attribute 't1' of expert 'e'"):
                 membership_matrix([m])
-            degrees = membership_matrix([m], uniform_when_degenerate=True)[0].degrees
+            degrees = membership_matrix([m], uniform_when_degenerate=True).degrees[0]
         assert np.array_equal(degrees[:, 0, :], np.full((3, 5), 0.2))
 
     @pytest.mark.parametrize("terms", [5, 7, 9])
@@ -279,11 +281,11 @@ class TestMembershipKernel:
         m = DecisionMatrix("e", np.array([[value] * 3, [1.0, 2.0, 3.0]]).T)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = membership_matrix([m], terms=terms, uniform_when_degenerate=True)[0]
-        assert np.array_equal(got.degrees[:, 0, :], np.full((3, terms), 1.0 / terms))
-        part = got.partitions[0]
+            got = membership_matrix([m], terms=terms, uniform_when_degenerate=True)
+        assert np.array_equal(got.degrees[0, :, 0, :], np.full((3, terms), 1.0 / terms))
+        part = got.partitions(0)[0]
         assert part.lower < value < part.upper
-        assert got.partitions[1] == LinguisticPartition(1.0, 3.0, terms - 1)
+        assert got.partitions(0)[1] == LinguisticPartition(1.0, 3.0, terms - 1)
 
     @pytest.mark.parametrize("terms", [3, 5, 9])
     @pytest.mark.parametrize("value", [_MAX, -_MAX], ids=["+max", "-max"])
@@ -293,19 +295,19 @@ class TestMembershipKernel:
         m = DecisionMatrix("e", np.array([[value] * 3, [1.0, 2.0, 3.0]]).T)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = membership_matrix([m], terms=terms, uniform_when_degenerate=True)[0]
-            part = got.partitions[0]
+            got = membership_matrix([m], terms=terms, uniform_when_degenerate=True)
+            part = got.partitions(0)[0]
             assert LinguisticPartition(part.lower, part.upper, terms - 1) == part
         assert math.isfinite(part.lower) and math.isfinite(part.upper)
         width = 2 * (terms - 1) * 2.0**971
         expected = (value - width, value) if value > 0 else (value, value + width)
         assert (part.lower, part.upper) == expected
-        assert np.array_equal(got.degrees[:, 0, :], np.full((3, terms), 1.0 / terms))
+        assert np.array_equal(got.degrees[0, :, 0, :], np.full((3, terms), 1.0 / terms))
 
     @pytest.mark.parametrize("value", [-3.0, 1e15])
     def test_flat_column_keeps_unit_half_width(self, value):
         m = DecisionMatrix("e", np.array([[value] * 3, [1.0, 2.0, 3.0]]).T)
-        part = membership_matrix([m], uniform_when_degenerate=True)[0].partitions[0]
+        part = membership_matrix([m], uniform_when_degenerate=True).partitions(0)[0]
         assert (part.lower, part.upper) == (value - 0.5, value + 0.5)
 
     @pytest.mark.parametrize("terms", [5, 7, 9])
@@ -318,13 +320,14 @@ class TestMembershipKernel:
         halved = DecisionMatrix("e", np.column_stack([column * 0.5, np.arange(12.0)]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = membership_matrix([wide], terms=terms)[0]
-            expected = membership_matrix([halved], terms=terms)[0]
-            peaks = [got.partitions[0].peak(t) for t in range(1, terms + 1)]
+            got = membership_matrix([wide], terms=terms)
+            expected = membership_matrix([halved], terms=terms)
+            part, half = got.partitions(0)[0], expected.partitions(0)[0]
+            peaks = [part.peak(t) for t in range(1, terms + 1)]
         assert np.array_equal(got.degrees, expected.degrees)
-        assert (got.partitions[0].lower, got.partitions[0].upper) == (-1e308, 1.7e308)
-        assert peaks == [2 * v for v in (expected.partitions[0].peak(t) for t in range(1, terms + 1))]
-        assert got.partitions[0].alpha == 2 * expected.partitions[0].alpha
+        assert (part.lower, part.upper) == (-1e308, 1.7e308)
+        assert peaks == [2 * v for v in (half.peak(t) for t in range(1, terms + 1))]
+        assert part.alpha == 2 * half.alpha
 
     @pytest.mark.parametrize(
         "lower, upper", [(0.0, 5e-324), (1.0, 1.0000000000000002)], ids=["zero-alpha", "peak-on-lower"],
@@ -357,18 +360,18 @@ class TestPartitionsOnRequest:
         matrices = [DecisionMatrix(f"e{e}", rng.normal(size=(p, q))) for e in range(k)]
         result = run_pipeline(matrices, with_ranking=False)
         assert built_partitions == []
-        parts = result.bpa_tensors[1].partitions
+        parts = result.memberships.partitions(1)
         assert len(built_partitions) == q
         column = matrices[1].values
         segments = DEFAULT_TERMS - 1
         assert parts == tuple(LinguisticPartition(c, d, segments) for c, d in zip(column.min(0), column.max(0)))
-        assert result.memberships[1].partitions == parts
+        assert result.memberships.lo.shape == result.memberships.hi.shape == (k, q)
 
     @pytest.mark.parametrize("terms", [5, 9])
     def test_flat_stand_ins_read_as_partitions(self, terms):
         values = [-_MAX, _MAX, 2.0**53, -1e17, 1e300, -3.0]
         m = DecisionMatrix("e", np.column_stack([[v] * 3 for v in values] + [[1.0, 2.0, 3.0]]))
-        got = membership_matrix([m], terms=terms, uniform_when_degenerate=True)[0]
+        got = membership_matrix([m], terms=terms, uniform_when_degenerate=True)
         segments = terms - 1
         expected = []
         for v in values:
@@ -379,14 +382,14 @@ class TestPartitionsOnRequest:
                 lower, upper = (v - 2 * half, v) if v > 0 else (v, v + 2 * half)
             expected.append(LinguisticPartition(lower, upper, segments))
         expected.append(LinguisticPartition(1.0, 3.0, segments))
-        assert got.partitions == tuple(expected)
-        assert (got.lo.tolist(), got.hi.tolist()) == ([e.lower for e in expected], [e.upper for e in expected])
-        assert bpa_tensor([got])[0].partitions == got.partitions
+        assert got.partitions(0) == tuple(expected)
+        assert (got.lo.tolist(), got.hi.tolist()) == ([[e.lower for e in expected]], [[e.upper for e in expected]])
 
     def test_domains_are_read_only(self):
-        got = membership_matrix([simple_matrix([[1.0, 4.0], [2.0, 3.0]])])[0]
-        with pytest.raises(ValueError):
-            got.lo[0] = 0.0
+        got = membership_matrix([simple_matrix([[1.0, 4.0], [2.0, 3.0]])])
+        for domain in (got.lo, got.hi):
+            with pytest.raises(ValueError):
+                domain[0, 0] = 0.0
 
     def test_unsplittable_stand_in_raises_at_membership_time(self, monkeypatch):
         # every real stand-in splits; a domain check that rejects every column
@@ -499,35 +502,35 @@ class TestMinEdgeKernel:
 
 class TestBpaTensor:
     def test_reference_expert_matches_published_table(self):
-        computed = bpa_tensor(membership_matrix(ref.decision_matrices()[:1]))[0]
-        np.testing.assert_allclose(computed.blocked(), ref.PUBLISHED_MASSES_U1, atol=1e-4)
+        computed = bpa_tensor(membership_matrix(ref.decision_matrices()[:1])).masses[0]
+        np.testing.assert_allclose(computed.reshape(17, -1), ref.PUBLISHED_MASSES_U1, atol=1e-4)
 
     def test_first_candidate_first_term_share(self):
-        computed = bpa_tensor(membership_matrix(ref.decision_matrices()[:1]))[0]
-        assert computed.masses[0, 0, 0] == pytest.approx(0.25 / 7.125, abs=1e-12)
-        assert computed.masses[0, 0, 0] == pytest.approx(0.0351, abs=1e-4)
+        computed = bpa_tensor(membership_matrix(ref.decision_matrices()[:1])).masses[0]
+        assert computed[0, 0, 0] == pytest.approx(0.25 / 7.125, abs=1e-12)
+        assert computed[0, 0, 0] == pytest.approx(0.0351, abs=1e-4)
 
     def test_uniform_memberships_share_equally(self):
         m = simple_matrix([[1.0, 9.0], [2.0, 8.0], [3.0, 7.0], [4.0, 6.0]])
-        r = membership_matrix([m])[0]
+        r = membership_matrix([m])
         r.degrees[:] = 0.5
-        masses = bpa_tensor([r])[0].masses
+        masses = bpa_tensor(r).masses
         np.testing.assert_allclose(masses, 0.25, atol=1e-12)
 
     def test_one_hot_column(self):
         m = simple_matrix([[1.0], [2.0], [3.0]])
-        r = membership_matrix([m])[0]
-        r.degrees[:, 0, 2] = [0.0, 1.0, 0.0]
-        masses = bpa_tensor([r])[0].masses
+        r = membership_matrix([m])
+        r.degrees[0, :, 0, 2] = [0.0, 1.0, 0.0]
+        masses = bpa_tensor(r).masses[0]
         np.testing.assert_allclose(masses[:, 0, 2], [0.0, 1.0, 0.0], atol=1e-12)
 
     def test_columns_sum_to_one_or_are_flagged(self):
         m = simple_matrix([[1.0], [2.0], [3.0]])
-        r = membership_matrix([m])[0]
-        r.degrees[:, 0, 1] = 0.0
-        tensor = bpa_tensor([r])[0]
-        sums = tensor.masses.sum(axis=0)
-        assert tensor.zero_columns == ((0, 1),)
+        r = membership_matrix([m])
+        r.degrees[0, :, 0, 1] = 0.0
+        tensor = bpa_tensor(r)
+        sums = tensor.masses[0].sum(axis=0)
+        assert tensor.zero_columns == ((0, 0, 1),)
         np.testing.assert_allclose(np.delete(sums[0], 1), 1.0, atol=1e-9)
         assert sums[0, 1] == 0.0
 
@@ -536,46 +539,63 @@ class TestBpaTensor:
         # computation gives bit-comparable masses
         rng = np.random.default_rng(6)
         m = simple_matrix(rng.uniform(20, 80, size=(9, 2)))
-        direct = bpa_tensor(membership_matrix([m]))[0].masses
-        via_normalized = bpa_tensor(membership_matrix([normalize_decision_matrix(m)]))[0].masses
+        direct = bpa_tensor(membership_matrix([m])).masses
+        via_normalized = bpa_tensor(membership_matrix([normalize_decision_matrix(m)])).masses
         np.testing.assert_allclose(direct, via_normalized, atol=1e-12)
 
 
 class TestGroupSlab:
+    """A group pass's stacks are views of one (terms, k*q, p) slab, expert
+    e's block its rows e*q to (e + 1)*q; a slab read back from a slice of
+    experts is a view, and from any other selection a copy."""
+
     @staticmethod
-    def group():
+    def matrices():
         rng = np.random.default_rng(9)
-        return membership_matrix([simple_matrix(rng.uniform(0, 9, size=(5, q)), f"e{q}") for q in (1, 3, 2, 4)])
+        return [simple_matrix(rng.uniform(0, 9, size=(5, 3)), f"e{e}") for e in range(4)]
 
     @pytest.mark.parametrize(
         "order", [(0, 1, 2, 3), (1, 2), (3,), (2, 1), (0, 2), (3, 2, 1, 0)],
         ids=["whole", "middle", "last", "swapped", "gap", "reversed"],
     )
     def test_equals_the_stacked_columns(self, order):
-        group = self.group()
-        records = [group[i] for i in order]
-        expected = np.concatenate([r.degrees.transpose(2, 1, 0) for r in records], axis=1)
-        got = group_slab(records)
-        assert np.array_equal(got, expected)
-        # adjacent blocks in group order are read in place, anything else is copied
+        group = membership_matrix(self.matrices())
         in_order = list(order) == list(range(order[0], order[-1] + 1))
-        assert np.shares_memory(got, group[0].slab) == in_order
+        stack = group.degrees[order[0]:order[-1] + 1] if in_order else group.degrees[list(order)]
+        expected = np.concatenate([group.degrees[e].transpose(2, 1, 0) for e in order], axis=1)
+        got = term_slab(stack)
+        assert np.array_equal(got, expected)
+        assert np.shares_memory(got, group.degrees) == in_order
 
-    def test_each_record_reads_its_own_rows(self):
-        group = self.group()
-        assert all(r.slab is group[0].slab for r in group)
-        assert [(r.columns.start, r.columns.stop) for r in group] == [(0, 1), (1, 4), (4, 6), (6, 10)]
-        for r in group:
-            assert np.shares_memory(r.degrees, r.slab)
-            assert r.degrees.transpose(2, 1, 0).base is r.slab
+    def test_each_expert_reads_its_own_rows(self):
+        group = membership_matrix(self.matrices())
+        tensor = bpa_tensor(group)
+        for stack in (group.degrees, tensor.masses):
+            slab = term_slab(stack)
+            assert np.shares_memory(slab, stack) and slab.flags.c_contiguous
+            for e in range(4):
+                assert np.shares_memory(stack[e], slab[:, 3 * e:3 * e + 3])
+                assert np.array_equal(stack[e].transpose(2, 1, 0), slab[:, 3 * e:3 * e + 3])
 
     def test_masses_of_a_subgroup_equal_the_group_masses(self):
-        group = self.group()
+        matrices = self.matrices()
+        group = membership_matrix(matrices)
         whole = bpa_tensor(group)
-        for part in ([group[1], group[2]], [group[3], group[0]]):
-            for t in bpa_tensor(part):
-                match = next(w for w in whole if w.expert_id == t.expert_id)
-                assert np.array_equal(t.masses, match.masses)
+        for keep in ([1, 2], [3, 0]):
+            alone = bpa_tensor(membership_matrix([matrices[e] for e in keep]))
+            sub = bpa_tensor(MembershipMatrix(group.degrees[keep], group.lo[keep], group.hi[keep], group.segments))
+            assert np.array_equal(alone.masses, whole.masses[keep])
+            assert np.array_equal(sub.masses, whole.masses[keep])
+
+    @pytest.mark.parametrize(
+        "shapes", [[(17, 2), (17, 3)], [(17, 2), (12, 2)], [(5, 1), (5, 3), (5, 2), (5, 4)]],
+        ids=["attributes", "alternatives", "mixed-widths"],
+    )
+    def test_experts_of_different_shapes_are_refused(self, shapes):
+        rng = np.random.default_rng(5)
+        matrices = [DecisionMatrix(f"e{e}", rng.uniform(0, 9, size=shape)) for e, shape in enumerate(shapes)]
+        with pytest.raises(ValueError, match=rf"expert 'e1' matrix shape {re.escape(str(shapes[1]))} != "):
+            membership_matrix(matrices)
 
 
 class TestDecisionMatrixValidation:
@@ -591,3 +611,17 @@ class TestDecisionMatrixValidation:
         m = simple_matrix([[1.0, 2.0], [3.0, 4.0]])
         assert m.alternative_labels == ("1", "2")
         assert m.attribute_labels == ("t1", "t2")
+
+    @pytest.mark.parametrize(
+        "alternatives, attributes, message",
+        [
+            (("z", "y", "x", "x"), ("a", "b"), "alternative label 'x' repeats"),
+            (("x", "y", "x", "y"), ("a", "b"), "alternative label 'x' repeats"),
+            ((), ("a", "b", "a", "c", "c"), "attribute label 'a' repeats"),
+        ],
+        ids=["alternative-pair", "two-alternative-pairs", "attributes"],
+    )
+    def test_repeated_labels_are_refused(self, alternatives, attributes, message):
+        values = np.arange(4.0 * len(attributes)).reshape(4, -1)
+        with pytest.raises(ValueError, match=f"{message} in decision matrix 'e'"):
+            DecisionMatrix("e", values, alternatives, attributes)

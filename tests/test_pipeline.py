@@ -18,7 +18,7 @@ from evidential_magdm.errors import (
     NegativeDivergenceError,
     ZeroDivergenceError,
 )
-from evidential_magdm.linguistic import DecisionMatrix, bpa_tensor, membership_matrix
+from evidential_magdm.linguistic import BpaTensor, DecisionMatrix, bpa_tensor, membership_matrix
 from evidential_magdm.pipeline import (
     _descending_network,
     _expert_pairs,
@@ -47,7 +47,7 @@ def fixed_order_belief(masses, weights):
 
 @st.composite
 def belief_groups(draw):
-    """Mass tensors of k random experts with the OWA weights of a drawn scheme."""
+    """The mass tensor of k random experts with the OWA weights of a drawn scheme."""
     k, p, q = draw(st.integers(1, 6)), draw(st.integers(2, 30)), draw(st.integers(1, 6))
     terms = draw(st.sampled_from([5, 7, 9]))
     scheme = draw(st.sampled_from(["uniform", "linear-descending", "orness"]))
@@ -131,20 +131,20 @@ class TestOwaWeights:
 
 class TestOrderedWeightedBelief:
     def tensor(self):
-        return bpa_tensor(membership_matrix(ref.decision_matrices()[:1]))[0]
+        return bpa_tensor(membership_matrix(ref.decision_matrices()[:1]))
 
     def test_uniform_weights_give_row_mean(self):
         tensor = self.tensor()
-        bel = ordered_weighted_belief([tensor], owa_weights(5, "uniform"))[0]
-        np.testing.assert_allclose(bel, tensor.masses.mean(axis=2), atol=1e-12)
+        bel = ordered_weighted_belief(tensor, owa_weights(5, "uniform"))[0]
+        np.testing.assert_allclose(bel, tensor.masses[0].mean(axis=2), atol=1e-12)
 
     def test_top_weight_gives_row_max(self):
         tensor = self.tensor()
         from evidential_magdm.pipeline import OwaWeights
 
         top = OwaWeights(np.array([1.0, 0, 0, 0, 0]), "top")
-        bel = ordered_weighted_belief([tensor], top)[0]
-        np.testing.assert_allclose(bel, tensor.masses.max(axis=2), atol=1e-12)
+        bel = ordered_weighted_belief(tensor, top)[0]
+        np.testing.assert_allclose(bel, tensor.masses[0].max(axis=2), atol=1e-12)
 
     def test_hand_dot_product_oracle(self):
         # published first-candidate panel masses, sorted descending and
@@ -156,24 +156,14 @@ class TestOrderedWeightedBelief:
         from evidential_magdm.pipeline import OwaWeights
 
         w = OwaWeights(np.array([0.4, 0.3, 0.2, 0.1, 0.0]), "linear-descending")
-        bel = ordered_weighted_belief([tensor], w)[0]
+        bel = ordered_weighted_belief(tensor, w)[0]
         sorted_row = sorted(row, reverse=True)
         oracle = sum(wf * v for wf, v in zip(w.values, sorted_row))
         assert bel[0, 0] == pytest.approx(oracle, abs=1e-4)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            ordered_weighted_belief([self.tensor()], owa_weights(4, "uniform"))
-
-    @pytest.mark.parametrize("shapes", [[(17, 2), (17, 3)], [(17, 2), (12, 2)]])
-    def test_experts_of_different_shapes_are_refused(self, shapes):
-        rng = np.random.default_rng(5)
-        tensors = [
-            t for e, shape in enumerate(shapes)
-            for t in bpa_tensor(membership_matrix([DecisionMatrix(f"e{e}", rng.uniform(0, 9, size=shape))]))
-        ]
-        with pytest.raises(ValueError, match="shapes differ"):
-            ordered_weighted_belief(tensors, owa_weights(5, "uniform"))
+            ordered_weighted_belief(self.tensor(), owa_weights(4, "uniform"))
 
     @pytest.mark.parametrize("length", range(1, 13))
     def test_network_sorts_every_zero_one_sequence(self, length):
@@ -193,15 +183,15 @@ class TestOrderedWeightedBelief:
         tensors = bpa_tensor(membership_matrix(matrices, terms=7))
         w = owa_weights(7, "linear-descending")
         beliefs = ordered_weighted_belief(tensors, w)
-        for t, bel in zip(tensors, beliefs):
-            assert np.array_equal(bel, fixed_order_belief(t.masses, w.values))
+        for masses, bel in zip(tensors.masses, beliefs):
+            assert np.array_equal(bel, fixed_order_belief(masses, w.values))
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(group=belief_groups())
     def test_sum_matches_decimal_oracle(self, group):
         tensors, owa = group
-        for t, bel in zip(tensors, ordered_weighted_belief(tensors, owa)):
-            expected = ordered_weighted_sums(t.masses, owa.values)
+        for masses, bel in zip(tensors.masses, ordered_weighted_belief(tensors, owa)):
+            expected = ordered_weighted_sums(masses, owa.values)
             assert max(relative_errors(bel.ravel(), expected)) <= 1e-15
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -209,12 +199,24 @@ class TestOrderedWeightedBelief:
     def test_chunking_does_not_change_a_bit(self, group, data):
         tensors, owa = group
         whole = ordered_weighted_belief(tensors, owa)
-        assert len(tensors) * tensors[0].masses[..., 0].size <= pipeline._SORT_CELLS
-        per_chunk = data.draw(st.integers(1, len(tensors)))
-        with mock.patch.object(pipeline, "_SORT_CELLS", per_chunk * tensors[0].masses[..., 0].size):
+        k = len(tensors.masses)
+        assert tensors.masses[..., 0].size <= pipeline._SORT_CELLS
+        per_chunk = data.draw(st.integers(1, k))
+        with mock.patch.object(pipeline, "_SORT_CELLS", per_chunk * tensors.masses[0, ..., 0].size):
             split = ordered_weighted_belief(tensors, owa)
         for a, b in zip(whole, split):
             assert a.tobytes() == b.tobytes()
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(group=belief_groups(), data=st.data())
+    def test_sub_stack_beliefs_are_the_group_rows(self, group, data):
+        # a subset or reordering of the experts is read through a copied slab
+        tensors, owa = group
+        k = len(tensors.masses)
+        keep = data.draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=k, unique=True))
+        whole = ordered_weighted_belief(tensors, owa)
+        sub = ordered_weighted_belief(BpaTensor(tensors.masses[keep]), owa)
+        assert sub.tobytes() == whole[keep].tobytes()
 
 
 @st.composite
@@ -254,13 +256,15 @@ class TestGroupPass:
         memberships = membership_matrix(matrices, config.terms, uniform_when_degenerate=True)
         tensors = bpa_tensor(memberships)
         beliefs = ordered_weighted_belief(tensors, owa)
-        for m, r, t, bel in zip(matrices, memberships, tensors, beliefs):
-            [alone] = membership_matrix([m], config.terms, uniform_when_degenerate=True)
-            [alone_t] = bpa_tensor([alone])
-            [alone_bel] = ordered_weighted_belief([alone_t], owa)
-            assert np.array_equal(r.degrees, alone.degrees) and r.partitions == alone.partitions
-            assert np.array_equal(t.masses, alone_t.masses) and t.zero_columns == alone_t.zero_columns
-            assert np.array_equal(bel, alone_bel)
+        for e, m in enumerate(matrices):
+            alone = membership_matrix([m], config.terms, uniform_when_degenerate=True)
+            alone_t = bpa_tensor(alone)
+            [alone_bel] = ordered_weighted_belief(alone_t, owa)
+            assert np.array_equal(memberships.degrees[e], alone.degrees[0])
+            assert memberships.partitions(e) == alone.partitions(0)
+            assert np.array_equal(tensors.masses[e], alone_t.masses[0])
+            assert [c[1:] for c in tensors.zero_columns if c[0] == e] == [c[1:] for c in alone_t.zero_columns]
+            assert np.array_equal(beliefs[e], alone_bel)
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(group=expert_groups(), data=st.data())
@@ -279,8 +283,8 @@ class TestGroupPass:
             assert base == permuted
             return
         for n, i in enumerate(order):
-            assert np.array_equal(permuted.memberships[n].degrees, base.memberships[i].degrees)
-            assert np.array_equal(permuted.bpa_tensors[n].masses, base.bpa_tensors[i].masses)
+            assert np.array_equal(permuted.memberships.degrees[n], base.memberships.degrees[i])
+            assert np.array_equal(permuted.bpa_tensors.masses[n], base.bpa_tensors.masses[i])
             assert np.array_equal(permuted.beliefs[n], base.beliefs[i])
         np.testing.assert_allclose(permuted.weights.weights, base.weights.weights[list(order)], rtol=0, atol=1e-12)
 
@@ -317,9 +321,20 @@ class TestExpertStageLayout:
     def test_masses_sum_to_one_within_4_ulp(self, k, p, q):
         rng = np.random.default_rng(p)
         matrices = [DecisionMatrix(f"e{e}", rng.normal(size=(p, q))) for e in range(k)]
-        for t in bpa_tensor(membership_matrix(matrices)):
-            columns = t.masses.reshape(p, -1).T
+        for masses in bpa_tensor(membership_matrix(matrices)).masses:
+            columns = masses.reshape(p, -1).T
             assert max(abs(math.fsum(c) - 1.0) for c in columns) <= 4 * np.finfo(float).eps
+
+    def test_group_masses_are_sorted_without_a_copy(self):
+        # the first compare-exchange step reads two term planes of the masses'
+        # slab: a view for the group or a slice of it, a copy for a reordering
+        rng = np.random.default_rng(3)
+        tensors = bpa_tensor(membership_matrix([DecisionMatrix(f"e{e}", rng.normal(size=(6, 2))) for e in range(4)]))
+        for masses, in_place in ((tensors.masses, True), (tensors.masses[1:3], True), (tensors.masses[[2, 1]], False)):
+            with mock.patch.object(np, "maximum", wraps=np.maximum) as maximum:
+                ordered_weighted_belief(BpaTensor(masses), owa_weights(5, "uniform"))
+            first, second = maximum.call_args_list[0].args[:2]
+            assert np.shares_memory(first, masses) == np.shares_memory(second, masses) == in_place
 
 
 class TestOrderedWeightedPlausibility:
