@@ -205,9 +205,6 @@ def main(argv=None) -> int:
     except MagdmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,7 +24,6 @@ ZERO_AVERAGE_POLICIES = ("error", "full-weight")
 @dataclass(frozen=True)
 class RunConfig:
     terms: int = 5
-    allow_nonstandard_terms: bool = False
     owa_scheme: str = "orness"
     orness: float = 0.95
     log_base: str = "2"
@@ -40,13 +40,16 @@ class RunConfig:
     inputs: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.terms < 3:
-            raise ConfigError(f"terms must be >= 3, got {self.terms}")
-        if not self.allow_nonstandard_terms and not 5 <= self.terms <= 9:
-            raise ConfigError(
-                f"terms={self.terms} outside the standard 5..9 range "
-                "(set allow_nonstandard_terms to override)"
-            )
+        # the integer fields and their least values; bools are not integers here
+        for name, least in (("terms", 5), ("seed", 0), ("block_size", 1), ("sample_cap", 2)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ConfigError(f"{name} must be >= {least}, got {value}")
+            object.__setattr__(self, name, int(value))
+        if self.terms > 9:
+            raise ConfigError(f"terms must be <= 9, got {self.terms}")
         if self.owa_scheme not in OWA_SCHEMES:
             raise ConfigError(f"unknown owa_scheme {self.owa_scheme!r}; use one of {OWA_SCHEMES}")
         if self.owa_scheme == "orness" and not 0.0 < self.orness < 1.0:
@@ -64,10 +67,6 @@ class RunConfig:
                 f"zero_average_policy must be one of {ZERO_AVERAGE_POLICIES}, "
                 f"got {self.zero_average_policy!r}"
             )
-        if self.block_size < 1:
-            raise ConfigError("block_size must be >= 1")
-        if self.sample_cap < 2:
-            raise ConfigError("sample_cap must be >= 2")
         if not 0.0 < self.split_ratio < 1.0:
             raise ConfigError(f"split_ratio must lie in (0, 1), got {self.split_ratio}")
         object.__setattr__(self, "inputs", tuple(self.inputs))
@@ -87,7 +86,7 @@ class RunConfig:
     def from_file(cls, path: str | Path) -> "RunConfig":
         try:
             text = Path(path).read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         try:
             data = json.loads(text)

@@ -29,9 +29,14 @@ def _read_rows(path: Path) -> list[list[str]]:
     """All CSV rows; blank lines at the end of the file are dropped."""
     try:
         with open(path, newline="") as handle:
-            rows = list(csv.reader(handle))
+            reader = csv.reader(handle)
+            rows = list(reader)
     except OSError as exc:
         raise CsvFormatError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"{path}: not a text file ({exc.reason})") from exc
+    except csv.Error as exc:
+        raise CsvFormatError(f"{path}:{reader.line_num}: {exc}") from exc
     while rows and not rows[-1]:
         rows.pop()
     return rows
@@ -168,15 +173,26 @@ def read_feature_source(path: str | Path, source_id: str | None = None) -> Featu
 
 def read_feature_sources(entries: list[dict]) -> list[FeatureSet]:
     """One source per manifest entry (``{"path", "id"}``), each with the
-    first source's dimensions and samples; a file that differs is a format
-    error at its header or at its first unmatched sample line."""
+    first source's dimensions and samples, and each labelled one with the
+    first labelled source's labels; a file that differs is a format error
+    at its header, at its first unmatched sample line or at its first
+    differing label."""
     sources = [read_feature_source(entry["path"], entry["id"]) for entry in entries]
     first, first_path = sources[0], entries[0]["path"]
+    labelled = [(entry["path"], s.labels) for entry, s in zip(entries, sources) if s.labels is not None]
     for entry, s in zip(entries[1:], sources[1:]):
         if s.n_dims != first.n_dims:
             raise CsvFormatError(f"{entry['path']}:1: {s.n_dims} feature columns, {first_path} has {first.n_dims}")
         if s.n_samples != first.n_samples:
             raise _row_count_error(entry["path"], s.n_samples, first_path, first.n_samples, "samples")
+        if s.labels is not None:
+            labels_path, labels = labelled[0]
+            differ = np.flatnonzero(s.labels != labels)
+            if differ.size:
+                i = int(differ[0])
+                raise CsvFormatError(
+                    f"{entry['path']}:{i + 2}:{s.n_dims + 1}: label {s.labels[i]}, {labels_path} has {labels[i]}"
+                )
     return sources
 
 
@@ -210,11 +226,15 @@ def write_term_values(path: str | Path, expert_id: str, values, alternative_labe
 
 
 def read_manifest(path: str | Path) -> tuple[list[dict], dict]:
-    """Feature-fusion manifest: {"sources": [{"id", "path"}...], "config": {...}}."""
+    """Feature-fusion manifest: {"sources": [{"id", "path"}...], "config": {...}}.
+
+    A source's id defaults to its file stem; ids must be distinct
+    nonempty strings, which is checked before any source is read.
+    """
     path = Path(path)
     try:
         data = json.loads(path.read_text())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read manifest {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"manifest {path} is not valid JSON: {exc}") from exc
@@ -224,13 +244,20 @@ def read_manifest(path: str | Path) -> tuple[list[dict], dict]:
     if not isinstance(sources, list) or not sources:
         raise ConfigError(f"manifest {path}: 'sources' must be a nonempty list")
     resolved = []
-    for entry in sources:
-        if not isinstance(entry, dict) or "path" not in entry:
-            raise ConfigError(f"manifest {path}: each source needs a 'path'")
+    seen = {}  # id -> 1-based source number
+    for n, entry in enumerate(sources, start=1):
+        if not isinstance(entry, dict) or not isinstance(entry.get("path"), str):
+            raise ConfigError(f"manifest {path}: each source needs a 'path' string")
         source_path = Path(entry["path"])
         if not source_path.is_absolute():
             source_path = path.parent / source_path
-        resolved.append({"id": entry.get("id"), "path": source_path})
+        source_id = entry.get("id", source_path.stem)
+        if not isinstance(source_id, str) or not source_id:
+            raise ConfigError(f"manifest {path}: source {n} id {source_id!r} is not a nonempty string")
+        if source_id in seen:
+            raise ConfigError(f"manifest {path}: sources {seen[source_id]} and {n} share the id {source_id!r}")
+        seen[source_id] = n
+        resolved.append({"id": source_id, "path": source_path})
     config = data.get("config", {})
     if not isinstance(config, dict):
         raise ConfigError(f"manifest {path}: 'config' must be an object")

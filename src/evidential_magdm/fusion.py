@@ -118,19 +118,28 @@ def estimate_fusion_weights(sources: list[FeatureSet], config: RunConfig | None 
 def fuse_features(sources: list[FeatureSet], weights: ExpertWeights) -> FeatureSet:
     """Convex combination of column-normalised sources (``pipeline.fuse``).
 
-    A zero dimension is named ``f<j>`` with its source in the error.
+    A zero dimension is named ``f<j>`` with its source in the error. The
+    labelled sources must agree on every sample's label; the fused set
+    carries their labels.
     """
     _, d = _check_conformable(sources)
     if tuple(s.source_id for s in sources) != weights.expert_ids:
         raise ValueError("weights were estimated for a different source list")
+    labelled = [s for s in sources if s.labels is not None]
+    for s in labelled[1:]:
+        differ = np.flatnonzero(s.labels != labelled[0].labels)
+        if differ.size:
+            i = differ[0]
+            raise ValueError(
+                f"source {s.source_id!r} has label {s.labels[i]} at sample s{i}, "
+                f"source {labelled[0].source_id!r} has {labelled[0].labels[i]}"
+            )
     dims = tuple(f"f{j}" for j in range(d))
-    normalized = [
-        normalize_decision_matrix(DecisionMatrix(s.source_id, s.features, attribute_labels=dims))
-        for s in sources
-    ]
+    normalized = normalize_decision_matrix(
+        [DecisionMatrix(s.source_id, s.features, attribute_labels=dims) for s in sources]
+    )
     fused = fuse(normalized, weights.weights)
-    labels = next((s.labels for s in sources if s.labels is not None), None)
-    return FeatureSet("fused", fused, labels)
+    return FeatureSet("fused", fused, labelled[0].labels if labelled else None)
 
 
 def _distinct(values) -> np.ndarray:

@@ -146,35 +146,46 @@ class LinguisticPartition:
         return (lo + (term - 1) * ((self.upper * scale - lo) / self.segments)) / scale
 
 
-def normalize_decision_matrix(matrix: DecisionMatrix) -> DecisionMatrix:
-    """Divide each attribute column by its Euclidean norm (benefit attributes).
+def group_shape(matrices: list[DecisionMatrix]) -> tuple[int, int]:
+    """The (p, q) shape that every expert's matrix must share."""
+    shape = matrices[0].shape
+    for m in matrices[1:]:
+        if m.shape != shape:
+            raise ValueError(f"expert {m.expert_id!r} matrix shape {m.shape} != {shape}")
+    return shape
 
-    A column whose sum of squares leaves the normal float range (it
-    overflows, or it underflows while the column holds a nonzero value)
-    is first divided by its largest magnitude, where it cannot; every
-    other column is divided by its norm directly.
+
+def normalize_decision_matrix(matrices: list[DecisionMatrix]) -> np.ndarray:
+    """(k, p, q) stack of the experts' matrices, each attribute column
+    divided by its Euclidean norm (benefit attributes).
+
+    Sums of squares add the alternatives in order, in the stack's own
+    buffer. A column whose sum of squares leaves the normal float range
+    (it overflows, or it underflows while the column holds a nonzero
+    value) is first divided by its largest magnitude, where it cannot. An
+    all-zero column is an error naming the first one in expert order.
     """
-    values = matrix.values
+    k, (p, q) = len(matrices), group_shape(matrices)
+    values = [m.values for m in matrices]
+    out = np.stack(values, out=np.empty((k, p, q)))
     with np.errstate(over="ignore"):
-        squares = (values ** 2).sum(axis=0)
+        squares = np.square(out, out=out).sum(axis=1)
     norms = np.sqrt(squares)
     rescale = ~((squares >= _TINY) & (squares <= _MAX))
-    if np.any(rescale):
-        peaks = np.where(rescale, np.abs(values).max(axis=0), 1.0)
+    np.stack(values, out=out)  # the values again, over the spent squares
+    if rescale.any():
+        peaks = np.where(rescale, np.abs(out).max(axis=1), 1.0)
         zero = np.flatnonzero(peaks == 0)
         if zero.size:
-            bad = matrix.attribute_labels[zero[0]]
+            e, j = divmod(int(zero[0]), q)
             raise DegenerateAttributeError(
-                f"attribute {bad!r} of expert {matrix.expert_id!r} is identically zero"
+                f"attribute {matrices[e].attribute_labels[j]!r} of expert "
+                f"{matrices[e].expert_id!r} is identically zero"
             )
-        values = values / peaks
-        norms = np.where(rescale, np.sqrt((values ** 2).sum(axis=0)), norms)
-    return DecisionMatrix(
-        matrix.expert_id,
-        values / norms,
-        matrix.alternative_labels,
-        matrix.attribute_labels,
-    )
+        out /= peaks[:, None]
+        norms = np.where(rescale, np.sqrt((out ** 2).sum(axis=1)), norms)
+    out /= norms[:, None]
+    return out
 
 
 def _membership_kernel(values, lo, hi, scale, segments: int, out: np.ndarray) -> np.ndarray:
@@ -282,10 +293,7 @@ def membership_matrix(
     segments = terms - 1
     if segments < 2:
         raise ValueError("need at least 2 segments (3 terms)")
-    k, (p, q) = len(matrices), matrices[0].shape
-    for m in matrices[1:]:
-        if m.shape != (p, q):
-            raise ValueError(f"expert {m.expert_id!r} matrix shape {m.shape} != {(p, q)}")
+    k, (p, q) = len(matrices), group_shape(matrices)
     values = np.empty((k * q, p))
     np.concatenate([m.values for m in matrices], axis=1, out=values.T)
     lo, hi = values.min(axis=1), values.max(axis=1)

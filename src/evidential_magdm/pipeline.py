@@ -2,8 +2,9 @@
 
 Stages, all pure functions of their inputs:
 
-1. normalise each expert's matrix column-wise (Euclidean norm); only
-   the fused ranking reads the result, so ``with_ranking=False`` skips it;
+1. normalise the experts' matrices column-wise (Euclidean norm), one
+   call per run that returns one (k, p, q) stack; only the fused ranking
+   reads it, so ``with_ranking=False`` skips it;
 2. linguistic memberships and masses for the whole expert group, one
    call each per run (``linguistic`` module): each is one record holding
    a (k, p, q, terms) stack, the view of one alternative-innermost
@@ -24,7 +25,7 @@ Stages, all pure functions of their inputs:
    over alternatives) into a symmetric expert-by-expert matrix;
 7. average divergence per expert (row sum divided by the expert count),
    reciprocal supports, and normalised expert weights;
-8. weight-fused matrix and ideal-solution ranking.
+8. weight-fused matrix (experts added in order) and ideal-solution ranking.
 
 Floating-point reductions run in fixed index order (a pair's cells
 attribute-major, see ``pairwise_divergence``), so identical inputs and
@@ -53,6 +54,7 @@ from .linguistic import (
     DecisionMatrix,
     MembershipMatrix,
     bpa_tensor,
+    group_shape,
     membership_matrix,
     normalize_decision_matrix,
     term_slab,
@@ -354,16 +356,13 @@ def expert_weights(
     return ExpertWeights(expert_ids, averages, supports, supports / supports.sum())
 
 
-def fuse(normalized: list[DecisionMatrix], weights: np.ndarray) -> np.ndarray:
-    """Convex combination of the normalised matrices, one weight per matrix."""
+def fuse(normalized: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Convex combination ``sum(weights[e] * normalized[e])`` of a (k, p, q) stack, in expert order."""
     if len(normalized) != len(weights):
         raise ValueError("one matrix per expert required")
-    shapes = {m.shape for m in normalized}
-    if len(shapes) != 1:
-        raise ValueError(f"conflicting matrix shapes: {sorted(shapes)}")
-    out = np.zeros(normalized[0].shape)
+    out = np.zeros(normalized.shape[1:])
     for w, m in zip(weights, normalized):
-        out += w * m.values
+        out += w * m
     return out
 
 
@@ -407,7 +406,7 @@ class PipelineResult:
     expert_ids: tuple[str, ...]
     alternative_labels: tuple[str, ...]
     attribute_labels: tuple[str, ...]
-    normalized: list[DecisionMatrix]
+    normalized: np.ndarray | None  # (k, p, q); None without the ranking, like ``ranking``
     memberships: MembershipMatrix  # degrees (k, p, q, terms); row e is expert e
     bpa_tensors: BpaTensor  # masses (k, p, q, terms), zero columns as (expert, attribute, term)
     owa: OwaWeights
@@ -439,19 +438,15 @@ def run_pipeline(
     ids = tuple(m.expert_id for m in matrices)
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate expert ids: {ids}")
-    first = matrices[0]
+    first, (p, _) = matrices[0], group_shape(matrices)
     for m in matrices[1:]:
-        if m.shape != first.shape:
-            raise ValueError(
-                f"expert {m.expert_id!r} matrix shape {m.shape} != {first.shape}"
-            )
         if m.alternative_labels != first.alternative_labels:
             raise ValueError(f"expert {m.expert_id!r} alternative labels differ")
         if m.attribute_labels != first.attribute_labels:
             raise ValueError(f"expert {m.expert_id!r} attribute labels differ")
 
     base = LogBase.parse(config.log_base)
-    normalized = [normalize_decision_matrix(m) for m in matrices] if with_ranking else []
+    normalized = normalize_decision_matrix(matrices) if with_ranking else None
     memberships = membership_matrix(
         matrices, terms=config.terms, uniform_when_degenerate=config.uniform_when_degenerate,
     )
@@ -464,7 +459,7 @@ def run_pipeline(
     pair_ids = tuple((ids[i], ids[j]) for i, j in pairs)
     flat = profiles.transpose(0, 2, 1).reshape(len(ids), -1)
     operands = list(zip(flat, flat.min(axis=1).tolist(), flat.max(axis=1).tolist()))
-    table = np.empty((len(pairs), first.shape[0]))
+    table = np.empty((len(pairs), p))
     for n, (i, j) in enumerate(pairs):
         table[n] = pairwise_divergence(
             profiles[i], profiles[j], config.pair_weights, base, operands=(operands[i], operands[j]),

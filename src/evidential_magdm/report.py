@@ -26,9 +26,6 @@ def pipeline_report(result: PipelineResult, include_intermediates: bool = False)
         "attributes": list(result.attribute_labels),
         "owa_weights": {"scheme": result.owa.scheme, "values": _listify(result.owa.values)},
         "log_base": result.config.log_base,
-        "normalized": {
-            m.expert_id: _listify(m.values) for m in result.normalized
-        },
         "belief": {
             e: _listify(b) for e, b in zip(result.expert_ids, result.beliefs)
         },
@@ -49,6 +46,7 @@ def pipeline_report(result: PipelineResult, include_intermediates: bool = False)
     if result.ranking is not None:
         report.update(
             {
+                "normalized": {e: _listify(m) for e, m in zip(result.expert_ids, result.normalized)},
                 "fused": _listify(result.ranking.fused),
                 "ideal": _listify(result.ranking.ideal),
                 "scores": _listify(result.ranking.scores),

@@ -52,11 +52,19 @@ class TestRunConfig:
             RunConfig.from_dict({"term": 5})
 
     def test_term_range_policy(self):
-        with pytest.raises(ConfigError):
-            RunConfig(terms=4)
-        RunConfig(terms=4, allow_nonstandard_terms=True)
-        with pytest.raises(ConfigError):
-            RunConfig(terms=2, allow_nonstandard_terms=True)
+        # 5..9 terms, with no key that lifts the range
+        for terms, message in ((2, "terms must be >= 5, got 2"), (4, "terms must be >= 5, got 4"),
+                               (10, "terms must be <= 9, got 10")):
+            with pytest.raises(ConfigError, match=message):
+                RunConfig(terms=terms)
+        assert RunConfig(terms=5).terms == 5 and RunConfig(terms=9).terms == 9
+        with pytest.raises(ConfigError, match=r"unknown config keys: \['allow_nonstandard_terms'\]"):
+            RunConfig.from_dict({"terms": 4, "allow_nonstandard_terms": True})
+
+    def test_numpy_integers_are_stored_as_int(self):
+        cfg = RunConfig(seed=np.int64(3), terms=np.int32(7))
+        assert type(cfg.seed) is int and type(cfg.terms) is int
+        assert json.loads(json.dumps(cfg.to_dict()))["seed"] == 3
 
     def test_pair_weights_validated(self):
         with pytest.raises(ConfigError):
@@ -257,7 +265,7 @@ class TestRankCommand:
         cfg.write_text('{"nope": 1}')
         assert main(["rank", *recruitment_csvs, "--config", str(cfg)]) == 4
 
-    @pytest.mark.parametrize("key", ["clamp_out_of_domain", "mean_over_alternatives", "divide_by_k"])
+    @pytest.mark.parametrize("key", ["clamp_out_of_domain", "mean_over_alternatives", "divide_by_k", "allow_nonstandard_terms"])
     def test_removed_key_exits_4(self, recruitment_csvs, tmp_path, capsys, key):
         # a deleted field is rejected like any other unknown key
         cfg = tmp_path / "cfg.json"
@@ -272,6 +280,41 @@ class TestRankCommand:
         cfg.write_text(f'{{"pair_weights": {weights}}}')
         assert main(["rank", *recruitment_csvs, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
         assert "pair_weights" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["5.5", "true"])
+    def test_non_integer_terms_exits_4(self, recruitment_csvs, tmp_path, capsys, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"terms": {value}}}')
+        assert main(["rank", *recruitment_csvs, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+        assert "terms must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_value_error_inside_a_command_is_not_a_config_error(self, recruitment_csvs, monkeypatch):
+        # exit 4 means configuration; a library ValueError is a fault, not a user error
+        def broken(*args, **kwargs):
+            raise ValueError("internal")
+
+        monkeypatch.setattr("evidential_magdm.cli.run_pipeline", broken)
+        with pytest.raises(ValueError, match="internal"):
+            main(["rank", *recruitment_csvs])
+
+    def test_undecodable_csv_exits_2(self, recruitment_csvs, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"alternative,a\n1,\xff\xfe\n2,3\n")
+        assert main(["rank", recruitment_csvs[0], str(bad), "--out", str(tmp_path / "out")]) == 2
+        assert f"{bad}: not a text file" in capsys.readouterr().err
+
+    def test_oversized_csv_field_exits_2_at_its_line(self, recruitment_csvs, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("alternative,a\n1,2\n2," + "9" * 200_000 + "\n")
+        assert main(["rank", recruitment_csvs[0], str(bad), "--out", str(tmp_path / "out")]) == 2
+        assert f"{bad}:3: field larger than field limit" in capsys.readouterr().err
+
+    def test_undecodable_config_exits_4(self, recruitment_csvs, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"seed": \xff}')
+        assert main(["rank", *recruitment_csvs, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+        assert f"cannot read config {cfg}" in capsys.readouterr().err
 
     def test_config_controls_pipeline(self, recruitment_csvs, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -493,6 +536,61 @@ class TestFuseFeaturesCommand:
         manifest = self.manifest_with(tmp_path, "removed", lambda features: None, {key: True})
         assert main(["fuse-features", str(manifest), "--out", str(tmp_path / "out")]) == 4
         assert f"unknown config keys: [{key!r}]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, message", [
+        ({"terms": 5.5}, "terms must be an integer, got 5.5"),
+        ({"block_size": 2.5}, "block_size must be an integer, got 2.5"),
+        ({"sample_cap": 10.5}, "sample_cap must be an integer, got 10.5"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"terms": True}, "terms must be an integer, got True"),
+        ({"seed": "3"}, "seed must be an integer, got '3'"),
+    ], ids=["terms", "block_size", "sample_cap", "seed", "negative-seed", "bool-terms", "string-seed"])
+    def test_non_integer_manifest_config_exits_4_naming_the_key(self, tmp_path, capsys, config, message):
+        manifest = self.manifest_with(tmp_path, "config", lambda features: None, config)
+        assert main(["fuse-features", str(manifest), "--out", str(tmp_path / "out")]) == 4
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_flag_exits_4(self, manifest, tmp_path, capsys):
+        assert main(["fuse-features", str(manifest), "--seed", "-1", "--out", str(tmp_path / "out")]) == 4
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_disagreeing_labels_exit_2_at_the_first_differing_sample(self, manifest, tmp_path, capsys):
+        noisy = tmp_path / "noisy-copy.csv"
+        lines = noisy.read_text().splitlines()
+        cells = lines[5].split(",")  # line 6, sample 4 of a 240 x 8 source, label 0
+        assert cells[-1] == "0"
+        lines[5] = ",".join(cells[:-1] + ["1"])
+        noisy.write_text("\n".join(lines) + "\n")
+        assert main(["fuse-features", str(manifest), "--out", str(tmp_path / "out")]) == 2
+        assert f"{noisy}:6:9: label 1, {tmp_path / 'informative.csv'} has 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("sources, message", [
+        ([{"id": "x", "path": "a.csv"}, {"id": "x", "path": "b.csv"}], "sources 1 and 2 share the id 'x'"),
+        ([{"path": "a.csv"}, {"id": "a", "path": "b.csv"}], "sources 1 and 2 share the id 'a'"),
+        ([{"path": "a.csv"}, {"path": "sub/a.csv"}], "sources 1 and 2 share the id 'a'"),
+        ([{"id": 5, "path": "a.csv"}, {"path": "b.csv"}], "source 1 id 5 is not a nonempty string"),
+        ([{"id": "", "path": "a.csv"}, {"path": "b.csv"}], "source 1 id '' is not a nonempty string"),
+        ([{"path": "a.csv"}, {"path": 5}], "each source needs a 'path' string"),
+    ], ids=["explicit", "explicit-and-stem", "stems", "int-id", "empty-id", "int-path"])
+    def test_bad_manifest_source_exits_4_before_any_csv_is_read(self, tmp_path, capsys, monkeypatch, sources, message):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"sources": sources}))
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("a source CSV was read")
+
+        monkeypatch.setattr(dataio, "read_feature_source", no_read)
+        assert main(["fuse-features", str(manifest), "--out", str(tmp_path / "out")]) == 4
+        assert f"manifest {manifest}: {message}" in capsys.readouterr().err
+
+    def test_undecodable_manifest_exits_4(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_bytes(b'{"sources": ["\xff"]}')
+        assert main(["fuse-features", str(manifest)]) == 4
+        assert f"cannot read manifest {manifest}" in capsys.readouterr().err
 
     def test_unlabelled_sources_exit_2_before_weighting(self, tmp_path, capsys, monkeypatch):
         rng = np.random.default_rng(0)

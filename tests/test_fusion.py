@@ -350,6 +350,20 @@ class TestFuseFeatures:
         assert fused.source_id == "fused"
         np.testing.assert_array_equal(fused.labels, labels)
 
+    def test_disagreeing_labels_are_refused_naming_source_and_sample(self):
+        # an unlabelled source takes no part; the first labelled one is the reference
+        features = np.arange(8.0).reshape(4, 2) + 1.0
+        sources = [
+            FeatureSet("bare", features),
+            FeatureSet("a", features, np.array([0, 1, 0, 1])),
+            FeatureSet("b", features, np.array([0, 1, 1, 1])),
+        ]
+        ew = ExpertWeights(("bare", "a", "b"), np.ones(3), np.ones(3), np.full(3, 1 / 3))
+        with pytest.raises(ValueError, match="source 'b' has label 1 at sample s2, source 'a' has 0"):
+            fuse_features(sources, ew)
+        fused = fuse_features(sources[:2] + [FeatureSet("b", features, np.array([0, 1, 0, 1]))], ew)
+        np.testing.assert_array_equal(fused.labels, [0, 1, 0, 1])
+
 
 class TestNearestCentroid:
     def test_separated_blobs_perfect_training_accuracy(self):

@@ -23,21 +23,54 @@ from evidential_magdm.linguistic import (
     normalize_decision_matrix,
     term_slab,
 )
-from evidential_magdm.pipeline import run_pipeline
+from evidential_magdm.pipeline import fuse, run_pipeline
 
 
 _MAX = float(np.finfo(float).max)
+_TINY = float(np.finfo(float).tiny)
 
 
 def simple_matrix(values, expert="x"):
     return DecisionMatrix(expert, np.asarray(values, dtype=float))
 
 
+def reference_normalize(matrix):
+    """The per-matrix normalise that the stacked one replaced, kept as its oracle."""
+    values = matrix.values
+    with np.errstate(over="ignore"):
+        squares = (values ** 2).sum(axis=0)
+    norms = np.sqrt(squares)
+    rescale = ~((squares >= _TINY) & (squares <= _MAX))
+    if np.any(rescale):
+        peaks = np.where(rescale, np.abs(values).max(axis=0), 1.0)
+        zero = np.flatnonzero(peaks == 0)
+        if zero.size:
+            bad = matrix.attribute_labels[zero[0]]
+            raise DegenerateAttributeError(f"attribute {bad!r} of expert {matrix.expert_id!r} is identically zero")
+        values = values / peaks
+        norms = np.where(rescale, np.sqrt((values ** 2).sum(axis=0)), norms)
+    return values / norms
+
+
+# column scales: ordinary, sums of squares that overflow or sit at the
+# edge of the float range, that underflow or are subnormal, and zero
+_COLUMN_SCALES = [1.0, 1.0, 1.0, 7.5e-3, 1e200, 1e154, 1.4e154, 1e-154, 1e-160, 1e-170, 0.0]
+
+
+@st.composite
+def scaled_groups(draw):
+    """k in 2..16 signed (p, q) matrices, each column times a drawn scale."""
+    k, p, q = draw(st.integers(2, 16)), draw(st.integers(2, 40)), draw(st.integers(1, 5))
+    values = draw(hnp.arrays(float, (k, p, q), elements=st.floats(-100.0, 100.0, allow_subnormal=False)))
+    scales = draw(hnp.arrays(float, (k, 1, q), elements=st.sampled_from(_COLUMN_SCALES)))
+    return [DecisionMatrix(f"e{e}", m) for e, m in enumerate(values * scales)]
+
+
 class TestNormalize:
     def test_three_four_five(self):
-        m = simple_matrix([[3.0], [4.0]])
-        out = normalize_decision_matrix(m)
-        np.testing.assert_allclose(out.values[:, 0], [0.6, 0.8])
+        out = normalize_decision_matrix([simple_matrix([[3.0], [4.0]])])
+        assert out.shape == (1, 2, 1)
+        np.testing.assert_allclose(out[0, :, 0], [0.6, 0.8])
 
     def test_reference_column_oracle(self):
         # oracle: explicit sum of squares over the bundled panel column
@@ -45,29 +78,25 @@ class TestNormalize:
         panel = m.values[:, 0].tolist()
         norm = math.sqrt(sum(v * v for v in panel))
         assert norm == pytest.approx(math.sqrt(92925.0))
-        out = normalize_decision_matrix(m)
-        assert out.values[0, 0] == pytest.approx(80.0 / norm)
-        assert out.values[0, 0] == pytest.approx(0.2624, abs=5e-5)
+        out = normalize_decision_matrix(ref.decision_matrices())[0]
+        assert out[0, 0] == pytest.approx(80.0 / norm)
+        assert out[0, 0] == pytest.approx(0.2624, abs=5e-5)
 
     def test_scale_invariance(self):
         m = simple_matrix([[1.0, 5.0], [2.0, 3.0], [4.0, 1.0]])
-        scaled = simple_matrix(m.values * 7.5)
-        np.testing.assert_allclose(
-            normalize_decision_matrix(m).values,
-            normalize_decision_matrix(scaled).values,
-            atol=1e-15,
-        )
+        out = normalize_decision_matrix([m, simple_matrix(m.values * 7.5, "y")])
+        np.testing.assert_allclose(out[0], out[1], atol=1e-15)
 
     def test_zero_column_rejected(self):
         m = simple_matrix([[0.0, 1.0], [0.0, 2.0]])
         with pytest.raises(DegenerateAttributeError):
-            normalize_decision_matrix(m)
+            normalize_decision_matrix([m])
 
     def test_unit_column_norms(self):
         rng = np.random.default_rng(2)
-        m = simple_matrix(rng.uniform(1, 9, size=(6, 4)))
-        out = normalize_decision_matrix(m)
-        np.testing.assert_allclose((out.values ** 2).sum(axis=0), 1.0, atol=1e-12)
+        group = [simple_matrix(rng.uniform(1, 9, size=(6, 4)), f"e{e}") for e in range(3)]
+        out = normalize_decision_matrix(group)
+        np.testing.assert_allclose((out ** 2).sum(axis=1), 1.0, atol=1e-12)
 
     @pytest.mark.parametrize("scale", [1e200, 1e-170, 1e-160], ids=["overflow", "underflow", "subnormal"])
     def test_column_outside_the_square_range_is_rescaled(self, scale):
@@ -77,14 +106,44 @@ class TestNormalize:
         m = simple_matrix(np.hstack([ordinary * scale, ordinary * 7.0]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = normalize_decision_matrix(m).values
+            out = normalize_decision_matrix([m])[0]
         np.testing.assert_allclose(out[:, 0], [0.2, 0.4, 0.4, 0.8], rtol=1e-15)
-        assert np.array_equal(out[:, 1], normalize_decision_matrix(simple_matrix(ordinary * 7.0)).values[:, 0])
+        assert np.array_equal(out[:, 1], normalize_decision_matrix([simple_matrix(ordinary * 7.0)])[0, :, 0])
 
     def test_zero_column_named_after_a_rescaled_one(self):
         m = DecisionMatrix("e", np.array([[1e200, 0.0], [1.0, 0.0]]), attribute_labels=("big", "none"))
         with pytest.raises(DegenerateAttributeError, match="attribute 'none' of expert 'e' is identically zero"):
-            normalize_decision_matrix(m)
+            normalize_decision_matrix([m])
+
+    def test_first_zero_column_in_expert_order_is_named(self):
+        ok = DecisionMatrix("a", np.array([[1.0, 2.0], [3.0, 4.0]]), attribute_labels=("x", "y"))
+        late = DecisionMatrix("b", np.array([[1.0, 0.0], [3.0, 0.0]]), attribute_labels=("x", "y"))
+        early = DecisionMatrix("c", np.array([[0.0, 2.0], [0.0, 4.0]]), attribute_labels=("x", "y"))
+        with pytest.raises(DegenerateAttributeError, match="attribute 'y' of expert 'b'"):
+            normalize_decision_matrix([ok, late, early])
+
+    def test_shape_mismatch_names_the_expert(self):
+        with pytest.raises(ValueError, match=r"expert 'y' matrix shape \(3, 1\) != \(2, 1\)"):
+            normalize_decision_matrix([simple_matrix([[1.0], [2.0]]), simple_matrix([[1.0], [2.0], [3.0]], "y")])
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(group=scaled_groups())
+    def test_stack_is_the_per_matrix_normalise_bit_for_bit(self, group):
+        # and so is the fused matrix, at random convex weights
+        try:
+            expected = [reference_normalize(m) for m in group]
+        except DegenerateAttributeError as exc:
+            with pytest.raises(DegenerateAttributeError, match=re.escape(str(exc))):
+                normalize_decision_matrix(group)
+            return
+        got = normalize_decision_matrix(group)
+        assert got.shape == (len(group),) + group[0].shape
+        assert got.tobytes() == np.stack(expected).tobytes()
+        weights = np.random.default_rng(len(group)).dirichlet(np.ones(len(group)))
+        reference_fused = np.zeros(group[0].shape)
+        for w, m in zip(weights, expected):
+            reference_fused += w * m
+        assert fuse(got, weights).tobytes() == reference_fused.tobytes()
 
 
 def column_memberships(column, terms=DEFAULT_TERMS):
@@ -540,7 +599,8 @@ class TestBpaTensor:
         rng = np.random.default_rng(6)
         m = simple_matrix(rng.uniform(20, 80, size=(9, 2)))
         direct = bpa_tensor(membership_matrix([m])).masses
-        via_normalized = bpa_tensor(membership_matrix([normalize_decision_matrix(m)])).masses
+        normalized = DecisionMatrix(m.expert_id, normalize_decision_matrix([m])[0])
+        via_normalized = bpa_tensor(membership_matrix([normalized])).masses
         np.testing.assert_allclose(direct, via_normalized, atol=1e-12)
 
 

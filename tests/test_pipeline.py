@@ -290,7 +290,7 @@ class TestGroupPass:
 
     def test_without_ranking_nothing_is_normalised(self):
         result = run_pipeline(random_matrices(np.random.default_rng(4)), with_ranking=False)
-        assert result.normalized == [] and result.ranking is None
+        assert result.normalized is None and result.ranking is None
 
 
 class TestExpertStageLayout:
@@ -618,20 +618,16 @@ class TestExpertWeights:
 
 class TestFuse:
     def test_identical_matrices(self):
-        m = DecisionMatrix("a", np.array([[1.0, 2.0], [3.0, 4.0]]))
-        ms = [m, DecisionMatrix("b", m.values.copy())]
-        np.testing.assert_allclose(fuse(ms, np.array([0.3, 0.7])), m.values)
+        m = np.array([[1.0, 2.0], [3.0, 4.0]])
+        np.testing.assert_allclose(fuse(np.stack([m, m]), np.array([0.3, 0.7])), m)
 
     def test_one_hot_selects_expert(self):
-        a = DecisionMatrix("a", np.array([[1.0], [2.0]]))
-        b = DecisionMatrix("b", np.array([[5.0], [6.0]]))
-        np.testing.assert_allclose(fuse([a, b], np.array([1.0, 0.0])), a.values)
+        stack = np.array([[[1.0], [2.0]], [[5.0], [6.0]]])
+        np.testing.assert_allclose(fuse(stack, np.array([1.0, 0.0])), stack[0])
 
-    def test_shape_mismatch(self):
-        a = DecisionMatrix("a", np.ones((2, 2)))
-        b = DecisionMatrix("b", np.ones((3, 2)))
-        with pytest.raises(ValueError):
-            fuse([a, b], np.full(2, 0.5))
+    def test_weight_count_mismatch(self):
+        with pytest.raises(ValueError, match="one matrix per expert"):
+            fuse(np.ones((2, 3, 2)), np.full(3, 1 / 3))
 
 
 class TestRank:

@@ -76,7 +76,8 @@ def test_per_expert_stages_run_once_per_pipeline(tracing, with_ranking):
     calls = {name: row["calls"] for name, row in tracing.summarize(tracer.spans).items()}
     for stage in GROUP_STAGES:
         assert calls[stage] == 1
-    assert calls.get("linguistic.normalize_decision_matrix", 0) == (4 if with_ranking else 0)
+    for stage in ("linguistic.normalize_decision_matrix", "pipeline.fuse"):
+        assert calls.get(stage, 0) == (1 if with_ranking else 0)
 
 
 def test_pair_divergence_runs_once_per_pair_on_the_profiles(tracing):
