@@ -27,38 +27,20 @@ from .evidence import (
 )
 from .fusion import (
     FeatureSet,
+    FusionWeights,
     MetricsReport,
-    confusion_matrix,
     estimate_fusion_weights,
     evaluate_fusion,
     fuse_features,
     make_synthetic_sources,
-    nearest_centroid_fit,
-    nearest_centroid_predict,
-    score,
 )
-from .linguistic import (
-    BpaTensor,
-    DecisionMatrix,
-    LinguisticPartition,
-    MembershipMatrix,
-    bpa_tensor,
-    membership_matrix,
-    normalize_decision_matrix,
-)
+from .linguistic import BpaTensor, DecisionMatrix, LinguisticPartition, MembershipMatrix
 from .pipeline import (
     ExpertWeights,
     OwaWeights,
     PipelineResult,
     RankingResult,
-    divergence_matrix,
-    expert_weights,
-    expert_wpbl,
     fuse,
-    ordered_weighted_belief,
-    ordered_weighted_plausibility,
-    owa_weights,
-    pairwise_divergence,
     rank,
     run_pipeline,
 )

@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 malformed input file, 3 numeric degeneracy,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import os
 import sys
@@ -22,7 +23,7 @@ import numpy as np
 from . import dataio, report as report_mod
 from .config import RunConfig
 from .errors import ConfigError, CsvFormatError, MagdmError
-from .fusion import evaluate_fusion
+from .fusion import evaluate_fusion, fusion_config
 from .pipeline import run_pipeline
 from .verify import run_reference_checks
 
@@ -50,17 +51,26 @@ def _load_config(args, overrides: dict | None = None) -> RunConfig:
     return config
 
 
+def _out_dir(args) -> Path:
+    """``--out``, refused (exit 4) when it is, or lies under, something other than a directory."""
+    out_dir = Path(args.out)
+    nearest = next((p for p in (out_dir, *out_dir.parents) if p.exists()), None)
+    if nearest is not None and not nearest.is_dir():
+        raise ConfigError(f"--out {out_dir}: {nearest} is not a directory")
+    return out_dir
+
+
 def cmd_rank(args) -> int:
+    out_dir = _out_dir(args)
     config = _load_config(args)
     if len(args.inputs) < 2:
         raise ConfigError("group decision requires at least 2 expert CSV files")
     matrices = dataio.read_decision_matrices(args.inputs)
-    # the output directory stays out of the echoed config so that identical
-    # inputs give byte-identical reports wherever they are written
-    config = config.replace(inputs=tuple(str(p) for p in args.inputs))
     result = run_pipeline(matrices, config)
     report = report_mod.pipeline_report(result, include_intermediates=args.dump_intermediates)
-    out_dir = Path(args.out)
+    # the output directory stays out of the report so that identical
+    # inputs give byte-identical reports wherever they are written
+    report["inputs"] = [str(p) for p in args.inputs]
     dataio.atomic_write_text(out_dir / "report.json", report_mod.dump_json(report))
     dataio.atomic_write_text(out_dir / "report.md", report_mod.render_markdown(report))
     if args.dump_intermediates:
@@ -84,19 +94,19 @@ def cmd_rank(args) -> int:
 
 
 def cmd_fuse_features(args) -> int:
+    out_dir = _out_dir(args)
     entries, manifest_config = dataio.read_manifest(args.manifest)
     if len(entries) < 2:
         raise ConfigError("feature fusion requires at least 2 sources")
     if args.seed is not None:
         manifest_config = {**manifest_config, "seed": args.seed}
-    config = _load_config(args, overrides=manifest_config)
+    config = fusion_config(_load_config(args, overrides=manifest_config))
     sources = dataio.read_feature_sources(entries)
     if all(s.labels is None for s in sources):
         raise CsvFormatError(
             f"{entries[0]['path']}:1: no source has a 'label' column, which scoring needs"
         )
     weights, fused, metrics = evaluate_fusion(sources, config)
-    out_dir = Path(args.out)
     dataio.write_feature_source(out_dir / "fused.csv", fused)
     payload = {
         "config": config.to_dict(),
@@ -108,14 +118,12 @@ def cmd_fuse_features(args) -> int:
     if args.json:
         sys.stdout.write(report_mod.dump_json(payload))
     else:
-        print("source weights:", ", ".join(
-            f"{s}={w:.4f}" for s, w in zip(payload["sources"], payload["weights"])
-        ))
-        macro = metrics.to_dict()["macro"]
-        print("macro metrics:", ", ".join(f"{k}={v}" if isinstance(v, str) else f"{k}={v:.4f}"
-                                          for k, v in macro.items()))
-        kappa = metrics.to_dict()["kappa"]
-        print("kappa:", kappa if isinstance(kappa, str) else f"{kappa:.4f}")
+        def f4(value):  # "undefined" metrics print as they are
+            return value if isinstance(value, str) else f"{value:.4f}"
+
+        print("source weights:", ", ".join(f"{s}={f4(w)}" for s, w in zip(payload["sources"], payload["weights"])))
+        print("macro metrics:", ", ".join(f"{k}={f4(v)}" for k, v in payload["metrics"]["macro"].items()))
+        print("kappa:", f4(payload["metrics"]["kappa"]))
         print(f"fused features written to {out_dir / 'fused.csv'}")
     return EXIT_OK
 
@@ -127,16 +135,7 @@ def cmd_verify_paper(args) -> int:
     if args.json:
         payload = {
             "config": config.to_dict(),
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "delta": c.delta,
-                    "tolerance": c.tolerance,
-                    "detail": c.detail,
-                }
-                for c in checks
-            ],
+            "checks": [dataclasses.asdict(c) for c in checks],
             "all_passed": all_pass,
         }
         sys.stdout.write(report_mod.dump_json(payload))

@@ -36,8 +36,6 @@ class RunConfig:
     block_size: int = 8
     sample_cap: int = 64
     split_ratio: float = 0.8
-    # input paths (optional; the CLI supplies them as arguments)
-    inputs: tuple[str, ...] = ()
 
     def __post_init__(self):
         # the integer fields and their least values; bools are not integers here
@@ -52,8 +50,14 @@ class RunConfig:
             raise ConfigError(f"terms must be <= 9, got {self.terms}")
         if self.owa_scheme not in OWA_SCHEMES:
             raise ConfigError(f"unknown owa_scheme {self.owa_scheme!r}; use one of {OWA_SCHEMES}")
-        if self.owa_scheme == "orness" and not 0.0 < self.orness < 1.0:
-            raise ConfigError(f"orness must lie in (0, 1), got {self.orness}")
+        # orness is checked under every scheme, so that no report echoes a value no run could take
+        for name in ("orness", "split_ratio"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 < value < 1.0:
+                raise ConfigError(f"{name} must be a real number in (0, 1), got {value!r}")
+            object.__setattr__(self, name, float(value))
+        if not isinstance(self.uniform_when_degenerate, bool):
+            raise ConfigError(f"uniform_when_degenerate must be true or false, got {self.uniform_when_degenerate!r}")
         if self.log_base not in ("2", "e"):
             raise ConfigError(f"log_base must be '2' or 'e', got {self.log_base!r}")
         pw = tuple(float(w) for w in self.pair_weights)
@@ -67,9 +71,6 @@ class RunConfig:
                 f"zero_average_policy must be one of {ZERO_AVERAGE_POLICIES}, "
                 f"got {self.zero_average_policy!r}"
             )
-        if not 0.0 < self.split_ratio < 1.0:
-            raise ConfigError(f"split_ratio must lie in (0, 1), got {self.split_ratio}")
-        object.__setattr__(self, "inputs", tuple(self.inputs))
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -102,5 +103,4 @@ class RunConfig:
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
         out["pair_weights"] = list(self.pair_weights)
-        out["inputs"] = list(self.inputs)
         return out

@@ -4,7 +4,8 @@ Several feature sources describe the same samples (one matrix per
 source, shared row order). Each source plays the role of an expert:
 sample rows are the alternatives, feature dimensions the attributes.
 The pipeline's inter-source divergence turns disagreement into per-source
-weights, the sources are fused by convex combination, and a nearest-
+weights (``FusionWeights``: one row per block of dimensions, and their
+mean), the sources are fused by convex combination, and a nearest-
 centroid classifier plus one-vs-rest confusion metrics quantify how much
 signal the fusion kept.
 """
@@ -17,7 +18,7 @@ import numpy as np
 
 from .config import RunConfig
 from .linguistic import DecisionMatrix, normalize_decision_matrix
-from .pipeline import ExpertWeights, fuse, run_pipeline
+from .pipeline import fuse, run_pipeline
 
 
 @dataclass(frozen=True)
@@ -50,6 +51,21 @@ class FeatureSet:
         return self.features.shape[1]
 
 
+@dataclass(frozen=True)
+class FusionWeights:
+    """Each block's ``run_pipeline`` weights, a (blocks, sources) matrix,
+    and ``weights``, its column mean renormalised to sum to 1."""
+
+    expert_ids: tuple[str, ...]
+    block_weights: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False)
+
+
+def fusion_config(config: RunConfig | None = None) -> RunConfig:
+    """``config`` as the weighting runs it: zero-average (duplicate) sources share the full weight."""
+    return (config or RunConfig()).replace(zero_average_policy="full-weight")
+
+
 def _check_conformable(sources: list[FeatureSet]) -> tuple[int, int]:
     """Shared shape, distinct ids and finite values; returns (samples, dims)."""
     if len(sources) < 2:
@@ -70,7 +86,7 @@ def _check_conformable(sources: list[FeatureSet]) -> tuple[int, int]:
     return shape
 
 
-def estimate_fusion_weights(sources: list[FeatureSet], config: RunConfig | None = None) -> ExpertWeights:
+def estimate_fusion_weights(sources: list[FeatureSet], config: RunConfig | None = None) -> FusionWeights:
     """Per-source weights from inter-source variability of the features.
 
     At most ``sample_cap`` rows (deterministic seeded choice, kept in row
@@ -80,11 +96,10 @@ def estimate_fusion_weights(sources: list[FeatureSet], config: RunConfig | None 
     one C-contiguous (dims, samples) array, and each block is the
     transpose of a row slice of it, which the expert stage stacks as it
     is. A non-finite value in any row, sampled or not, is reported with
-    its source, dimension and row before any block runs.
-    Sources with zero average divergence (for example byte-identical
-    duplicates) share the full weight, so identical sources come out uniform.
+    its source, dimension and row before any block runs. Under
+    ``fusion_config(config)`` identical sources come out uniform.
     """
-    config = (config or RunConfig()).replace(zero_average_policy="full-weight")
+    config = fusion_config(config)
     n, d = _check_conformable(sources)
     rng = np.random.default_rng(config.seed)
     if n > config.sample_cap:
@@ -94,7 +109,6 @@ def estimate_fusion_weights(sources: list[FeatureSet], config: RunConfig | None 
         rows = np.arange(n)
         sampled = [s.features for s in sources]
     transposed = [np.ascontiguousarray(f.T) for f in sampled]
-    ids = tuple(s.source_id for s in sources)
     row_labels = tuple(f"s{r}" for r in rows)
     per_block = []
     for start in range(0, d, config.block_size):
@@ -106,21 +120,19 @@ def estimate_fusion_weights(sources: list[FeatureSet], config: RunConfig | None 
         ]
         # degenerate-column errors surface from the linguistic stage with
         # the offending source and dimension named via the labels above
-        result = run_pipeline(matrices, config, with_ranking=False)
-        per_block.append(result.weights.weights)
-    mean = np.mean(per_block, axis=0)
-    weights = mean / mean.sum()
-    supports = np.full(len(ids), np.nan)
-    averages = np.full(len(ids), np.nan)
-    return ExpertWeights(ids, averages, supports, weights)
+        per_block.append(run_pipeline(matrices, config, with_ranking=False).weights.weights)
+    block_weights = np.array(per_block)
+    mean = block_weights.mean(axis=0)
+    return FusionWeights(tuple(s.source_id for s in sources), block_weights, mean / mean.sum())
 
 
-def fuse_features(sources: list[FeatureSet], weights: ExpertWeights) -> FeatureSet:
+def fuse_features(sources: list[FeatureSet], weights: FusionWeights) -> FeatureSet:
     """Convex combination of column-normalised sources (``pipeline.fuse``).
 
-    A zero dimension is named ``f<j>`` with its source in the error. The
-    labelled sources must agree on every sample's label; the fused set
-    carries their labels.
+    ``weights`` may be any record with ``expert_ids`` and ``weights``
+    (a pipeline ``ExpertWeights`` too). A zero dimension is named
+    ``f<j>`` with its source in the error. The labelled sources must
+    agree on every sample's label; the fused set carries their labels.
     """
     _, d = _check_conformable(sources)
     if tuple(s.source_id for s in sources) != weights.expert_ids:
@@ -293,13 +305,13 @@ def evaluate_fusion(sources: list[FeatureSet], config: RunConfig | None = None):
     """Weights, fused features, and held-out metrics in one pass.
 
     Returns ``(weights, fused, metrics)``; requires labels on at least
-    one source.
+    one source, checked before any weighting.
     """
+    if all(s.labels is None for s in sources):
+        raise ValueError("scoring requires labels on at least one source")
     config = config or RunConfig()
     weights = estimate_fusion_weights(sources, config)
     fused = fuse_features(sources, weights)
-    if fused.labels is None:
-        raise ValueError("scoring requires labels on at least one source")
     cm, classes = held_out_confusion(fused.features, fused.labels, config.split_ratio, config.seed)
     return weights, fused, score(cm, classes=tuple(classes))
 

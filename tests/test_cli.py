@@ -265,7 +265,9 @@ class TestRankCommand:
         cfg.write_text('{"nope": 1}')
         assert main(["rank", *recruitment_csvs, "--config", str(cfg)]) == 4
 
-    @pytest.mark.parametrize("key", ["clamp_out_of_domain", "mean_over_alternatives", "divide_by_k", "allow_nonstandard_terms"])
+    @pytest.mark.parametrize(
+        "key", ["clamp_out_of_domain", "mean_over_alternatives", "divide_by_k", "allow_nonstandard_terms", "inputs"],
+    )
     def test_removed_key_exits_4(self, recruitment_csvs, tmp_path, capsys, key):
         # a deleted field is rejected like any other unknown key
         cfg = tmp_path / "cfg.json"
@@ -273,6 +275,32 @@ class TestRankCommand:
         assert main(["rank", *recruitment_csvs, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
         assert f"unknown config keys: [{key!r}]" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("config, message", [
+        ({"uniform_when_degenerate": "no"}, "uniform_when_degenerate must be true or false, got 'no'"),
+        ({"uniform_when_degenerate": 1}, "uniform_when_degenerate must be true or false, got 1"),
+        ({"owa_scheme": "uniform", "orness": "x"}, "orness must be a real number in (0, 1), got 'x'"),
+        ({"owa_scheme": "uniform", "orness": True}, "orness must be a real number in (0, 1), got True"),
+        ({"owa_scheme": "linear-descending", "orness": 1.5}, "orness must be a real number in (0, 1), got 1.5"),
+        ({"orness": "0.5"}, "orness must be a real number in (0, 1), got '0.5'"),
+        ({"split_ratio": "x"}, "split_ratio must be a real number in (0, 1), got 'x'"),
+    ], ids=["policy-string", "policy-int", "orness-string-uniform", "orness-bool-uniform",
+            "orness-range-linear", "orness-string", "split-ratio-string"])
+    @pytest.mark.parametrize("command", ["rank", "verify-paper"])
+    def test_mistyped_config_value_exits_4_naming_the_key(self, recruitment_csvs, tmp_path, capsys, command, config, message):
+        # checked under every scheme: no report echoes a value that no run could take
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        inputs = recruitment_csvs if command == "rank" else []
+        assert main([command, *inputs, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_report_lists_the_inputs_outside_the_config(self, recruitment_csvs, tmp_path):
+        assert main(["rank", *recruitment_csvs, "--out", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["inputs"] == recruitment_csvs
+        assert "inputs" not in report["config"]
 
     @pytest.mark.parametrize("weights", ["[1.0, 0.0]", "[0.0, 1.0]"])
     def test_zero_pair_weight_exits_4(self, recruitment_csvs, tmp_path, capsys, weights):
@@ -383,6 +411,22 @@ class TestFuseFeaturesCommand:
         fused = dataio.read_feature_source(out / "fused.csv")
         assert fused.features.shape == (240, 8)
         assert fused.labels is not None
+
+    @pytest.mark.parametrize("config", [{}, {"zero_average_policy": "error"}], ids=["default", "error-policy"])
+    def test_duplicate_sources_share_the_weight_and_echo_the_policy_run(self, tmp_path, capsys, config):
+        # the weighting always runs under full-weight, which is what the reports must echo
+        source = make_synthetic_sources(7)[0]
+        for name in ("a", "b"):
+            dataio.write_feature_source(tmp_path / f"{name}.csv", source)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "sources": [{"id": "a", "path": "a.csv"}, {"id": "b", "path": "b.csv"}], "config": config,
+        }))
+        assert main(["fuse-features", str(manifest), "--out", str(tmp_path / "out"), "--json"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed == json.loads((tmp_path / "out" / "metrics.json").read_text())
+        assert printed["config"]["zero_average_policy"] == "full-weight"
+        assert printed["weights"] == [0.5, 0.5]
 
     def test_config_precedence(self, manifest, tmp_path, capsys):
         # --seed beats the manifest's "config", which beats --config
@@ -615,6 +659,27 @@ class TestFuseFeaturesCommand:
         np.testing.assert_array_equal(labels, [2, 1])
 
 
+class TestOutPath:
+    @pytest.mark.parametrize("under", [False, True], ids=["is-a-file", "under-a-file"])
+    @pytest.mark.parametrize("command", ["rank", "fuse-features"])
+    def test_out_that_is_not_a_directory_exits_4_before_any_input_is_read(
+        self, recruitment_csvs, tmp_path, capsys, monkeypatch, command, under,
+    ):
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        out = afile / "sub" if under else afile
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("an input was read")
+
+        for reader in ("read_decision_matrices", "read_manifest", "read_feature_sources"):
+            monkeypatch.setattr(dataio, reader, no_read)
+        inputs = recruitment_csvs if command == "rank" else [str(tmp_path / "manifest.json")]
+        assert main([command, *inputs, "--out", str(out)]) == 4
+        assert f"error: --out {out}: {afile} is not a directory\n" in capsys.readouterr().err
+        assert afile.read_text() == "kept\n"
+
+
 class TestVerifyPaperCommand:
     def test_module_entry_point(self):
         proc = fresh_python("-m", "evidential_magdm.cli", "verify-paper")
@@ -633,6 +698,7 @@ class TestVerifyPaperCommand:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["all_passed"] is True
+        assert payload["config"] == RunConfig().to_dict() and "inputs" not in payload["config"]
         names = {c["name"] for c in payload["checks"]}
         assert "membership-table" in names and "candidate-ranking" in names
 

@@ -1,5 +1,6 @@
 """Feature-fusion harness tests."""
 
+import dataclasses
 import math
 import re
 
@@ -11,6 +12,7 @@ from evidential_magdm.config import RunConfig
 from evidential_magdm.errors import DegenerateAttributeError, DegenerateDomainError
 from evidential_magdm.fusion import (
     FeatureSet,
+    FusionWeights,
     confusion_matrix,
     estimate_fusion_weights,
     evaluate_fusion,
@@ -176,7 +178,8 @@ class TestEstimateFusionWeights:
 
 
 def ix_gather_weights(sources, config):
-    """Reference: every block gathered with ``np.ix_`` and weighted by ``run_pipeline``."""
+    """Reference ``(per-block rows, weights)``: every block gathered with
+    ``np.ix_`` and weighted by ``run_pipeline``, and the rows' renormalised mean."""
     config = config.replace(zero_average_policy="full-weight")
     n, d = sources[0].features.shape
     rng = np.random.default_rng(config.seed)
@@ -196,7 +199,7 @@ def ix_gather_weights(sources, config):
         ]
         per_block.append(run_pipeline(matrices, config, with_ranking=False).weights.weights)
     mean = np.mean(per_block, axis=0)
-    return mean / mean.sum()
+    return np.array(per_block), mean / mean.sum()
 
 
 class TestFusionBlocks:
@@ -213,7 +216,24 @@ class TestFusionBlocks:
         dims, config = self.CASES[case]
         sources = make_synthetic_sources(config.seed, n_dims=dims)
         got = estimate_fusion_weights(sources, config)
-        assert got.weights.tobytes() == ix_gather_weights(sources, config).tobytes()
+        assert got.weights.tobytes() == ix_gather_weights(sources, config)[1].tobytes()
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_block_weights_equal_ix_gather_reference(self, case):
+        # row b is block b's run_pipeline weights, one column per source
+        dims, config = self.CASES[case]
+        sources = make_synthetic_sources(config.seed, n_dims=dims)
+        got = estimate_fusion_weights(sources, config)
+        assert got.block_weights.shape == (-(-dims // config.block_size), len(sources))
+        assert got.block_weights.tobytes() == ix_gather_weights(sources, config)[0].tobytes()
+
+    def test_weights_are_the_renormalised_block_mean(self):
+        sources = make_synthetic_sources(5, n_dims=16)
+        got = estimate_fusion_weights(sources, RunConfig(seed=5, sample_cap=240))
+        assert [f.name for f in dataclasses.fields(got)] == ["expert_ids", "block_weights", "weights"]
+        assert got.expert_ids == tuple(s.source_id for s in sources)
+        mean = got.block_weights.mean(axis=0)
+        assert got.weights.tobytes() == (mean / mean.sum()).tobytes()
 
     def capture_blocks(self, monkeypatch, sources, config):
         seen = []
@@ -349,6 +369,17 @@ class TestFuseFeatures:
         fused = fuse_features(sources, ew)
         assert fused.source_id == "fused"
         np.testing.assert_array_equal(fused.labels, labels)
+
+    def test_takes_a_fusion_weights_record(self):
+        # only expert_ids and weights are read; block_weights play no part
+        rng = np.random.default_rng(9)
+        arrays = [rng.normal(0.0, 3.0, (30, 7)) for _ in range(3)]
+        w = rng.dirichlet(np.ones(3))
+        record = FusionWeights(("s0", "s1", "s2"), rng.dirichlet(np.ones(3), size=4), w)
+        fused = fuse_features(sources_from(*arrays), record)
+        assert np.array_equal(fused.features, convex_combination(arrays, w))
+        with pytest.raises(ValueError, match="different source list"):
+            fuse_features(sources_from(*arrays[:2]), FusionWeights(("s0", "s2"), w[None, :2], w[:2]))
 
     def test_disagreeing_labels_are_refused_naming_source_and_sample(self):
         # an unlabelled source takes no part; the first labelled one is the reference
@@ -488,6 +519,19 @@ class TestSplitAndEvaluate:
             np.testing.assert_array_equal(classes, model.classes)
             assert cm.sum() == test.size
             assert np.trace(cm) / cm.sum() == (predicted == labels[test]).mean()
+
+    def test_unlabelled_sources_are_refused_before_any_block(self, monkeypatch):
+        seen = []
+
+        def recording(matrices, *args, **kwargs):
+            seen.append(matrices)
+            return run_pipeline(matrices, *args, **kwargs)
+
+        monkeypatch.setattr(fusion, "run_pipeline", recording)
+        sources = [FeatureSet(s.source_id, s.features) for s in make_synthetic_sources(2)]
+        with pytest.raises(ValueError, match="^scoring requires labels on at least one source$"):
+            evaluate_fusion(sources, RunConfig())
+        assert seen == []
 
     def test_evaluate_fusion_scores_the_held_out_confusion(self):
         sources = make_synthetic_sources(3)
