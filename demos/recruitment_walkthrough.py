@@ -12,22 +12,23 @@ import numpy as np
 
 from evidential_magdm import recruitment
 from evidential_magdm.config import RunConfig
-from evidential_magdm.linguistic import bpa_tensor, membership_matrix
+from evidential_magdm.linguistic import DecisionGroup, bpa_tensor, membership_matrix
 from evidential_magdm.pipeline import run_pipeline
 
 np.set_printoptions(precision=4, suppress=True)
 
-matrices = recruitment.decision_matrices()
+# one checked (expert, candidate, attribute) record of the four CSVs
+group = DecisionGroup.from_matrices(recruitment.decision_matrices())
 config = RunConfig()
 
 print("=== raw scores (expert u1, first five candidates) ===")
-print(matrices[0].values[:5])
+print(group.values[0, :5])
 
 # Stage 1: each attribute's observed range is split into five linguistic
 # terms; a candidate's score gets a degree in every term. The stage takes
 # the whole expert group at once and returns one (expert, candidate,
 # attribute, term) stack; row 0 is expert u1.
-memberships = membership_matrix(matrices, terms=config.terms)
+memberships = membership_matrix(group, terms=config.terms)
 print("\n=== membership degrees, expert u1, candidate 1 (panel / 1-on-1) ===")
 print(memberships.degrees[0, 0])
 print("partition for u1's panel column:", memberships.partitions(0)[0])
@@ -43,7 +44,7 @@ print("every (expert, attribute, term) column sums to one:",
 # Stages 2-8 inside run_pipeline: ordered weighted belief, cross-expert
 # plausibility, belief-plausibility profiles, pairwise divergences,
 # expert weights, fusion, ideal-solution ranking.
-result = run_pipeline(matrices, config)
+result = run_pipeline(group, config)
 
 print("\n=== ordered weighting vector", result.owa.scheme, "===")
 print(result.owa.values, " orness:", round(result.owa.orness(), 4))

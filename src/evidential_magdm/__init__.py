@@ -34,7 +34,7 @@ from .fusion import (
     fuse_features,
     make_synthetic_sources,
 )
-from .linguistic import BpaTensor, DecisionMatrix, LinguisticPartition, MembershipMatrix
+from .linguistic import BpaTensor, DecisionGroup, DecisionMatrix, LinguisticPartition, MembershipMatrix
 from .pipeline import (
     ExpertWeights,
     OwaWeights,

@@ -51,17 +51,25 @@ def _load_config(args, overrides: dict | None = None) -> RunConfig:
     return config
 
 
-def _out_dir(args) -> Path:
-    """``--out``, refused (exit 4) when it is, or lies under, something other than a directory."""
+def _out_dir(args, names) -> Path:
+    """``--out``, refused (exit 4) when it is, or lies under, something
+    other than a directory, or when it holds a directory at one of the
+    command's output file ``names``."""
     out_dir = Path(args.out)
     nearest = next((p for p in (out_dir, *out_dir.parents) if p.exists()), None)
     if nearest is not None and not nearest.is_dir():
         raise ConfigError(f"--out {out_dir}: {nearest} is not a directory")
+    for name in names:
+        if (out_dir / name).is_dir():
+            raise ConfigError(f"--out {out_dir}: {out_dir / name} is a directory, not a file")
     return out_dir
 
 
 def cmd_rank(args) -> int:
-    out_dir = _out_dir(args)
+    names = ["report.json", "report.md"]
+    if args.dump_intermediates:  # expert ids are the input files' stems
+        names += [f"{Path(p).stem}_{kind}.csv" for p in args.inputs for kind in ("memberships", "masses")]
+    out_dir = _out_dir(args, names)
     config = _load_config(args)
     if len(args.inputs) < 2:
         raise ConfigError("group decision requires at least 2 expert CSV files")
@@ -94,7 +102,7 @@ def cmd_rank(args) -> int:
 
 
 def cmd_fuse_features(args) -> int:
-    out_dir = _out_dir(args)
+    out_dir = _out_dir(args, ("fused.csv", "metrics.json"))
     entries, manifest_config = dataio.read_manifest(args.manifest)
     if len(entries) < 2:
         raise ConfigError("feature fusion requires at least 2 sources")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import numbers
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -60,8 +61,13 @@ class RunConfig:
             raise ConfigError(f"uniform_when_degenerate must be true or false, got {self.uniform_when_degenerate!r}")
         if self.log_base not in ("2", "e"):
             raise ConfigError(f"log_base must be '2' or 'e', got {self.log_base!r}")
-        pw = tuple(float(w) for w in self.pair_weights)
-        if len(pw) != 2 or min(pw) <= 0 or abs(sum(pw) - 1.0) > 1e-9:  # a zero weight zeroes every divergence
+        pw = self.pair_weights
+        if not (isinstance(pw, (list, tuple)) and len(pw) == 2 and all(
+            isinstance(w, numbers.Real) and not isinstance(w, bool) and abs(w) <= sys.float_info.max for w in pw
+        )):  # a NaN fails the last test, and an int too large for a float too
+            raise ConfigError(f"pair_weights must be two finite real numbers, got {pw!r}")
+        pw = tuple(float(w) for w in pw)
+        if min(pw) <= 0 or abs(sum(pw) - 1.0) > 1e-9:  # a zero weight zeroes every divergence
             raise ConfigError(f"pair_weights must be two positive values summing to 1, got {pw}")
         object.__setattr__(self, "pair_weights", pw)
         if self.wpbl_axis not in WPBL_AXES:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import RunConfig
-from .linguistic import DecisionMatrix, normalize_decision_matrix
+from .linguistic import DecisionGroup, normalize_decision_matrix
 from .pipeline import fuse, run_pipeline
 
 
@@ -66,64 +66,45 @@ def fusion_config(config: RunConfig | None = None) -> RunConfig:
     return (config or RunConfig()).replace(zero_average_policy="full-weight")
 
 
-def _check_conformable(sources: list[FeatureSet]) -> tuple[int, int]:
-    """Shared shape, distinct ids and finite values; returns (samples, dims)."""
+def _source_group(sources: list[FeatureSet], sample_cap: int | None = None, seed: int = 0) -> DecisionGroup:
+    """The sources as one group, rows ``s<i>`` as alternatives and dimensions ``f<j>`` as
+    attributes; a shape that differs, or a non-finite value in any row, is named. Past
+    ``sample_cap`` rows, a seeded choice of that many, kept in order, is copied; else all rows."""
     if len(sources) < 2:
         raise ValueError("fusion needs at least 2 sources")
-    shape = sources[0].features.shape
-    for s in sources[1:]:
-        if s.features.shape != shape:
-            raise ValueError(
-                f"source {s.source_id!r} shape {s.features.shape} != {shape}"
-            )
-    ids = [s.source_id for s in sources]
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"duplicate source ids: {ids}")
+    n, d = shape = sources[0].features.shape
     for s in sources:
+        if s.features.shape != shape:
+            raise ValueError(f"source {s.source_id!r} shape {s.features.shape} != {shape}")
         if not np.isfinite(s.features).all():
             i, j = np.argwhere(~np.isfinite(s.features))[0]
             raise ValueError(f"source {s.source_id!r} has non-finite value {s.features[i, j]} in f{j} at sample s{i}")
-    return shape
+    rows = slice(None)  # a view of all rows
+    if sample_cap is not None and n > sample_cap:
+        rows = np.sort(np.random.default_rng(seed).choice(n, size=sample_cap, replace=False))
+    return DecisionGroup(
+        tuple(s.source_id for s in sources), np.stack([s.features[rows] for s in sources]),
+        tuple(f"s{r}" for r in np.arange(n)[rows]), tuple(f"f{j}" for j in range(d)),
+    )
 
 
 def estimate_fusion_weights(sources: list[FeatureSet], config: RunConfig | None = None) -> FusionWeights:
     """Per-source weights from inter-source variability of the features.
 
-    At most ``sample_cap`` rows (deterministic seeded choice, kept in row
-    order) act as alternatives; feature dimensions are processed in
-    blocks of ``block_size`` attributes, and block weights are averaged
-    and renormalised. Each source's sampled rows are gathered once into
-    one C-contiguous (dims, samples) array, and each block is the
-    transpose of a row slice of it, which the expert stage stacks as it
-    is. A non-finite value in any row, sampled or not, is reported with
-    its source, dimension and row before any block runs. Under
-    ``fusion_config(config)`` identical sources come out uniform.
+    At most ``sample_cap`` rows (a seeded choice, kept in row order) act as
+    alternatives, and each block of ``block_size`` dimensions runs as a
+    column slice of their one group, not checked again; the block weights
+    are averaged and renormalised. Under ``fusion_config(config)``
+    identical sources come out uniform.
     """
     config = fusion_config(config)
-    n, d = _check_conformable(sources)
-    rng = np.random.default_rng(config.seed)
-    if n > config.sample_cap:
-        rows = np.sort(rng.choice(n, size=config.sample_cap, replace=False))
-        sampled = [s.features[rows] for s in sources]
-    else:
-        rows = np.arange(n)
-        sampled = [s.features for s in sources]
-    transposed = [np.ascontiguousarray(f.T) for f in sampled]
-    row_labels = tuple(f"s{r}" for r in rows)
-    per_block = []
-    for start in range(0, d, config.block_size):
-        stop = min(start + config.block_size, d)
-        dim_labels = tuple(f"f{c}" for c in range(start, stop))
-        matrices = [
-            DecisionMatrix(s.source_id, f[start:stop].T, row_labels, dim_labels)
-            for s, f in zip(sources, transposed)
-        ]
-        # degenerate-column errors surface from the linguistic stage with
-        # the offending source and dimension named via the labels above
-        per_block.append(run_pipeline(matrices, config, with_ranking=False).weights.weights)
-    block_weights = np.array(per_block)
+    group = _source_group(sources, config.sample_cap, config.seed)
+    d, size = len(group.attribute_labels), config.block_size
+    # a flat column's error names its source and dimension through the group's labels
+    blocks = [group.columns(start, min(start + size, d)) for start in range(0, d, size)]
+    block_weights = np.array([run_pipeline(b, config, with_ranking=False).weights.weights for b in blocks])
     mean = block_weights.mean(axis=0)
-    return FusionWeights(tuple(s.source_id for s in sources), block_weights, mean / mean.sum())
+    return FusionWeights(group.expert_ids, block_weights, mean / mean.sum())
 
 
 def fuse_features(sources: list[FeatureSet], weights: FusionWeights) -> FeatureSet:
@@ -134,8 +115,8 @@ def fuse_features(sources: list[FeatureSet], weights: FusionWeights) -> FeatureS
     ``f<j>`` with its source in the error. The labelled sources must
     agree on every sample's label; the fused set carries their labels.
     """
-    _, d = _check_conformable(sources)
-    if tuple(s.source_id for s in sources) != weights.expert_ids:
+    group = _source_group(sources)
+    if group.expert_ids != tuple(weights.expert_ids):
         raise ValueError("weights were estimated for a different source list")
     labelled = [s for s in sources if s.labels is not None]
     for s in labelled[1:]:
@@ -146,11 +127,7 @@ def fuse_features(sources: list[FeatureSet], weights: FusionWeights) -> FeatureS
                 f"source {s.source_id!r} has label {s.labels[i]} at sample s{i}, "
                 f"source {labelled[0].source_id!r} has {labelled[0].labels[i]}"
             )
-    dims = tuple(f"f{j}" for j in range(d))
-    normalized = normalize_decision_matrix(
-        [DecisionMatrix(s.source_id, s.features, attribute_labels=dims) for s in sources]
-    )
-    fused = fuse(normalized, weights.weights)
+    fused = fuse(normalize_decision_matrix(group), weights.weights)
     return FeatureSet("fused", fused, labelled[0].labels if labelled else None)
 
 

@@ -14,23 +14,25 @@ it does not matter whether the decision matrix is normalised before or
 after membership computation. A range wider than the float range (where
 ``d - c`` overflows) is therefore taken at half scale.
 
-Layout: ``membership_matrix`` and ``bpa_tensor`` work on a whole expert
-group at once. The k experts' transposed (q, p) matrices are stacked as
-one (k*q, p) matrix, one row per attribute column, and degrees and
-masses live in one alternative-innermost (terms, k*q, p) slab: every
-ufunc runs once per term over a whole (k*q, p) plane, with each column's
-domain broadcast as a (k*q, 1) column, and the sums over alternatives
-reduce contiguous rows (numpy sums them pairwise). Each stage returns
-one record whose ``degrees`` or ``masses`` is the (k, p, q, terms) view
-``slab.reshape(terms, k, q, p).transpose(1, 3, 2, 0)``; the next stage
-reads the slab back with ``term_slab``, a view of a stage's own stack
-and a copy of a sub-stack or a reordering. Column domains are checked as arrays and kept as (k, q)
-``lo``/``hi``; no stage needs partition objects, so ``partitions(e)``
-builds them only on request.
+Layout: the stages take one ``DecisionGroup``. ``normalize_decision_matrix``
+sums its read-only (k, p, q) values along the alternative axis, not the
+innermost, so the alternatives add in order. ``membership_matrix`` copies
+them once, as the (k*q, p) stack of the experts' transposed matrices;
+degrees and masses live in one alternative-innermost (terms, k*q, p)
+slab, every ufunc runs once per term over a whole plane with each
+column's domain broadcast as a (k*q, 1) column, and the sums over
+alternatives reduce contiguous rows (numpy sums them pairwise). Each
+stage returns one record whose ``degrees`` or ``masses`` is the
+(k, p, q, terms) view ``slab.reshape(terms, k, q, p).transpose(1, 3, 2, 0)``;
+the next stage reads the slab back with ``term_slab``, a view of a
+stage's own stack and a copy of a sub-stack or a reordering. Column
+domains are (k, q) ``lo``/``hi`` arrays; ``partitions(e)`` builds
+partition objects only on request.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +45,26 @@ _MAX = float(np.finfo(float).max)
 _HALF_MAX = _MAX / 2
 
 
+def _set_scores(record, ndim: int, where: str) -> None:
+    """Set ``record``'s values (a float view) and labels, checked as a matrix and a group share it:
+    ``ndim``-d, at least 2 alternatives and 1 attribute, finite, and distinct labels of the right
+    counts, which default to 1, 2, ... and t1, t2, ...."""
+    values = np.asarray(record.values, dtype=float).view()
+    if values.ndim != ndim or values.shape[-2] < 2 or values.shape[-1] < 1:
+        raise ValueError(f"{where} needs {ndim}-d scores of at least 2 alternatives and 1 attribute, got {values.shape}")
+    if not np.isfinite(values).all():
+        raise ValueError(f"non-finite values in {where}")
+    object.__setattr__(record, "values", values)
+    for kind, count, prefix in (("alternative", values.shape[-2], ""), ("attribute", values.shape[-1], "t")):
+        labels = tuple(getattr(record, f"{kind}_labels")) or tuple(f"{prefix}{i + 1}" for i in range(count))
+        if len(set(labels)) != len(labels):
+            repeated = next(a for n, a in enumerate(labels) if a in labels[:n])
+            raise ValueError(f"{kind} label {repeated!r} repeats in {where}")
+        if len(labels) != count:
+            raise ValueError("label counts do not match the matrix shape")
+        object.__setattr__(record, f"{kind}_labels", labels)
+
+
 @dataclass(frozen=True)
 class DecisionMatrix:
     """Scores of p alternatives on q attributes, from one expert."""
@@ -53,34 +75,53 @@ class DecisionMatrix:
     attribute_labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
-        if arr.ndim != 2:
-            raise ValueError("decision matrix must be 2-d")
-        p, q = arr.shape
-        if p < 2 or q < 1:
-            raise ValueError(f"need at least 2 alternatives and 1 attribute, got {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError(f"non-finite values in decision matrix {self.expert_id!r}")
-        object.__setattr__(self, "values", arr)
-        # the caller's labels; the defaults below are unique by construction
-        for kind, labels in (("alternative", self.alternative_labels), ("attribute", self.attribute_labels)):
-            if len(set(labels)) != len(labels):
-                repeated = next(a for n, a in enumerate(labels) if a in labels[:n])
-                raise ValueError(f"{kind} label {repeated!r} repeats in decision matrix {self.expert_id!r}")
-        if not self.alternative_labels:
-            object.__setattr__(
-                self, "alternative_labels", tuple(str(i + 1) for i in range(p))
-            )
-        if not self.attribute_labels:
-            object.__setattr__(
-                self, "attribute_labels", tuple(f"t{j + 1}" for j in range(q))
-            )
-        if len(self.alternative_labels) != p or len(self.attribute_labels) != q:
-            raise ValueError("label counts do not match the matrix shape")
+        _set_scores(self, 2, f"decision matrix {self.expert_id!r}")
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
+
+@dataclass(frozen=True)
+class DecisionGroup:
+    """k >= 1 experts' scores of one p x q problem, checked once, here: ``values`` is a read-only
+    (k, p, q) view whose row e is the matrix of ``expert_ids[e]``, the ids are distinct, and the
+    rest is checked as for a ``DecisionMatrix``."""
+
+    expert_ids: tuple[str, ...]
+    values: np.ndarray = field(repr=False)
+    alternative_labels: tuple[str, ...] = ()
+    attribute_labels: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        _set_scores(self, 3, "the decision group")
+        ids = tuple(self.expert_ids)
+        if not 1 <= len(ids) == len(self.values):
+            raise ValueError(f"need one id per expert and at least 1 expert, got {len(ids)} ids for {len(self.values)}")
+        if len(set(ids)) != len(ids):
+            raise ValueError(f"duplicate expert ids: {ids}")
+        object.__setattr__(self, "expert_ids", ids)
+        self.values.setflags(write=False)
+
+    @classmethod
+    def from_matrices(cls, matrices: list[DecisionMatrix]) -> "DecisionGroup":
+        """The group of one ``DecisionMatrix`` per expert; they must share one shape and labels."""
+        if not matrices:
+            raise ValueError("a decision group needs at least 1 expert")
+        first = matrices[0]
+        for m in matrices[1:]:
+            if m.values.shape != first.values.shape:
+                raise ValueError(f"expert {m.expert_id!r} matrix shape {m.values.shape} != {first.values.shape}")
+            for kind in ("alternative", "attribute"):
+                if getattr(m, f"{kind}_labels") != getattr(first, f"{kind}_labels"):
+                    raise ValueError(f"expert {m.expert_id!r} {kind} labels differ")
+        values = np.stack([m.values for m in matrices])
+        return cls(tuple(m.expert_id for m in matrices), values, first.alternative_labels, first.attribute_labels)
+
+    def columns(self, start: int, stop: int) -> "DecisionGroup":
+        """The group on attributes ``start:stop``, a view: a part of a checked group is not checked again."""
+        if not 0 <= start < stop <= len(self.attribute_labels):
+            raise ValueError(f"attribute range {start}:{stop} outside 0:{len(self.attribute_labels)}")
+        part = copy.copy(self)
+        object.__setattr__(part, "values", self.values[:, :, start:stop])
+        object.__setattr__(part, "attribute_labels", self.attribute_labels[start:stop])
+        return part
 
 
 def _span_scale(lo, hi):
@@ -146,46 +187,34 @@ class LinguisticPartition:
         return (lo + (term - 1) * ((self.upper * scale - lo) / self.segments)) / scale
 
 
-def group_shape(matrices: list[DecisionMatrix]) -> tuple[int, int]:
-    """The (p, q) shape that every expert's matrix must share."""
-    shape = matrices[0].shape
-    for m in matrices[1:]:
-        if m.shape != shape:
-            raise ValueError(f"expert {m.expert_id!r} matrix shape {m.shape} != {shape}")
-    return shape
-
-
-def normalize_decision_matrix(matrices: list[DecisionMatrix]) -> np.ndarray:
-    """(k, p, q) stack of the experts' matrices, each attribute column
+def normalize_decision_matrix(group: DecisionGroup) -> np.ndarray:
+    """(k, p, q) stack of the group's matrices, each attribute column
     divided by its Euclidean norm (benefit attributes).
 
-    Sums of squares add the alternatives in order, in the stack's own
+    Sums of squares add the alternatives in order, in the output's own
     buffer. A column whose sum of squares leaves the normal float range
     (it overflows, or it underflows while the column holds a nonzero
     value) is first divided by its largest magnitude, where it cannot. An
     all-zero column is an error naming the first one in expert order.
     """
-    k, (p, q) = len(matrices), group_shape(matrices)
-    values = [m.values for m in matrices]
-    out = np.stack(values, out=np.empty((k, p, q)))
+    values = group.values
     with np.errstate(over="ignore"):
-        squares = np.square(out, out=out).sum(axis=1)
+        out = np.square(values)
+        squares = out.sum(axis=1)
     norms = np.sqrt(squares)
     rescale = ~((squares >= _TINY) & (squares <= _MAX))
-    np.stack(values, out=out)  # the values again, over the spent squares
     if rescale.any():
-        peaks = np.where(rescale, np.abs(out).max(axis=1), 1.0)
+        peaks = np.where(rescale, np.abs(values).max(axis=1), 1.0)
         zero = np.flatnonzero(peaks == 0)
         if zero.size:
-            e, j = divmod(int(zero[0]), q)
+            e, j = divmod(int(zero[0]), values.shape[2])
             raise DegenerateAttributeError(
-                f"attribute {matrices[e].attribute_labels[j]!r} of expert "
-                f"{matrices[e].expert_id!r} is identically zero"
+                f"attribute {group.attribute_labels[j]!r} of expert "
+                f"{group.expert_ids[e]!r} is identically zero"
             )
-        out /= peaks[:, None]
-        norms = np.where(rescale, np.sqrt((out ** 2).sum(axis=1)), norms)
-    out /= norms[:, None]
-    return out
+        values = np.divide(values, peaks[:, None], out=out)
+        norms = np.where(rescale, np.sqrt((values ** 2).sum(axis=1)), norms)
+    return np.divide(values, norms[:, None], out=out)
 
 
 def _membership_kernel(values, lo, hi, scale, segments: int, out: np.ndarray) -> np.ndarray:
@@ -269,16 +298,15 @@ def term_slab(stack: np.ndarray) -> np.ndarray:
 
 
 def membership_matrix(
-    matrices: list[DecisionMatrix],
+    group: DecisionGroup,
     terms: int = DEFAULT_TERMS,
     uniform_when_degenerate: bool = False,
 ) -> MembershipMatrix:
     """Memberships of every (alternative, attribute) pair of each expert.
 
-    The experts' matrices must share one (p, q) shape; a single expert is
-    a group of one. Their transposed matrices are stacked as one
-    (k*q, p) matrix, and all degrees are computed in one
-    alternative-innermost (terms, k*q, p) slab.
+    A single expert is a group of one. The group's values are copied once,
+    as the (k*q, p) stack of the experts' transposed matrices, and all
+    degrees are computed in one alternative-innermost (terms, k*q, p) slab.
     Each column's domain [lo, hi] is its own extremes, so every value lies
     in it. A column whose values all coincide, or whose range float
     arithmetic cannot split into ``terms - 1`` segments, has no
@@ -293,9 +321,8 @@ def membership_matrix(
     segments = terms - 1
     if segments < 2:
         raise ValueError("need at least 2 segments (3 terms)")
-    k, (p, q) = len(matrices), group_shape(matrices)
-    values = np.empty((k * q, p))
-    np.concatenate([m.values for m in matrices], axis=1, out=values.T)
+    k, p, q = group.values.shape
+    values = group.values.transpose(0, 2, 1).reshape(k * q, p)
     lo, hi = values.min(axis=1), values.max(axis=1)
     scale = _span_scale(lo, hi)
     flat = _unsplittable(lo, hi, segments, scale)
@@ -304,8 +331,8 @@ def membership_matrix(
         if not uniform_when_degenerate:
             e, j = divmod(int(np.flatnonzero(flat)[0]), q)
             raise DegenerateDomainError(
-                f"attribute {matrices[e].attribute_labels[j]!r} of expert "
-                f"{matrices[e].expert_id!r} has a single observed value "
+                f"attribute {group.attribute_labels[j]!r} of expert "
+                f"{group.expert_ids[e]!r} has a single observed value "
                 f"or a range that cannot be split into {segments} segments"
             )
         top = np.maximum(np.abs(lo), np.abs(hi))

@@ -2,12 +2,12 @@
 
 Stages, all pure functions of their inputs:
 
-1. normalise the experts' matrices column-wise (Euclidean norm), one
-   call per run that returns one (k, p, q) stack; only the fused ranking
-   reads it, so ``with_ranking=False`` skips it;
-2. linguistic memberships and masses for the whole expert group, one
-   call each per run (``linguistic`` module): each is one record holding
-   a (k, p, q, terms) stack, the view of one alternative-innermost
+1. normalise the group's (k, p, q) values column-wise (Euclidean norm),
+   one call per run that returns one (k, p, q) stack; only the fused
+   ranking reads it, so ``with_ranking=False`` skips it;
+2. linguistic memberships and masses for the whole ``DecisionGroup``,
+   one call each per run (``linguistic`` module): each is one record
+   holding a (k, p, q, terms) stack, the view of one alternative-innermost
    (terms, k*q, p) slab;
 3. ordered weighted belief per (alternative, attribute) cell, also one
    call for the group: a compare-exchange network sorts the masses' slab
@@ -51,10 +51,10 @@ from .errors import (
 )
 from .linguistic import (
     BpaTensor,
+    DecisionGroup,
     DecisionMatrix,
     MembershipMatrix,
     bpa_tensor,
-    group_shape,
     membership_matrix,
     normalize_decision_matrix,
     term_slab,
@@ -421,11 +421,12 @@ class PipelineResult:
 
 
 def run_pipeline(
-    matrices: list[DecisionMatrix],
+    group: DecisionGroup | list[DecisionMatrix],
     config: RunConfig | None = None,
     with_ranking: bool = True,
 ) -> PipelineResult:
-    """Execute the full pipeline on one decision matrix per expert.
+    """Execute the full pipeline on a group, or on a list of one
+    ``DecisionMatrix`` per expert, taken through ``DecisionGroup.from_matrices``.
 
     ``with_ranking=False`` stops after the expert weights, which is what
     the feature-fusion harness needs (feature matrices may be negative,
@@ -433,47 +434,41 @@ def run_pipeline(
     loop reads rows of one (k, p*q) attribute-major view of the profiles.
     """
     config = config or RunConfig()
-    if len(matrices) < 2:
+    if not isinstance(group, DecisionGroup):
+        group = DecisionGroup.from_matrices(group)
+    ids, (k, p, _) = group.expert_ids, group.values.shape
+    if k < 2:
         raise ValueError("group decision needs at least 2 experts")
-    ids = tuple(m.expert_id for m in matrices)
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"duplicate expert ids: {ids}")
-    first, (p, _) = matrices[0], group_shape(matrices)
-    for m in matrices[1:]:
-        if m.alternative_labels != first.alternative_labels:
-            raise ValueError(f"expert {m.expert_id!r} alternative labels differ")
-        if m.attribute_labels != first.attribute_labels:
-            raise ValueError(f"expert {m.expert_id!r} attribute labels differ")
 
     base = LogBase.parse(config.log_base)
-    normalized = normalize_decision_matrix(matrices) if with_ranking else None
+    normalized = normalize_decision_matrix(group) if with_ranking else None
     memberships = membership_matrix(
-        matrices, terms=config.terms, uniform_when_degenerate=config.uniform_when_degenerate,
+        group, terms=config.terms, uniform_when_degenerate=config.uniform_when_degenerate,
     )
     tensors = bpa_tensor(memberships)
     owa = owa_weights(config.terms, config.owa_scheme, config.orness)
     beliefs = ordered_weighted_belief(tensors, owa)
     plausibilities = ordered_weighted_plausibility(beliefs)
     profiles = expert_wpbl(beliefs, plausibilities, axis=config.wpbl_axis)
-    _, _, pairs = _expert_pairs(len(ids))
+    _, _, pairs = _expert_pairs(k)
     pair_ids = tuple((ids[i], ids[j]) for i, j in pairs)
-    flat = profiles.transpose(0, 2, 1).reshape(len(ids), -1)
+    flat = profiles.transpose(0, 2, 1).reshape(k, -1)
     operands = list(zip(flat, flat.min(axis=1).tolist(), flat.max(axis=1).tolist()))
     table = np.empty((len(pairs), p))
     for n, (i, j) in enumerate(pairs):
         table[n] = pairwise_divergence(
             profiles[i], profiles[j], config.pair_weights, base, operands=(operands[i], operands[j]),
         )
-    dmm = divergence_matrix(table, len(ids))
+    dmm = divergence_matrix(table, k)
     weights = expert_weights(dmm, ids, zero_average_policy=config.zero_average_policy)
     ranking = None
     if with_ranking:
-        ranking = rank(fuse(normalized, weights.weights), first.alternative_labels)
+        ranking = rank(fuse(normalized, weights.weights), group.alternative_labels)
     return PipelineResult(
         config=config,
         expert_ids=ids,
-        alternative_labels=first.alternative_labels,
-        attribute_labels=first.attribute_labels,
+        alternative_labels=group.alternative_labels,
+        attribute_labels=group.attribute_labels,
         normalized=normalized,
         memberships=memberships,
         bpa_tensors=tensors,

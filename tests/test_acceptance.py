@@ -35,6 +35,8 @@ from evidential_magdm.pipeline import (
     run_pipeline,
 )
 
+from groups import group_of
+
 BENCHMARK_CONFIG = dict(sample_cap=240)
 
 
@@ -95,7 +97,7 @@ class TestCriterion1Membership:
         table = ref.PUBLISHED_MEMBERSHIPS_U1.copy()
         for cell, corrected in ref.MEMBERSHIP_ERRATA.items():
             table[cell] = corrected
-        computed = membership_matrix(matrices[:1]).degrees[0].reshape(17, -1)
+        computed = membership_matrix(group_of(matrices[:1])).degrees[0].reshape(17, -1)
         delta = float(np.abs(computed - table).max())
         ok = report(1, "membership reproduction",
                     delta <= 1e-4, f"max delta {delta:.2e} (2 errata cells documented)")
@@ -104,7 +106,7 @@ class TestCriterion1Membership:
     def test_errata_cells_match_sibling_rows(self, matrices):
         # the corrected values equal the table's own entries for identical
         # inputs, so the corrections are internal consistency, not ours
-        computed = membership_matrix(matrices[:1]).degrees[0].reshape(17, -1)
+        computed = membership_matrix(group_of(matrices[:1])).degrees[0].reshape(17, -1)
         assert computed[12, 9] == pytest.approx(computed[0, 9], abs=1e-12)
         assert ref.MEMBERSHIP_ERRATA[(12, 9)] == pytest.approx(computed[0, 9], abs=1e-4)
         assert computed[9, 3] == pytest.approx(computed[7, 3], abs=1e-12)
@@ -112,7 +114,7 @@ class TestCriterion1Membership:
 
 class TestCriterion2Masses:
     def test_mass_table_within_1e4(self, matrices):
-        computed = bpa_tensor(membership_matrix(matrices[:1])).masses[0].reshape(17, -1)
+        computed = bpa_tensor(membership_matrix(group_of(matrices[:1]))).masses[0].reshape(17, -1)
         delta = float(np.abs(computed - ref.PUBLISHED_MASSES_U1).max())
         ok = report(2, "mass reproduction", delta <= 1e-4, f"max delta {delta:.2e}")
         assert ok

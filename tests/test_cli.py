@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import math
 import os
 import re
 import shutil
@@ -66,9 +67,19 @@ class TestRunConfig:
         assert type(cfg.seed) is int and type(cfg.terms) is int
         assert json.loads(json.dumps(cfg.to_dict()))["seed"] == 3
 
-    def test_pair_weights_validated(self):
-        with pytest.raises(ConfigError):
-            RunConfig(pair_weights=(0.7, 0.6))
+    @pytest.mark.parametrize("weights, message", [
+        ((0.7, 0.6), "two positive values summing to 1"),
+        ("xy", "two finite real numbers, got 'xy'"),
+        (5, "two finite real numbers, got 5"),
+        (["0.5", "0.5"], r"two finite real numbers, got \['0.5', '0.5'\]"),
+        ([math.nan, 0.5], r"two finite real numbers, got \[nan, 0.5\]"),
+        ([0.5, math.inf], r"two finite real numbers, got \[0.5, inf\]"),
+        ([True, 0.0], r"two finite real numbers, got \[True, 0.0\]"),
+        ([10 ** 400, 0.5], "two finite real numbers"),
+    ], ids=["sum", "string", "int", "strings", "nan", "infinity", "bool", "huge-int"])
+    def test_pair_weights_validated(self, weights, message):
+        with pytest.raises(ConfigError, match=f"^pair_weights must be {message}"):
+            RunConfig(pair_weights=weights)
 
     @pytest.mark.parametrize("weights", [(1.0, 0.0), (0.0, 1.0)])
     def test_zero_pair_weight_rejected(self, weights):
@@ -302,12 +313,16 @@ class TestRankCommand:
         assert report["inputs"] == recruitment_csvs
         assert "inputs" not in report["config"]
 
-    @pytest.mark.parametrize("weights", ["[1.0, 0.0]", "[0.0, 1.0]"])
+    @pytest.mark.parametrize("weights", [
+        "[1.0, 0.0]", "[0.0, 1.0]", '"xy"', "5", '["0.5", "0.5"]', "[NaN, 0.5]", "[0.5, Infinity]", "[true, 0.0]",
+    ])
     def test_zero_pair_weight_exits_4(self, recruitment_csvs, tmp_path, capsys, weights):
+        # Python's json reads NaN and Infinity, so they reach the config as floats
         cfg = tmp_path / "cfg.json"
         cfg.write_text(f'{{"pair_weights": {weights}}}')
         assert main(["rank", *recruitment_csvs, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
-        assert "pair_weights" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error: pair_weights must be two ")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("value", ["5.5", "true"])
     def test_non_integer_terms_exits_4(self, recruitment_csvs, tmp_path, capsys, value):
@@ -678,6 +693,42 @@ class TestOutPath:
         assert main([command, *inputs, "--out", str(out)]) == 4
         assert f"error: --out {out}: {afile} is not a directory\n" in capsys.readouterr().err
         assert afile.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("name, flags", [
+        ("report.json", []), ("report.md", []), ("u3_masses.csv", ["--dump-intermediates"]),
+    ])
+    def test_rank_output_file_that_is_a_directory_exits_4_before_the_pipeline(
+        self, recruitment_csvs, tmp_path, capsys, monkeypatch, name, flags,
+    ):
+        def no_pipeline(*args, **kwargs):
+            raise AssertionError("the pipeline ran")
+
+        monkeypatch.setattr("evidential_magdm.cli.run_pipeline", no_pipeline)
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert main(["rank", *recruitment_csvs, *flags, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err == f"error: --out {out}: {out / name} is a directory, not a file\n"
+        assert [p.name for p in out.iterdir()] == [name]
+
+    @pytest.mark.parametrize("name", ["fused.csv", "metrics.json"])
+    def test_fuse_features_output_file_that_is_a_directory_exits_4_before_the_weighting(
+        self, tmp_path, capsys, monkeypatch, name,
+    ):
+        def no_weighting(*args, **kwargs):
+            raise AssertionError("the weighting stage ran")
+
+        monkeypatch.setattr("evidential_magdm.cli.evaluate_fusion", no_weighting)
+        manifest = tmp_path / "manifest.json"
+        for s in make_synthetic_sources(0):
+            dataio.write_feature_source(tmp_path / f"{s.source_id}.csv", s)
+        manifest.write_text(json.dumps({"sources": [{"id": s, "path": f"{s}.csv"} for s in ("informative", "pure-noise")]}))
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert main(["fuse-features", str(manifest), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err == f"error: --out {out}: {out / name} is a directory, not a file\n"
+        assert [p.name for p in out.iterdir()] == [name]
 
 
 class TestVerifyPaperCommand:

@@ -45,7 +45,7 @@ PUBLIC = {
     "Bpa", "FrameOfDiscernment", "PseudoBpa", "WpblDistribution", "belief", "plausibility", "wpbl",
     "FeatureSet", "FusionWeights", "MetricsReport", "estimate_fusion_weights", "evaluate_fusion",
     "fuse_features", "make_synthetic_sources",
-    "BpaTensor", "DecisionMatrix", "LinguisticPartition", "MembershipMatrix",
+    "BpaTensor", "DecisionGroup", "DecisionMatrix", "LinguisticPartition", "MembershipMatrix",
     "ExpertWeights", "OwaWeights", "PipelineResult", "RankingResult", "fuse", "rank", "run_pipeline",
 }
 # stage functions and classifier helpers, imported from their own modules
@@ -65,7 +65,7 @@ def test_package_exports_entry_points_and_records_only():
         name for name, value in vars(package).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
-    assert exported == PUBLIC and len(PUBLIC) == 33
+    assert exported == PUBLIC and len(PUBLIC) == 34
     for module, functions in STAGES.items():
         home = importlib.import_module(f"evidential_magdm.{module}")
         for function in functions:

@@ -24,7 +24,7 @@ from evidential_magdm.fusion import (
     score,
     train_test_split_indices,
 )
-from evidential_magdm.linguistic import DecisionMatrix
+from evidential_magdm.linguistic import DecisionGroup, DecisionMatrix
 from evidential_magdm.pipeline import ExpertWeights, run_pipeline
 
 
@@ -249,18 +249,19 @@ class TestFusionBlocks:
     @pytest.mark.parametrize(
         "dims, sample_cap, rows", [(19, 240, 240), (16, 100, 100)], ids=["all-rows", "sampled-rows"],
     )
-    def test_each_source_is_gathered_once_transposed(self, monkeypatch, dims, sample_cap, rows):
-        # one C-contiguous (dims, rows) copy per source; every block of the
-        # source is the transpose of a row slice of it
+    def test_sampled_rows_are_gathered_once(self, monkeypatch, dims, sample_cap, rows):
+        # one C-contiguous (sources, rows, dims) copy per call; every block
+        # is a column slice of it, and a group of the three sources
         sources = make_synthetic_sources(5, n_dims=dims)
         blocks = self.capture_blocks(monkeypatch, sources, RunConfig(seed=6, sample_cap=sample_cap))
-        assert [m.shape for m in blocks[-1]] == [(rows, dims % 8 or 8)] * 3
-        for e, s in enumerate(sources):
-            gathered = blocks[0][e].values.base
-            assert gathered.shape == (dims, rows) and gathered.flags.c_contiguous
+        assert all(isinstance(b, DecisionGroup) for b in blocks)
+        assert blocks[-1].values.shape == (3, rows, dims % 8 or 8)
+        gathered = blocks[0].values.base
+        assert gathered.shape == (3, rows, dims) and gathered.flags.c_contiguous
+        for s in sources:
             assert not np.shares_memory(gathered, s.features)
-            for b in blocks:
-                assert b[e].values.base is gathered and b[e].values.T.flags.c_contiguous
+        for b in blocks:
+            assert b.values.base is gathered and b.expert_ids == tuple(s.source_id for s in sources)
 
     def test_blocks_hold_the_sampled_rows_in_order(self, monkeypatch):
         config = RunConfig(seed=6, sample_cap=100)
@@ -268,7 +269,24 @@ class TestFusionBlocks:
         blocks = self.capture_blocks(monkeypatch, sources, config)
         rows = np.sort(np.random.default_rng(config.seed).choice(240, size=100, replace=False))
         for e, s in enumerate(sources):
-            assert np.array_equal(np.hstack([b[e].values for b in blocks]), s.features[rows])
+            assert np.array_equal(np.hstack([b.values[e] for b in blocks]), s.features[rows])
+        assert sum((b.attribute_labels for b in blocks), ()) == tuple(f"f{c}" for c in range(16))
+        assert {b.alternative_labels for b in blocks} == {tuple(f"s{r}" for r in rows)}
+
+    def test_weighting_and_fusion_build_no_decision_matrix(self, monkeypatch):
+        # one group per call: the blocks are its column slices, not per-source records
+        built = []
+        check = DecisionMatrix.__post_init__
+
+        def counted(self):
+            built.append(self.expert_id)
+            check(self)
+
+        monkeypatch.setattr(DecisionMatrix, "__post_init__", counted)
+        sources = make_synthetic_sources(5, n_dims=32)
+        weights = estimate_fusion_weights(sources, RunConfig(sample_cap=240))
+        fuse_features(sources, weights)
+        assert built == []
 
     @pytest.mark.parametrize(
         "block_size, named", [(8, "attribute 'f5' of expert 'b'"), (4, "attribute 'f2' of expert 'c'")],

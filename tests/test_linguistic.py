@@ -13,6 +13,7 @@ from evidential_magdm import linguistic, recruitment as ref
 from evidential_magdm.errors import DegenerateAttributeError, DegenerateDomainError
 from evidential_magdm.linguistic import (
     DEFAULT_TERMS,
+    DecisionGroup,
     DecisionMatrix,
     LinguisticPartition,
     _membership_kernel,
@@ -24,6 +25,8 @@ from evidential_magdm.linguistic import (
     term_slab,
 )
 from evidential_magdm.pipeline import fuse, run_pipeline
+
+from groups import group_of
 
 
 _MAX = float(np.finfo(float).max)
@@ -68,7 +71,7 @@ def scaled_groups(draw):
 
 class TestNormalize:
     def test_three_four_five(self):
-        out = normalize_decision_matrix([simple_matrix([[3.0], [4.0]])])
+        out = normalize_decision_matrix(group_of([simple_matrix([[3.0], [4.0]])]))
         assert out.shape == (1, 2, 1)
         np.testing.assert_allclose(out[0, :, 0], [0.6, 0.8])
 
@@ -78,24 +81,24 @@ class TestNormalize:
         panel = m.values[:, 0].tolist()
         norm = math.sqrt(sum(v * v for v in panel))
         assert norm == pytest.approx(math.sqrt(92925.0))
-        out = normalize_decision_matrix(ref.decision_matrices())[0]
+        out = normalize_decision_matrix(group_of(ref.decision_matrices()))[0]
         assert out[0, 0] == pytest.approx(80.0 / norm)
         assert out[0, 0] == pytest.approx(0.2624, abs=5e-5)
 
     def test_scale_invariance(self):
         m = simple_matrix([[1.0, 5.0], [2.0, 3.0], [4.0, 1.0]])
-        out = normalize_decision_matrix([m, simple_matrix(m.values * 7.5, "y")])
+        out = normalize_decision_matrix(group_of([m, simple_matrix(m.values * 7.5, "y")]))
         np.testing.assert_allclose(out[0], out[1], atol=1e-15)
 
     def test_zero_column_rejected(self):
         m = simple_matrix([[0.0, 1.0], [0.0, 2.0]])
         with pytest.raises(DegenerateAttributeError):
-            normalize_decision_matrix([m])
+            normalize_decision_matrix(group_of([m]))
 
     def test_unit_column_norms(self):
         rng = np.random.default_rng(2)
         group = [simple_matrix(rng.uniform(1, 9, size=(6, 4)), f"e{e}") for e in range(3)]
-        out = normalize_decision_matrix(group)
+        out = normalize_decision_matrix(group_of(group))
         np.testing.assert_allclose((out ** 2).sum(axis=1), 1.0, atol=1e-12)
 
     @pytest.mark.parametrize("scale", [1e200, 1e-170, 1e-160], ids=["overflow", "underflow", "subnormal"])
@@ -106,25 +109,25 @@ class TestNormalize:
         m = simple_matrix(np.hstack([ordinary * scale, ordinary * 7.0]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = normalize_decision_matrix([m])[0]
+            out = normalize_decision_matrix(group_of([m]))[0]
         np.testing.assert_allclose(out[:, 0], [0.2, 0.4, 0.4, 0.8], rtol=1e-15)
-        assert np.array_equal(out[:, 1], normalize_decision_matrix([simple_matrix(ordinary * 7.0)])[0, :, 0])
+        assert np.array_equal(out[:, 1], normalize_decision_matrix(group_of([simple_matrix(ordinary * 7.0)]))[0, :, 0])
 
     def test_zero_column_named_after_a_rescaled_one(self):
         m = DecisionMatrix("e", np.array([[1e200, 0.0], [1.0, 0.0]]), attribute_labels=("big", "none"))
         with pytest.raises(DegenerateAttributeError, match="attribute 'none' of expert 'e' is identically zero"):
-            normalize_decision_matrix([m])
+            normalize_decision_matrix(group_of([m]))
 
     def test_first_zero_column_in_expert_order_is_named(self):
         ok = DecisionMatrix("a", np.array([[1.0, 2.0], [3.0, 4.0]]), attribute_labels=("x", "y"))
         late = DecisionMatrix("b", np.array([[1.0, 0.0], [3.0, 0.0]]), attribute_labels=("x", "y"))
         early = DecisionMatrix("c", np.array([[0.0, 2.0], [0.0, 4.0]]), attribute_labels=("x", "y"))
         with pytest.raises(DegenerateAttributeError, match="attribute 'y' of expert 'b'"):
-            normalize_decision_matrix([ok, late, early])
+            normalize_decision_matrix(group_of([ok, late, early]))
 
     def test_shape_mismatch_names_the_expert(self):
         with pytest.raises(ValueError, match=r"expert 'y' matrix shape \(3, 1\) != \(2, 1\)"):
-            normalize_decision_matrix([simple_matrix([[1.0], [2.0]]), simple_matrix([[1.0], [2.0], [3.0]], "y")])
+            DecisionGroup.from_matrices([simple_matrix([[1.0], [2.0]]), simple_matrix([[1.0], [2.0], [3.0]], "y")])
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(group=scaled_groups())
@@ -134,13 +137,13 @@ class TestNormalize:
             expected = [reference_normalize(m) for m in group]
         except DegenerateAttributeError as exc:
             with pytest.raises(DegenerateAttributeError, match=re.escape(str(exc))):
-                normalize_decision_matrix(group)
+                normalize_decision_matrix(group_of(group))
             return
-        got = normalize_decision_matrix(group)
-        assert got.shape == (len(group),) + group[0].shape
+        got = normalize_decision_matrix(group_of(group))
+        assert got.shape == (len(group),) + group[0].values.shape
         assert got.tobytes() == np.stack(expected).tobytes()
         weights = np.random.default_rng(len(group)).dirichlet(np.ones(len(group)))
-        reference_fused = np.zeros(group[0].shape)
+        reference_fused = np.zeros(group[0].values.shape)
         for w, m in zip(weights, expected):
             reference_fused += w * m
         assert fuse(got, weights).tobytes() == reference_fused.tobytes()
@@ -148,7 +151,7 @@ class TestNormalize:
 
 def column_memberships(column, terms=DEFAULT_TERMS):
     """One expert's single column through ``membership_matrix``: (degrees, partition)."""
-    got = membership_matrix([simple_matrix(np.asarray(column, dtype=float)[:, None])], terms=terms)
+    got = membership_matrix(group_of([simple_matrix(np.asarray(column, dtype=float)[:, None])]), terms=terms)
     return got.degrees[0, :, 0, :], got.partitions(0)[0]
 
 
@@ -216,30 +219,30 @@ class TestMembershipMatrix:
         table = ref.PUBLISHED_MEMBERSHIPS_U1.copy()
         for cell, corrected in ref.MEMBERSHIP_ERRATA.items():
             table[cell] = corrected
-        computed = membership_matrix(ref.decision_matrices()[:1]).degrees[0].reshape(17, -1)
+        computed = membership_matrix(group_of(ref.decision_matrices()[:1])).degrees[0].reshape(17, -1)
         np.testing.assert_allclose(computed, table, atol=1e-4)
 
     def test_extremes_one_hot(self):
         m = simple_matrix([[0.0], [1.0], [0.5]])
-        degrees = membership_matrix([m]).degrees[0, :, 0, :]
+        degrees = membership_matrix(group_of([m])).degrees[0, :, 0, :]
         np.testing.assert_allclose(degrees[0], [1, 0, 0, 0, 0], atol=1e-12)
         np.testing.assert_allclose(degrees[1], [0, 0, 0, 0, 1], atol=1e-12)
 
     def test_scaling_leaves_memberships_unchanged(self):
         rng = np.random.default_rng(5)
         values = rng.uniform(10, 99, size=(8, 3))
-        base = membership_matrix([simple_matrix(values)]).degrees
-        scaled = membership_matrix([simple_matrix(values * 3.7)]).degrees
+        base = membership_matrix(group_of([simple_matrix(values)])).degrees
+        scaled = membership_matrix(group_of([simple_matrix(values * 3.7)])).degrees
         np.testing.assert_allclose(base, scaled, atol=1e-12)
 
     def test_degenerate_column_error_names_attribute(self):
         m = DecisionMatrix("e", np.array([[1.0, 2.0], [1.0, 3.0]]), ("A", "B"), ("t1", "t2"))
         with pytest.raises(DegenerateDomainError, match="t1"):
-            membership_matrix([m])
+            membership_matrix(group_of([m]))
 
     def test_degenerate_column_uniform_override(self):
         m = simple_matrix([[1.0, 2.0], [1.0, 3.0]])
-        degrees = membership_matrix([m], uniform_when_degenerate=True).degrees[0]
+        degrees = membership_matrix(group_of([m]), uniform_when_degenerate=True).degrees[0]
         np.testing.assert_allclose(degrees[:, 0, :], 0.2, atol=1e-12)
 
 
@@ -279,7 +282,7 @@ class TestMembershipKernel:
     @given(values=matrices_with_flat_columns(), terms=st.integers(5, 9))
     def test_matrix_equals_per_column_reference(self, values, terms):
         m = DecisionMatrix("x", values)
-        got = membership_matrix([m], terms=terms, uniform_when_degenerate=True)
+        got = membership_matrix(group_of([m]), terms=terms, uniform_when_degenerate=True)
         for j in range(values.shape[1]):
             column = values[:, j]
             if column.min() == column.max():
@@ -302,14 +305,14 @@ class TestMembershipKernel:
             part = LinguisticPartition(column.min(), column.max(), segments)
         except DegenerateDomainError:
             assume(False)
-        got = membership_matrix([DecisionMatrix("x", column[:, None])], terms=segments + 1)
+        got = membership_matrix(group_of([DecisionMatrix("x", column[:, None])]), terms=segments + 1)
         assert np.array_equal(got.degrees[0, :, 0, :], term_loop_memberships(column, part))
 
     def test_flat_column_error_names_first_flat_attribute(self):
         values = np.array([[1.0, 2.0, 7.0, 4.0], [3.0, 2.0, 7.0, 5.0]])
         m = DecisionMatrix("e", values, ("A", "B"), ("t1", "t2", "t3", "t4"))
         with pytest.raises(DegenerateDomainError, match="attribute 't2' of expert 'e' has a single observed value"):
-            membership_matrix([m])
+            membership_matrix(group_of([m]))
 
     def test_flat_column_error_names_first_flat_column_in_expert_order(self):
         plain = np.array([[1.0, 2.0, 7.0], [3.0, 4.0, 8.0]])
@@ -318,7 +321,7 @@ class TestMembershipKernel:
         labels = (("A", "B"), ("t1", "t2", "t3"))
         group = [DecisionMatrix(e, v, *labels) for e, v in (("a", plain), ("b", flat_t3), ("c", flat_t1))]
         with pytest.raises(DegenerateDomainError, match="attribute 't3' of expert 'b' has a single observed value"):
-            membership_matrix(group)
+            membership_matrix(group_of(group))
 
     @pytest.mark.parametrize(
         "column", [[0.0, 5e-324, 0.0], [1.0, 1.0000000000000002, 1.0]],
@@ -329,8 +332,8 @@ class TestMembershipKernel:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DegenerateDomainError, match="attribute 't1' of expert 'e'"):
-                membership_matrix([m])
-            degrees = membership_matrix([m], uniform_when_degenerate=True).degrees[0]
+                membership_matrix(group_of([m]))
+            degrees = membership_matrix(group_of([m]), uniform_when_degenerate=True).degrees[0]
         assert np.array_equal(degrees[:, 0, :], np.full((3, 5), 0.2))
 
     @pytest.mark.parametrize("terms", [5, 7, 9])
@@ -340,7 +343,7 @@ class TestMembershipKernel:
         m = DecisionMatrix("e", np.array([[value] * 3, [1.0, 2.0, 3.0]]).T)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = membership_matrix([m], terms=terms, uniform_when_degenerate=True)
+            got = membership_matrix(group_of([m]), terms=terms, uniform_when_degenerate=True)
         assert np.array_equal(got.degrees[0, :, 0, :], np.full((3, terms), 1.0 / terms))
         part = got.partitions(0)[0]
         assert part.lower < value < part.upper
@@ -354,7 +357,7 @@ class TestMembershipKernel:
         m = DecisionMatrix("e", np.array([[value] * 3, [1.0, 2.0, 3.0]]).T)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = membership_matrix([m], terms=terms, uniform_when_degenerate=True)
+            got = membership_matrix(group_of([m]), terms=terms, uniform_when_degenerate=True)
             part = got.partitions(0)[0]
             assert LinguisticPartition(part.lower, part.upper, terms - 1) == part
         assert math.isfinite(part.lower) and math.isfinite(part.upper)
@@ -366,7 +369,7 @@ class TestMembershipKernel:
     @pytest.mark.parametrize("value", [-3.0, 1e15])
     def test_flat_column_keeps_unit_half_width(self, value):
         m = DecisionMatrix("e", np.array([[value] * 3, [1.0, 2.0, 3.0]]).T)
-        part = membership_matrix([m], uniform_when_degenerate=True).partitions(0)[0]
+        part = membership_matrix(group_of([m]), uniform_when_degenerate=True).partitions(0)[0]
         assert (part.lower, part.upper) == (value - 0.5, value + 0.5)
 
     @pytest.mark.parametrize("terms", [5, 7, 9])
@@ -379,8 +382,8 @@ class TestMembershipKernel:
         halved = DecisionMatrix("e", np.column_stack([column * 0.5, np.arange(12.0)]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = membership_matrix([wide], terms=terms)
-            expected = membership_matrix([halved], terms=terms)
+            got = membership_matrix(group_of([wide]), terms=terms)
+            expected = membership_matrix(group_of([halved]), terms=terms)
             part, half = got.partitions(0)[0], expected.partitions(0)[0]
             peaks = [part.peak(t) for t in range(1, terms + 1)]
         assert np.array_equal(got.degrees, expected.degrees)
@@ -430,7 +433,7 @@ class TestPartitionsOnRequest:
     def test_flat_stand_ins_read_as_partitions(self, terms):
         values = [-_MAX, _MAX, 2.0**53, -1e17, 1e300, -3.0]
         m = DecisionMatrix("e", np.column_stack([[v] * 3 for v in values] + [[1.0, 2.0, 3.0]]))
-        got = membership_matrix([m], terms=terms, uniform_when_degenerate=True)
+        got = membership_matrix(group_of([m]), terms=terms, uniform_when_degenerate=True)
         segments = terms - 1
         expected = []
         for v in values:
@@ -445,7 +448,7 @@ class TestPartitionsOnRequest:
         assert (got.lo.tolist(), got.hi.tolist()) == ([[e.lower for e in expected]], [[e.upper for e in expected]])
 
     def test_domains_are_read_only(self):
-        got = membership_matrix([simple_matrix([[1.0, 4.0], [2.0, 3.0]])])
+        got = membership_matrix(group_of([simple_matrix([[1.0, 4.0], [2.0, 3.0]])]))
         for domain in (got.lo, got.hi):
             with pytest.raises(ValueError):
                 domain[0, 0] = 0.0
@@ -456,11 +459,11 @@ class TestPartitionsOnRequest:
         monkeypatch.setattr(linguistic, "_unsplittable", lambda lo, hi, segments, scale=None: np.ones(np.shape(lo), bool))
         m = simple_matrix([[1.0, 4.0], [1.0, 3.0]])
         with pytest.raises(DegenerateDomainError, match=r"degenerate domain \[[-+.e0-9]+, [-+.e0-9]+\] for 4 segments"):
-            membership_matrix([m], uniform_when_degenerate=True)
+            membership_matrix(group_of([m]), uniform_when_degenerate=True)
 
     def test_too_few_terms_is_an_error(self):
         with pytest.raises(ValueError, match="at least 2 segments"):
-            membership_matrix([simple_matrix([[1.0], [2.0]])], terms=2)
+            membership_matrix(group_of([simple_matrix([[1.0], [2.0]])]), terms=2)
 
 
 def masked_select_kernel(values, lo, hi, segments, out):
@@ -561,31 +564,31 @@ class TestMinEdgeKernel:
 
 class TestBpaTensor:
     def test_reference_expert_matches_published_table(self):
-        computed = bpa_tensor(membership_matrix(ref.decision_matrices()[:1])).masses[0]
+        computed = bpa_tensor(membership_matrix(group_of(ref.decision_matrices()[:1]))).masses[0]
         np.testing.assert_allclose(computed.reshape(17, -1), ref.PUBLISHED_MASSES_U1, atol=1e-4)
 
     def test_first_candidate_first_term_share(self):
-        computed = bpa_tensor(membership_matrix(ref.decision_matrices()[:1])).masses[0]
+        computed = bpa_tensor(membership_matrix(group_of(ref.decision_matrices()[:1]))).masses[0]
         assert computed[0, 0, 0] == pytest.approx(0.25 / 7.125, abs=1e-12)
         assert computed[0, 0, 0] == pytest.approx(0.0351, abs=1e-4)
 
     def test_uniform_memberships_share_equally(self):
         m = simple_matrix([[1.0, 9.0], [2.0, 8.0], [3.0, 7.0], [4.0, 6.0]])
-        r = membership_matrix([m])
+        r = membership_matrix(group_of([m]))
         r.degrees[:] = 0.5
         masses = bpa_tensor(r).masses
         np.testing.assert_allclose(masses, 0.25, atol=1e-12)
 
     def test_one_hot_column(self):
         m = simple_matrix([[1.0], [2.0], [3.0]])
-        r = membership_matrix([m])
+        r = membership_matrix(group_of([m]))
         r.degrees[0, :, 0, 2] = [0.0, 1.0, 0.0]
         masses = bpa_tensor(r).masses[0]
         np.testing.assert_allclose(masses[:, 0, 2], [0.0, 1.0, 0.0], atol=1e-12)
 
     def test_columns_sum_to_one_or_are_flagged(self):
         m = simple_matrix([[1.0], [2.0], [3.0]])
-        r = membership_matrix([m])
+        r = membership_matrix(group_of([m]))
         r.degrees[0, :, 0, 1] = 0.0
         tensor = bpa_tensor(r)
         sums = tensor.masses[0].sum(axis=0)
@@ -598,9 +601,9 @@ class TestBpaTensor:
         # computation gives bit-comparable masses
         rng = np.random.default_rng(6)
         m = simple_matrix(rng.uniform(20, 80, size=(9, 2)))
-        direct = bpa_tensor(membership_matrix([m])).masses
-        normalized = DecisionMatrix(m.expert_id, normalize_decision_matrix([m])[0])
-        via_normalized = bpa_tensor(membership_matrix([normalized])).masses
+        direct = bpa_tensor(membership_matrix(group_of([m]))).masses
+        normalized = DecisionMatrix(m.expert_id, normalize_decision_matrix(group_of([m]))[0])
+        via_normalized = bpa_tensor(membership_matrix(group_of([normalized]))).masses
         np.testing.assert_allclose(direct, via_normalized, atol=1e-12)
 
 
@@ -619,7 +622,7 @@ class TestGroupSlab:
         ids=["whole", "middle", "last", "swapped", "gap", "reversed"],
     )
     def test_equals_the_stacked_columns(self, order):
-        group = membership_matrix(self.matrices())
+        group = membership_matrix(group_of(self.matrices()))
         in_order = list(order) == list(range(order[0], order[-1] + 1))
         stack = group.degrees[order[0]:order[-1] + 1] if in_order else group.degrees[list(order)]
         expected = np.concatenate([group.degrees[e].transpose(2, 1, 0) for e in order], axis=1)
@@ -628,7 +631,7 @@ class TestGroupSlab:
         assert np.shares_memory(got, group.degrees) == in_order
 
     def test_each_expert_reads_its_own_rows(self):
-        group = membership_matrix(self.matrices())
+        group = membership_matrix(group_of(self.matrices()))
         tensor = bpa_tensor(group)
         for stack in (group.degrees, tensor.masses):
             slab = term_slab(stack)
@@ -639,10 +642,10 @@ class TestGroupSlab:
 
     def test_masses_of_a_subgroup_equal_the_group_masses(self):
         matrices = self.matrices()
-        group = membership_matrix(matrices)
+        group = membership_matrix(group_of(matrices))
         whole = bpa_tensor(group)
         for keep in ([1, 2], [3, 0]):
-            alone = bpa_tensor(membership_matrix([matrices[e] for e in keep]))
+            alone = bpa_tensor(membership_matrix(group_of([matrices[e] for e in keep])))
             sub = bpa_tensor(MembershipMatrix(group.degrees[keep], group.lo[keep], group.hi[keep], group.segments))
             assert np.array_equal(alone.masses, whole.masses[keep])
             assert np.array_equal(sub.masses, whole.masses[keep])
@@ -655,7 +658,7 @@ class TestGroupSlab:
         rng = np.random.default_rng(5)
         matrices = [DecisionMatrix(f"e{e}", rng.uniform(0, 9, size=shape)) for e, shape in enumerate(shapes)]
         with pytest.raises(ValueError, match=rf"expert 'e1' matrix shape {re.escape(str(shapes[1]))} != "):
-            membership_matrix(matrices)
+            DecisionGroup.from_matrices(matrices)
 
 
 class TestDecisionMatrixValidation:
@@ -685,3 +688,97 @@ class TestDecisionMatrixValidation:
         values = np.arange(4.0 * len(attributes)).reshape(4, -1)
         with pytest.raises(ValueError, match=f"{message} in decision matrix 'e'"):
             DecisionMatrix("e", values, alternatives, attributes)
+
+
+class TestDecisionGroup:
+    """The group is checked once, on construction; each check names its fault."""
+
+    VALUES = np.arange(12.0).reshape(2, 3, 2)
+
+    @pytest.mark.parametrize("values", [np.ones((3, 2)), np.ones((2, 1, 2)), np.ones((2, 3, 0))],
+                             ids=["2-d", "one-alternative", "no-attribute"])
+    def test_bad_shape(self, values):
+        message = f"the decision group needs 3-d scores of at least 2 alternatives and 1 attribute, got {values.shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DecisionGroup(("a", "b"), values)
+
+    @pytest.mark.parametrize("ids, shape", [((), (0, 3, 2)), (("a", "b", "c"), (2, 3, 2))], ids=["no-expert", "extra-id"])
+    def test_one_id_per_expert_and_at_least_one_expert(self, ids, shape):
+        message = f"need one id per expert and at least 1 expert, got {len(ids)} ids for {shape[0]}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DecisionGroup(ids, np.ones(shape))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value(self, value):
+        values = self.VALUES.copy()
+        values[1, 2, 0] = value
+        with pytest.raises(ValueError, match="^non-finite values in the decision group$"):
+            DecisionGroup(("a", "b"), values)
+
+    def test_repeated_expert_id(self):
+        with pytest.raises(ValueError, match=r"^duplicate expert ids: \('a', 'a'\)$"):
+            DecisionGroup(("a", "a"), self.VALUES)
+
+    @pytest.mark.parametrize("alternatives, attributes, message", [
+        (("x", "y", "x"), (), "alternative label 'x' repeats in the decision group"),
+        ((), ("t", "t"), "attribute label 't' repeats in the decision group"),
+    ], ids=["alternative", "attribute"])
+    def test_repeated_label(self, alternatives, attributes, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DecisionGroup(("a", "b"), self.VALUES, alternatives, attributes)
+
+    @pytest.mark.parametrize("alternatives, attributes", [(("x", "y"), ()), ((), ("t1", "t2", "t3"))])
+    def test_wrong_label_count(self, alternatives, attributes):
+        with pytest.raises(ValueError, match="^label counts do not match the matrix shape$"):
+            DecisionGroup(("a", "b"), self.VALUES, alternatives, attributes)
+
+    def test_defaults_and_a_read_only_view(self):
+        values = self.VALUES.copy()
+        group = DecisionGroup(["a", "b"], values)
+        assert (group.expert_ids, group.alternative_labels, group.attribute_labels) == (
+            ("a", "b"), ("1", "2", "3"), ("t1", "t2"),
+        )
+        assert np.shares_memory(group.values, values) and values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            group.values[0, 0, 0] = 1.0
+
+    def test_from_matrices_stacks_the_records(self):
+        matrices = ref.decision_matrices()
+        group = DecisionGroup.from_matrices(matrices)
+        assert group.expert_ids == ("u1", "u2", "u3", "u4")
+        assert group.values.tobytes() == np.stack([m.values for m in matrices]).tobytes()
+        assert (group.alternative_labels, group.attribute_labels) == (
+            matrices[0].alternative_labels, matrices[0].attribute_labels,
+        )
+
+    @pytest.mark.parametrize("labels, message", [
+        ({"alternative_labels": ("p", "q")}, "expert 'b' alternative labels differ"),
+        ({"attribute_labels": ("u",)}, "expert 'b' attribute labels differ"),
+    ], ids=["alternatives", "attributes"])
+    def test_from_matrices_refuses_differing_labels(self, labels, message):
+        a = DecisionMatrix("a", np.ones((2, 1)))
+        b = DecisionMatrix("b", np.ones((2, 1)), **labels)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DecisionGroup.from_matrices([a, b])
+
+    def test_from_matrices_refuses_repeated_ids_and_no_matrices(self):
+        m = simple_matrix([[1.0], [2.0]], "u1")
+        with pytest.raises(ValueError, match=r"^duplicate expert ids: \('u1', 'u1'\)$"):
+            DecisionGroup.from_matrices([m, m])
+        with pytest.raises(ValueError, match="^a decision group needs at least 1 expert$"):
+            DecisionGroup.from_matrices([])
+
+    def test_columns_are_an_unchecked_view(self, monkeypatch):
+        group = DecisionGroup(("a", "b"), np.arange(24.0).reshape(2, 3, 4), attribute_labels=("w", "x", "y", "z"))
+        checks = []
+        monkeypatch.setattr(DecisionGroup, "__post_init__", lambda self: checks.append(self))
+        part = group.columns(1, 3)
+        assert checks == []
+        assert part.values.base is group.values.base and part.values.shape == (2, 3, 2)
+        assert np.array_equal(part.values, group.values[:, :, 1:3])
+        assert (part.expert_ids, part.alternative_labels, part.attribute_labels) == (
+            group.expert_ids, group.alternative_labels, ("x", "y"),
+        )
+        for start, stop in ((2, 2), (-1, 2), (3, 5)):
+            with pytest.raises(ValueError, match=rf"^attribute range {start}:{stop} outside 0:4$"):
+                group.columns(start, stop)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from decimal_oracle import ordered_weighted_sums, relative_errors
+from groups import group_of
 from evidential_magdm import pipeline, recruitment as ref
 from evidential_magdm.config import RunConfig
 from evidential_magdm.errors import (
@@ -18,7 +19,7 @@ from evidential_magdm.errors import (
     NegativeDivergenceError,
     ZeroDivergenceError,
 )
-from evidential_magdm.linguistic import BpaTensor, DecisionMatrix, bpa_tensor, membership_matrix
+from evidential_magdm.linguistic import BpaTensor, DecisionGroup, DecisionMatrix, bpa_tensor, membership_matrix
 from evidential_magdm.pipeline import (
     _descending_network,
     _expert_pairs,
@@ -54,7 +55,7 @@ def belief_groups(draw):
     orness = draw(st.sampled_from([0.2, 0.7, 0.95])) if scheme == "orness" else None
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     matrices = [DecisionMatrix(f"e{e}", rng.uniform(-5.0, 5.0, size=(p, q))) for e in range(k)]
-    return bpa_tensor(membership_matrix(matrices, terms)), owa_weights(terms, scheme, orness)
+    return bpa_tensor(membership_matrix(group_of(matrices), terms)), owa_weights(terms, scheme, orness)
 
 
 def random_matrices(rng, experts=3, p=6, q=3):
@@ -131,7 +132,7 @@ class TestOwaWeights:
 
 class TestOrderedWeightedBelief:
     def tensor(self):
-        return bpa_tensor(membership_matrix(ref.decision_matrices()[:1]))
+        return bpa_tensor(membership_matrix(group_of(ref.decision_matrices()[:1])))
 
     def test_uniform_weights_give_row_mean(self):
         tensor = self.tensor()
@@ -180,7 +181,7 @@ class TestOrderedWeightedBelief:
         # 40 experts of 30 x 20 cells exceed one sort chunk
         rng = np.random.default_rng(8)
         matrices = [DecisionMatrix(f"e{e}", rng.uniform(0, 9, size=(30, 20))) for e in range(40)]
-        tensors = bpa_tensor(membership_matrix(matrices, terms=7))
+        tensors = bpa_tensor(membership_matrix(group_of(matrices), terms=7))
         w = owa_weights(7, "linear-descending")
         beliefs = ordered_weighted_belief(tensors, w)
         for masses, bel in zip(tensors.masses, beliefs):
@@ -253,11 +254,11 @@ class TestGroupPass:
     def test_group_equals_each_expert_alone(self, group):
         matrices, config = group
         owa = owa_weights(config.terms, config.owa_scheme, config.orness)
-        memberships = membership_matrix(matrices, config.terms, uniform_when_degenerate=True)
+        memberships = membership_matrix(group_of(matrices), config.terms, uniform_when_degenerate=True)
         tensors = bpa_tensor(memberships)
         beliefs = ordered_weighted_belief(tensors, owa)
         for e, m in enumerate(matrices):
-            alone = membership_matrix([m], config.terms, uniform_when_degenerate=True)
+            alone = membership_matrix(group_of([m]), config.terms, uniform_when_degenerate=True)
             alone_t = bpa_tensor(alone)
             [alone_bel] = ordered_weighted_belief(alone_t, owa)
             assert np.array_equal(memberships.degrees[e], alone.degrees[0])
@@ -321,7 +322,7 @@ class TestExpertStageLayout:
     def test_masses_sum_to_one_within_4_ulp(self, k, p, q):
         rng = np.random.default_rng(p)
         matrices = [DecisionMatrix(f"e{e}", rng.normal(size=(p, q))) for e in range(k)]
-        for masses in bpa_tensor(membership_matrix(matrices)).masses:
+        for masses in bpa_tensor(membership_matrix(group_of(matrices))).masses:
             columns = masses.reshape(p, -1).T
             assert max(abs(math.fsum(c) - 1.0) for c in columns) <= 4 * np.finfo(float).eps
 
@@ -329,7 +330,7 @@ class TestExpertStageLayout:
         # the first compare-exchange step reads two term planes of the masses'
         # slab: a view for the group or a slice of it, a copy for a reordering
         rng = np.random.default_rng(3)
-        tensors = bpa_tensor(membership_matrix([DecisionMatrix(f"e{e}", rng.normal(size=(6, 2))) for e in range(4)]))
+        tensors = bpa_tensor(membership_matrix(group_of([DecisionMatrix(f"e{e}", rng.normal(size=(6, 2))) for e in range(4)])))
         for masses, in_place in ((tensors.masses, True), (tensors.masses[1:3], True), (tensors.masses[[2, 1]], False)):
             with mock.patch.object(np, "maximum", wraps=np.maximum) as maximum:
                 ordered_weighted_belief(BpaTensor(masses), owa_weights(5, "uniform"))
@@ -371,7 +372,7 @@ def belief_stacks(draw):
     k, p, q = draw(st.integers(2, 64)), draw(st.integers(2, 40)), draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     matrices = [DecisionMatrix(f"e{e}", rng.uniform(-5.0, 5.0, size=(p, q))) for e in range(k)]
-    return ordered_weighted_belief(bpa_tensor(membership_matrix(matrices)), owa_weights(5, "orness", 0.95))
+    return ordered_weighted_belief(bpa_tensor(membership_matrix(group_of(matrices))), owa_weights(5, "orness", 0.95))
 
 
 class TestStackedWeightingStage:
@@ -382,9 +383,9 @@ class TestStackedWeightingStage:
     @example(
         # 64 experts of 40 x 8 cells fill two sort chunks
         beliefs=ordered_weighted_belief(
-            bpa_tensor(membership_matrix([
+            bpa_tensor(membership_matrix(group_of([
                 DecisionMatrix(f"e{e}", np.random.default_rng(e).uniform(0, 9, size=(40, 8))) for e in range(64)
-            ])),
+            ]))),
             owa_weights(5, "orness", 0.95),
         ),
         axis="alternatives",
@@ -661,14 +662,21 @@ class TestRank:
 
 
 class TestRunPipelineValidation:
+    """``run_pipeline`` takes a ``DecisionGroup``, or a list of records that
+    ``DecisionGroup.from_matrices`` checks; both refuse the same faults."""
+
     def test_requires_two_experts(self):
-        with pytest.raises(ValueError, match="2 experts"):
-            run_pipeline(ref.decision_matrices()[:1])
+        matrices = ref.decision_matrices()[:1]
+        for group in (matrices, group_of(matrices)):
+            with pytest.raises(ValueError, match="2 experts"):
+                run_pipeline(group)
 
     def test_rejects_duplicate_ids(self):
         m = ref.decision_matrices()[0]
         with pytest.raises(ValueError, match="duplicate"):
             run_pipeline([m, m])
+        with pytest.raises(ValueError, match="duplicate"):
+            DecisionGroup((m.expert_id,) * 2, np.stack([m.values] * 2))
 
     def test_rejects_shape_mismatch(self):
         rng = np.random.default_rng(8)
@@ -676,18 +684,51 @@ class TestRunPipelineValidation:
         b = DecisionMatrix("b", rng.uniform(1, 9, (5, 2)))
         with pytest.raises(ValueError, match="shape"):
             run_pipeline([a, b])
+        with pytest.raises(ValueError, match="shape"):
+            DecisionGroup.from_matrices([a, b])
 
     def test_identical_experts_hit_zero_average_policy(self):
         rng = np.random.default_rng(9)
         values = rng.uniform(1, 9, (4, 2))
         a = DecisionMatrix("a", values)
         b = DecisionMatrix("b", values.copy())
-        with pytest.raises(ZeroDivergenceError):
-            run_pipeline([a, b])
-        result = run_pipeline(
-            [a, b], RunConfig(zero_average_policy="full-weight")
-        )
-        np.testing.assert_allclose(result.weights.weights, [0.5, 0.5])
+        for group in ([a, b], group_of([a, b])):
+            with pytest.raises(ZeroDivergenceError):
+                run_pipeline(group)
+            result = run_pipeline(group, RunConfig(zero_average_policy="full-weight"))
+            np.testing.assert_allclose(result.weights.weights, [0.5, 0.5])
+
+
+def result_arrays(result) -> dict:
+    """Every array of a ``PipelineResult``, nested records included, by path."""
+    records = {
+        "": result, "memberships.": result.memberships, "bpa_tensors.": result.bpa_tensors,
+        "owa.": result.owa, "weights.": result.weights, "ranking.": result.ranking,
+    }
+    return {
+        prefix + name: value
+        for prefix, record in records.items() if record is not None
+        for name, value in vars(record).items() if isinstance(value, np.ndarray)
+    }
+
+
+class TestGroupInput:
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(
+        k=st.integers(2, 16), p=st.integers(2, 12), q=st.integers(1, 4),
+        with_ranking=st.booleans(), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_group_and_list_runs_are_bit_identical(self, k, p, q, with_ranking, seed):
+        values = np.random.default_rng(seed).uniform(1.0, 99.0, size=(k, p, q))
+        matrices = [DecisionMatrix(f"e{e}", v) for e, v in enumerate(values)]
+        config = RunConfig(zero_average_policy="full-weight")
+        expected = result_arrays(run_pipeline(matrices, config, with_ranking))
+        assert len(expected) == (17 if with_ranking else 13)
+        for group in (DecisionGroup.from_matrices(matrices), DecisionGroup(tuple(f"e{e}" for e in range(k)), values)):
+            got = result_arrays(run_pipeline(group, config, with_ranking))
+            assert got.keys() == expected.keys()
+            for name, array in expected.items():
+                assert got[name].tobytes() == array.tobytes(), name
 
 
 class TestPipelineInvariants:
