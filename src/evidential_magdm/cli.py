@@ -148,9 +148,8 @@ def cmd_verify_paper(args) -> int:
         }
         sys.stdout.write(report_mod.dump_json(payload))
     else:
-        print(f"config: owa={result.owa.scheme}, log base={config.log_base}, "
-              f"terms={config.terms}, pair weights={list(config.pair_weights)}, "
-              f"wpbl axis={config.wpbl_axis}")
+        print(f"config: owa={result.owa.scheme}, terms={config.terms}, "
+              f"pair weights={list(config.pair_weights)}, wpbl axis={config.wpbl_axis}")
         for check in checks:
             print(check.line())
         print("all checks passed" if all_pass else "SOME CHECKS FAILED")

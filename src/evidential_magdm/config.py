@@ -2,8 +2,10 @@
 
 The defaults are the calibrated settings that best reproduce the bundled
 recruitment study's published divergence table (see ``verify.py``):
-max-entropy ordered weights at orness 0.95, log base 2, pair weights
-(1/2, 1/2) and belief-plausibility profiles over attribute propositions.
+max-entropy ordered weights at orness 0.95, pair weights (1/2, 1/2) and
+belief-plausibility profiles over attribute propositions. Every divergence
+is in bits (base 2), the paper's unit: a base-e run would only multiply
+each by ln 2, which the expert weights' normalisation cancels.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ class RunConfig:
     terms: int = 5
     owa_scheme: str = "orness"
     orness: float = 0.95
-    log_base: str = "2"
     pair_weights: tuple[float, float] = (0.5, 0.5)
     wpbl_axis: str = "attributes"
     uniform_when_degenerate: bool = False
@@ -59,8 +60,6 @@ class RunConfig:
             object.__setattr__(self, name, float(value))
         if not isinstance(self.uniform_when_degenerate, bool):
             raise ConfigError(f"uniform_when_degenerate must be true or false, got {self.uniform_when_degenerate!r}")
-        if self.log_base not in ("2", "e"):
-            raise ConfigError(f"log_base must be '2' or 'e', got {self.log_base!r}")
         pw = self.pair_weights
         if not (isinstance(pw, (list, tuple)) and len(pw) == 2 and all(
             isinstance(w, numbers.Real) and not isinstance(w, bool) and abs(w) <= sys.float_info.max for w in pw

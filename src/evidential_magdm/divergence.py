@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceUndefinedError
+from .errors import DivergenceUndefinedError
 from .evidence import Bpa, wpbl
 
 PROB_SUM_TOL = 1e-9
@@ -50,29 +50,18 @@ class LogBase(enum.Enum):
     TWO = 2.0
     NATURAL = math.e
 
-    @classmethod
-    def parse(cls, text: str | float | LogBase) -> "LogBase":
-        if isinstance(text, LogBase):
-            return text
-        if text in (2, 2.0, "2", "two"):
-            return cls.TWO
-        if text in ("e", "natural", math.e):
-            return cls.NATURAL
-        raise ConfigError(f"unsupported log base {text!r} (use 2 or e)")
-
     @functools.cached_property
     def ln(self) -> float:
         return math.log(self.value)
 
-    def __str__(self) -> str:
-        return "2" if self is LogBase.TWO else "e"
-
 
 def as_probability_vector(values, name: str = "distribution") -> np.ndarray:
-    """Validate nonnegative values summing to one; return a float array."""
+    """Validate finite, nonnegative values summing to one; return a float array."""
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError(f"{name} must be a nonempty 1-d vector")
+    if not np.isfinite(arr).all():  # a NaN passes both tests below
+        raise ValueError(f"{name} has non-finite entries")
     if np.any(arr < 0):
         raise ValueError(f"{name} has negative entries")
     if abs(arr.sum() - 1.0) > PROB_SUM_TOL:

@@ -70,8 +70,8 @@ class OwaWeights:
 
     def __post_init__(self):
         arr = np.array(self.values, dtype=float)  # a private, read-only copy: cached instances are shared
-        if np.any(arr < 0) or abs(arr.sum() - 1.0) > 1e-9:
-            raise ValueError("ordered weights must be nonnegative and sum to 1")
+        if not np.isfinite(arr).all() or np.any(arr < 0) or abs(arr.sum() - 1.0) > 1e-9:
+            raise ValueError("ordered weights must be finite, nonnegative and sum to 1")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -385,8 +385,8 @@ def rank(fused: np.ndarray, alternative_labels: tuple[str, ...] = ()) -> Ranking
     alternative index first.
     """
     fused = np.asarray(fused, dtype=float)
-    if fused.ndim != 2 or np.any(fused < 0):
-        raise ValueError("fused matrix must be 2-d and nonnegative")
+    if fused.ndim != 2 or not np.isfinite(fused).all() or np.any(fused < 0):
+        raise ValueError("fused matrix must be 2-d, finite and nonnegative")
     ideal = fused.max(axis=0)
     norm = np.sqrt((ideal ** 2).sum())
     if norm == 0:
@@ -440,7 +440,6 @@ def run_pipeline(
     if k < 2:
         raise ValueError("group decision needs at least 2 experts")
 
-    base = LogBase.parse(config.log_base)
     normalized = normalize_decision_matrix(group) if with_ranking else None
     memberships = membership_matrix(
         group, terms=config.terms, uniform_when_degenerate=config.uniform_when_degenerate,
@@ -457,7 +456,7 @@ def run_pipeline(
     table = np.empty((len(pairs), p))
     for n, (i, j) in enumerate(pairs):
         table[n] = pairwise_divergence(
-            profiles[i], profiles[j], config.pair_weights, base, operands=(operands[i], operands[j]),
+            profiles[i], profiles[j], config.pair_weights, operands=(operands[i], operands[j]),
         )
     dmm = divergence_matrix(table, k)
     weights = expert_weights(dmm, ids, zero_average_policy=config.zero_average_policy)

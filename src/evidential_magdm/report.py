@@ -25,7 +25,6 @@ def pipeline_report(result: PipelineResult, include_intermediates: bool = False)
         "alternatives": list(result.alternative_labels),
         "attributes": list(result.attribute_labels),
         "owa_weights": {"scheme": result.owa.scheme, "values": _listify(result.owa.values)},
-        "log_base": result.config.log_base,
         "belief": {
             e: _listify(b) for e, b in zip(result.expert_ids, result.beliefs)
         },
@@ -87,8 +86,7 @@ def render_markdown(report: dict) -> str:
     cfg = report["config"]
     lines.append(
         f"Config: terms={cfg['terms']}, owa={report['owa_weights']['scheme']}, "
-        f"log base={report['log_base']}, pair weights={cfg['pair_weights']}, "
-        f"wpbl axis={cfg['wpbl_axis']}"
+        f"pair weights={cfg['pair_weights']}, wpbl axis={cfg['wpbl_axis']}"
     )
     lines.append("")
     lines.append("## Expert weights")

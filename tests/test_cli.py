@@ -44,7 +44,6 @@ class TestRunConfig:
         cfg = RunConfig()
         assert cfg.owa_scheme == "orness"
         assert cfg.orness == 0.95
-        assert cfg.log_base == "2"
         assert cfg.pair_weights == (0.5, 0.5)
         assert cfg.wpbl_axis == "attributes"
 
@@ -88,7 +87,7 @@ class TestRunConfig:
             RunConfig(pair_weights=weights)
 
     def test_round_trip_via_dict(self):
-        cfg = RunConfig(orness=0.7, log_base="e", seed=11)
+        cfg = RunConfig(orness=0.7, pair_weights=(0.8, 0.2), seed=11)
         clone = RunConfig.from_dict(cfg.to_dict())
         assert clone == cfg
 
@@ -277,7 +276,8 @@ class TestRankCommand:
         assert main(["rank", *recruitment_csvs, "--config", str(cfg)]) == 4
 
     @pytest.mark.parametrize(
-        "key", ["clamp_out_of_domain", "mean_over_alternatives", "divide_by_k", "allow_nonstandard_terms", "inputs"],
+        "key", ["clamp_out_of_domain", "mean_over_alternatives", "divide_by_k", "allow_nonstandard_terms", "inputs",
+                "log_base"],
     )
     def test_removed_key_exits_4(self, recruitment_csvs, tmp_path, capsys, key):
         # a deleted field is rejected like any other unknown key
@@ -590,7 +590,7 @@ class TestFuseFeaturesCommand:
         assert f"{tmp_path / 'a.csv'}: need a header and at least 2 samples" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("key", ["mean_over_alternatives", "divide_by_k"])
+    @pytest.mark.parametrize("key", ["mean_over_alternatives", "divide_by_k", "log_base"])
     def test_removed_aggregation_keys_in_manifest_exit_4(self, tmp_path, capsys, key):
         manifest = self.manifest_with(tmp_path, "removed", lambda features: None, {key: True})
         assert main(["fuse-features", str(manifest), "--out", str(tmp_path / "out")]) == 4
@@ -752,6 +752,13 @@ class TestVerifyPaperCommand:
         assert payload["config"] == RunConfig().to_dict() and "inputs" not in payload["config"]
         names = {c["name"] for c in payload["checks"]}
         assert "membership-table" in names and "candidate-ranking" in names
+
+    def test_removed_log_base_key_exits_4(self, tmp_path, capsys):
+        # every divergence is in base 2; the key only rescaled them
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"log_base": "2"}')
+        assert main(["verify-paper", "--config", str(cfg)]) == 4
+        assert "unknown config keys: ['log_base']" in capsys.readouterr().err
 
     def test_wrong_term_count_fails_loudly(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

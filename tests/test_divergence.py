@@ -22,7 +22,7 @@ from evidential_magdm.divergence import (
     weighted_belief_divergence,
 )
 from evidential_magdm.config import RunConfig
-from evidential_magdm.errors import ConfigError, DivergenceUndefinedError, NegativeDivergenceError
+from evidential_magdm.errors import DivergenceUndefinedError, NegativeDivergenceError
 from evidential_magdm.evidence import Bpa, FrameOfDiscernment, PseudoBpa, wpbl
 from evidential_magdm.linguistic import DecisionMatrix
 from evidential_magdm.pipeline import pairwise_divergence, run_pipeline
@@ -59,18 +59,32 @@ def singleton_profile(mass, n):
 
 
 class TestLogBase:
-    def test_parse(self):
-        assert LogBase.parse("2") is LogBase.TWO
-        assert LogBase.parse(2) is LogBase.TWO
-        assert LogBase.parse("e") is LogBase.NATURAL
-        with pytest.raises(ConfigError):
-            LogBase.parse("10")
-
     def test_base_scaling(self):
         a, b = (0.7, 0.3), (0.5, 0.5)
         assert kl_divergence(a, b, LogBase.NATURAL) == pytest.approx(
             kl_divergence(a, b, LogBase.TWO) * math.log(2), abs=1e-12
         )
+
+
+UNIT = Bpa(AB, {"a": 1.0})
+
+# each entry point, and the name its message gives the vector holding the bad entry
+VECTOR_CALLS = {
+    "js": (lambda v: js_divergence(v, (0.5, 0.5)), "first distribution"),
+    "kl": (lambda v: kl_divergence((0.5, 0.5), v), "second distribution"),
+    "entropy": (entropy, "distribution"),
+    "generalized-js": (lambda v: generalized_js_divergence([(0.5, 0.5), v], (0.5, 0.5)), "distribution"),
+    "weighted-belief": (lambda v: weighted_belief_divergence(UNIT, UNIT, SINGLETONS, v), "weight vector"),
+    "generalized-belief": (lambda v: generalized_belief_divergence([UNIT, UNIT], SINGLETONS, v), "weight vector"),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("call, name", VECTOR_CALLS.values(), ids=VECTOR_CALLS.keys())
+def test_non_finite_entries_are_refused(call, name, bad):
+    # a NaN passes both the sign and the sum check, so it needs its own
+    with pytest.raises(ValueError, match=f"^{name} has non-finite entries$"):
+        call((bad, 1.0))
 
 
 class TestKl:
@@ -560,14 +574,18 @@ class TestPreparedPairPath:
         values[k:] = [values[0]] * copies
         matrices = [DecisionMatrix(f"e{e}", v) for e, v in enumerate(values)]
         config = RunConfig(
-            pair_weights=weights, log_base=base,
-            uniform_when_degenerate=True, zero_average_policy="full-weight",
+            pair_weights=weights, uniform_when_degenerate=True, zero_average_policy="full-weight",
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = run_pipeline(matrices, config, with_ranking=False)
-        profiles = result.wpbl_profiles
-        return zip(result.pair_divergences.T, *np.triu_indices(len(profiles), 1)), profiles
+            profiles = result.wpbl_profiles
+            first, second = np.triu_indices(len(profiles), 1)
+            # the pipeline runs in base 2; another base goes through the pair kernel
+            rows = result.pair_divergences.T if base is LogBase.TWO else [
+                pairwise_divergence(profiles[i], profiles[j], weights, base) for i, j in zip(first, second)
+            ]
+        return zip(rows, first, second), profiles
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
@@ -577,7 +595,7 @@ class TestPreparedPairPath:
         copies=st.integers(0, 3),
         seed=st.integers(0, 2**32 - 1),
         weights=st.sampled_from(CONFIG_PAIR_WEIGHTS),
-        base=st.sampled_from(["2", "e"]),
+        base=st.sampled_from(list(LogBase)),
     )
     def test_run_pipeline_pair_table_equals_masked_reference(self, k, p, q, copies, seed, weights, base):
         try:
@@ -585,7 +603,7 @@ class TestPreparedPairPath:
         except NegativeDivergenceError:
             reject()  # rounding on identical experts; the pair table is not returned
         for got, i, j in table:
-            assert np.array_equal(got, masked_pair_divergence(profiles[i], profiles[j], weights, LogBase.parse(base)))
+            assert np.array_equal(got, masked_pair_divergence(profiles[i], profiles[j], weights, base))
 
     # the oracle's 50-digit logs are slow, so the sizes stop at 8
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -595,9 +613,9 @@ class TestPreparedPairPath:
         q=st.integers(2, 8),
         copies=st.integers(0, 3),
         seed=st.integers(0, 2**32 - 1),
-        base=st.sampled_from(["2", "e"]),
+        base=st.sampled_from(list(LogBase)),
     )
     def test_run_pipeline_pair_table_matches_decimal_oracle(self, k, p, q, copies, seed, base):
         table, profiles = self.pair_table(k, p, q, copies, seed, (0.5, 0.5), base)
         for got, i, j in table:
-            assert_matches_oracle(got, pair_totals(profiles[i], profiles[j], base=LogBase.parse(base)))
+            assert_matches_oracle(got, pair_totals(profiles[i], profiles[j], base=base))

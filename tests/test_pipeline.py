@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from decimal_oracle import ordered_weighted_sums, relative_errors
 from groups import group_of
@@ -21,6 +21,7 @@ from evidential_magdm.errors import (
 )
 from evidential_magdm.linguistic import BpaTensor, DecisionGroup, DecisionMatrix, bpa_tensor, membership_matrix
 from evidential_magdm.pipeline import (
+    OwaWeights,
     _descending_network,
     _expert_pairs,
     divergence_matrix,
@@ -122,12 +123,15 @@ class TestOwaWeights:
         assert not np.array_equal(owa_weights(7, "orness", orness=0.35).values, first.values)
 
     def test_values_are_a_private_copy(self):
-        from evidential_magdm.pipeline import OwaWeights
-
         raw = np.array([0.5, 0.5])
         w = OwaWeights(raw, "given")
         raw[0] = 1.0
         assert w.values.tolist() == [0.5, 0.5]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_values_are_refused(self, bad):
+        with pytest.raises(ValueError, match="^ordered weights must be finite, nonnegative and sum to 1$"):
+            OwaWeights(np.array([bad, 1.0]), "given")
 
 
 class TestOrderedWeightedBelief:
@@ -596,6 +600,30 @@ class TestExpertWeights:
         scaled = expert_weights(dmm * 37.0, ("a", "b", "c", "d"))
         np.testing.assert_allclose(base.weights, scaled.weights, atol=1e-12)
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        k=st.integers(2, 32),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-6, 1e-3, 1.0]),
+        c=st.sampled_from([1 / math.log(2), math.log(2), 17.0, 1 / 200]),
+    )
+    def test_rescaled_matrix_keeps_weights_and_ranking(self, k, seed, scale, c):
+        # a key that only rescales every divergence (a log base, a mean in place
+        # of a sum) changes no weight and no ranking: w is proportional to 1/avg
+        rng = np.random.default_rng(seed)
+        raw = rng.exponential(scale, size=(k, k)) * (rng.random((k, k)) > 0.2)
+        dmm = np.triu(raw, 1) + np.triu(raw, 1).T
+        assume(np.all(dmm.sum(axis=1) > 0))
+        ids = tuple(f"e{e}" for e in range(k))
+        base = expert_weights(dmm, ids)
+        scaled = expert_weights(c * dmm, ids)
+        assert np.abs(scaled.weights - base.weights).max() <= 1e-15
+        # the ranking holds across every gap wider than that
+        ranked, again = base.ranking(), scaled.ranking()
+        sorted_weights = np.sort(base.weights)[::-1]
+        for cut in np.flatnonzero(-np.diff(sorted_weights) > 1e-15) + 1:
+            assert set(ranked[:cut]) == set(again[:cut])
+
     def test_zero_average_policies(self):
         dmm = np.zeros((2, 2))
         with pytest.raises(ZeroDivergenceError):
@@ -659,6 +687,11 @@ class TestRank:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             rank(np.array([[0.2, -0.1], [0.3, 0.4]]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="^fused matrix must be 2-d, finite and nonnegative$"):
+            rank(np.array([[bad, 1.0], [1.0, 1.0]]))
 
 
 class TestRunPipelineValidation:
