@@ -79,7 +79,8 @@ def cmd_rank(args) -> int:
     # the output directory stays out of the report so that identical
     # inputs give byte-identical reports wherever they are written
     report["inputs"] = [str(p) for p in args.inputs]
-    dataio.atomic_write_text(out_dir / "report.json", report_mod.dump_json(report))
+    text = report_mod.dump_json(report)
+    dataio.atomic_write_text(out_dir / "report.json", text)
     dataio.atomic_write_text(out_dir / "report.md", report_mod.render_markdown(report))
     if args.dump_intermediates:
         for e, expert_id in enumerate(result.expert_ids):
@@ -90,7 +91,7 @@ def cmd_rank(args) -> int:
                 )
     log.info("wrote %s and %s", out_dir / "report.json", out_dir / "report.md")
     if args.json:
-        sys.stdout.write(report_mod.dump_json(report))
+        sys.stdout.write(text)
     else:
         print("expert ranking:", " > ".join(report["expert_ranking"]))
         print("weights:", ", ".join(
@@ -122,9 +123,10 @@ def cmd_fuse_features(args) -> int:
         "weights": list(np.asarray(weights.weights)),
         "metrics": metrics.to_dict(),
     }
-    dataio.atomic_write_text(out_dir / "metrics.json", report_mod.dump_json(payload))
+    text = report_mod.dump_json(payload)
+    dataio.atomic_write_text(out_dir / "metrics.json", text)
     if args.json:
-        sys.stdout.write(report_mod.dump_json(payload))
+        sys.stdout.write(text)
     else:
         def f4(value):  # "undefined" metrics print as they are
             return value if isinstance(value, str) else f"{value:.4f}"

@@ -66,26 +66,40 @@ def fusion_config(config: RunConfig | None = None) -> RunConfig:
     return (config or RunConfig()).replace(zero_average_policy="full-weight")
 
 
+def _name_non_finite(sources: list[FeatureSet]) -> None:
+    """Raise for the first non-finite value, in source order then row-major, naming its source,
+    dimension ``f<j>`` and sample ``s<i>``."""
+    for s in sources:
+        if not np.isfinite(s.features).all():
+            i, j = np.argwhere(~np.isfinite(s.features))[0]
+            raise ValueError(f"source {s.source_id!r} has non-finite value {s.features[i, j]} in f{j} at sample s{i}")
+
+
 def _source_group(sources: list[FeatureSet], sample_cap: int | None = None, seed: int = 0) -> DecisionGroup:
     """The sources as one group, rows ``s<i>`` as alternatives and dimensions ``f<j>`` as
     attributes; a shape that differs, or a non-finite value in any row, is named. Past
-    ``sample_cap`` rows, a seeded choice of that many, kept in order, is copied; else all rows."""
+    ``sample_cap`` rows, a seeded choice of that many, kept in order, is copied; else all rows.
+
+    The group's own check is the one scan of the rows it holds. The sources are scanned
+    in full only when a sample leaves rows out, or to locate the value that check refused."""
     if len(sources) < 2:
         raise ValueError("fusion needs at least 2 sources")
     n, d = shape = sources[0].features.shape
     for s in sources:
         if s.features.shape != shape:
             raise ValueError(f"source {s.source_id!r} shape {s.features.shape} != {shape}")
-        if not np.isfinite(s.features).all():
-            i, j = np.argwhere(~np.isfinite(s.features))[0]
-            raise ValueError(f"source {s.source_id!r} has non-finite value {s.features[i, j]} in f{j} at sample s{i}")
     rows = slice(None)  # a view of all rows
     if sample_cap is not None and n > sample_cap:
         rows = np.sort(np.random.default_rng(seed).choice(n, size=sample_cap, replace=False))
-    return DecisionGroup(
-        tuple(s.source_id for s in sources), np.stack([s.features[rows] for s in sources]),
-        tuple(f"s{r}" for r in np.arange(n)[rows]), tuple(f"f{j}" for j in range(d)),
-    )
+        _name_non_finite(sources)
+    try:
+        return DecisionGroup(
+            tuple(s.source_id for s in sources), np.stack([s.features[rows] for s in sources]),
+            tuple(f"s{r}" for r in np.arange(n)[rows]), tuple(f"f{j}" for j in range(d)),
+        )
+    except ValueError:
+        _name_non_finite(sources)
+        raise
 
 
 def estimate_fusion_weights(sources: list[FeatureSet], config: RunConfig | None = None) -> FusionWeights:

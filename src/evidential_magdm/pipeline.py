@@ -8,7 +8,9 @@ Stages, all pure functions of their inputs:
 2. linguistic memberships and masses for the whole ``DecisionGroup``,
    one call each per run (``linguistic`` module): each is one record
    holding a (k, p, q, terms) stack, the view of one alternative-innermost
-   (terms, k*q, p) slab;
+   (terms, k*q, p) slab. Only the ordered belief reads them, so the run
+   keeps neither past it; ``PipelineResult`` derives both again from its
+   group on first read;
 3. ordered weighted belief per (alternative, attribute) cell, also one
    call for the group: a compare-exchange network sorts the masses' slab
    along the term axis, and each belief is the fixed-order sum of the
@@ -400,15 +402,23 @@ def rank(fused: np.ndarray, alternative_labels: tuple[str, ...] = ()) -> Ranking
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """Every stage of one pipeline run, in expert order."""
+    """Every stage of one pipeline run, in expert order.
+
+    ``group`` is the validated ``DecisionGroup`` the run used; the expert
+    ids and the alternative and attribute labels are read from it. The
+    (k, p, q, terms) ``memberships`` and ``bpa_tensors`` are not stored:
+    each is derived from the group and ``config`` on first read, by the
+    same deterministic stage call the run made, so it equals the run's
+    own record bit for bit, and is then kept. Each is terms times the
+    size of a (k, p, q) stack (4.1 MB at k = 64, p = 200, q = 8 and
+    5 terms). The group's ``values`` is a read-only view: it is the
+    caller's array when the group was built from one, and writing to that
+    array changes what a first read derives.
+    """
 
     config: RunConfig
-    expert_ids: tuple[str, ...]
-    alternative_labels: tuple[str, ...]
-    attribute_labels: tuple[str, ...]
+    group: DecisionGroup
     normalized: np.ndarray | None  # (k, p, q); None without the ranking, like ``ranking``
-    memberships: MembershipMatrix  # degrees (k, p, q, terms); row e is expert e
-    bpa_tensors: BpaTensor  # masses (k, p, q, terms), zero columns as (expert, attribute, term)
     owa: OwaWeights
     beliefs: np.ndarray  # (k, p, q); row e is expert e's (p, q) array
     plausibilities: np.ndarray  # (k, p, q)
@@ -418,6 +428,30 @@ class PipelineResult:
     dmm: np.ndarray
     weights: ExpertWeights
     ranking: RankingResult | None
+
+    @property
+    def expert_ids(self) -> tuple[str, ...]:
+        return self.group.expert_ids
+
+    @property
+    def alternative_labels(self) -> tuple[str, ...]:
+        return self.group.alternative_labels
+
+    @property
+    def attribute_labels(self) -> tuple[str, ...]:
+        return self.group.attribute_labels
+
+    @functools.cached_property
+    def memberships(self) -> MembershipMatrix:
+        """Degrees (k, p, q, terms); row e is expert e."""
+        return membership_matrix(
+            self.group, terms=self.config.terms, uniform_when_degenerate=self.config.uniform_when_degenerate,
+        )
+
+    @functools.cached_property
+    def bpa_tensors(self) -> BpaTensor:
+        """Masses (k, p, q, terms), zero columns as (expert, attribute, term)."""
+        return bpa_tensor(self.memberships)
 
 
 def run_pipeline(
@@ -430,8 +464,10 @@ def run_pipeline(
 
     ``with_ranking=False`` stops after the expert weights, which is what
     the feature-fusion harness needs (feature matrices may be negative,
-    so the nonnegative ideal-solution ranking does not apply). The pair
-    loop reads rows of one (k, p*q) attribute-major view of the profiles.
+    so the nonnegative ideal-solution ranking does not apply). The
+    memberships and masses are freed once the beliefs are formed, before
+    the pair loop, which reads rows of one (k, p*q) attribute-major view
+    of the profiles.
     """
     config = config or RunConfig()
     if not isinstance(group, DecisionGroup):
@@ -441,12 +477,13 @@ def run_pipeline(
         raise ValueError("group decision needs at least 2 experts")
 
     normalized = normalize_decision_matrix(group) if with_ranking else None
-    memberships = membership_matrix(
-        group, terms=config.terms, uniform_when_degenerate=config.uniform_when_degenerate,
-    )
-    tensors = bpa_tensor(memberships)
     owa = owa_weights(config.terms, config.owa_scheme, config.orness)
-    beliefs = ordered_weighted_belief(tensors, owa)
+    beliefs = ordered_weighted_belief(
+        bpa_tensor(membership_matrix(
+            group, terms=config.terms, uniform_when_degenerate=config.uniform_when_degenerate,
+        )),
+        owa,
+    )
     plausibilities = ordered_weighted_plausibility(beliefs)
     profiles = expert_wpbl(beliefs, plausibilities, axis=config.wpbl_axis)
     _, _, pairs = _expert_pairs(k)
@@ -465,12 +502,8 @@ def run_pipeline(
         ranking = rank(fuse(normalized, weights.weights), group.alternative_labels)
     return PipelineResult(
         config=config,
-        expert_ids=ids,
-        alternative_labels=group.alternative_labels,
-        attribute_labels=group.attribute_labels,
+        group=group,
         normalized=normalized,
-        memberships=memberships,
-        bpa_tensors=tensors,
         owa=owa,
         beliefs=beliefs,
         plausibilities=plausibilities,

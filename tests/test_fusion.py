@@ -334,6 +334,26 @@ class TestFusionBlocks:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 call()
 
+    @pytest.mark.parametrize(
+        "sample_cap, scans",
+        [(None, [3 * 240 * 16]), (240, [3 * 240 * 16]), (100, [240 * 16] * 3 + [3 * 100 * 16])],
+        ids=["no-cap", "all-rows", "sampled-rows"],
+    )
+    def test_finite_values_are_scanned_once_per_group(self, monkeypatch, sample_cap, scans):
+        # taking every row, the group's own check is the only scan; a sample
+        # also scans each whole source, for the rows it leaves out
+        sizes = []
+        isfinite = np.isfinite
+
+        def counted(values, *args, **kwargs):
+            sizes.append(np.size(values))
+            return isfinite(values, *args, **kwargs)
+
+        sources = make_synthetic_sources(6, n_dims=16)
+        monkeypatch.setattr(np, "isfinite", counted)
+        fusion._source_group(sources, sample_cap)
+        assert sizes == scans
+
 
 class TestFuseFeatures:
     def test_identical_sources_recover_normalised_source(self):

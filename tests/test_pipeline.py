@@ -1,6 +1,8 @@
 """Pipeline stage tests and whole-pipeline invariants."""
 
+import gc
 import math
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from decimal_oracle import ordered_weighted_sums, relative_errors
 from groups import group_of
+from perfbench_modules import load_tracing
 from evidential_magdm import pipeline, recruitment as ref
 from evidential_magdm.config import RunConfig
 from evidential_magdm.errors import (
@@ -762,6 +765,101 @@ class TestGroupInput:
             assert got.keys() == expected.keys()
             for name, array in expected.items():
                 assert got[name].tobytes() == array.tobytes(), name
+
+
+def derived_case(input_kind: str):
+    """3 experts' 7 x 3 matrices: a plain column, a two-valued one (its interior
+    terms get no mass) and, for expert e1, a flat one; as a list or a group."""
+    values = np.random.default_rng(21).uniform(1.0, 99.0, size=(3, 7, 3))
+    values[:, :, 1] = [[10, 20, 10, 20, 20, 10, 10], [20, 10, 10, 10, 20, 20, 20], [10, 10, 20, 20, 10, 20, 10]]
+    values[1, :, 2] = 42.0
+    ids = ("e0", "e1", "e2")
+    if input_kind == "group":
+        return DecisionGroup(ids, values)
+    return [DecisionMatrix(e, v) for e, v in zip(ids, values)]
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    return load_tracing()
+
+
+class TestDerivedRecords:
+    """``PipelineResult`` keeps the group, not its memberships and masses:
+    they are derived on first read, equal to the run's own records."""
+
+    def test_run_keeps_no_membership_or_mass_array(self, monkeypatch):
+        refs = []
+
+        def watched(stage):
+            def run(*args, **kwargs):
+                record = stage(*args, **kwargs)
+                arrays = [v for v in vars(record).values() if isinstance(v, np.ndarray)]
+                refs.extend(weakref.ref(x) for x in [record, *arrays, *(a.base for a in arrays if a.base is not None)])
+                return record
+            return run
+
+        monkeypatch.setattr(pipeline, "membership_matrix", watched(membership_matrix))
+        monkeypatch.setattr(pipeline, "bpa_tensor", watched(bpa_tensor))
+        config = RunConfig(uniform_when_degenerate=True)
+        result = run_pipeline(derived_case("list"), config)
+        gc.collect()
+        assert len(refs) >= 8
+        assert [r for r in refs if r() is not None] == []
+        assert result.weights.weights.sum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("input_kind", ["list", "group"])
+    @pytest.mark.parametrize("wpbl_axis", ["attributes", "alternatives"])
+    @pytest.mark.parametrize("terms", [5, 9])
+    def test_derived_records_equal_the_runs_own(self, monkeypatch, terms, wpbl_axis, input_kind):
+        built = []
+
+        def kept(stage):
+            def run(*args, **kwargs):
+                built.append(stage(*args, **kwargs))
+                return built[-1]
+            return run
+
+        config = RunConfig(terms=terms, wpbl_axis=wpbl_axis, uniform_when_degenerate=True)
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "membership_matrix", kept(membership_matrix))
+            patch.setattr(pipeline, "bpa_tensor", kept(bpa_tensor))
+            result = run_pipeline(derived_case(input_kind), config)
+        run_memberships, run_masses = built
+        direct = membership_matrix(result.group, terms=terms, uniform_when_degenerate=True)
+        direct_masses = bpa_tensor(direct)
+        got, got_masses = result.memberships, result.bpa_tensors
+        for expected, expected_masses in ((run_memberships, run_masses), (direct, direct_masses)):
+            for name in ("degrees", "lo", "hi"):
+                assert same_bits(getattr(got, name), getattr(expected, name)), name
+            assert got.segments == expected.segments == terms - 1
+            assert same_bits(got_masses.masses, expected_masses.masses)
+            assert got_masses.zero_columns == expected_masses.zero_columns
+        assert np.all(got.degrees[1, :, 2] == 1.0 / terms)  # e1's flat column
+        assert {(e, 1) for e in range(3)} <= {(e, j) for e, j, _ in got_masses.zero_columns}
+
+    @pytest.mark.parametrize("first", ["memberships", "bpa_tensors"])
+    def test_first_read_runs_each_stage_once_more(self, tracing, first):
+        tracer = tracing.Tracer()
+
+        def calls():
+            table = tracing.summarize(tracer.spans)
+            return [table[f"linguistic.{stage}"]["calls"] for stage in ("membership_matrix", "bpa_tensor")]
+
+        with tracing.Instrumentation(tracer):
+            result = run_pipeline(random_matrices(np.random.default_rng(22)))
+            assert calls() == [1, 1]
+            record = getattr(result, first)
+            assert calls() == ([2, 2] if first == "bpa_tensors" else [2, 1])
+            memberships, masses = result.memberships, result.bpa_tensors
+            assert calls() == [2, 2]
+            assert getattr(result, first) is record
+            assert result.memberships is memberships and result.bpa_tensors is masses
+            assert calls() == [2, 2]
 
 
 class TestPipelineInvariants:

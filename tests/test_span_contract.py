@@ -9,14 +9,13 @@ runs the counts that ``FusionWide.expected`` states. These tests only read ``per
 """
 
 import importlib
-import importlib.util
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+from perfbench_modules import load, load_tracing
+
 # stages that take the whole expert group: one span per run_pipeline
 GROUP_STAGES = (
     "linguistic.membership_matrix",
@@ -27,16 +26,9 @@ GROUP_STAGES = (
 )
 
 
-def load(name):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    return spec, importlib.util.module_from_spec(spec)
-
-
 @pytest.fixture(scope="module")
 def tracing():
-    spec, module = load("tracing")
-    spec.loader.exec_module(module)
-    return module
+    return load_tracing()
 
 
 def test_every_span_resolves_to_a_library_callable(tracing):
