@@ -12,6 +12,7 @@ temp file in the target directory followed by an atomic rename.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -134,11 +135,18 @@ def read_decision_matrices(paths) -> list[DecisionMatrix]:
     return matrices
 
 
+def _write_csv(path: str | Path, rows) -> None:
+    """CSV rows, a label quoted where it holds a comma, quote or newline."""
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    atomic_write_text(path, text.getvalue())
+
+
 def write_decision_matrix(path: str | Path, matrix: DecisionMatrix) -> None:
-    lines = ["alternative," + ",".join(matrix.attribute_labels)]
-    for label, row in zip(matrix.alternative_labels, matrix.values):
-        lines.append(label + "," + ",".join(f"{v:.17g}" for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, [
+        ["alternative", *matrix.attribute_labels],
+        *([label, *(f"{v:.17g}" for v in row)] for label, row in zip(matrix.alternative_labels, matrix.values)),
+    ])
 
 
 def read_feature_source(path: str | Path, source_id: str | None = None) -> FeatureSet:
@@ -213,16 +221,11 @@ def write_term_values(path: str | Path, expert_id: str, values, alternative_labe
                       attribute_labels) -> None:
     """Long-format dump of a (p, q, terms) tensor for golden-test diffing."""
     arr = np.asarray(values)
-    lines = ["alt,attr,term,value"]
     p, q, terms = arr.shape
-    for i in range(p):
-        for j in range(q):
-            for f in range(terms):
-                lines.append(
-                    f"{alternative_labels[i]},{attribute_labels[j]},{f + 1},"
-                    f"{arr[i, j, f]:.17g}"
-                )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, [["alt", "attr", "term", "value"], *(
+        [alternative_labels[i], attribute_labels[j], f + 1, f"{arr[i, j, f]:.17g}"]
+        for i in range(p) for j in range(q) for f in range(terms)
+    )])
 
 
 def read_manifest(path: str | Path) -> tuple[list[dict], dict]:

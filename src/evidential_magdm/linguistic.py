@@ -123,6 +123,15 @@ class DecisionGroup:
         object.__setattr__(part, "attribute_labels", self.attribute_labels[start:stop])
         return part
 
+    def experts(self, start: int, stop: int) -> "DecisionGroup":
+        """The group of experts ``start:stop``, a view: a part of a checked group is not checked again."""
+        if not 0 <= start < stop <= len(self.expert_ids):
+            raise ValueError(f"expert range {start}:{stop} outside 0:{len(self.expert_ids)}")
+        part = copy.copy(self)
+        object.__setattr__(part, "values", self.values[start:stop])
+        object.__setattr__(part, "expert_ids", self.expert_ids[start:stop])
+        return part
+
 
 def _span_scale(lo, hi):
     """1.0, or 0.5 where ``hi - lo`` overflows; elementwise on arrays.

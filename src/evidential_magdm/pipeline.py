@@ -5,18 +5,18 @@ Stages, all pure functions of their inputs:
 1. normalise the group's (k, p, q) values column-wise (Euclidean norm),
    one call per run that returns one (k, p, q) stack; only the fused
    ranking reads it, so ``with_ranking=False`` skips it;
-2. linguistic memberships and masses for the whole ``DecisionGroup``,
-   one call each per run (``linguistic`` module): each is one record
-   holding a (k, p, q, terms) stack, the view of one alternative-innermost
-   (terms, k*q, p) slab. Only the ordered belief reads them, so the run
-   keeps neither past it; ``PipelineResult`` derives both again from its
-   group on first read;
-3. ordered weighted belief per (alternative, attribute) cell, also one
-   call for the group: a compare-exchange network sorts the masses' slab
-   along the term axis, and each belief is the fixed-order sum of the
-   OWA-weighted sorted planes. The beliefs are one (k, p, q) stack, the
-   transpose of a C-contiguous (k, q, p) block, and the elementwise
-   stages below keep that layout for plausibilities and profiles;
+2. linguistic memberships and masses (``linguistic`` module), one call
+   each per chunk of experts, a ``DecisionGroup.experts`` view of about
+   ``_SORT_CELLS`` cells: each is one record holding a (chunk, p, q,
+   terms) stack, the view of one alternative-innermost slab. Only the
+   chunk's ordered belief reads them, so no whole-group slab is made;
+   ``PipelineResult`` derives both for the group on first read;
+3. ordered weighted belief per (alternative, attribute) cell, one call
+   per chunk: a compare-exchange network sorts the masses' slab along
+   the term axis, and each belief is the fixed-order sum of the
+   OWA-weighted sorted planes. Each chunk fills its rows of one
+   C-contiguous (k, q, p) block, whose transpose is the (k, p, q) belief
+   stack; the elementwise stages below keep that layout;
 4. cross-expert plausibility: an expert's share of the cell's total belief;
 5. belief-plausibility profiles of the stack, normalised along the
    configured axis (attribute propositions by default);
@@ -167,52 +167,47 @@ def _expert_pairs(k: int) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, int]
     return rows, cols, tuple(zip(rows.tolist(), cols.tolist()))
 
 
-# (alternative, attribute) cells sorted per chunk of experts: bounds the
-# work planes, which at k = 64 would otherwise add several MB to peak RSS
+# (alternative, attribute) cells of the run of experts that run_pipeline
+# takes through memberships, masses and belief at a time: bounds their
+# slabs and work planes, which for a whole k = 64 group would be 4.1 MB each
 _SORT_CELLS = 1 << 14
 
 
 def ordered_weighted_belief(tensors: BpaTensor, weights: OwaWeights) -> np.ndarray:
     """(k, p, q) stack of each expert's per-cell Σ_f w_f · (f-th largest mass).
 
-    A chunk of experts' (k, p, q, terms) masses is read as its
-    (terms, columns, p) ``term_slab``, a view of a group pass's own stack,
-    and sorted along the term axis by a compare-exchange network: each step
-    writes the larger and the smaller of two whole (columns, p) planes
-    into two work planes, so the masses themselves stay untouched. The
-    belief is then the fixed-order sum w_1·plane_1 + w_2·plane_2 + ...
-    over the sorted planes, one multiply and one add per term on whole
-    planes, so every cell rounds the same way whatever the chunking, the
-    group size or the BLAS build. Each chunk's sum fills its rows of one
-    C-contiguous (k·q, p) block, and the stack is its (k, p, q) transpose
-    view: expert e's belief is the transpose of the C-contiguous (q, p)
-    block ``e``.
+    The (k, p, q, terms) masses are read as their (terms, k·q, p)
+    ``term_slab``, a view of a stage's own stack, and sorted along the term
+    axis by a compare-exchange network: each step writes the larger and
+    the smaller of two whole (k·q, p) planes into two work planes, so the
+    masses themselves stay untouched. The belief is then the fixed-order
+    sum w_1·plane_1 + w_2·plane_2 + ... over the sorted planes, one
+    multiply and one add per term on whole planes, so every cell rounds
+    the same way whatever run of experts it is passed with, the group size
+    or the BLAS build. The sum is one C-contiguous (k·q, p) block, and the
+    stack is its (k, p, q) transpose view: expert e's belief is the
+    transpose of the C-contiguous (q, p) block ``e``.
     """
     masses = tensors.masses
     k, p, q, terms = masses.shape
     if weights.values.size != terms:
         raise ValueError(f"weight length {weights.values.size} != term count {terms}")
-    network = _descending_network(terms)
     w = weights.values.tolist()
-    per_chunk = max(1, _SORT_CELLS // (p * q))
-    block = np.empty((k * q, p))
-    for first in range(0, k, per_chunk):
-        chunk = masses[first:first + per_chunk]
-        planes = list(term_slab(chunk))  # read only
-        free = []  # work planes that no position holds any more
-        for a, b in network:
-            high = free.pop() if free else np.empty(planes[a].shape)
-            low = free.pop() if free else np.empty(planes[a].shape)
-            np.maximum(planes[a], planes[b], out=high)
-            np.minimum(planes[a], planes[b], out=low)
-            free += [x for x in (planes[a], planes[b]) if x.base is None]
-            planes[a], planes[b] = high, low
-        belief = np.multiply(planes[0], w[0], out=block[first * q:(first + len(chunk)) * q])
-        term = free.pop() if free else np.empty(belief.shape)
-        for f in range(1, terms):
-            np.multiply(planes[f], w[f], out=term)
-            belief += term
-    return block.reshape(k, q, p).transpose(0, 2, 1)
+    planes = list(term_slab(masses))  # read only
+    free = []  # work planes that no position holds any more
+    for a, b in _descending_network(terms):
+        high = free.pop() if free else np.empty(planes[a].shape)
+        low = free.pop() if free else np.empty(planes[a].shape)
+        np.maximum(planes[a], planes[b], out=high)
+        np.minimum(planes[a], planes[b], out=low)
+        free += [x for x in (planes[a], planes[b]) if x.base is None]
+        planes[a], planes[b] = high, low
+    belief = np.multiply(planes[0], w[0])
+    term = free.pop() if free else np.empty(belief.shape)
+    for f in range(1, terms):
+        np.multiply(planes[f], w[f], out=term)
+        belief += term
+    return belief.reshape(k, q, p).transpose(0, 2, 1)
 
 
 def ordered_weighted_plausibility(beliefs) -> np.ndarray:
@@ -408,8 +403,9 @@ class PipelineResult:
     ids and the alternative and attribute labels are read from it. The
     (k, p, q, terms) ``memberships`` and ``bpa_tensors`` are not stored:
     each is derived from the group and ``config`` on first read, by the
-    same deterministic stage call the run made, so it equals the run's
-    own record bit for bit, and is then kept. Each is terms times the
+    stage call the run made per chunk, on the whole group; an expert's
+    rows depend only on its own values, so they equal the run's bit for
+    bit. The record is then kept. Each is terms times the
     size of a (k, p, q) stack (4.1 MB at k = 64, p = 200, q = 8 and
     5 terms). The group's ``values`` is a read-only view: it is the
     caller's array when the group was built from one, and writing to that
@@ -465,25 +461,28 @@ def run_pipeline(
     ``with_ranking=False`` stops after the expert weights, which is what
     the feature-fusion harness needs (feature matrices may be negative,
     so the nonnegative ideal-solution ranking does not apply). The
-    memberships and masses are freed once the beliefs are formed, before
-    the pair loop, which reads rows of one (k, p*q) attribute-major view
-    of the profiles.
+    memberships, masses and beliefs run per chunk of ``_SORT_CELLS``
+    cells' experts, so their slabs stay cache-sized; the pair loop reads
+    rows of one (k, p*q) attribute-major view of the profiles.
     """
     config = config or RunConfig()
     if not isinstance(group, DecisionGroup):
         group = DecisionGroup.from_matrices(group)
-    ids, (k, p, _) = group.expert_ids, group.values.shape
+    ids, (k, p, q) = group.expert_ids, group.values.shape
     if k < 2:
         raise ValueError("group decision needs at least 2 experts")
 
     normalized = normalize_decision_matrix(group) if with_ranking else None
     owa = owa_weights(config.terms, config.owa_scheme, config.orness)
-    beliefs = ordered_weighted_belief(
-        bpa_tensor(membership_matrix(
-            group, terms=config.terms, uniform_when_degenerate=config.uniform_when_degenerate,
-        )),
-        owa,
-    )
+    per_chunk = max(1, _SORT_CELLS // (p * q))
+    block = np.empty((k * q, p))
+    for first in range(0, k, per_chunk):
+        stop = min(first + per_chunk, k)
+        chunk = ordered_weighted_belief(bpa_tensor(membership_matrix(
+            group.experts(first, stop), terms=config.terms, uniform_when_degenerate=config.uniform_when_degenerate,
+        )), owa)
+        block[first * q:stop * q] = chunk.transpose(0, 2, 1).reshape(-1, p)
+    beliefs = block.reshape(k, q, p).transpose(0, 2, 1)
     plausibilities = ordered_weighted_plausibility(beliefs)
     profiles = expert_wpbl(beliefs, plausibilities, axis=config.wpbl_axis)
     _, _, pairs = _expert_pairs(k)

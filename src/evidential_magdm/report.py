@@ -72,10 +72,11 @@ def _f6(value: float) -> str:
 
 
 def _table(headers: list[str], rows: list[list[str]]) -> list[str]:
-    lines = ["| " + " | ".join(headers) + " |"]
+    """A markdown table; a ``|`` in a cell (an id or a label) is escaped."""
+    lines = ["| " + " | ".join(h.replace("|", "\\|") for h in headers) + " |"]
     lines.append("|" + "|".join(" --- " for _ in headers) + "|")
     for row in rows:
-        lines.append("| " + " | ".join(row) + " |")
+        lines.append("| " + " | ".join(c.replace("|", "\\|") for c in row) + " |")
     return lines
 
 

@@ -1,6 +1,7 @@
 """CLI and configuration contract tests."""
 
 import argparse
+import csv
 import dataclasses
 import itertools
 import json
@@ -138,6 +139,32 @@ class TestRankCommand:
         assert first[:3] == ["1", "Panel interview", "1"]
         assert float(first[3]) == pytest.approx(0.25 / 7.125)
         assert (tmp_path / "u1_memberships.csv").exists()
+
+    def test_labels_with_commas_quotes_and_pipes_keep_their_cells(self, tmp_path):
+        alternatives = ("Smith, J", 'say "hi"', "a|b", "plain", 'x, "y"|z')
+        attributes = ("cost, total", "cost|total")
+        rng = np.random.default_rng(3)
+        paths = []
+        for e in ("u1", "u2", "u3"):
+            paths.append(str(tmp_path / f"{e}.csv"))
+            dataio.write_decision_matrix(paths[-1], DecisionMatrix(e, rng.uniform(1, 9, (5, 2)), alternatives, attributes))
+        out = tmp_path / "out"
+        assert main(["rank", *paths, "--out", str(out), "--dump-intermediates"]) == 0
+        for kind in ("memberships", "masses"):
+            with open(out / f"u2_{kind}.csv", newline="") as handle:
+                rows = list(csv.reader(handle))
+            assert rows[0] == ["alt", "attr", "term", "value"] and len(rows) == 1 + 5 * 2 * 5
+            assert all(len(row) == 4 for row in rows)
+            assert [row[:2] for row in rows[1::5]] == [[a, t] for a in alternatives for t in attributes]
+        tables = 0
+        for block in (out / "report.md").read_text().split("\n\n"):
+            rows = [re.split(r"(?<!\\)\|", line)[1:-1] for line in block.splitlines() if line.startswith("|")]
+            if rows:
+                tables += 1
+                assert len({len(row) for row in rows}) == 1, block
+        assert tables == 2
+        assert "| Smith, J |" in (out / "report.md").read_text()
+        assert "| a\\|b |" in (out / "report.md").read_text()
 
     def test_single_expert_is_config_error(self, recruitment_csvs, capsys):
         code = main(["rank", recruitment_csvs[0]])
@@ -383,6 +410,23 @@ class TestCsvRoundTrip:
         np.testing.assert_allclose(back.values, matrix.values, atol=1e-12)
         assert back.alternative_labels == matrix.alternative_labels
         assert back.attribute_labels == matrix.attribute_labels
+
+    def test_labels_with_commas_quotes_and_newlines_round_trip(self, tmp_path):
+        matrix = DecisionMatrix(
+            "expert", np.random.default_rng(2).uniform(0, 9, size=(4, 3)),
+            ("Smith, J", 'say "hi"', "two\nlines", "plain"), ("cost, total", 'q"uote', "a|b"),
+        )
+        path = tmp_path / "expert.csv"
+        dataio.write_decision_matrix(path, matrix)
+        back = dataio.read_decision_matrix(path)
+        assert back.alternative_labels == matrix.alternative_labels
+        assert back.attribute_labels == matrix.attribute_labels
+        np.testing.assert_array_equal(back.values, matrix.values)
+
+    def test_plain_labels_are_written_unquoted(self, tmp_path):
+        matrix = DecisionMatrix("e", np.array([[1.5, 2.0], [0.25, 3.0]]), ("a 1", "a2"), ("x", "y z"))
+        dataio.write_decision_matrix(tmp_path / "e.csv", matrix)
+        assert (tmp_path / "e.csv").read_text() == "alternative,x,y z\na 1,1.5,2\na2,0.25,3\n"
 
     def test_signed_values_stay_accepted_outside_rank_csvs(self, tmp_path):
         (tmp_path / "s.csv").write_text("f0,f1,label\n-1.5,2,0\n3,-4e2,1\n")

@@ -782,3 +782,18 @@ class TestDecisionGroup:
         for start, stop in ((2, 2), (-1, 2), (3, 5)):
             with pytest.raises(ValueError, match=rf"^attribute range {start}:{stop} outside 0:4$"):
                 group.columns(start, stop)
+
+    def test_experts_are_an_unchecked_view(self, monkeypatch):
+        group = DecisionGroup(("a", "b", "c"), np.arange(24.0).reshape(3, 4, 2), attribute_labels=("x", "y"))
+        checks = []
+        monkeypatch.setattr(DecisionGroup, "__post_init__", lambda self: checks.append(self))
+        part = group.experts(1, 3)
+        assert checks == []
+        assert part.values.base is group.values.base and part.values.shape == (2, 4, 2)
+        assert np.array_equal(part.values, group.values[1:3]) and not part.values.flags.writeable
+        assert (part.expert_ids, part.alternative_labels, part.attribute_labels) == (
+            ("b", "c"), group.alternative_labels, group.attribute_labels,
+        )
+        for start, stop in ((2, 2), (-1, 2), (2, 4)):
+            with pytest.raises(ValueError, match=rf"^expert range {start}:{stop} outside 0:3$"):
+                group.experts(start, stop)

@@ -17,6 +17,7 @@ from evidential_magdm.config import RunConfig
 from evidential_magdm.errors import (
     ConfigError,
     DegenerateCellError,
+    DegenerateDomainError,
     DegenerateRankingError,
     MagdmError,
     NegativeDivergenceError,
@@ -60,6 +61,39 @@ def belief_groups(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     matrices = [DecisionMatrix(f"e{e}", rng.uniform(-5.0, 5.0, size=(p, q))) for e in range(k)]
     return bpa_tensor(membership_matrix(group_of(matrices), terms)), owa_weights(terms, scheme, orness)
+
+
+@st.composite
+def expert_groups(draw):
+    """k experts' (p, q) matrices with plain, flat and two-valued columns.
+
+    Two-valued columns leave every interior term without mass (zero-mass
+    BPA columns); flat ones need ``uniform_when_degenerate``.
+    """
+    k, p, q = draw(st.integers(2, 16)), draw(st.integers(2, 40)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.uniform(-50.0, 50.0, size=(k, p, q))
+    kinds = rng.integers(0, 3, size=(k, q))
+    for e, j in zip(*np.nonzero(kinds == 1)):
+        values[e, :, j] = values[e, 0, j]
+    for e, j in zip(*np.nonzero(kinds == 2)):
+        values[e, :, j] = np.where(rng.random(p) < 0.5, -3.0, 4.5)
+    matrices = [DecisionMatrix(f"e{e}", values[e]) for e in range(k)]
+    scheme = draw(st.sampled_from(["uniform", "linear-descending", "orness"]))
+    orness = draw(st.sampled_from([0.2, 0.7, 0.95])) if scheme == "orness" else 0.95
+    config = RunConfig(
+        terms=draw(st.sampled_from([5, 7, 9])), owa_scheme=scheme, orness=orness,
+        uniform_when_degenerate=True, zero_average_policy="full-weight",
+    )
+    return matrices, config
+
+
+def pipeline_outcome(matrices, config):
+    """The run without the ranking, or its error as (type, message)."""
+    try:
+        return run_pipeline(matrices, config, with_ranking=False)
+    except MagdmError as exc:
+        return type(exc), str(exc)
 
 
 def random_matrices(rng, experts=3, p=6, q=3):
@@ -185,14 +219,26 @@ class TestOrderedWeightedBelief:
             assert v == sorted(v, reverse=True)
 
     def test_many_experts_sort_in_chunks(self):
-        # 40 experts of 30 x 20 cells exceed one sort chunk
+        # 40 experts of 30 x 20 cells: run_pipeline takes 2 chunks at the
+        # default _SORT_CELLS and 14 (13 of 3 experts and 1 of 1) patched
         rng = np.random.default_rng(8)
         matrices = [DecisionMatrix(f"e{e}", rng.uniform(0, 9, size=(30, 20))) for e in range(40)]
-        tensors = bpa_tensor(membership_matrix(group_of(matrices), terms=7))
-        w = owa_weights(7, "linear-descending")
-        beliefs = ordered_weighted_belief(tensors, w)
-        for masses, bel in zip(tensors.masses, beliefs):
-            assert np.array_equal(bel, fixed_order_belief(masses, w.values))
+        config = RunConfig(terms=7, owa_scheme="linear-descending")
+        assert pipeline._SORT_CELLS // (30 * 20) == 27
+        unpatched = result_arrays(run_pipeline(matrices, config))
+        with mock.patch.object(pipeline, "_SORT_CELLS", 3 * 30 * 20), mock.patch.object(
+            pipeline, "ordered_weighted_belief", wraps=ordered_weighted_belief,
+        ) as belief:
+            result = run_pipeline(matrices, config)
+        assert [len(call.args[0].masses) for call in belief.call_args_list] == [3] * 13 + [1]
+        w = result.owa.values
+        for masses, bel in zip(result.bpa_tensors.masses, result.beliefs):
+            assert np.array_equal(bel, fixed_order_belief(masses, w))
+        assert ordered_weighted_belief(result.bpa_tensors, result.owa).tobytes() == result.beliefs.tobytes()
+        split = result_arrays(result)
+        assert split.keys() == unpatched.keys()
+        for name, array in unpatched.items():
+            assert same_bits(split[name], array), name
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(group=belief_groups())
@@ -203,17 +249,45 @@ class TestOrderedWeightedBelief:
             assert max(relative_errors(bel.ravel(), expected)) <= 1e-15
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-    @given(group=belief_groups(), data=st.data())
+    @given(group=expert_groups(), data=st.data())
     def test_chunking_does_not_change_a_bit(self, group, data):
-        tensors, owa = group
-        whole = ordered_weighted_belief(tensors, owa)
-        k = len(tensors.masses)
-        assert tensors.masses[..., 0].size <= pipeline._SORT_CELLS
-        per_chunk = data.draw(st.integers(1, k))
-        with mock.patch.object(pipeline, "_SORT_CELLS", per_chunk * tensors.masses[0, ..., 0].size):
-            split = ordered_weighted_belief(tensors, owa)
-        for a, b in zip(whole, split):
-            assert a.tobytes() == b.tobytes()
+        # run_pipeline takes the experts through memberships, masses and belief
+        # in chunks; any chunk size gives the one-chunk run's bits, or its error
+        matrices, config = group
+        k, (p, q) = len(matrices), matrices[0].values.shape
+        assert k * p * q <= pipeline._SORT_CELLS
+        per_chunk = data.draw(st.integers(1, k - 1))
+        cells = per_chunk * p * q + data.draw(st.integers(0, p * q - 1))
+        whole = pipeline_outcome(matrices, config)
+        with mock.patch.object(pipeline, "_SORT_CELLS", cells), mock.patch.object(
+            pipeline, "membership_matrix", wraps=membership_matrix,
+        ) as membership:
+            split = pipeline_outcome(matrices, config)
+        if isinstance(whole, tuple):
+            assert split == whole
+            return
+        assert membership.call_count == -(-k // per_chunk)
+        whole, split = result_arrays(whole), result_arrays(split)
+        assert split.keys() == whole.keys()
+        for name, array in whole.items():
+            assert same_bits(split[name], array), name
+
+    def test_flat_column_in_a_later_chunk_names_its_expert(self):
+        values = np.random.default_rng(23).uniform(1.0, 99.0, size=(8, 5, 3))
+        values[5, :, 2] = 7.0
+        values[7, :, 0] = 7.0
+        group = DecisionGroup(tuple(f"e{e}" for e in range(8)), values, attribute_labels=("a", "b", "c"))
+        message = "^attribute 'c' of expert 'e5' has a single observed value or a range that cannot be split into 4 segments$"
+        with pytest.raises(DegenerateDomainError, match=message):
+            run_pipeline(group)
+        with mock.patch.object(pipeline, "_SORT_CELLS", 2 * 5 * 3), mock.patch.object(
+            pipeline, "membership_matrix", wraps=membership_matrix,
+        ) as membership:
+            with pytest.raises(DegenerateDomainError, match=message):
+                run_pipeline(group)
+        assert [call.args[0].expert_ids for call in membership.call_args_list] == [
+            ("e0", "e1"), ("e2", "e3"), ("e4", "e5"),
+        ]
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(group=belief_groups(), data=st.data())
@@ -225,31 +299,6 @@ class TestOrderedWeightedBelief:
         whole = ordered_weighted_belief(tensors, owa)
         sub = ordered_weighted_belief(BpaTensor(tensors.masses[keep]), owa)
         assert sub.tobytes() == whole[keep].tobytes()
-
-
-@st.composite
-def expert_groups(draw):
-    """k experts' (p, q) matrices with plain, flat and two-valued columns.
-
-    Two-valued columns leave every interior term without mass (zero-mass
-    BPA columns); flat ones need ``uniform_when_degenerate``.
-    """
-    k, p, q = draw(st.integers(2, 16)), draw(st.integers(2, 40)), draw(st.integers(1, 8))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    values = rng.uniform(-50.0, 50.0, size=(k, p, q))
-    kinds = rng.integers(0, 3, size=(k, q))
-    for e, j in zip(*np.nonzero(kinds == 1)):
-        values[e, :, j] = values[e, 0, j]
-    for e, j in zip(*np.nonzero(kinds == 2)):
-        values[e, :, j] = np.where(rng.random(p) < 0.5, -3.0, 4.5)
-    matrices = [DecisionMatrix(f"e{e}", values[e]) for e in range(k)]
-    scheme = draw(st.sampled_from(["uniform", "linear-descending", "orness"]))
-    orness = draw(st.sampled_from([0.2, 0.7, 0.95])) if scheme == "orness" else 0.95
-    config = RunConfig(
-        terms=draw(st.sampled_from([5, 7, 9])), owa_scheme=scheme, orness=orness,
-        uniform_when_degenerate=True, zero_average_policy="full-weight",
-    )
-    return matrices, config
 
 
 class TestGroupPass:
