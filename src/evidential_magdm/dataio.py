@@ -136,10 +136,22 @@ def read_decision_matrices(paths) -> list[DecisionMatrix]:
 
 
 def _write_csv(path: str | Path, rows) -> None:
-    """CSV rows, a label quoted where it holds a comma, quote or newline."""
+    """CSV rows, each ending in a newline; a label is quoted where it holds a
+    comma, a quote or a line break.
+
+    The writer quotes a field that holds a character of its line terminator,
+    and Python 3.11 quotes no other line break, so each row is written with
+    a CR LF terminator, which is then cut to LF.
+    """
     text = io.StringIO()
-    csv.writer(text, lineterminator="\n").writerows(rows)
-    atomic_write_text(path, text.getvalue())
+    writer = csv.writer(text, lineterminator="\r\n")
+    lines = []
+    for row in rows:
+        writer.writerow(row)
+        lines.append(text.getvalue()[:-2] + "\n")
+        text.seek(0)
+        text.truncate()
+    atomic_write_text(path, "".join(lines))
 
 
 def write_decision_matrix(path: str | Path, matrix: DecisionMatrix) -> None:

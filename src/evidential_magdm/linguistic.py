@@ -33,6 +33,7 @@ partition objects only on request.
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +44,12 @@ DEFAULT_TERMS = 5
 _TINY = float(np.finfo(float).tiny)
 _MAX = float(np.finfo(float).max)
 _HALF_MAX = _MAX / 2
+
+
+@functools.lru_cache(maxsize=32)
+def _default_labels(prefix: str, count: int) -> tuple[str, ...]:
+    """``prefix`` + 1, 2, ..., ``count``: one tuple shared by every record of that shape."""
+    return tuple(f"{prefix}{i + 1}" for i in range(count))
 
 
 def _set_scores(record, ndim: int, where: str) -> None:
@@ -56,7 +63,7 @@ def _set_scores(record, ndim: int, where: str) -> None:
         raise ValueError(f"non-finite values in {where}")
     object.__setattr__(record, "values", values)
     for kind, count, prefix in (("alternative", values.shape[-2], ""), ("attribute", values.shape[-1], "t")):
-        labels = tuple(getattr(record, f"{kind}_labels")) or tuple(f"{prefix}{i + 1}" for i in range(count))
+        labels = tuple(getattr(record, f"{kind}_labels")) or _default_labels(prefix, count)
         if len(set(labels)) != len(labels):
             repeated = next(a for n, a in enumerate(labels) if a in labels[:n])
             raise ValueError(f"{kind} label {repeated!r} repeats in {where}")

@@ -4,7 +4,8 @@ Stages, all pure functions of their inputs:
 
 1. normalise the group's (k, p, q) values column-wise (Euclidean norm),
    one call per run that returns one (k, p, q) stack; only the fused
-   ranking reads it, so ``with_ranking=False`` skips it;
+   ranking reads it, so ``with_ranking=False`` skips it. It runs first,
+   so its errors come before any later stage's;
 2. linguistic memberships and masses (``linguistic`` module), one call
    each per chunk of experts, a ``DecisionGroup.experts`` view of about
    ``_SORT_CELLS`` cells: each is one record holding a (chunk, p, q,
@@ -19,7 +20,9 @@ Stages, all pure functions of their inputs:
    stack; the elementwise stages below keep that layout;
 4. cross-expert plausibility: an expert's share of the cell's total belief;
 5. belief-plausibility profiles of the stack, normalised along the
-   configured axis (attribute propositions by default);
+   configured axis (attribute propositions by default). The
+   plausibilities feed the profiles and the profiles the pair stage;
+   neither stack, nor the normalised one, is kept on the result;
 6. pairwise expert divergence per alternative with the ordered weighted
    divergence kernel, at the default pair weights (1/2, 1/2) the
    cancellation-free closed form of ``divergence.pair_cells``, so experts who
@@ -401,24 +404,27 @@ class PipelineResult:
 
     ``group`` is the validated ``DecisionGroup`` the run used; the expert
     ids and the alternative and attribute labels are read from it. The
-    (k, p, q, terms) ``memberships`` and ``bpa_tensors`` are not stored:
-    each is derived from the group and ``config`` on first read, by the
-    stage call the run made per chunk, on the whole group; an expert's
-    rows depend only on its own values, so they equal the run's bit for
-    bit. The record is then kept. Each is terms times the
-    size of a (k, p, q) stack (4.1 MB at k = 64, p = 200, q = 8 and
-    5 terms). The group's ``values`` is a read-only view: it is the
-    caller's array when the group was built from one, and writing to that
-    array changes what a first read derives.
+    result stores the group, the (k, p, q) ``beliefs``, the pair table
+    and the small records made from it. Every other stack is cheap to rebuild
+    and is derived on first read, by the call the run made, on the same
+    inputs, so it equals the run's own bit for bit, and is then kept:
+    ``normalized`` from the group (``None`` without the ranking, like
+    ``ranking``), ``plausibilities`` from the beliefs and
+    ``wpbl_profiles`` from both along ``config.wpbl_axis``, each one
+    (k, p, q) stack (0.82 MB at k = 64, p = 200, q = 8); ``memberships``
+    and ``bpa_tensors`` from the group and ``config``, by the stage call
+    the run made per chunk, on the whole group (an expert's rows depend
+    only on its own values), each terms times the size of a stack. The
+    group's ``values`` is a read-only view: it is the caller's array when
+    the group was built from one, and writing to that array changes what
+    a first read of ``normalized``, ``memberships`` or ``bpa_tensors``
+    derives.
     """
 
     config: RunConfig
     group: DecisionGroup
-    normalized: np.ndarray | None  # (k, p, q); None without the ranking, like ``ranking``
     owa: OwaWeights
     beliefs: np.ndarray  # (k, p, q); row e is expert e's (p, q) array
-    plausibilities: np.ndarray  # (k, p, q)
-    wpbl_profiles: np.ndarray  # (k, p, q)
     pair_ids: tuple[tuple[str, str], ...]
     pair_divergences: np.ndarray  # (alternatives, pairs): a transposed view of the pair table
     dmm: np.ndarray
@@ -448,6 +454,21 @@ class PipelineResult:
     def bpa_tensors(self) -> BpaTensor:
         """Masses (k, p, q, terms), zero columns as (expert, attribute, term)."""
         return bpa_tensor(self.memberships)
+
+    @functools.cached_property
+    def normalized(self) -> np.ndarray | None:
+        """Column-normalised (k, p, q) stack; ``None`` without the ranking, like ``ranking``."""
+        return None if self.ranking is None else normalize_decision_matrix(self.group)
+
+    @functools.cached_property
+    def plausibilities(self) -> np.ndarray:
+        """(k, p, q) cross-expert plausibility stack."""
+        return ordered_weighted_plausibility(self.beliefs)
+
+    @functools.cached_property
+    def wpbl_profiles(self) -> np.ndarray:
+        """(k, p, q) belief-plausibility profiles along ``config.wpbl_axis``."""
+        return expert_wpbl(self.beliefs, self.plausibilities, axis=self.config.wpbl_axis)
 
 
 def run_pipeline(
@@ -483,8 +504,7 @@ def run_pipeline(
         )), owa)
         block[first * q:stop * q] = chunk.transpose(0, 2, 1).reshape(-1, p)
     beliefs = block.reshape(k, q, p).transpose(0, 2, 1)
-    plausibilities = ordered_weighted_plausibility(beliefs)
-    profiles = expert_wpbl(beliefs, plausibilities, axis=config.wpbl_axis)
+    profiles = expert_wpbl(beliefs, ordered_weighted_plausibility(beliefs), axis=config.wpbl_axis)
     _, _, pairs = _expert_pairs(k)
     pair_ids = tuple((ids[i], ids[j]) for i, j in pairs)
     flat = profiles.transpose(0, 2, 1).reshape(k, -1)
@@ -502,11 +522,8 @@ def run_pipeline(
     return PipelineResult(
         config=config,
         group=group,
-        normalized=normalized,
         owa=owa,
         beliefs=beliefs,
-        plausibilities=plausibilities,
-        wpbl_profiles=profiles,
         pair_ids=pair_ids,
         pair_divergences=table.T,
         dmm=dmm,

@@ -8,6 +8,7 @@ configuration therefore produce byte-identical files.
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 
@@ -71,12 +72,17 @@ def _f6(value: float) -> str:
     return f"{value:.6f}"
 
 
+def _cell(text: str) -> str:
+    """A table cell (an id or a label): ``|`` escaped, each line break folded to one space."""
+    return re.sub(r"\r\n?|\n", " ", text).replace("|", "\\|")
+
+
 def _table(headers: list[str], rows: list[list[str]]) -> list[str]:
-    """A markdown table; a ``|`` in a cell (an id or a label) is escaped."""
-    lines = ["| " + " | ".join(h.replace("|", "\\|") for h in headers) + " |"]
+    """A markdown table, one line per row."""
+    lines = ["| " + " | ".join(map(_cell, headers)) + " |"]
     lines.append("|" + "|".join(" --- " for _ in headers) + "|")
     for row in rows:
-        lines.append("| " + " | ".join(c.replace("|", "\\|") for c in row) + " |")
+        lines.append("| " + " | ".join(map(_cell, row)) + " |")
     return lines
 
 

@@ -166,6 +166,26 @@ class TestRankCommand:
         assert "| Smith, J |" in (out / "report.md").read_text()
         assert "| a\\|b |" in (out / "report.md").read_text()
 
+    def test_labels_with_line_breaks_keep_report_rows_on_one_line(self, tmp_path):
+        alternatives = ("two\nlines", "carriage\rreturn", "cr\r\nlf", "plain")
+        attributes = ("cost\ntotal", "x\ry")
+        rng = np.random.default_rng(5)
+        paths = []
+        for e in ("u1", "u2", "u3"):
+            paths.append(str(tmp_path / f"{e}.csv"))
+            dataio.write_decision_matrix(paths[-1], DecisionMatrix(e, rng.uniform(1, 9, (4, 2)), alternatives, attributes))
+        out = tmp_path / "out"
+        assert main(["rank", *paths, "--out", str(out)]) == 0
+        text = (out / "report.md").read_bytes().decode()
+        tables = [[row for row in block.split("\n") if row.startswith("|")] for block in text.split("\n\n")]
+        tables = [rows for rows in tables if rows]
+        assert [len(rows) for rows in tables] == [2 + 3, 2 + 4]
+        for rows in tables:
+            assert not any("\r" in row for row in rows)
+            assert {len(re.split(r"(?<!\\)\|", row)) for row in rows} == {len(re.split(r"(?<!\\)\|", rows[0]))}
+        assert "| two lines |" in text and "| carriage return |" in text and "| cr lf |" in text
+        assert "| cost total | x y |" in text
+
     def test_single_expert_is_config_error(self, recruitment_csvs, capsys):
         code = main(["rank", recruitment_csvs[0]])
         assert code == 4
@@ -422,6 +442,24 @@ class TestCsvRoundTrip:
         assert back.alternative_labels == matrix.alternative_labels
         assert back.attribute_labels == matrix.attribute_labels
         np.testing.assert_array_equal(back.values, matrix.values)
+
+    @pytest.mark.parametrize("label", ["a\rb", "a\r\nb", "a\nb", "a\r"], ids=["cr", "crlf", "lf", "trailing-cr"])
+    def test_labels_with_line_breaks_round_trip(self, tmp_path, label):
+        matrix = DecisionMatrix("e", [[1, 2], [3, 4]], (label, "c"), ("x", label))
+        dataio.write_decision_matrix(tmp_path / "e.csv", matrix)
+        with open(tmp_path / "e.csv", newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows == [["alternative", "x", label], [label, "1", "2"], ["c", "3", "4"]]
+        back = dataio.read_decision_matrix(tmp_path / "e.csv")  # the reader strips each label
+        assert (back.alternative_labels, back.attribute_labels) == ((label.strip(), "c"), ("x", label.strip()))
+        assert back.values.tolist() == [[1, 2], [3, 4]]
+        values = np.arange(8.0).reshape(2, 2, 2)
+        dataio.write_term_values(tmp_path / "t.csv", "e", values, (label, "c"), ("x", label))
+        with open(tmp_path / "t.csv", newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[0] == ["alt", "attr", "term", "value"] and len(rows) == 9
+        assert [row[:3] for row in rows[1:]] == [[a, t, str(f)] for a in (label, "c") for t in ("x", label) for f in (1, 2)]
+        assert [float(row[3]) for row in rows[1:]] == values.ravel().tolist()
 
     def test_plain_labels_are_written_unquoted(self, tmp_path):
         matrix = DecisionMatrix("e", np.array([[1.5, 2.0], [0.25, 3.0]]), ("a 1", "a2"), ("x", "y z"))

@@ -675,6 +675,21 @@ class TestDecisionMatrixValidation:
         assert m.alternative_labels == ("1", "2")
         assert m.attribute_labels == ("t1", "t2")
 
+    def test_default_labels_are_one_shared_tuple_per_shape(self):
+        a, b = simple_matrix([[1.0, 2.0], [3.0, 4.0]]), DecisionMatrix("b", np.ones((2, 2)))
+        group, other = DecisionGroup(("a", "b"), np.ones((2, 2, 2))), DecisionGroup(("c",), np.ones((1, 2, 2)))
+        for kind in ("alternative_labels", "attribute_labels"):
+            assert getattr(a, kind) is getattr(b, kind) is getattr(group, kind) is getattr(other, kind)
+        explicit = tuple(str(i) for i in (1, 2))  # equal to the defaults, yet the caller's own tuple
+        m = DecisionMatrix("e", np.ones((2, 2)), explicit, ["t1", "t2"])
+        assert m.alternative_labels is explicit and m.attribute_labels == a.attribute_labels
+        assert m.attribute_labels is not a.attribute_labels
+
+    @pytest.mark.parametrize("alternatives, attributes", [(("x", "y", "z"), ()), ((), ("t1",))])
+    def test_wrong_label_count(self, alternatives, attributes):
+        with pytest.raises(ValueError, match="^label counts do not match the matrix shape$"):
+            DecisionMatrix("e", np.ones((2, 2)), alternatives, attributes)
+
     @pytest.mark.parametrize(
         "alternatives, attributes, message",
         [

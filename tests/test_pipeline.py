@@ -2,6 +2,7 @@
 
 import gc
 import math
+import tracemalloc
 import weakref
 from unittest import mock
 
@@ -784,17 +785,22 @@ class TestRunPipelineValidation:
             np.testing.assert_allclose(result.weights.weights, [0.5, 0.5])
 
 
+DERIVED_STACKS = ("normalized", "plausibilities", "wpbl_profiles")
+
+
 def result_arrays(result) -> dict:
-    """Every array of a ``PipelineResult``, nested records included, by path."""
+    """Every array of a ``PipelineResult``, nested and derived records included, by path."""
+    arrays = {name: getattr(result, name) for name in DERIVED_STACKS}
     records = {
         "": result, "memberships.": result.memberships, "bpa_tensors.": result.bpa_tensors,
         "owa.": result.owa, "weights.": result.weights, "ranking.": result.ranking,
     }
-    return {
-        prefix + name: value
+    arrays.update(
+        (prefix + name, value)
         for prefix, record in records.items() if record is not None
         for name, value in vars(record).items() if isinstance(value, np.ndarray)
-    }
+    )
+    return {name: value for name, value in arrays.items() if value is not None}
 
 
 class TestGroupInput:
@@ -837,29 +843,54 @@ def tracing():
     return load_tracing()
 
 
+def watched(stage, refs: list):
+    """``stage``, adding to ``refs`` a weak reference to what each call returns,
+    to each array of a returned record, and to each such array's base."""
+    def run(*args, **kwargs):
+        out = stage(*args, **kwargs)
+        record = not isinstance(out, np.ndarray)
+        arrays = [v for v in vars(out).values() if isinstance(v, np.ndarray)] if record else [out]
+        kept = [*arrays, *(a.base for a in arrays if a.base is not None), *([out] if record else [])]
+        refs.extend(map(weakref.ref, kept))
+        return out
+    return run
+
+
+# the stages behind each record that a PipelineResult derives on first read
+DERIVING_STAGES = {
+    "memberships": ("linguistic.membership_matrix",),
+    "bpa_tensors": ("linguistic.membership_matrix", "linguistic.bpa_tensor"),
+    "normalized": ("linguistic.normalize_decision_matrix",),
+    "plausibilities": ("pipeline.ordered_weighted_plausibility",),
+    "wpbl_profiles": ("pipeline.ordered_weighted_plausibility", "pipeline.expert_wpbl"),
+}
+
+
 class TestDerivedRecords:
-    """``PipelineResult`` keeps the group, not its memberships and masses:
+    """``PipelineResult`` keeps the group, the beliefs and the pair table, not
+    the memberships, masses, normalised stack, plausibilities or profiles:
     they are derived on first read, equal to the run's own records."""
 
     def test_run_keeps_no_membership_or_mass_array(self, monkeypatch):
         refs = []
-
-        def watched(stage):
-            def run(*args, **kwargs):
-                record = stage(*args, **kwargs)
-                arrays = [v for v in vars(record).values() if isinstance(v, np.ndarray)]
-                refs.extend(weakref.ref(x) for x in [record, *arrays, *(a.base for a in arrays if a.base is not None)])
-                return record
-            return run
-
-        monkeypatch.setattr(pipeline, "membership_matrix", watched(membership_matrix))
-        monkeypatch.setattr(pipeline, "bpa_tensor", watched(bpa_tensor))
+        monkeypatch.setattr(pipeline, "membership_matrix", watched(membership_matrix, refs))
+        monkeypatch.setattr(pipeline, "bpa_tensor", watched(bpa_tensor, refs))
         config = RunConfig(uniform_when_degenerate=True)
         result = run_pipeline(derived_case("list"), config)
         gc.collect()
         assert len(refs) >= 8
         assert [r for r in refs if r() is not None] == []
         assert result.weights.weights.sum() == pytest.approx(1.0)
+
+    def test_run_keeps_no_normalised_plausibility_or_profile_stack(self, monkeypatch):
+        refs = []
+        for stage in ("normalize_decision_matrix", "ordered_weighted_plausibility", "expert_wpbl"):
+            monkeypatch.setattr(pipeline, stage, watched(getattr(pipeline, stage), refs))
+        result = run_pipeline(derived_case("list"), RunConfig(uniform_when_degenerate=True))
+        gc.collect()
+        assert len(refs) == 3
+        assert [r for r in refs if r() is not None] == []
+        assert result.ranking is not None
 
     @pytest.mark.parametrize("input_kind", ["list", "group"])
     @pytest.mark.parametrize("wpbl_axis", ["attributes", "alternatives"])
@@ -891,24 +922,80 @@ class TestDerivedRecords:
         assert np.all(got.degrees[1, :, 2] == 1.0 / terms)  # e1's flat column
         assert {(e, 1) for e in range(3)} <= {(e, j) for e, j, _ in got_masses.zero_columns}
 
-    @pytest.mark.parametrize("first", ["memberships", "bpa_tensors"])
+    @pytest.mark.parametrize("with_ranking", [True, False])
+    @pytest.mark.parametrize("wpbl_axis", ["attributes", "alternatives"])
+    @pytest.mark.parametrize("terms", [5, 9])
+    def test_derived_stacks_equal_the_runs_own(self, monkeypatch, terms, wpbl_axis, with_ranking):
+        built = {}
+
+        def kept(stage):
+            def run(*args, **kwargs):
+                built[stage.__name__] = stage(*args, **kwargs)
+                return built[stage.__name__]
+            return run
+
+        config = RunConfig(terms=terms, wpbl_axis=wpbl_axis, uniform_when_degenerate=True)
+        with monkeypatch.context() as patch:
+            for stage in ("normalize_decision_matrix", "ordered_weighted_plausibility", "expert_wpbl"):
+                patch.setattr(pipeline, stage, kept(getattr(pipeline, stage)))
+            result = run_pipeline(derived_case("group"), config, with_ranking)
+        assert ("normalize_decision_matrix" in built) == with_ranking
+        if with_ranking:
+            assert same_bits(result.normalized, built["normalize_decision_matrix"])
+        else:
+            assert result.normalized is None
+        assert same_bits(result.plausibilities, built["ordered_weighted_plausibility"])
+        assert same_bits(result.wpbl_profiles, built["expert_wpbl"])
+        for stack in (result.plausibilities, result.wpbl_profiles):
+            assert stack.transpose(0, 2, 1).flags.c_contiguous  # the beliefs' layout
+
+    @pytest.mark.parametrize("first", list(DERIVING_STAGES))
     def test_first_read_runs_each_stage_once_more(self, tracing, first):
         tracer = tracing.Tracer()
 
+        stages = {stage for named in DERIVING_STAGES.values() for stage in named}
+        once_more = {stage: 1 + (stage in DERIVING_STAGES[first]) for stage in stages}
+
         def calls():
             table = tracing.summarize(tracer.spans)
-            return [table[f"linguistic.{stage}"]["calls"] for stage in ("membership_matrix", "bpa_tensor")]
+            return {stage: table[stage]["calls"] for stage in stages}
 
         with tracing.Instrumentation(tracer):
             result = run_pipeline(random_matrices(np.random.default_rng(22)))
-            assert calls() == [1, 1]
+            assert set(calls().values()) == {1}
             record = getattr(result, first)
-            assert calls() == ([2, 2] if first == "bpa_tensors" else [2, 1])
-            memberships, masses = result.memberships, result.bpa_tensors
-            assert calls() == [2, 2]
+            assert calls() == once_more
             assert getattr(result, first) is record
-            assert result.memberships is memberships and result.bpa_tensors is masses
-            assert calls() == [2, 2]
+            assert calls() == once_more
+            records = {name: getattr(result, name) for name in DERIVING_STAGES}
+            assert set(calls().values()) == {2}
+            assert records[first] is record
+            assert all(getattr(result, name) is r for name, r in records.items())
+            assert set(calls().values()) == {2}
+
+
+class TestResultSize:
+    """A result holds its group, beliefs and pair table, and little more."""
+
+    def test_a_run_beside_a_held_result_peaks_under_12_5_mb(self):
+        # the many-experts size: a (k, p, q) stack is 0.82 MB, the pair table
+        # 3.2 MB. A stack stored on the result counts twice at the peak, in the
+        # held result and in the run's own: this reads 10.2 MB, and 13.4 MB
+        # with the normalised, plausibility and profile stacks stored
+        k, p, q = 64, 200, 8
+        group = DecisionGroup(tuple(f"e{e}" for e in range(k)), np.random.default_rng(0).uniform(1.0, 100.0, (k, p, q)))
+        run_pipeline(group)  # fills the per-k caches: the traced run then leaves only its result
+        tracemalloc.start()
+        try:
+            result = run_pipeline(group)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a previous result held beside the run is as large as this one
+        assert kept + peak <= 12.5e6
+        pairs = k * (k - 1) // 2
+        stored = sum(v.nbytes for v in vars(result).values() if isinstance(v, np.ndarray))
+        assert stored + group.values.nbytes <= 8 * (2 * k * p * q + pairs * p + 4 * k * k)
 
 
 class TestPipelineInvariants:
