@@ -3,10 +3,11 @@
 Run:  python demos/divergence_playground.py
 """
 
+import math
+
 import numpy as np
 
 from evidential_magdm.divergence import (
-    LogBase,
     generalized_belief_divergence,
     generalized_js_divergence,
     js_divergence,
@@ -70,7 +71,7 @@ rhs = sum(wi * kl_divergence(d, mixture) for wi, d in zip(w, dists))
 print("\nentropy form vs KL-decomposition of the generalized JS:")
 print("  ", round(lhs, 10), "==", round(rhs, 10))
 
-print("\nnatural-log variant of any measure scales by ln 2:")
+print("\nevery measure is in bits; nats are bits times ln 2:")
 a, b = (0.8, 0.2), (0.3, 0.7)
-print("  base2:", round(js_divergence(a, b, LogBase.TWO), 6),
-      " ln:", round(js_divergence(a, b, LogBase.NATURAL), 6))
+bits = js_divergence(a, b)
+print("  bits:", round(bits, 6), " nats:", round(bits * math.log(2), 6))

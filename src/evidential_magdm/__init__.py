@@ -8,7 +8,6 @@ feature matrices.
 
 from .config import RunConfig
 from .divergence import (
-    LogBase,
     entropy,
     generalized_belief_divergence,
     generalized_js_divergence,

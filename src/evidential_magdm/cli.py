@@ -92,12 +92,13 @@ def cmd_rank(args) -> int:
     log.info("wrote %s and %s", out_dir / "report.json", out_dir / "report.md")
     if args.json:
         sys.stdout.write(text)
-    else:
-        print("expert ranking:", " > ".join(report["expert_ranking"]))
+    else:  # one line each, whatever line breaks the ids and labels hold
+        one_line = report_mod.one_line
+        print("expert ranking:", " > ".join(map(one_line, report["expert_ranking"])))
         print("weights:", ", ".join(
-            f"{e}={w:.4f}" for e, w in zip(report["experts"], report["weights"])
+            f"{one_line(e)}={w:.4f}" for e, w in zip(report["experts"], report["weights"])
         ))
-        print("alternative ranking:", " > ".join(report["ranking"]))
+        print("alternative ranking:", " > ".join(map(one_line, report["ranking"])))
         print(f"report written to {out_dir / 'report.json'}")
     return EXIT_OK
 

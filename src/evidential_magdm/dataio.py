@@ -155,6 +155,12 @@ def _write_csv(path: str | Path, rows) -> None:
 
 
 def write_decision_matrix(path: str | Path, matrix: DecisionMatrix) -> None:
+    """The matrix as ``read_decision_matrix`` reads it back. That reader strips
+    each label, so a label with white space at an edge (a trailing CR
+    included) is refused with ``ValueError`` before anything is written."""
+    for label in (*matrix.alternative_labels, *matrix.attribute_labels):
+        if label != label.strip():
+            raise ValueError(f"label {label!r} has white space at an edge, which reading would strip")
     _write_csv(path, [
         ["alternative", *matrix.attribute_labels],
         *([label, *(f"{v:.17g}" for v in row)] for label, row in zip(matrix.alternative_labels, matrix.values)),

@@ -5,16 +5,18 @@ the weighted/ordered divergences between mass assignments via their
 normalised belief-plausibility distributions; at weights (1/2, 1/2) the
 divergence of two assignments is the belief JS divergence.
 
-Two kernels take every logarithm. ``_xlogy_ratio`` is the masked
-``x * log(x / y)`` under entropy, KL, generalized JS and the p-row
-ordered divergence (through ``_mixture_terms``). ``pair_cells`` is the
-two-profile ordered divergence, cell by cell; it serves the JS
-divergence, the ordered divergence of two mass assignments and the
-pipeline's all-pairs stage. At weights (1/2, 1/2) it takes ``js_cells``,
-a closed form whose summands do not cancel, so near-identical profiles
-keep their relative accuracy. At any other weights it sums the signed
-terms of the cell-wise max and min against their mix, which still
-cancel for close values.
+Every divergence is in bits (base 2), the unit of the paper's
+Jensen-Shannon-type measure. ``_xlogy_ratio`` is the masked
+``x * ln(x / y)`` under entropy, KL and ``_mixture_terms``, the one
+signed kernel: w_f * v_f * log2(v_f / mix) for each of r rows against
+their weighted mix. It serves generalized JS, the p-row ordered
+divergence and, on the cell-wise max and min, ``pair_cells`` at any
+weights but (1/2, 1/2); those signed terms cancel for close values.
+``pair_cells`` is the two-profile ordered divergence, cell by cell,
+under the JS divergence, the ordered divergence of two mass assignments
+and the pipeline's all-pairs stage. At weights (1/2, 1/2) it takes
+``js_cells``, a closed form whose summands do not cancel, so
+near-identical profiles keep their relative accuracy.
 
 Conventions:
   * 0 * log(0/x) contributes 0 (continuous extension); a proposition on
@@ -30,8 +32,6 @@ Conventions:
 from __future__ import annotations
 
 import contextlib
-import enum
-import functools
 import math
 from typing import Sequence
 
@@ -42,17 +42,7 @@ from .evidence import Bpa, wpbl
 
 PROB_SUM_TOL = 1e-9
 _TINY = np.finfo(float).tiny
-
-
-class LogBase(enum.Enum):
-    """Logarithm base used by every divergence in a computation."""
-
-    TWO = 2.0
-    NATURAL = math.e
-
-    @functools.cached_property
-    def ln(self) -> float:
-        return math.log(self.value)
+_LN2 = math.log(2.0)  # natural logs divided by this are bits
 
 
 def as_probability_vector(values, name: str = "distribution") -> np.ndarray:
@@ -76,29 +66,55 @@ def as_weight_vector(values, length: int | None = None) -> np.ndarray:
     return arr
 
 
-def _xlogy_ratio(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Elementwise natural-log ``x * log(x / y)``, 0 where x == 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = x / y
-    return x * np.log(ratio, out=np.zeros_like(ratio), where=x > 0)
+def _quiet(narrow: bool = False):
+    """Silence 0 / 0 and log(0) unless ``narrow`` promises that none occurs."""
+    return contextlib.nullcontext() if narrow else np.errstate(divide="ignore", invalid="ignore")
 
 
-def _mixture_terms(values: np.ndarray, weights: np.ndarray, base: LogBase) -> np.ndarray:
-    """Entry (f, j) is w_f * v_fj * log(v_fj / mix_j), mix = weights @ values; 0 if w_f = 0."""
-    mix = weights @ values
-    with np.errstate(invalid="ignore"):  # a zero weight may meet log(v / 0) = inf
-        terms = weights[:, None] * _xlogy_ratio(values, mix)
-    terms[weights == 0] = 0.0
-    return terms / base.ln
+def _xlogy_ratio(x: np.ndarray, y, narrow: bool = False) -> np.ndarray:
+    """Elementwise natural-log ``x * log(x / y)``, 0 where x == 0, under ``_quiet(narrow)``.
+
+    ``narrow`` says that no x is 0, so nothing is masked."""
+    out = x / y
+    np.log(out, out=out)
+    out *= x
+    if not narrow:
+        np.putmask(out, x == 0, 0.0)
+    return out
 
 
-def entropy(dist, base: LogBase = LogBase.TWO) -> float:
-    """Shannon entropy with the 0 log 0 = 0 convention."""
+def _mixture_terms(values, weights, narrow: bool = False) -> list[np.ndarray]:
+    """Row f holds w_f * v_fj * log2(v_fj / mix_j) per column j; 0 if w_f = 0.
+
+    ``values`` holds r rows of equal length. The mix is built row by row,
+    mix = w_0 * v_0, then mix += w_f * v_f, so each entry takes the same
+    roundings whatever the rows' memory layout (a matmul may go to BLAS,
+    which rounds differently). ``narrow`` is as in ``_xlogy_ratio``.
+    """
+    mix = weights[0] * values[0]
+    for w, v in zip(weights[1:], values[1:]):
+        mix += w * v
+    terms = []
+    with _quiet(narrow):
+        for x, w in zip(values, weights):
+            if w > 0:  # a zero weight may meet log(v / 0) = inf
+                row = _xlogy_ratio(x, mix, narrow)
+                row *= w
+                row /= _LN2
+            else:
+                row = np.zeros(mix.size)
+            terms.append(row)
+    return terms
+
+
+def entropy(dist) -> float:
+    """Shannon entropy in bits with the 0 log 0 = 0 convention."""
     arr = as_probability_vector(dist)
-    return float(-_xlogy_ratio(arr, 1.0).sum() / base.ln)
+    with _quiet():
+        return float(-_xlogy_ratio(arr, 1.0).sum() / _LN2)
 
 
-def kl_divergence(a, b, base: LogBase = LogBase.TWO) -> float:
+def kl_divergence(a, b) -> float:
     """Kullback-Leibler divergence; requires support(a) within support(b)."""
     pa = as_probability_vector(a, "first distribution")
     pb = as_probability_vector(b, "second distribution")
@@ -108,27 +124,28 @@ def kl_divergence(a, b, base: LogBase = LogBase.TWO) -> float:
         raise DivergenceUndefinedError(
             "KL undefined: first distribution has mass where the second has none"
         )
-    return float(_xlogy_ratio(pa, pb).sum() / base.ln)
+    with _quiet():
+        return float(_xlogy_ratio(pa, pb).sum() / _LN2)
 
 
-def js_divergence(a, b, base: LogBase = LogBase.TWO) -> float:
-    """Jensen-Shannon divergence; symmetric and bounded by 1 in base 2.
+def js_divergence(a, b) -> float:
+    """Jensen-Shannon divergence; symmetric and bounded by 1 bit.
 
     Summed from ``js_cells``, so it stays >= 0 for near-identical inputs."""
     pa = as_probability_vector(a, "first distribution")
     pb = as_probability_vector(b, "second distribution")
     if pa.size != pb.size:
         raise ValueError("distributions must share a length")
-    return float(pair_cells(pa, pb, (0.5, 0.5), base).sum())
+    return float(pair_cells(pa, pb, (0.5, 0.5)).sum())
 
 
-def generalized_js_divergence(dists: Sequence, weights, base: LogBase = LogBase.TWO) -> float:
+def generalized_js_divergence(dists: Sequence, weights) -> float:
     """Weighted JS divergence: sum_i w_i KL(A_i || mixture)."""
     arrs = [as_probability_vector(d) for d in dists]
     if len({a.size for a in arrs}) != 1:
         raise ValueError("distributions must share a length")
     w = as_weight_vector(weights, length=len(arrs))
-    return float(_mixture_terms(np.vstack(arrs), w, base).sum())
+    return float(np.sum(_mixture_terms(arrs, w)))
 
 
 def _wpbl_matrix(masses: Sequence[Bpa], propositions) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -138,7 +155,7 @@ def _wpbl_matrix(masses: Sequence[Bpa], propositions) -> tuple[np.ndarray, tuple
 
 
 def js_cells(a: np.ndarray, b: np.ndarray, narrow: bool = False) -> np.ndarray:
-    """4 ln(base) times each cell's (1/2, 1/2) divergence, for two 1-D profiles.
+    """4 ln 2 times each cell's (1/2, 1/2) divergence, for two 1-D profiles.
 
     With s = a + b, d = a - b and t = d / s a cell is
     s * (log1p(-t^2) + 2t atanh(t)), taken as s log1p(-t^2) + d log1p(d / b)
@@ -151,7 +168,7 @@ def js_cells(a: np.ndarray, b: np.ndarray, narrow: bool = False) -> np.ndarray:
     accurate there, with 0 log 0 = 0. ``narrow`` says that no cell is
     empty or wide, so the check, its mask and ``np.errstate`` are skipped.
     """
-    with contextlib.nullcontext() if narrow else np.errstate(divide="ignore", invalid="ignore"):
+    with _quiet(narrow):
         s = a + b
         d = a - b
         t = d / s
@@ -181,66 +198,38 @@ def js_cells(a: np.ndarray, b: np.ndarray, narrow: bool = False) -> np.ndarray:
     return cells
 
 
-def pair_cells(a, b, weights, base: LogBase, narrow: bool = False) -> np.ndarray:
-    """Each cell's ordered weighted divergence of two 1-D profiles, in ``base``.
+def pair_cells(a, b, weights, narrow: bool = False) -> np.ndarray:
+    """Each cell's ordered weighted divergence of two 1-D profiles, in bits.
 
     Weights (1/2, 1/2) take ``js_cells`` (``narrow`` as there). Any other
-    pair, equal weights near 1/2 included, sums w_0 * hi * log(hi / mix)
-    and w_1 * lo * log(lo / mix), where hi and lo are the cell-wise max
-    and min of ``a`` and ``b`` and mix = w_0 * hi + w_1 * lo; these signed
-    terms still cancel for close values. A zero value or a zero weight
-    contributes 0; ``narrow`` says that no value is 0, so 0 * log(0) is
-    not masked and warnings are not silenced. Each term is divided by
-    ``base.ln`` before the two are added. The mix takes two roundings,
-    w_0 * hi and then + w_1 * lo: numpy's elementwise ops never fuse a
-    multiply-add, and neither does the ``_mixture_terms`` matmul on a
-    sorted, reversed (2, n) view, so ``ordered_mixture_terms`` of the two
-    rows sums to the same bits.
+    pair, equal weights near 1/2 included, sums the two ``_mixture_terms``
+    rows of the cell-wise max and min of ``a`` and ``b``, so the larger
+    value takes w_0; ``narrow`` says that no value is 0.
     """
     if len(weights) != 2:
         raise ValueError(f"two-profile divergence needs 2 weights, got {len(weights)}")
     if weights[0] == weights[1] == 0.5:
         cells = js_cells(a, b, narrow)
-        cells *= 0.25 / base.ln
+        cells *= 0.25 / _LN2
         return cells
-    hi = np.maximum(a, b)
-    lo = np.minimum(a, b)
-    mix = weights[0] * hi
-    mix += weights[1] * lo
-    cells = np.zeros(mix.size)
-    with contextlib.nullcontext() if narrow else np.errstate(divide="ignore", invalid="ignore"):
-        for x, w in zip((hi, lo), weights):
-            if w > 0:
-                term = x / mix
-                np.log(term, out=term)
-                term *= x
-                if not narrow:
-                    np.putmask(term, x == 0, 0.0)
-                term *= w
-                term /= base.ln
-                cells += term
+    cells, lo_terms = _mixture_terms((np.maximum(a, b), np.minimum(a, b)), weights, narrow)
+    cells += lo_terms
     return cells
 
 
-def ordered_mixture_terms(values: np.ndarray, weights: np.ndarray, base: LogBase) -> np.ndarray:
+def ordered_mixture_terms(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Per-proposition contributions of the ordered weighted divergence.
 
     ``values`` has one row per distribution and one column per proposition.
     Each column is sorted descending so weight f multiplies the f-th
-    largest value, then entry (f, j) is w_f * v_(f)j * log(v_(f)j / mix_j)
+    largest value, then entry (f, j) is w_f * v_(f)j * log2(v_(f)j / mix_j)
     where mix_j is the weight-mixed column (``_mixture_terms``).
     """
     values = np.asarray(values, dtype=float)
-    return _mixture_terms(np.sort(values, axis=0)[::-1], weights, base)
+    return np.array(_mixture_terms(np.sort(values, axis=0)[::-1], weights))
 
 
-def weighted_belief_divergence(
-    m1: Bpa,
-    m2: Bpa,
-    propositions,
-    weights=(0.5, 0.5),
-    base: LogBase = LogBase.TWO,
-) -> float:
+def weighted_belief_divergence(m1: Bpa, m2: Bpa, propositions, weights=(0.5, 0.5)) -> float:
     """Ordered weighted divergence between two mass assignments.
 
     Summed from ``pair_cells``, as in the pipeline's pair stage; with
@@ -249,15 +238,10 @@ def weighted_belief_divergence(
     """
     w = as_weight_vector(weights, length=2)
     values, _ = _wpbl_matrix([m1, m2], propositions)
-    return float(pair_cells(values[0], values[1], w, base).sum())
+    return float(pair_cells(values[0], values[1], w).sum())
 
 
-def generalized_belief_divergence(
-    masses: Sequence[Bpa],
-    propositions,
-    weights,
-    base: LogBase = LogBase.TWO,
-) -> float:
+def generalized_belief_divergence(masses: Sequence[Bpa], propositions, weights) -> float:
     """Ordered weighted divergence across p >= 2 mass assignments.
 
     Each proposition's contribution is damped by the proposition's
@@ -269,5 +253,5 @@ def generalized_belief_divergence(
     w = as_weight_vector(weights, length=len(masses))
     values, masks = _wpbl_matrix(masses, propositions)
     cards = np.array([mask.bit_count() for mask in masks], dtype=float)
-    terms = ordered_mixture_terms(values, w, base) / cards[None, :]
+    terms = ordered_mixture_terms(values, w) / cards[None, :]
     return float(terms.sum())

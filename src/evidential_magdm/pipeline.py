@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import RunConfig
-from .divergence import LogBase, pair_cells
+from .divergence import pair_cells
 from .errors import (
     ConfigError,
     DegenerateCellError,
@@ -257,7 +257,6 @@ def pairwise_divergence(
     wpbl_1: np.ndarray,
     wpbl_2: np.ndarray,
     pair_weights=(0.5, 0.5),
-    base: LogBase = LogBase.TWO,
     operands: tuple | None = None,
 ) -> np.ndarray:
     """Per-alternative divergence between two experts' (p, q) profiles.
@@ -280,7 +279,7 @@ def pairwise_divergence(
     (a, lo_a, hi_a), (b, lo_b, hi_b) = operands
     narrow = 0 < hi_a <= 3 * lo_b and 0 < hi_b <= 3 * lo_a
     p, q = wpbl_1.shape
-    return np.add.reduce(pair_cells(a, b, pair_weights, base, narrow).reshape(q, p), axis=0)
+    return np.add.reduce(pair_cells(a, b, pair_weights, narrow).reshape(q, p), axis=0)
 
 
 def divergence_matrix(table: np.ndarray, k: int) -> np.ndarray:

@@ -72,9 +72,14 @@ def _f6(value: float) -> str:
     return f"{value:.6f}"
 
 
+def one_line(text: str) -> str:
+    """``text`` (an id or a label) with each line break folded to one space."""
+    return re.sub(r"\r\n?|\n", " ", text)
+
+
 def _cell(text: str) -> str:
-    """A table cell (an id or a label): ``|`` escaped, each line break folded to one space."""
-    return re.sub(r"\r\n?|\n", " ", text).replace("|", "\\|")
+    """A table cell: ``one_line`` with ``|`` escaped."""
+    return one_line(text).replace("|", "\\|")
 
 
 def _table(headers: list[str], rows: list[list[str]]) -> list[str]:
@@ -112,7 +117,7 @@ def render_markdown(report: dict) -> str:
         )
     )
     lines.append("")
-    lines.append("Expert ranking: " + " > ".join(report["expert_ranking"]))
+    lines.append("Expert ranking: " + " > ".join(map(one_line, report["expert_ranking"])))
     if "ranking" in report:
         lines.append("")
         lines.append("## Alternatives")
@@ -130,6 +135,6 @@ def render_markdown(report: dict) -> str:
             "Ideal solution: "
             + ", ".join(_f6(v) for v in report["ideal"])
         )
-        lines.append("Ranking: " + " > ".join(report["ranking"]))
+        lines.append("Ranking: " + " > ".join(map(one_line, report["ranking"])))
     lines.append("")
     return "\n".join(lines)

@@ -8,13 +8,11 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from evidential_magdm.divergence import LogBase
-
 DIGITS = 50
 
 
-def pair_totals(a, b, weights=(0.5, 0.5), base: LogBase = LogBase.TWO) -> list[Decimal]:
-    """Per-alternative ordered weighted divergence of two (p, q) profiles.
+def pair_totals(a, b, weights=(0.5, 0.5)) -> list[Decimal]:
+    """Per-alternative ordered weighted divergence of two (p, q) profiles, in bits.
 
     Per cell: w_0 hi log(hi / mix) + w_1 lo log(lo / mix), mix = w_0 hi + w_1 lo,
     where hi and lo are the cell's larger and smaller value; a zero value or
@@ -27,7 +25,7 @@ def pair_totals(a, b, weights=(0.5, 0.5), base: LogBase = LogBase.TWO) -> list[D
         ctx.prec = DIGITS
         w0, w1 = (Decimal(float(w)) for w in weights)
         w0, w1 = w0 / (w0 + w1), w1 / (w0 + w1)
-        ln_base = Decimal(base.value).ln()
+        ln2 = Decimal(2).ln()
         totals = []
         for row_a, row_b in zip(np.asarray(a).tolist(), np.asarray(b).tolist()):
             total = Decimal(0)
@@ -37,7 +35,7 @@ def pair_totals(a, b, weights=(0.5, 0.5), base: LogBase = LogBase.TWO) -> list[D
                 for w, v in ((w0, hi), (w1, lo)):
                     if w > 0 and v > 0:
                         total += w * v * (v / mix).ln()
-            totals.append(total / ln_base)
+            totals.append(total / ln2)
         return totals
 
 
@@ -52,7 +50,7 @@ def relative_errors(got, expected: list[Decimal]) -> list[float]:
     return errors
 
 
-def expert_weights(profiles, base: LogBase = LogBase.TWO) -> list[float]:
+def expert_weights(profiles) -> list[float]:
     """The pipeline's default weight chain on exact pair divergences at (1/2, 1/2).
 
     Mean over alternatives per pair, average per expert divided by k,
@@ -64,7 +62,7 @@ def expert_weights(profiles, base: LogBase = LogBase.TWO) -> list[float]:
         sums = [Decimal(0)] * k
         for i in range(k):
             for j in range(i + 1, k):
-                totals = pair_totals(profiles[i], profiles[j], base=base)
+                totals = pair_totals(profiles[i], profiles[j])
                 mean = sum(totals, Decimal(0)) / len(totals)
                 sums[i] += mean
                 sums[j] += mean

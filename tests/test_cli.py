@@ -166,7 +166,7 @@ class TestRankCommand:
         assert "| Smith, J |" in (out / "report.md").read_text()
         assert "| a\\|b |" in (out / "report.md").read_text()
 
-    def test_labels_with_line_breaks_keep_report_rows_on_one_line(self, tmp_path):
+    def test_labels_with_line_breaks_keep_report_rows_on_one_line(self, tmp_path, capsys):
         alternatives = ("two\nlines", "carriage\rreturn", "cr\r\nlf", "plain")
         attributes = ("cost\ntotal", "x\ry")
         rng = np.random.default_rng(5)
@@ -175,8 +175,25 @@ class TestRankCommand:
             paths.append(str(tmp_path / f"{e}.csv"))
             dataio.write_decision_matrix(paths[-1], DecisionMatrix(e, rng.uniform(1, 9, (4, 2)), alternatives, attributes))
         out = tmp_path / "out"
+        capsys.readouterr()
         assert main(["rank", *paths, "--out", str(out)]) == 0
         text = (out / "report.md").read_bytes().decode()
+        # every line is a heading, a table row or one of the summary lines
+        kinds = ("# ", "## ", "| ", "|", "Config: ", "Expert ranking: ", "Ideal solution: ", "Ranking: ")
+        lines = text.split("\n")
+        assert not any("\r" in line for line in lines)
+        assert all(line == "" or line.startswith(kinds) for line in lines), lines
+        folded = ("two lines", "carriage return", "cr lf", "plain")
+        ranking = next(line for line in lines if line.startswith("Ranking: "))
+        assert sorted(ranking.removeprefix("Ranking: ").split(" > ")) == sorted(folded)
+        stdout = capsys.readouterr().out
+        assert "\r" not in stdout
+        stdout_kinds = ("expert ranking: ", "weights: ", "alternative ranking: ", "report written to ")
+        stdout_lines = stdout.splitlines()
+        assert len(stdout_lines) == 4
+        assert all(line.startswith(kind) for line, kind in zip(stdout_lines, stdout_kinds)), stdout_lines
+        ranking = stdout_lines[2].removeprefix("alternative ranking: ")
+        assert sorted(ranking.split(" > ")) == sorted(folded)
         tables = [[row for row in block.split("\n") if row.startswith("|")] for block in text.split("\n\n")]
         tables = [rows for rows in tables if rows]
         assert [len(rows) for rows in tables] == [2 + 3, 2 + 4]
@@ -446,13 +463,18 @@ class TestCsvRoundTrip:
     @pytest.mark.parametrize("label", ["a\rb", "a\r\nb", "a\nb", "a\r"], ids=["cr", "crlf", "lf", "trailing-cr"])
     def test_labels_with_line_breaks_round_trip(self, tmp_path, label):
         matrix = DecisionMatrix("e", [[1, 2], [3, 4]], (label, "c"), ("x", label))
-        dataio.write_decision_matrix(tmp_path / "e.csv", matrix)
-        with open(tmp_path / "e.csv", newline="") as handle:
-            rows = list(csv.reader(handle))
-        assert rows == [["alternative", "x", label], [label, "1", "2"], ["c", "3", "4"]]
-        back = dataio.read_decision_matrix(tmp_path / "e.csv")  # the reader strips each label
-        assert (back.alternative_labels, back.attribute_labels) == ((label.strip(), "c"), ("x", label.strip()))
-        assert back.values.tolist() == [[1, 2], [3, 4]]
+        if label != label.strip():  # the reader strips each label, so this one would not read back
+            with pytest.raises(ValueError, match=re.escape(repr(label))):
+                dataio.write_decision_matrix(tmp_path / "e.csv", matrix)
+            assert not (tmp_path / "e.csv").exists()
+        else:
+            dataio.write_decision_matrix(tmp_path / "e.csv", matrix)
+            with open(tmp_path / "e.csv", newline="") as handle:
+                rows = list(csv.reader(handle))
+            assert rows == [["alternative", "x", label], [label, "1", "2"], ["c", "3", "4"]]
+            back = dataio.read_decision_matrix(tmp_path / "e.csv")
+            assert (back.alternative_labels, back.attribute_labels) == ((label, "c"), ("x", label))
+            assert back.values.tolist() == [[1, 2], [3, 4]]
         values = np.arange(8.0).reshape(2, 2, 2)
         dataio.write_term_values(tmp_path / "t.csv", "e", values, (label, "c"), ("x", label))
         with open(tmp_path / "t.csv", newline="") as handle:
@@ -460,6 +482,20 @@ class TestCsvRoundTrip:
         assert rows[0] == ["alt", "attr", "term", "value"] and len(rows) == 9
         assert [row[:3] for row in rows[1:]] == [[a, t, str(f)] for a in (label, "c") for t in ("x", label) for f in (1, 2)]
         assert [float(row[3]) for row in rows[1:]] == values.ravel().tolist()
+
+    @pytest.mark.parametrize("label", [" a", "a ", "\ta", "a\n", "\r\na", " "])
+    @pytest.mark.parametrize("axis", ["alternative", "attribute"])
+    def test_writer_refuses_labels_the_reader_would_strip(self, tmp_path, label, axis):
+        labels = {"alternative": ((label, "c"), ("x", "y")), "attribute": (("a", "c"), ("x", label))}[axis]
+        matrix = DecisionMatrix("e", [[1, 2], [3, 4]], *labels)
+        with pytest.raises(ValueError, match=re.escape(repr(label))):
+            dataio.write_decision_matrix(tmp_path / "e.csv", matrix)
+        assert not (tmp_path / "e.csv").exists()
+
+    def test_reader_still_strips_what_it_reads(self, tmp_path):
+        (tmp_path / "e.csv").write_bytes(b"alternative, x ,y\r\n a ,1,2\r\n\"b\r\",3,4\r\n")
+        back = dataio.read_decision_matrix(tmp_path / "e.csv")
+        assert (back.alternative_labels, back.attribute_labels) == (("a", "b"), ("x", "y"))
 
     def test_plain_labels_are_written_unquoted(self, tmp_path):
         matrix = DecisionMatrix("e", np.array([[1.5, 2.0], [0.25, 3.0]]), ("a 1", "a2"), ("x", "y z"))

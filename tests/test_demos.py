@@ -40,7 +40,7 @@ def test_readme_quick_start_runs_without_warnings(tmp_path):
 # entry points and the records they take and return
 PUBLIC = {
     "RunConfig",
-    "LogBase", "entropy", "generalized_belief_divergence", "generalized_js_divergence",
+    "entropy", "generalized_belief_divergence", "generalized_js_divergence",
     "js_divergence", "kl_divergence", "weighted_belief_divergence",
     "Bpa", "FrameOfDiscernment", "PseudoBpa", "WpblDistribution", "belief", "plausibility", "wpbl",
     "FeatureSet", "FusionWeights", "MetricsReport", "estimate_fusion_weights", "evaluate_fusion",
@@ -65,7 +65,7 @@ def test_package_exports_entry_points_and_records_only():
         name for name, value in vars(package).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
-    assert exported == PUBLIC and len(PUBLIC) == 34
+    assert exported == PUBLIC and len(PUBLIC) == 33
     for module, functions in STAGES.items():
         home = importlib.import_module(f"evidential_magdm.{module}")
         for function in functions:

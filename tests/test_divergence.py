@@ -9,7 +9,6 @@ from hypothesis import given, reject, settings, strategies as st
 
 from evidential_magdm import divergence
 from evidential_magdm.divergence import (
-    LogBase,
     _mixture_terms,
     entropy,
     generalized_belief_divergence,
@@ -33,22 +32,22 @@ AB = FrameOfDiscernment(("a", "b"))
 SINGLETONS = [["a"], ["b"]]
 
 
-def manual_kl(a, b, base=2.0):
-    return sum(x * math.log(x / y, base) for x, y in zip(a, b) if x > 0)
+def manual_kl(a, b):
+    return sum(x * math.log2(x / y) for x, y in zip(a, b) if x > 0)
 
 
-def manual_js(a, b, base=2.0):
+def manual_js(a, b):
     mix = [(x + y) / 2 for x, y in zip(a, b)]
-    return 0.5 * (manual_kl(a, mix, base) + manual_kl(b, mix, base))
+    return 0.5 * (manual_kl(a, mix) + manual_kl(b, mix))
 
 
-def manual_ordered_pair(a, b, w, base=2.0):
+def manual_ordered_pair(a, b, w):
     # per proposition the larger value takes w[0]: sum w_f v_f log(v_f / mix)
     total = 0.0
     for x, y in zip(a, b):
         hi, lo = max(x, y), min(x, y)
         mix = w[0] * hi + w[1] * lo
-        total += sum(wf * v * math.log(v / mix, base) for wf, v in ((w[0], hi), (w[1], lo)) if wf > 0 and v > 0)
+        total += sum(wf * v * math.log2(v / mix) for wf, v in ((w[0], hi), (w[1], lo)) if wf > 0 and v > 0)
     return total
 
 
@@ -56,14 +55,6 @@ def singleton_profile(mass, n):
     # singleton focal sets only, so Bel = Pl = m and the profile is m / sum(m)
     raw = [mass.masses.get(1 << i, 0.0) for i in range(n)]
     return [v / sum(raw) for v in raw]
-
-
-class TestLogBase:
-    def test_base_scaling(self):
-        a, b = (0.7, 0.3), (0.5, 0.5)
-        assert kl_divergence(a, b, LogBase.NATURAL) == pytest.approx(
-            kl_divergence(a, b, LogBase.TWO) * math.log(2), abs=1e-12
-        )
 
 
 UNIT = Bpa(AB, {"a": 1.0})
@@ -350,14 +341,13 @@ class TestOrderedMixtureTerms:
     @given(
         values=st.one_of(two_row_columns(), two_row_columns(zeros=False)),
         weights=st.sampled_from(ORDERED_PAIR_WEIGHTS),
-        base=st.sampled_from(list(LogBase)),
         narrow=st.booleans(),
     )
-    def test_two_rows_equal_sorted_kernel(self, values, weights, base, narrow):
+    def test_two_rows_equal_sorted_kernel(self, values, weights, narrow):
         w = np.array(weights)
         narrow = narrow and bool(values.all())  # narrow promises that no value is 0
-        cells = pair_cells(values[0], values[1], w, base, narrow)
-        assert np.array_equal(ordered_mixture_terms(values, w, base).sum(axis=0), cells)
+        cells = pair_cells(values[0], values[1], w, narrow)
+        assert np.array_equal(ordered_mixture_terms(values, w).sum(axis=0), cells)
 
     def sort_calls(self, monkeypatch, values, weights):
         calls = []
@@ -368,17 +358,38 @@ class TestOrderedMixtureTerms:
             return real_sort(*args, **kwargs)
 
         monkeypatch.setattr(divergence.np, "sort", spy)
-        terms = ordered_mixture_terms(values, np.array(weights), LogBase.TWO)
+        terms = ordered_mixture_terms(values, np.array(weights))
         monkeypatch.undo()
         return terms, calls
 
     def test_three_rows_keep_the_sort(self, monkeypatch):
         values = np.array([[0.1, 0.7, 0.0, 0.3], [0.4, 0.7, 0.2, 0.3], [0.5, 0.0, 0.2, 0.3]])
         w = np.array([0.5, 0.3, 0.2])
-        expected = _mixture_terms(np.sort(values, axis=0)[::-1], w, LogBase.TWO)
+        expected = np.array(_mixture_terms(np.sort(values, axis=0)[::-1], w))
         terms, calls = self.sort_calls(monkeypatch, values, w)
         assert calls == [(3, 4)]
         assert np.array_equal(terms, expected)
+
+
+class TestMixtureTermsLayout:
+    """The kernel's bits depend on the values, not on how the rows lie in memory."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(r=st.integers(2, 8), n=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+    def test_contiguous_stack_equals_reversed_view(self, r, n, seed):
+        # a matmul mix would take BLAS on the C-contiguous stack and numpy's own
+        # loop on the negative-stride view, and the two round differently
+        rng = np.random.default_rng(seed)
+        values = rng.uniform(0.0, 1.0, size=(r, n))
+        values[rng.random((r, n)) < 0.2] = 0.0
+        weights = rng.dirichlet(np.ones(r))
+        if rng.random() < 0.3:
+            weights[rng.integers(r)] = 0.0
+            weights /= weights.sum()
+        view = values[::-1]
+        stack = np.ascontiguousarray(view)
+        assert stack.flags.c_contiguous and view.strides[0] < 0
+        assert np.array_equal(np.array(_mixture_terms(stack, weights)), np.array(_mixture_terms(view, weights)))
 
 
 class TestEntropy:
@@ -397,11 +408,11 @@ def profile_pairs(draw):
     return rows[0].reshape(p, q), rows[1].reshape(p, q)
 
 
-def stacked_pair_divergence(a, b, weights, base):
+def stacked_pair_divergence(a, b, weights):
     """The sorted (2, n) stack of the attribute-major cells through
     ``_mixture_terms``, each alternative's q cells summed in attribute order."""
     stacked = np.sort(np.stack([np.ravel(a.T), np.ravel(b.T)]), axis=0)[::-1]
-    terms = _mixture_terms(stacked, np.array(weights), base).sum(axis=0)
+    terms = np.sum(_mixture_terms(stacked, np.array(weights)), axis=0)
     return terms.reshape(a.shape[::-1]).sum(axis=0)
 
 
@@ -447,22 +458,21 @@ class TestPairwiseDivergenceKernel:
     @given(
         profiles=profile_pairs(),
         weights=st.sampled_from(ORDERED_PAIR_WEIGHTS),
-        base=st.sampled_from(list(LogBase)),
     )
-    def test_equals_stacked_reference(self, profiles, weights, base):
+    def test_equals_stacked_reference(self, profiles, weights):
         a, b = profiles
-        got = pairwise_divergence(a, b, weights, base)
-        assert np.array_equal(got, stacked_pair_divergence(a, b, weights, base))
+        got = pairwise_divergence(a, b, weights)
+        assert np.array_equal(got, stacked_pair_divergence(a, b, weights))
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(profiles=near_profile_pairs(), base=st.sampled_from(list(LogBase)))
-    def test_half_weights_match_decimal_oracle(self, profiles, base):
+    @given(profiles=near_profile_pairs())
+    def test_half_weights_match_decimal_oracle(self, profiles):
         a, b = profiles
-        expected = pair_totals(a, b, base=base)
+        expected = pair_totals(a, b)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for first, second in ((a, b), (b, a)):
-                assert_matches_oracle(pairwise_divergence(first, second, (0.5, 0.5), base), expected)
+                assert_matches_oracle(pairwise_divergence(first, second, (0.5, 0.5)), expected)
                 cells = js_cells(np.ravel(first.T), np.ravel(second.T))
                 assert np.all(cells >= 0)
 
@@ -471,9 +481,9 @@ class TestPairwiseDivergenceKernel:
         # the cells of one row sit on both sides of the factor-3 line
         a = np.linspace(0.05, 0.5, 12)
         b = a * ratio ** np.linspace(-1, 1, 12)
-        expected = pair_totals(a[None, :], b[None, :], base=LogBase.NATURAL)
+        expected = pair_totals(a[None, :], b[None, :])
         for narrow in (False, True) if ratio <= 3 else (False,):
-            total = js_cells(a, b, narrow).sum() / 4
+            total = js_cells(a, b, narrow).sum() / (4 * math.log(2))
             assert_matches_oracle([total], expected)
 
     def test_weight_count_checked(self):
@@ -489,7 +499,7 @@ class TestPairwiseDivergenceKernel:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = pairwise_divergence(a, b, weights)
-        assert np.array_equal(got, stacked_pair_divergence(a, b, weights, LogBase.TWO))
+        assert np.array_equal(got, stacked_pair_divergence(a, b, weights))
         assert np.all(np.isfinite(got))
 
     @pytest.mark.xfail(
@@ -504,7 +514,7 @@ class TestPairwiseDivergenceKernel:
         assert_matches_oracle(pairwise_divergence(a, b, (0.8, 0.2)), pair_totals(a, b, (0.8, 0.2)))
 
 
-def masked_pair_divergence(a, b, weights, base):
+def masked_pair_divergence(a, b, weights):
     """The ordered pair path written out: cells taken attribute-major,
     ordered into (max, min), mixed w_0 * hi + w_1 * lo, both rows masked,
     then each alternative's q cells summed in attribute order."""
@@ -520,7 +530,7 @@ def masked_pair_divergence(a, b, weights, base):
                 row *= x
                 np.putmask(row, x == 0, 0.0)
                 row *= w
-    terms /= base.ln
+    terms /= math.log(2.0)
     terms[0] += terms[1]
     return terms[0].reshape(a.shape[::-1]).sum(axis=0)
 
@@ -555,18 +565,17 @@ class TestPreparedPairPath:
     @given(
         profiles=expert_profiles(),
         weights=st.sampled_from(ORDERED_PAIR_WEIGHTS),
-        base=st.sampled_from(list(LogBase)),
     )
-    def test_standalone_calls_equal_masked_reference(self, profiles, weights, base):
+    def test_standalone_calls_equal_masked_reference(self, profiles, weights):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for i, j in zip(*np.triu_indices(len(profiles), 1)):
                 for a, b in ((profiles[i], profiles[j]), (profiles[j], profiles[i])):
-                    got = pairwise_divergence(a, b, weights, base)
-                    assert np.array_equal(got, masked_pair_divergence(a, b, weights, base))
+                    got = pairwise_divergence(a, b, weights)
+                    assert np.array_equal(got, masked_pair_divergence(a, b, weights))
 
     @staticmethod
-    def pair_table(k, p, q, copies, seed, weights, base):
+    def pair_table(k, p, q, copies, seed, weights):
         # copies repeat the first expert's matrix under new ids: identical
         # profiles, so some pairs are zero throughout
         rng = np.random.default_rng(seed)
@@ -580,12 +589,8 @@ class TestPreparedPairPath:
             warnings.simplefilter("error")
             result = run_pipeline(matrices, config, with_ranking=False)
             profiles = result.wpbl_profiles
-            first, second = np.triu_indices(len(profiles), 1)
-            # the pipeline runs in base 2; another base goes through the pair kernel
-            rows = result.pair_divergences.T if base is LogBase.TWO else [
-                pairwise_divergence(profiles[i], profiles[j], weights, base) for i, j in zip(first, second)
-            ]
-        return zip(rows, first, second), profiles
+        first, second = np.triu_indices(len(profiles), 1)
+        return zip(result.pair_divergences.T, first, second), profiles
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
@@ -595,15 +600,14 @@ class TestPreparedPairPath:
         copies=st.integers(0, 3),
         seed=st.integers(0, 2**32 - 1),
         weights=st.sampled_from(CONFIG_PAIR_WEIGHTS),
-        base=st.sampled_from(list(LogBase)),
     )
-    def test_run_pipeline_pair_table_equals_masked_reference(self, k, p, q, copies, seed, weights, base):
+    def test_run_pipeline_pair_table_equals_masked_reference(self, k, p, q, copies, seed, weights):
         try:
-            table, profiles = self.pair_table(k, p, q, copies, seed, weights, base)
+            table, profiles = self.pair_table(k, p, q, copies, seed, weights)
         except NegativeDivergenceError:
             reject()  # rounding on identical experts; the pair table is not returned
         for got, i, j in table:
-            assert np.array_equal(got, masked_pair_divergence(profiles[i], profiles[j], weights, base))
+            assert np.array_equal(got, masked_pair_divergence(profiles[i], profiles[j], weights))
 
     # the oracle's 50-digit logs are slow, so the sizes stop at 8
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -613,9 +617,8 @@ class TestPreparedPairPath:
         q=st.integers(2, 8),
         copies=st.integers(0, 3),
         seed=st.integers(0, 2**32 - 1),
-        base=st.sampled_from(list(LogBase)),
     )
-    def test_run_pipeline_pair_table_matches_decimal_oracle(self, k, p, q, copies, seed, base):
-        table, profiles = self.pair_table(k, p, q, copies, seed, (0.5, 0.5), base)
+    def test_run_pipeline_pair_table_matches_decimal_oracle(self, k, p, q, copies, seed):
+        table, profiles = self.pair_table(k, p, q, copies, seed, (0.5, 0.5))
         for got, i, j in table:
-            assert_matches_oracle(got, pair_totals(profiles[i], profiles[j], base=base))
+            assert_matches_oracle(got, pair_totals(profiles[i], profiles[j]))
