@@ -5,9 +5,9 @@ source, shared row order). Each source plays the role of an expert:
 sample rows are the alternatives, feature dimensions the attributes.
 The pipeline's inter-source divergence turns disagreement into per-source
 weights (``FusionWeights``: one row per block of dimensions, and their
-mean), the sources are fused by convex combination, and a nearest-
-centroid classifier plus one-vs-rest confusion metrics quantify how much
-signal the fusion kept.
+mean) on at most ``sample_cap`` rows, the sources are fused by convex
+combination one at a time, never stacked in full, and a nearest-centroid
+classifier plus one-vs-rest confusion metrics quantify the signal kept.
 """
 
 from __future__ import annotations
@@ -18,19 +18,20 @@ import numpy as np
 
 from .config import RunConfig
 from .linguistic import DecisionGroup, normalize_decision_matrix
-from .pipeline import fuse, run_pipeline
+from .pipeline import run_pipeline
 
 
 @dataclass(frozen=True)
 class FeatureSet:
-    """One source's features for a shared sample set; optional labels."""
+    """One source's features for a shared sample set, C-contiguous (so a column's sum of squares
+    adds the rows in order, as in a stack of sources); optional labels."""
 
     source_id: str
     features: np.ndarray = field(repr=False)
     labels: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.features, dtype=float)
+        arr = np.ascontiguousarray(self.features, dtype=float)
         if arr.ndim != 2:
             raise ValueError("features must be a 2-d matrix (samples x dims)")
         object.__setattr__(self, "features", arr)
@@ -75,6 +76,17 @@ def _name_non_finite(sources: list[FeatureSet]) -> None:
             raise ValueError(f"source {s.source_id!r} has non-finite value {s.features[i, j]} in f{j} at sample s{i}")
 
 
+def _shape(sources: list[FeatureSet]) -> tuple[int, int]:
+    """The (samples, dims) of at least 2 sources; the first source of another shape is named."""
+    if len(sources) < 2:
+        raise ValueError("fusion needs at least 2 sources")
+    shape = sources[0].features.shape
+    for s in sources:
+        if s.features.shape != shape:
+            raise ValueError(f"source {s.source_id!r} shape {s.features.shape} != {shape}")
+    return shape
+
+
 def _source_group(sources: list[FeatureSet], sample_cap: int | None = None, seed: int = 0) -> DecisionGroup:
     """The sources as one group, rows ``s<i>`` as alternatives and dimensions ``f<j>`` as
     attributes; a shape that differs, or a non-finite value in any row, is named. Past
@@ -82,12 +94,7 @@ def _source_group(sources: list[FeatureSet], sample_cap: int | None = None, seed
 
     The group's own check is the one scan of the rows it holds. The sources are scanned
     in full only when a sample leaves rows out, or to locate the value that check refused."""
-    if len(sources) < 2:
-        raise ValueError("fusion needs at least 2 sources")
-    n, d = shape = sources[0].features.shape
-    for s in sources:
-        if s.features.shape != shape:
-            raise ValueError(f"source {s.source_id!r} shape {s.features.shape} != {shape}")
+    n, d = _shape(sources)
     rows = slice(None)  # a view of all rows
     if sample_cap is not None and n > sample_cap:
         rows = np.sort(np.random.default_rng(seed).choice(n, size=sample_cap, replace=False))
@@ -122,15 +129,26 @@ def estimate_fusion_weights(sources: list[FeatureSet], config: RunConfig | None 
 
 
 def fuse_features(sources: list[FeatureSet], weights: FusionWeights) -> FeatureSet:
-    """Convex combination of column-normalised sources (``pipeline.fuse``).
+    """Convex combination of column-normalised sources, added in source order (``pipeline.fuse``).
 
-    ``weights`` may be any record with ``expert_ids`` and ``weights``
-    (a pipeline ``ExpertWeights`` too). A zero dimension is named
-    ``f<j>`` with its source in the error. The labelled sources must
-    agree on every sample's label; the fused set carries their labels.
+    Each source is normalised alone, as a one-source ``DecisionGroup`` view, and scaled in that
+    buffer, which is freed before the next is made: the peak is the output and one source.
+    ``weights`` may be any record with ``expert_ids`` and ``weights`` (a pipeline ``ExpertWeights``
+    too). Errors name, in order: a shape, the first non-finite value, a repeated id, another source
+    list, the first sample whose labels differ (the fused set carries the labels), and the first
+    all-zero dimension ``f<j>`` by source, then dimension.
     """
-    group = _source_group(sources)
-    if group.expert_ids != tuple(weights.expert_ids):
+    n, d = _shape(sources)
+    dims = tuple(f"f{j}" for j in range(d))
+    try:
+        groups = [DecisionGroup((s.source_id,), s.features[None], attribute_labels=dims) for s in sources]
+    except ValueError:
+        _name_non_finite(sources)
+        raise
+    ids = tuple(s.source_id for s in sources)
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"duplicate expert ids: {ids}")
+    if ids != tuple(weights.expert_ids):
         raise ValueError("weights were estimated for a different source list")
     labelled = [s for s in sources if s.labels is not None]
     for s in labelled[1:]:
@@ -141,7 +159,11 @@ def fuse_features(sources: list[FeatureSet], weights: FusionWeights) -> FeatureS
                 f"source {s.source_id!r} has label {s.labels[i]} at sample s{i}, "
                 f"source {labelled[0].source_id!r} has {labelled[0].labels[i]}"
             )
-    fused = fuse(normalize_decision_matrix(group), weights.weights)
+    fused = np.zeros((n, d))
+    for w, group in zip(weights.weights, groups, strict=True):
+        normalized = normalize_decision_matrix(group)[0]
+        fused += np.multiply(normalized, w, out=normalized)
+        del normalized  # freed before the next source's buffer is made
     return FeatureSet("fused", fused, labelled[0].labels if labelled else None)
 
 
@@ -171,9 +193,9 @@ def nearest_centroid_fit(features: np.ndarray, labels: np.ndarray) -> CentroidMo
 
 
 def nearest_centroid_predict(model: CentroidModel, features: np.ndarray) -> np.ndarray:
-    """Assign each sample the class of the nearest centroid (ties: lower id)."""
+    """Assign each sample the class of the nearest centroid (ties: lower id), one centroid at a time."""
     features = np.asarray(features, dtype=float)
-    d2 = ((features[:, None, :] - model.centroids[None, :, :]) ** 2).sum(axis=2)
+    d2 = np.column_stack([((features - c) ** 2).sum(axis=1) for c in model.centroids])
     return model.classes[np.argmin(d2, axis=1)]
 
 

@@ -3,14 +3,18 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from evidential_magdm import fusion
 from evidential_magdm.config import RunConfig
 from evidential_magdm.errors import DegenerateAttributeError, DegenerateDomainError
 from evidential_magdm.fusion import (
+    CentroidModel,
     FeatureSet,
     FusionWeights,
     confusion_matrix,
@@ -24,8 +28,8 @@ from evidential_magdm.fusion import (
     score,
     train_test_split_indices,
 )
-from evidential_magdm.linguistic import DecisionGroup, DecisionMatrix
-from evidential_magdm.pipeline import ExpertWeights, run_pipeline
+from evidential_magdm.linguistic import DecisionGroup, DecisionMatrix, normalize_decision_matrix
+from evidential_magdm.pipeline import ExpertWeights, fuse, run_pipeline
 
 
 def sources_from(*arrays, labels=None):
@@ -355,7 +359,104 @@ class TestFusionBlocks:
         assert sizes == scans
 
 
+def stacked_fuse(arrays, ids, weights):
+    """The sources stacked into one group, normalised in one call and fused: one copy of every
+    source and one normalised stack, the formula ``fuse_features`` keeps the bits of."""
+    group = DecisionGroup(ids, np.stack(arrays), attribute_labels=tuple(f"f{j}" for j in range(arrays[0].shape[1])))
+    return fuse(normalize_decision_matrix(group), weights)
+
+
+# 1e160 overflows a column's sum of squares and 1e-160 underflows it: both take normalise's rescale
+_FUSION_SCALES = [1.0, 1.0, 1.0, 1.0, 1e160, 1e-160, 3.5e-3, 0.0]
+_LAYOUTS = {
+    "C": lambda x: x,
+    "F": np.asfortranarray,
+    "reversed-rows": lambda x: np.ascontiguousarray(x[::-1])[::-1],
+}
+
+
+@st.composite
+def fusion_cases(draw):
+    """2..6 signed (n, d) sources of seeded normal values, whose sums round, each column times a
+    drawn scale and each source in a drawn memory layout, with convex weights."""
+    k, n, d = draw(st.integers(2, 6)), draw(st.integers(2, 40)), draw(st.integers(1, 5))
+    values = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(0.0, 30.0, (k, n, d))
+    scales = draw(hnp.arrays(float, (k, 1, d), elements=st.sampled_from(_FUSION_SCALES)))
+    layouts = draw(st.lists(st.sampled_from(sorted(_LAYOUTS)), min_size=k, max_size=k))
+    raw = draw(hnp.arrays(float, k, elements=st.floats(1e-3, 1.0)))
+    return list(values * scales), layouts, raw / raw.sum()
+
+
 class TestFuseFeatures:
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(case=fusion_cases())
+    def test_equals_the_stacked_normalise_and_fuse_bit_for_bit(self, case):
+        arrays, layouts, w = case
+        ids = tuple(f"s{e}" for e in range(len(arrays)))
+        sources = [FeatureSet(i, _LAYOUTS[layout](x)) for i, layout, x in zip(ids, layouts, arrays)]
+        weights = FusionWeights(ids, w[None], w)
+        try:
+            expected = stacked_fuse(arrays, ids, w)
+        except DegenerateAttributeError as exc:
+            with pytest.raises(DegenerateAttributeError, match=f"^{re.escape(str(exc))}$"):
+                fuse_features(sources, weights)
+            return
+        assert fuse_features(sources, weights).features.tobytes() == expected.tobytes()
+
+    def test_peak_is_the_output_and_one_source(self):
+        # a stack of the 6 sources and its normalised copy would add 12 n*d*8 bytes
+        k, n, d = 6, 400, 160
+        rng = np.random.default_rng(11)
+        sources = [FeatureSet(f"s{e}", rng.normal(size=(n, d))) for e in range(k)]
+        w = rng.dirichlet(np.ones(k))
+        weights = FusionWeights(tuple(s.source_id for s in sources), w[None], w)
+        fuse_features(sources, weights)  # fills the label caches: the traced call leaves only its result
+        tracemalloc.start()
+        try:
+            fused = fuse_features(sources, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * n * d * 8
+        assert fused.features.tobytes() == stacked_fuse([s.features for s in sources], weights.expert_ids, w).tobytes()
+
+    @pytest.mark.parametrize("fault", ["labels", "source-list", "both"])
+    def test_non_finite_value_in_a_later_source_is_named_first(self, fault):
+        rng = np.random.default_rng(12)
+        labels = np.array([0, 1, 0, 1, 0, 1])
+        a, b, c = (rng.normal(size=(6, 4)) for _ in range(3))
+        b_labels = 1 - labels if fault != "source-list" else labels
+        ids = ("a", "b", "c") if fault == "labels" else ("a", "c", "b")
+        w = np.full(3, 1 / 3)
+        weights = FusionWeights(ids, w[None], w)
+        c[4, 1] = math.nan
+        sources = [FeatureSet("a", a, labels), FeatureSet("b", b, b_labels), FeatureSet("c", c, labels)]
+        message = "source 'c' has non-finite value nan in f1 at sample s4"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fuse_features(sources, weights)
+        c[4, 1] = 0.5  # with the value finite, the other fault is named
+        later = "different source list" if fault != "labels" else "source 'b' has label 1 at sample s0, source 'a' has 0"
+        with pytest.raises(ValueError, match=later):
+            fuse_features(sources, weights)
+
+    def test_zero_columns_in_two_sources_name_the_earlier_source(self):
+        # 'b' is zero at f3 and the later 'c' at f1: by source, then dimension
+        rng = np.random.default_rng(13)
+        a, b, c = (rng.normal(size=(5, 4)) for _ in range(3))
+        b[:, 3] = 0.0
+        c[:, 1] = 0.0
+        w = np.full(3, 1 / 3)
+        with pytest.raises(DegenerateAttributeError, match="^attribute 'f3' of expert 'b' is identically zero$"):
+            fuse_features([FeatureSet("a", a), FeatureSet("b", b), FeatureSet("c", c)], FusionWeights(("a", "b", "c"), w[None], w))
+
+    @pytest.mark.parametrize("ids", [("a", "a", "b"), ("x", "y", "z")], ids=["same-list", "other-list"])
+    def test_repeated_source_ids_are_refused(self, ids):
+        rng = np.random.default_rng(14)
+        sources = [FeatureSet(i, rng.normal(size=(5, 3))) for i in ("a", "a", "b")]
+        w = np.full(3, 1 / 3)
+        with pytest.raises(ValueError, match=r"^duplicate expert ids: \('a', 'a', 'b'\)$"):
+            fuse_features(sources, FusionWeights(ids, w[None], w))
+
     def test_identical_sources_recover_normalised_source(self):
         rng = np.random.default_rng(4)
         base = rng.uniform(1, 5, size=(6, 3))
@@ -450,6 +551,26 @@ class TestNearestCentroid:
         labels = np.array([3, 7])
         model = nearest_centroid_fit(features, labels)
         assert nearest_centroid_predict(model, np.array([[1.0]]))[0] == 3
+
+    def test_equals_the_broadcast_distances_with_ties(self):
+        # integer centroids and queries make equidistant samples common, and
+        # argmin over the (samples, classes) distances takes the lower class;
+        # normal values over up to 40 dims check each row's pairwise sum
+        rng = np.random.default_rng(15)
+        ties = 0
+        for case in range(400):
+            classes = np.sort(rng.choice(10, size=rng.integers(1, 5), replace=False))
+            d = rng.integers(1, 5) if case % 2 else rng.integers(1, 41)
+            if case % 2:
+                draw = lambda *shape: rng.integers(-2, 3, size=shape).astype(float)
+            else:
+                draw = lambda *shape: rng.normal(size=shape)
+            centroids, queries = draw(classes.size, d), draw(rng.integers(1, 12), d)
+            d2 = ((queries[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+            ties += int(((d2 == d2.min(axis=1, keepdims=True)).sum(axis=1) > 1).sum())
+            got = nearest_centroid_predict(CentroidModel(classes, centroids), queries)
+            assert np.array_equal(got, classes[np.argmin(d2, axis=1)])
+        assert ties >= 100
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(7)
