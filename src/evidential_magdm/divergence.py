@@ -140,12 +140,13 @@ def js_divergence(a, b) -> float:
 
 
 def generalized_js_divergence(dists: Sequence, weights) -> float:
-    """Weighted JS divergence: sum_i w_i KL(A_i || mixture)."""
+    """Weighted JS divergence: sum_i w_i KL(A_i || mixture), clamped at 0 (the weights sum
+    to 1 only within an ulp, so identical inputs can sum to a tiny negative value)."""
     arrs = [as_probability_vector(d) for d in dists]
     if len({a.size for a in arrs}) != 1:
         raise ValueError("distributions must share a length")
     w = as_weight_vector(weights, length=len(arrs))
-    return float(np.sum(_mixture_terms(arrs, w)))
+    return max(float(np.sum(_mixture_terms(arrs, w))), 0.0)
 
 
 def _wpbl_matrix(masses: Sequence[Bpa], propositions) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -246,7 +247,8 @@ def generalized_belief_divergence(masses: Sequence[Bpa], propositions, weights) 
 
     Each proposition's contribution is damped by the proposition's
     cardinality; for singleton propositions and p = 2 this reduces to
-    ``weighted_belief_divergence``.
+    ``weighted_belief_divergence``. The sum is clamped at 0, as in
+    ``generalized_js_divergence``.
     """
     if len(masses) < 2:
         raise ValueError("need at least two mass assignments")
@@ -254,4 +256,4 @@ def generalized_belief_divergence(masses: Sequence[Bpa], propositions, weights) 
     values, masks = _wpbl_matrix(masses, propositions)
     cards = np.array([mask.bit_count() for mask in masks], dtype=float)
     terms = ordered_mixture_terms(values, w) / cards[None, :]
-    return float(terms.sum())
+    return max(float(terms.sum()), 0.0)

@@ -23,15 +23,15 @@ from .pipeline import run_pipeline
 
 @dataclass(frozen=True)
 class FeatureSet:
-    """One source's features for a shared sample set, C-contiguous (so a column's sum of squares
-    adds the rows in order, as in a stack of sources); optional labels."""
+    """One source's features for a shared sample set, in any memory layout (normalisation
+    fixes the summation order itself), and optional labels."""
 
     source_id: str
     features: np.ndarray = field(repr=False)
     labels: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.features, dtype=float)
+        arr = np.asarray(self.features, dtype=float)
         if arr.ndim != 2:
             raise ValueError("features must be a 2-d matrix (samples x dims)")
         object.__setattr__(self, "features", arr)
@@ -329,29 +329,22 @@ def evaluate_fusion(sources: list[FeatureSet], config: RunConfig | None = None):
     return weights, fused, score(cm, classes=tuple(classes))
 
 
-def make_synthetic_sources(
-    seed: int,
-    n_per_class: int = 80,
-    n_classes: int = 3,
-    n_dims: int = 8,
-    copy_noise: float = 0.7,
-    separation: float = 3.0,
-    within: float = 2.0,
-) -> list[FeatureSet]:
+def make_synthetic_sources(seed: int, n_dims: int = 8) -> list[FeatureSet]:
     """Three-source benchmark: informative, mildly noisy copy, pure noise.
 
-    Class means are drawn at ``separation`` scale against ``within``
-    within-class spread, so the informative source separates the classes
-    while staying smooth enough for the divergence weighting to read.
-    The pure-noise source permutes each informative column independently:
-    it keeps every marginal value distribution but destroys the
+    Three classes of 80 samples each. Class means are drawn at scale 3
+    against a within-class spread of 2, so the informative source
+    separates the classes while staying smooth enough for the divergence
+    weighting to read; the noisy copy adds noise at scale 0.7. The
+    pure-noise source permutes each informative column independently: it
+    keeps every marginal value distribution but destroys the
     label-feature association entirely.
     """
     rng = np.random.default_rng(seed)
-    means = rng.normal(0.0, separation, size=(n_classes, n_dims))
-    labels = np.repeat(np.arange(n_classes), n_per_class)
-    informative = means[labels] + rng.normal(0.0, within, size=(labels.size, n_dims))
-    noisy_copy = informative + rng.normal(0.0, copy_noise, size=informative.shape)
+    means = rng.normal(0.0, 3.0, size=(3, n_dims))
+    labels = np.repeat(np.arange(3), 80)
+    informative = means[labels] + rng.normal(0.0, 2.0, size=(labels.size, n_dims))
+    noisy_copy = informative + rng.normal(0.0, 0.7, size=informative.shape)
     pure_noise = np.column_stack(
         [rng.permutation(informative[:, j]) for j in range(n_dims)]
     )

@@ -15,8 +15,9 @@ after membership computation. A range wider than the float range (where
 ``d - c`` overflows) is therefore taken at half scale.
 
 Layout: the stages take one ``DecisionGroup``. ``normalize_decision_matrix``
-sums its read-only (k, p, q) values along the alternative axis, not the
-innermost, so the alternatives add in order. ``membership_matrix`` copies
+squares its read-only (k, p, q) values, in any layout, into a C-ordered
+buffer and sums that along the alternative axis, not the innermost, so
+the alternatives add in order. ``membership_matrix`` copies
 them once, as the (k*q, p) stack of the experts' transposed matrices;
 degrees and masses live in one alternative-innermost (terms, k*q, p)
 slab, every ufunc runs once per term over a whole plane with each
@@ -208,14 +209,19 @@ def normalize_decision_matrix(group: DecisionGroup) -> np.ndarray:
     divided by its Euclidean norm (benefit attributes).
 
     Sums of squares add the alternatives in order, in the output's own
-    buffer. A column whose sum of squares leaves the normal float range
-    (it overflows, or it underflows while the column holds a nonzero
-    value) is first divided by its largest magnitude, where it cannot. An
-    all-zero column is an error naming the first one in expert order.
+    buffer. That buffer is C-ordered whatever the layout of
+    ``group.values``, because numpy sums pairwise along an axis that is
+    innermost in memory: squares kept in the input's stride order (a
+    view of an attribute-major buffer, say) would round differently.
+    This is the one layout rule, so callers may pass any view. A column
+    whose sum of squares leaves the normal float range (it overflows, or
+    it underflows while the column holds a nonzero value) is first
+    divided by its largest magnitude, where it cannot. An all-zero column
+    is an error naming the first one in expert order.
     """
     values = group.values
     with np.errstate(over="ignore"):
-        out = np.square(values)
+        out = np.square(values, order="C")
         squares = out.sum(axis=1)
     norms = np.sqrt(squares)
     rescale = ~((squares >= _TINY) & (squares <= _MAX))

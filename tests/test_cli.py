@@ -878,6 +878,68 @@ class TestVerifyPaperCommand:
         assert main(["verify-paper", "--config", str(cfg)]) == 4
         assert "unknown config keys: ['log_base']" in capsys.readouterr().err
 
+    _ERRATA = "2 published cells corrected (documented transcription errata)"
+    _FUSION = "fusion of normalised matrices under the published weights"
+    _RANK12 = "published duplicate rank 12 resolved with candidate 2 ahead of 7"
+    _INCOMPARABLE = "terms=7 is incomparable with the published 5-term table"
+
+    # (name, passed, delta, tolerance, detail) per check, in the printed order
+    TABLES = {
+        "{}": [
+            ("membership-table", True, 8.571428571435558e-05, 1e-4, _ERRATA),
+            ("mass-table", True, 8.550724637680293e-05, 1e-4, ""),
+            ("divergence-table-mae", True, 2.057492604147995e-04, 5e-4, ""),
+            ("divergence-average-row", True, 3.7016695678337855e-04, 5e-4,
+             "published-precision target 2e-4 not met; see README notes"),
+            ("divergence-average-order", True, None, None, "pair ordering matches the published average row"),
+            ("average-divergence", True, 2.489486786992096e-04, 3e-4,
+             "published-precision target 1e-4 not met; see README notes"),
+            ("supports-relative", True, 0.12318801052199235, 0.15,
+             "published-precision target 0.02 not met; see README notes"),
+            ("expert-weights", True, 0.01974572191695595, 0.02, ""),
+            ("expert-ranking", True, None, None, "u3 > u4 > u2 > u1"),
+            ("fused-matrix", True, 9.649444495024584e-05, 1e-3, _FUSION),
+            ("ideal-solution", True, 9.649444495024584e-05, 1e-3, ""),
+            ("candidate-ranking", True, None, None, _RANK12),
+        ],
+        '{"terms": 7}': [
+            ("membership-table", False, None, None, _INCOMPARABLE),
+            ("mass-table", False, None, None, _INCOMPARABLE),
+            ("divergence-table-mae", False, 1.3982135189608846e-03, 5e-4, ""),
+            ("divergence-average-row", False, 1.6560047122361901e-03, 5e-4,
+             "published-precision target 2e-4 not met; see README notes"),
+            ("divergence-average-order", False, None, None, "pair ordering matches the published average row"),
+            ("average-divergence", False, 8.663111020778349e-04, 3e-4,
+             "published-precision target 1e-4 not met; see README notes"),
+            ("supports-relative", False, 0.36203905536543124, 0.15,
+             "published-precision target 0.02 not met; see README notes"),
+            ("expert-weights", False, 0.040097312751838476, 0.02, ""),
+            ("expert-ranking", False, None, None, "u3 > u4 > u1 > u2"),
+            ("fused-matrix", True, 9.649444495024584e-05, 1e-3, _FUSION),
+            ("ideal-solution", True, 9.649444495024584e-05, 1e-3, ""),
+            ("candidate-ranking", True, None, None, _RANK12),
+        ],
+    }
+
+    @pytest.mark.parametrize("config_text", sorted(TABLES))
+    def test_check_table_is_pinned(self, config_text, tmp_path, capsys):
+        # names, order, verdicts, tolerances and details exactly; deltas within 1e-12
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config_text)
+        code = main(["verify-paper", "--json", "--config", str(cfg)])
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        expected = self.TABLES[config_text]
+        assert code == (0 if all(row[1] for row in expected) else 1)
+        assert [sorted(c) for c in checks] == [["delta", "detail", "name", "passed", "tolerance"]] * len(checks)
+        assert [(c["name"], c["passed"], c["tolerance"], c["detail"]) for c in checks] == [
+            (name, passed, tolerance, detail) for name, passed, _, tolerance, detail in expected
+        ]
+        for check, (_, _, delta, _, _) in zip(checks, expected):
+            if delta is None:
+                assert check["delta"] is None
+            else:
+                assert abs(check["delta"] - delta) <= 1e-12
+
     def test_wrong_term_count_fails_loudly(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"terms": 7}')

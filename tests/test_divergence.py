@@ -154,6 +154,14 @@ class TestGeneralizedJs:
             oracle = sum(wi * manual_kl(d, mixture) for wi, d in zip(w, dists))
             assert generalized_js_divergence(dists, w) == pytest.approx(oracle, abs=1e-9)
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(r=st.integers(2, 6), n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+    def test_identical_rows_are_never_negative(self, r, n, seed):
+        # the weights sum to 1 only within an ulp, so the signed sum can round below 0
+        rng = np.random.default_rng(seed)
+        dist = rng.dirichlet(np.ones(n))
+        assert generalized_js_divergence([dist] * r, rng.dirichlet(np.ones(r))) >= 0.0
+
     def test_pairwise_reduction(self):
         rng = np.random.default_rng(6)
         for _ in range(50):
@@ -241,6 +249,13 @@ class TestGeneralizedBeliefDivergence:
     def test_zero_when_all_equal(self):
         m = Bpa(self.FRAME, {"a": 0.2, "b": 0.3, "c": 0.5})
         assert generalized_belief_divergence([m, m, m], self.PROPS, (0.2, 0.3, 0.5)) == pytest.approx(0.0)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(r=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+    def test_identical_masses_are_never_negative(self, r, seed):
+        rng = np.random.default_rng(seed)
+        m = random_pseudo(rng, self.FRAME, self.FRAME.elements)
+        assert generalized_belief_divergence([m] * r, self.PROPS, rng.dirichlet(np.ones(r))) >= 0.0
 
     def test_pairwise_reduction_on_singletons(self):
         rng = np.random.default_rng(4)

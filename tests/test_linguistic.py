@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from evidential_magdm import linguistic, recruitment as ref
-from evidential_magdm.errors import DegenerateAttributeError, DegenerateDomainError
+from evidential_magdm.errors import DegenerateAttributeError, DegenerateDomainError, MagdmError
 from evidential_magdm.linguistic import (
     DEFAULT_TERMS,
     DecisionGroup,
@@ -60,13 +60,30 @@ def reference_normalize(matrix):
 _COLUMN_SCALES = [1.0, 1.0, 1.0, 7.5e-3, 1e200, 1e154, 1.4e154, 1e-154, 1e-160, 1e-170, 0.0]
 
 
+def ranking_outcome(ids, values):
+    """``run_pipeline``'s ranking-score bits on the group, or the error it raises."""
+    try:
+        return run_pipeline(DecisionGroup(ids, values)).ranking.scores.tobytes()
+    except MagdmError as exc:
+        return repr(exc)
+
+
+# memory layouts of a group's (k, p, q) values: normalise must give the C-order bits in each
+_GROUP_LAYOUTS = {
+    "C": lambda x: x,
+    "attribute-major": lambda x: np.ascontiguousarray(x.transpose(2, 0, 1)).transpose(1, 2, 0),
+    "reversed-rows": lambda x: np.ascontiguousarray(x[:, ::-1])[:, ::-1],
+}
+
+
 @st.composite
 def scaled_groups(draw):
-    """k in 2..16 signed (p, q) matrices, each column times a drawn scale."""
+    """k in 2..16 signed (p, q) matrices of seeded normal values, whose sums round, each column
+    times a drawn scale, and a drawn memory layout for the group's values."""
     k, p, q = draw(st.integers(2, 16)), draw(st.integers(2, 40)), draw(st.integers(1, 5))
-    values = draw(hnp.arrays(float, (k, p, q), elements=st.floats(-100.0, 100.0, allow_subnormal=False)))
+    values = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(0.0, 30.0, (k, p, q))
     scales = draw(hnp.arrays(float, (k, 1, q), elements=st.sampled_from(_COLUMN_SCALES)))
-    return [DecisionMatrix(f"e{e}", m) for e, m in enumerate(values * scales)]
+    return values * scales, draw(st.sampled_from(sorted(_GROUP_LAYOUTS)))
 
 
 class TestNormalize:
@@ -130,23 +147,28 @@ class TestNormalize:
             DecisionGroup.from_matrices([simple_matrix([[1.0], [2.0]]), simple_matrix([[1.0], [2.0], [3.0]], "y")])
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(group=scaled_groups())
-    def test_stack_is_the_per_matrix_normalise_bit_for_bit(self, group):
-        # and so is the fused matrix, at random convex weights
+    @given(case=scaled_groups())
+    def test_stack_is_the_per_matrix_normalise_bit_for_bit(self, case):
+        # in every memory layout of the group's values; and so are the fused matrix, at random
+        # convex weights, and run_pipeline's ranking scores on the magnitudes
+        values, layout = case
+        ids = tuple(f"e{e}" for e in range(len(values)))
+        group = DecisionGroup(ids, _GROUP_LAYOUTS[layout](values))
         try:
-            expected = [reference_normalize(m) for m in group]
+            expected = [reference_normalize(DecisionMatrix(e, m)) for e, m in zip(ids, values)]
         except DegenerateAttributeError as exc:
             with pytest.raises(DegenerateAttributeError, match=re.escape(str(exc))):
-                normalize_decision_matrix(group_of(group))
+                normalize_decision_matrix(group)
             return
-        got = normalize_decision_matrix(group_of(group))
-        assert got.shape == (len(group),) + group[0].values.shape
+        got = normalize_decision_matrix(group)
+        assert got.shape == values.shape
         assert got.tobytes() == np.stack(expected).tobytes()
-        weights = np.random.default_rng(len(group)).dirichlet(np.ones(len(group)))
-        reference_fused = np.zeros(group[0].values.shape)
+        weights = np.random.default_rng(len(values)).dirichlet(np.ones(len(values)))
+        reference_fused = np.zeros(values.shape[1:])
         for w, m in zip(weights, expected):
             reference_fused += w * m
         assert fuse(got, weights).tobytes() == reference_fused.tobytes()
+        assert ranking_outcome(ids, _GROUP_LAYOUTS[layout](np.abs(values))) == ranking_outcome(ids, np.abs(values))
 
 
 def column_memberships(column, terms=DEFAULT_TERMS):
