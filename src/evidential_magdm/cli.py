@@ -86,8 +86,7 @@ def cmd_rank(args) -> int:
         for e, expert_id in enumerate(result.expert_ids):
             for kind, stack in (("memberships", result.memberships.degrees), ("masses", result.bpa_tensors.masses)):
                 dataio.write_term_values(
-                    out_dir / f"{expert_id}_{kind}.csv", expert_id,
-                    stack[e], result.alternative_labels, result.attribute_labels,
+                    out_dir / f"{expert_id}_{kind}.csv", stack[e], result.alternative_labels, result.attribute_labels,
                 )
     log.info("wrote %s and %s", out_dir / "report.json", out_dir / "report.md")
     if args.json:
@@ -205,14 +204,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CsvFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except MagdmError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, CsvFormatError):
+            return EXIT_PARSE
+        if isinstance(exc, ConfigError):
+            return EXIT_CONFIG
         return EXIT_NUMERIC
 
 

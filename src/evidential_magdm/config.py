@@ -19,6 +19,18 @@ from pathlib import Path
 
 from .errors import ConfigError
 
+
+def read_json(path: str | Path, what: str):
+    """The JSON value that ``path`` holds; a file that cannot be read or
+    parsed is a ``ConfigError`` naming it as the ``what`` it is."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
 OWA_SCHEMES = ("uniform", "linear-descending", "orness")
 WPBL_AXES = ("attributes", "alternatives")
 ZERO_AVERAGE_POLICIES = ("error", "full-weight")
@@ -69,13 +81,9 @@ class RunConfig:
         if min(pw) <= 0 or abs(sum(pw) - 1.0) > 1e-9:  # a zero weight zeroes every divergence
             raise ConfigError(f"pair_weights must be two positive values summing to 1, got {pw}")
         object.__setattr__(self, "pair_weights", pw)
-        if self.wpbl_axis not in WPBL_AXES:
-            raise ConfigError(f"wpbl_axis must be one of {WPBL_AXES}, got {self.wpbl_axis!r}")
-        if self.zero_average_policy not in ZERO_AVERAGE_POLICIES:
-            raise ConfigError(
-                f"zero_average_policy must be one of {ZERO_AVERAGE_POLICIES}, "
-                f"got {self.zero_average_policy!r}"
-            )
+        for name, choices in (("wpbl_axis", WPBL_AXES), ("zero_average_policy", ZERO_AVERAGE_POLICIES)):
+            if getattr(self, name) not in choices:
+                raise ConfigError(f"{name} must be one of {choices}, got {getattr(self, name)!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -90,14 +98,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
-        try:
-            text = Path(path).read_text()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        data = read_json(path, "config")
         if not isinstance(data, dict):
             raise ConfigError(f"config {path} must hold a JSON object")
         return cls.from_dict(data)

@@ -235,11 +235,12 @@ def weighted_belief_divergence(m1: Bpa, m2: Bpa, propositions, weights=(0.5, 0.5
 
     Summed from ``pair_cells``, as in the pipeline's pair stage; with
     weights (1/2, 1/2) this is the belief JS divergence, the JS divergence
-    of the two ``wpbl`` profiles.
+    of the two ``wpbl`` profiles. The sum is clamped at 0, as in
+    ``generalized_js_divergence``.
     """
     w = as_weight_vector(weights, length=2)
     values, _ = _wpbl_matrix([m1, m2], propositions)
-    return float(pair_cells(values[0], values[1], w).sum())
+    return max(float(pair_cells(values[0], values[1], w).sum()), 0.0)
 
 
 def generalized_belief_divergence(masses: Sequence[Bpa], propositions, weights) -> float:

@@ -64,13 +64,19 @@ def _set_scores(record, ndim: int, where: str) -> None:
         raise ValueError(f"non-finite values in {where}")
     object.__setattr__(record, "values", values)
     for kind, count, prefix in (("alternative", values.shape[-2], ""), ("attribute", values.shape[-1], "t")):
-        labels = tuple(getattr(record, f"{kind}_labels")) or _default_labels(prefix, count)
-        if len(set(labels)) != len(labels):
-            repeated = next(a for n, a in enumerate(labels) if a in labels[:n])
-            raise ValueError(f"{kind} label {repeated!r} repeats in {where}")
-        if len(labels) != count:
-            raise ValueError("label counts do not match the matrix shape")
+        labels = _checked_labels(getattr(record, f"{kind}_labels"), count, kind, prefix, where)
         object.__setattr__(record, f"{kind}_labels", labels)
+
+
+def _checked_labels(labels, count: int, kind: str, prefix: str, where: str) -> tuple[str, ...]:
+    """``labels``, or ``prefix`` + 1, 2, ... when empty; ``ValueError`` unless distinct and ``count`` long."""
+    labels = tuple(labels) or _default_labels(prefix, count)
+    if len(set(labels)) != len(labels):
+        repeated = next(a for n, a in enumerate(labels) if a in labels[:n])
+        raise ValueError(f"{kind} label {repeated!r} repeats in {where}")
+    if len(labels) != count:
+        raise ValueError("label counts do not match the matrix shape")
+    return labels
 
 
 @dataclass(frozen=True)

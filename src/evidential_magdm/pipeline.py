@@ -59,6 +59,7 @@ from .linguistic import (
     DecisionGroup,
     DecisionMatrix,
     MembershipMatrix,
+    _checked_labels,
     bpa_tensor,
     membership_matrix,
     normalize_decision_matrix,
@@ -381,7 +382,8 @@ def rank(fused: np.ndarray, alternative_labels: tuple[str, ...] = ()) -> Ranking
     """Score alternatives by closeness to the per-attribute ideal.
 
     score_i = <fused_i, ideal> / ||ideal||; ties keep the lower
-    alternative index first.
+    alternative index first. The labels default to 1, 2, ... and are
+    checked as a ``DecisionMatrix`` checks its own: one per row, distinct.
     """
     fused = np.asarray(fused, dtype=float)
     if fused.ndim != 2 or not np.isfinite(fused).all() or np.any(fused < 0):
@@ -392,9 +394,8 @@ def rank(fused: np.ndarray, alternative_labels: tuple[str, ...] = ()) -> Ranking
         raise DegenerateRankingError("ideal solution is identically zero")
     scores = fused @ ideal / norm
     order = tuple(int(i) for i in np.argsort(-scores, kind="stable"))
-    if not alternative_labels:
-        alternative_labels = tuple(str(i + 1) for i in range(fused.shape[0]))
-    return RankingResult(fused, ideal, scores, order, alternative_labels)
+    labels = _checked_labels(alternative_labels, fused.shape[0], "alternative", "", "the ranking")
+    return RankingResult(fused, ideal, scores, order, labels)
 
 
 @dataclass(frozen=True)

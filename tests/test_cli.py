@@ -1,8 +1,10 @@
 """CLI and configuration contract tests."""
 
 import argparse
+import contextlib
 import csv
 import dataclasses
+import io
 import itertools
 import json
 import math
@@ -11,12 +13,14 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import warnings
 import importlib.resources as resources
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evidential_magdm import dataio
 from evidential_magdm.cli import build_parser, main
@@ -476,7 +480,7 @@ class TestCsvRoundTrip:
             assert (back.alternative_labels, back.attribute_labels) == ((label, "c"), ("x", label))
             assert back.values.tolist() == [[1, 2], [3, 4]]
         values = np.arange(8.0).reshape(2, 2, 2)
-        dataio.write_term_values(tmp_path / "t.csv", "e", values, (label, "c"), ("x", label))
+        dataio.write_term_values(tmp_path / "t.csv", values, (label, "c"), ("x", label))
         with open(tmp_path / "t.csv", newline="") as handle:
             rows = list(csv.reader(handle))
         assert rows[0] == ["alt", "attr", "term", "value"] and len(rows) == 9
@@ -790,6 +794,117 @@ class TestFuseFeaturesCommand:
         (tmp_path / "s.csv").write_text("f0,label\n0.5,2.0\n0.25,1e0\n")
         labels = dataio.read_feature_source(tmp_path / "s.csv").labels
         np.testing.assert_array_equal(labels, [2, 1])
+
+
+CSV_FAULTS = [
+    *(("rank", fault) for fault in ("cell", "negative", "short", "long", "blank", "alternative", "attribute", "few")),
+    *(("fuse-features", fault) for fault in ("cell", "label", "short", "long", "blank", "few")),
+]
+
+
+@st.composite
+def faulty_inputs(draw, command, fault):
+    """A valid ``rank`` file set or ``fuse-features`` source set, as lists of
+    rows, with ``fault`` injected into one file at a drawn line and column:
+    ``(files, the faulty file's index, the message after its path)``."""
+    n_files, n_rows = draw(st.integers(2, 3)), draw(st.integers(2, 4))
+    n_values = draw(st.integers(2 if fault == "attribute" else 1, 3))
+    values = st.integers(0, 99).map(str)
+    labels = draw(st.lists(st.integers(0, 2).map(str), min_size=n_rows, max_size=n_rows))
+    files = []
+    for _ in range(n_files):
+        cells = draw(st.lists(st.lists(values, min_size=n_values, max_size=n_values), min_size=n_rows, max_size=n_rows))
+        if command == "rank":
+            files.append([["alternative", *(f"t{j}" for j in range(n_values))],
+                          *([f"a{i}", *row] for i, row in enumerate(cells))])
+        else:
+            files.append([[*(f"f{j}" for j in range(n_values)), "label"], *(row + [y] for row, y in zip(cells, labels))])
+    faulty = draw(st.integers(0, n_files - 1))
+    rows = files[faulty]
+    width = len(rows[0])
+    i = draw(st.integers(1, n_rows))  # the data row, on line i + 1, that takes the fault
+    if fault in ("cell", "negative"):
+        col = draw(st.integers(2 if command == "rank" else 1, width))
+        texts = st.sampled_from(["x", "", "nan", "inf", "-Infinity"]) if fault == "cell" else st.integers(1, 99).map("-{}".format)
+        rows[i][col - 1] = text = draw(texts)
+        message = f":{i + 1}:{col}: expected {'a finite number' if fault == 'cell' else 'a nonnegative score'}, got {text!r}"
+    elif fault == "label":
+        rows[i][-1] = text = draw(st.sampled_from(["1.5", "0.25", "-2.5e0"]))
+        message = f":{i + 1}:{width}: expected an integer label, got {text!r}"
+    elif fault == "short":
+        del rows[i][draw(st.integers(1, width - 1)):]  # an empty row would be a blank line
+        message = f":{i + 1}: row has {len(rows[i])} cells, header has {width}"
+    elif fault == "long":
+        rows[i] += draw(st.lists(values, min_size=1, max_size=2))
+        message = f":{i + 1}: row has {len(rows[i])} cells, header has {width}"
+    elif fault == "blank":
+        rows.insert(i, [])
+        message = f":{i + 1}: row has 0 cells, header has {width}"
+    elif fault == "few":
+        del rows[draw(st.integers(1, 2)):]
+        message = f": need a header and at least 2 {'alternatives' if command == 'rank' else 'samples'}"
+    elif fault == "attribute":
+        col = draw(st.integers(3, width))
+        earlier = draw(st.integers(2, col - 1))
+        rows[0][col - 1] = rows[0][earlier - 1]
+        message = f":1:{col}: attribute {rows[0][col - 1]!r} repeats column {earlier}"
+    else:  # a repeated alternative
+        i = draw(st.integers(2, n_rows))
+        earlier = draw(st.integers(1, i - 1))
+        rows[i][0] = rows[earlier][0]
+        message = f":{i + 1}:1: alternative {rows[i][0]!r} repeats line {earlier + 1}"
+    return files, faulty, message
+
+
+class TestMalformedInputs:
+    """Exit 2 for a faulty CSV and exit 4 for a faulty JSON file, each with its exact message."""
+
+    @staticmethod
+    def run(argv) -> tuple[int, str]:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+        return code, err.getvalue()
+
+    @pytest.mark.parametrize("command, fault", CSV_FAULTS, ids=[f"{c}-{f}" for c, f in CSV_FAULTS])
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_one_csv_fault_exits_2_at_its_line_and_column(self, command, fault, data):
+        files, faulty, message = data.draw(faulty_inputs(command, fault))
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            paths = [tmp / f"e{n}.csv" for n in range(len(files))]
+            for path, rows in zip(paths, files):
+                path.write_text("".join(",".join(row) + "\n" for row in rows))
+            if command == "rank":
+                argv = ["rank", *map(str, paths)]
+            else:
+                manifest = tmp / "manifest.json"
+                manifest.write_text(json.dumps({"sources": [{"path": path.name} for path in paths]}))
+                argv = ["fuse-features", str(manifest)]
+            assert self.run([*argv, "--out", str(tmp / "out")]) == (2, f"error: {paths[faulty]}{message}\n")
+            assert not (tmp / "out").exists()
+
+    @pytest.mark.parametrize("command, what", [
+        ("rank", "config"), ("fuse-features", "config"), ("fuse-features", "manifest"),
+    ])
+    @pytest.mark.parametrize("fault", ["not-json", "missing", "directory"])
+    def test_json_file_fault_exits_4(self, recruitment_csvs, tmp_path, command, what, fault):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"sources": [{"path": "a.csv"}, {"path": "b.csv"}]}))
+        bad = tmp_path / "bad.json"
+        if fault == "not-json":
+            bad.write_text("not json")
+            expected = f"{what} {bad} is not valid JSON: Expecting value: line 1 column 1 (char 0)"
+        elif fault == "missing":
+            expected = f"cannot read {what} {bad}: [Errno 2] No such file or directory: '{bad}'"
+        else:
+            bad.mkdir()
+            expected = f"cannot read {what} {bad}: [Errno 21] Is a directory: '{bad}'"
+        inputs = recruitment_csvs if command == "rank" else [str(bad if what == "manifest" else manifest)]
+        config = ["--config", str(bad)] if what == "config" else []
+        argv = [command, *inputs, *config, "--out", str(tmp_path / "out")]
+        assert self.run(argv) == (4, f"error: {expected}\n")
 
 
 class TestOutPath:

@@ -236,6 +236,16 @@ class TestWeightedBeliefDivergence:
         with pytest.raises(ValueError):
             weighted_belief_divergence(m, m, SINGLETONS, (0.7, 0.6))
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_identical_masses_are_never_negative(self, seed):
+        # as for the generalized forms: (w0, 1 - w0) sum to 1 only within an ulp
+        rng = np.random.default_rng(seed)
+        frame = FrameOfDiscernment(("a", "b", "c"))
+        m = random_pseudo(rng, frame, frame.elements)
+        w0 = rng.uniform(0.05, 0.95)
+        assert weighted_belief_divergence(m, m, [["a"], ["b"], ["c"]], (w0, 1 - w0)) >= 0.0
+
 
 def random_pseudo(rng, frame, labels):
     values = rng.dirichlet(np.ones(len(labels))) * rng.uniform(0.3, 1.0)

@@ -746,6 +746,20 @@ class TestRank:
         with pytest.raises(ValueError, match="^fused matrix must be 2-d, finite and nonnegative$"):
             rank(np.array([[bad, 1.0], [1.0, 1.0]]))
 
+    @pytest.mark.parametrize("labels, message", [
+        (("a", "b"), "^label counts do not match the matrix shape$"),
+        (("a", "b", "c", "d"), "^label counts do not match the matrix shape$"),
+        (("a", "a", "b"), "^alternative label 'a' repeats in the ranking$"),
+    ], ids=["too-few", "too-many", "repeated"])
+    def test_labels_are_checked_as_a_matrix_checks_them(self, labels, message):
+        with pytest.raises(ValueError, match=message):
+            rank(np.array([[0.2, 0.1], [0.5, 0.3], [0.1, 0.4]]), labels)
+
+    def test_default_labels_are_the_matrix_defaults(self):
+        fused = np.array([[0.2, 0.1], [0.5, 0.3], [0.1, 0.4]])
+        assert rank(fused).alternative_labels == DecisionMatrix("e", fused).alternative_labels == ("1", "2", "3")
+        assert rank(fused, ["x", "y", "z"]).ranked_labels() == ("y", "z", "x")
+
 
 class TestRunPipelineValidation:
     """``run_pipeline`` takes a ``DecisionGroup``, or a list of records that
