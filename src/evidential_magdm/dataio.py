@@ -35,25 +35,26 @@ def _read_rows(path: Path, rows: str):
     """The header's stripped cells and, as the caller walks them, the
     ``(line number, row)`` pairs of a CSV of at least 2 data ``rows``; blank
     lines at the end of the file are dropped, and a row whose width differs
-    from the header's is a format error once it is reached."""
+    from the header's is a format error once it is reached. A row's line is
+    the file's line where the row ends, so a quoted line break counts."""
     try:
         with open(path, newline="") as handle:
             reader = csv.reader(handle)
-            table = list(reader)
+            table = [(reader.line_num, row) for row in reader]
     except OSError as exc:
         raise CsvFormatError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise CsvFormatError(f"{path}: not a text file ({exc.reason})") from exc
     except csv.Error as exc:
         raise CsvFormatError(f"{path}:{reader.line_num}: {exc}") from exc
-    while table and not table[-1]:
+    while table and not table[-1][1]:
         table.pop()
     if len(table) < 3:
         raise CsvFormatError(f"{path}: need a header and at least 2 {rows}")
-    header = [cell.strip() for cell in table[0]]
+    header = [cell.strip() for cell in table[0][1]]
 
     def data():
-        for line_no, row in enumerate(table[1:], start=2):
+        for line_no, row in table[1:]:
             if len(row) != len(header):
                 raise CsvFormatError(f"{path}:{line_no}: row has {len(row)} cells, header has {len(header)}")
             yield line_no, row
@@ -62,7 +63,8 @@ def _read_rows(path: Path, rows: str):
 
 
 def _parse_cell(text: str, path: Path, line: int, column: int, kind: str | None = None) -> float:
-    """A finite float; a ``"score"`` must also be nonnegative and a ``"label"`` integral."""
+    """A finite float; a ``"score"`` must also be nonnegative and a ``"label"`` an integer
+    below 2**53 in magnitude, so that labels read as distinct int64 values."""
     try:
         value = float(text)
     except ValueError:
@@ -75,6 +77,8 @@ def _parse_cell(text: str, path: Path, line: int, column: int, kind: str | None 
         expected = "a nonnegative score"
     elif kind == "label" and not value.is_integer():
         expected = "an integer label"
+    elif kind == "label" and abs(value) >= 2**53:  # where floats stop holding every integer
+        expected = "an integer label below 2**53 in magnitude"
     else:
         return value
     raise CsvFormatError(f"{path}:{line}:{column}: expected {expected}, got {text!r}")

@@ -5,8 +5,9 @@ source, shared row order). Each source plays the role of an expert:
 sample rows are the alternatives, feature dimensions the attributes.
 The pipeline's inter-source divergence turns disagreement into per-source
 weights (``FusionWeights``: one row per block of dimensions, and their
-mean) on at most ``sample_cap`` rows, the sources are fused by convex
-combination one at a time, never stacked in full, and a nearest-centroid
+mean) on at most ``sample_cap`` rows, each block copied from the sources
+on its own, and the sources are fused by convex combination one at a
+time: neither stage stacks the sources in full. A nearest-centroid
 classifier plus one-vs-rest confusion metrics quantify the signal kept.
 """
 
@@ -87,45 +88,38 @@ def _shape(sources: list[FeatureSet]) -> tuple[int, int]:
     return shape
 
 
-def _source_group(sources: list[FeatureSet], sample_cap: int | None = None, seed: int = 0) -> DecisionGroup:
-    """The sources as one group, rows ``s<i>`` as alternatives and dimensions ``f<j>`` as
-    attributes; a shape that differs, or a non-finite value in any row, is named. Past
-    ``sample_cap`` rows, a seeded choice of that many, kept in order, is copied; else all rows.
-
-    The group's own check is the one scan of the rows it holds. The sources are scanned
-    in full only when a sample leaves rows out, or to locate the value that check refused."""
-    n, d = _shape(sources)
-    rows = slice(None)  # a view of all rows
-    if sample_cap is not None and n > sample_cap:
-        rows = np.sort(np.random.default_rng(seed).choice(n, size=sample_cap, replace=False))
-        _name_non_finite(sources)
-    try:
-        return DecisionGroup(
-            tuple(s.source_id for s in sources), np.stack([s.features[rows] for s in sources]),
-            tuple(f"s{r}" for r in np.arange(n)[rows]), tuple(f"f{j}" for j in range(d)),
-        )
-    except ValueError:
-        _name_non_finite(sources)
-        raise
-
-
 def estimate_fusion_weights(sources: list[FeatureSet], config: RunConfig | None = None) -> FusionWeights:
     """Per-source weights from inter-source variability of the features.
 
     At most ``sample_cap`` rows (a seeded choice, kept in row order) act as
-    alternatives, and each block of ``block_size`` dimensions runs as a
-    column slice of their one group, not checked again; the block weights
-    are averaged and renormalised. Under ``fusion_config(config)``
-    identical sources come out uniform.
+    alternatives ``s<row>``, and each block of ``block_size`` dimensions
+    ``f<j>`` runs as its own group; the block weights are averaged and
+    renormalised. Under ``fusion_config(config)`` identical sources come out
+    uniform. A shape that differs, then a non-finite value in any row, is
+    named before the first block. Each block's rows are copied once, into a
+    C-contiguous (sources, width, rows) buffer whose transpose is the
+    group's values: the layout ``membership_matrix`` reads as a view.
     """
     config = fusion_config(config)
-    group = _source_group(sources, config.sample_cap, config.seed)
-    d, size = len(group.attribute_labels), config.block_size
-    # a flat column's error names its source and dimension through the group's labels
-    blocks = [group.columns(start, min(start + size, d)) for start in range(0, d, size)]
-    block_weights = np.array([run_pipeline(b, config, with_ranking=False).weights.weights for b in blocks])
+    n, d = _shape(sources)
+    _name_non_finite(sources)
+    rows = slice(None)  # a view of all rows
+    if n > config.sample_cap:
+        rows = np.sort(np.random.default_rng(config.seed).choice(n, size=config.sample_cap, replace=False))
+    ids = tuple(s.source_id for s in sources)
+    samples, dims = tuple(f"s{r}" for r in np.arange(n)[rows].tolist()), tuple(f"f{j}" for j in range(d))
+    if len(samples) < 2 or d < 1:  # the group check names the whole shape, which no block holds
+        DecisionGroup(ids, np.zeros((len(sources), len(samples), d)))
+    block_weights = []
+    for start in range(0, d, config.block_size):
+        stop = min(start + config.block_size, d)
+        values = np.array([s.features[rows, start:stop].T for s in sources])  # C-ordered: a new array
+        # a flat column's error names its source and dimension through the block's labels
+        group = DecisionGroup(ids, values.transpose(0, 2, 1), samples, dims[start:stop])
+        block_weights.append(run_pipeline(group, config, with_ranking=False).weights.weights)
+    block_weights = np.array(block_weights)
     mean = block_weights.mean(axis=0)
-    return FusionWeights(group.expert_ids, block_weights, mean / mean.sum())
+    return FusionWeights(ids, block_weights, mean / mean.sum())
 
 
 def fuse_features(sources: list[FeatureSet], weights: FusionWeights) -> FeatureSet:

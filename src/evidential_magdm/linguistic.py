@@ -17,8 +17,10 @@ after membership computation. A range wider than the float range (where
 Layout: the stages take one ``DecisionGroup``. ``normalize_decision_matrix``
 squares its read-only (k, p, q) values, in any layout, into a C-ordered
 buffer and sums that along the alternative axis, not the innermost, so
-the alternatives add in order. ``membership_matrix`` copies
-them once, as the (k*q, p) stack of the experts' transposed matrices;
+the alternatives add in order. ``membership_matrix`` reads
+them as the (k*q, p) stack of the experts' transposed matrices, a view of
+values that are the transpose of a C-contiguous (k, q, p) buffer (as
+fusion's blocks are) and one copy of any other layout;
 degrees and masses live in one alternative-innermost (terms, k*q, p)
 slab, every ufunc runs once per term over a whole plane with each
 column's domain broadcast as a (k*q, 1) column, and the sums over
@@ -127,15 +129,6 @@ class DecisionGroup:
                     raise ValueError(f"expert {m.expert_id!r} {kind} labels differ")
         values = np.stack([m.values for m in matrices])
         return cls(tuple(m.expert_id for m in matrices), values, first.alternative_labels, first.attribute_labels)
-
-    def columns(self, start: int, stop: int) -> "DecisionGroup":
-        """The group on attributes ``start:stop``, a view: a part of a checked group is not checked again."""
-        if not 0 <= start < stop <= len(self.attribute_labels):
-            raise ValueError(f"attribute range {start}:{stop} outside 0:{len(self.attribute_labels)}")
-        part = copy.copy(self)
-        object.__setattr__(part, "values", self.values[:, :, start:stop])
-        object.__setattr__(part, "attribute_labels", self.attribute_labels[start:stop])
-        return part
 
     def experts(self, start: int, stop: int) -> "DecisionGroup":
         """The group of experts ``start:stop``, a view: a part of a checked group is not checked again."""
@@ -332,8 +325,9 @@ def membership_matrix(
 ) -> MembershipMatrix:
     """Memberships of every (alternative, attribute) pair of each expert.
 
-    A single expert is a group of one. The group's values are copied once,
-    as the (k*q, p) stack of the experts' transposed matrices, and all
+    A single expert is a group of one. The group's values are read as the
+    (k*q, p) stack of the experts' transposed matrices: a view when they are
+    the transpose of a C-contiguous (k, q, p) buffer, else one copy. All
     degrees are computed in one alternative-innermost (terms, k*q, p) slab.
     Each column's domain [lo, hi] is its own extremes, so every value lies
     in it. A column whose values all coincide, or whose range float

@@ -1,0 +1,119 @@
+"""Digests of the outputs that a bit-identical change must keep.
+
+    python tests/golden.py --digest
+
+prints one ``<sha256>  <output>`` line per output, in a fixed order:
+
+* ``fusion-wide`` seeds 0-3 (the four pool items of each seed, 3 sources x
+  240 samples x 256 dims): ``evaluate_fusion``'s block weights, weights,
+  fused features, kappa and macro accuracy, at ``sample_cap`` 240 and at
+  the default cap;
+* ``many-experts`` seeds 1-3 (three pool items of 64 experts x 200 x 8
+  each): ``run_pipeline``'s divergence matrix, weights and ranking order;
+* ``verify-paper --json`` stdout;
+* ``fuse-features --json`` on the seed-0 manifest of three synthetic
+  sources: ``fused.csv``, ``metrics.json`` and stdout.
+
+Arrays are hashed with their dtype and shape, so a change of layout that
+keeps every value keeps the digest. Run it at two commits on one host and
+``diff`` the outputs: an empty diff is the bit-identity check.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np
+
+from evidential_magdm import cli, dataio
+from evidential_magdm.config import RunConfig
+from evidential_magdm.fusion import evaluate_fusion, make_synthetic_sources
+from evidential_magdm.linguistic import DecisionMatrix
+from evidential_magdm.pipeline import run_pipeline
+
+
+def digest(value) -> str:
+    """sha256 of an array's dtype, shape and bytes, of bytes as they are, or of any other value's JSON."""
+    if isinstance(value, np.ndarray):
+        data = f"{value.dtype.str}{value.shape}".encode() + np.ascontiguousarray(value).tobytes()
+    elif isinstance(value, bytes):
+        data = value
+    else:
+        data = json.dumps(value).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def fusion_wide():
+    for seed in range(4):
+        for item in range(4):
+            sources = make_synthetic_sources(seed * 4 + item, n_dims=256)
+            for cap, config in (("cap240", RunConfig(sample_cap=240)), ("default-cap", RunConfig())):
+                weights, fused, metrics = evaluate_fusion(sources, config)
+                name = f"fusion-wide/seed{seed}/item{item}/{cap}"
+                yield f"{name}/block_weights", weights.block_weights
+                yield f"{name}/weights", weights.weights
+                yield f"{name}/fused", fused.features
+                yield f"{name}/kappa", metrics.kappa
+                yield f"{name}/macro_accuracy", metrics.macro["accuracy"]
+
+
+def many_experts():
+    for seed in (1, 2, 3):
+        rng = np.random.default_rng(seed)
+        for item in range(3):
+            group = [DecisionMatrix(f"e{e:02d}", rng.uniform(1.0, 100.0, size=(200, 8))) for e in range(64)]
+            result = run_pipeline(group)
+            name = f"many-experts/seed{seed}/item{item}"
+            yield f"{name}/dmm", result.dmm
+            yield f"{name}/weights", result.weights.weights
+            yield f"{name}/ranking_order", list(result.ranking.order)
+
+
+def command(argv: list[str]) -> bytes:
+    """``evidential-magdm`` stdout, run in process; a nonzero exit stops the script."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    if code != 0:
+        raise SystemExit(f"{argv[0]} exited {code}")
+    return out.getvalue().encode()
+
+
+def cli_outputs():
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        yield "verify-paper/stdout", command(["verify-paper", "--json", "--out", str(tmp / "verify")])
+        manifest = {"sources": []}
+        for source in make_synthetic_sources(0):
+            dataio.write_feature_source(tmp / f"{source.source_id}.csv", source)
+            manifest["sources"].append({"id": source.source_id, "path": f"{source.source_id}.csv"})
+        (tmp / "manifest.json").write_text(json.dumps(manifest))
+        stdout = command(["fuse-features", str(tmp / "manifest.json"), "--json", "--out", str(tmp / "out")])
+        yield "fuse-features/fused.csv", (tmp / "out" / "fused.csv").read_bytes()
+        yield "fuse-features/metrics.json", (tmp / "out" / "metrics.json").read_bytes()
+        yield "fuse-features/stdout", stdout
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--digest", action="store_true", help="print one sha256 per output")
+    args = parser.parse_args(argv)
+    if not args.digest:
+        parser.error("nothing to do: pass --digest")
+    for outputs in (fusion_wide(), many_experts(), cli_outputs()):
+        for name, value in outputs:
+            print(f"{digest(value)}  {name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -513,6 +513,11 @@ class TestCsvRoundTrip:
         matrix = DecisionMatrix("x", source.features)
         np.testing.assert_array_equal(matrix.values, source.features)
 
+    def test_labels_just_below_2_53_read_as_distinct_int64(self, tmp_path):
+        (tmp_path / "s.csv").write_text("f0,label\n1,9007199254740991\n2,9007199254740990\n3,-9007199254740991\n")
+        labels = dataio.read_feature_source(tmp_path / "s.csv").labels
+        assert labels.dtype == np.int64 and labels.tolist() == [2**53 - 1, 2**53 - 2, 1 - 2**53]
+
     def test_feature_source_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
         source = FeatureSet("s", rng.normal(size=(7, 4)), rng.integers(0, 3, size=7))
@@ -884,6 +889,36 @@ class TestMalformedInputs:
                 argv = ["fuse-features", str(manifest)]
             assert self.run([*argv, "--out", str(tmp / "out")]) == (2, f"error: {paths[faulty]}{message}\n")
             assert not (tmp / "out").exists()
+
+    @staticmethod
+    def run_files(tmp, command, texts) -> tuple[int, str]:
+        """``command`` on the CSV files named and holding ``texts``, through a manifest for fusion."""
+        for name, text in texts.items():
+            (tmp / name).write_text(text, newline="")
+        if command == "rank":
+            inputs = [str(tmp / name) for name in texts]
+        else:
+            (tmp / "manifest.json").write_text(json.dumps({"sources": [{"path": name} for name in texts]}))
+            inputs = [str(tmp / "manifest.json")]
+        return TestMalformedInputs.run([command, *inputs, "--out", str(tmp / "out")])
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("rank", 'alternative,a\n"x\ny",1\nz,-1\n', "4:2: expected a nonnegative score, got '-1'"),
+        ("fuse-features", '"f\n0",f1,label\n1,2,0\n3,x,1\n', "4:2: expected a finite number, got 'x'"),
+    ], ids=["rank-label", "fuse-features-header"])
+    def test_a_quoted_line_break_counts_as_a_line(self, tmp_path, command, text, message):
+        # a quoted cell holding a line break makes one record of two lines: every later row is a line further down
+        good = "alternative,a\nx,1\nz,2\n" if command == "rank" else "f0,f1,label\n1,2,0\n3,4,1\n"
+        code, err = self.run_files(tmp_path, command, {"q.csv": text, "r.csv": good})
+        assert (code, err) == (2, f"error: {tmp_path / 'q.csv'}:{message}\n")
+
+    @pytest.mark.parametrize("label", ["9007199254740993", "1e300"], ids=["2**53+1", "1e300"])
+    def test_a_label_at_or_above_2_53_exits_2(self, tmp_path, label):
+        # 2**53 + 1 would read as 2**53, one class with the next row's; 1e300 would leave int64
+        text = f"f0,label\n0.5,{label}\n1.5,9007199254740992\n2.5,0\n"
+        code, err = self.run_files(tmp_path, "fuse-features", {"q.csv": text, "r.csv": text})
+        expected = f"{tmp_path / 'q.csv'}:2:2: expected an integer label below 2**53 in magnitude, got {label!r}"
+        assert (code, err) == (2, f"error: {expected}\n")
 
     @pytest.mark.parametrize("command, what", [
         ("rank", "config"), ("fuse-features", "config"), ("fuse-features", "manifest"),

@@ -4,13 +4,14 @@ import dataclasses
 import math
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from evidential_magdm import fusion
+from evidential_magdm import fusion, linguistic
 from evidential_magdm.config import RunConfig
 from evidential_magdm.errors import DegenerateAttributeError, DegenerateDomainError
 from evidential_magdm.fusion import (
@@ -254,18 +255,46 @@ class TestFusionBlocks:
         "dims, sample_cap, rows", [(19, 240, 240), (16, 100, 100)], ids=["all-rows", "sampled-rows"],
     )
     def test_sampled_rows_are_gathered_once(self, monkeypatch, dims, sample_cap, rows):
-        # one C-contiguous (sources, rows, dims) copy per call; every block
-        # is a column slice of it, and a group of the three sources
+        # each block's values are the transpose of a C-contiguous (sources, width, rows)
+        # buffer of its own, which membership_matrix reads as a view: one copy per block
+        kernel_values = []
+        kernel = linguistic._membership_kernel
+
+        def recording(values, *args, **kwargs):
+            kernel_values.append(values)
+            return kernel(values, *args, **kwargs)
+
+        monkeypatch.setattr(linguistic, "_membership_kernel", recording)
         sources = make_synthetic_sources(5, n_dims=dims)
         blocks = self.capture_blocks(monkeypatch, sources, RunConfig(seed=6, sample_cap=sample_cap))
         assert all(isinstance(b, DecisionGroup) for b in blocks)
         assert blocks[-1].values.shape == (3, rows, dims % 8 or 8)
-        gathered = blocks[0].values.base
-        assert gathered.shape == (3, rows, dims) and gathered.flags.c_contiguous
-        for s in sources:
-            assert not np.shares_memory(gathered, s.features)
-        for b in blocks:
-            assert b.values.base is gathered and b.expert_ids == tuple(s.source_id for s in sources)
+        assert len(kernel_values) == len(blocks)
+        buffers = [b.values.base for b in blocks]
+        for b, buffer, values in zip(blocks, buffers, kernel_values):
+            width = b.values.shape[2]
+            assert buffer.shape == (3, width, rows) and buffer.flags.c_contiguous
+            assert b.values.strides == buffer.transpose(0, 2, 1).strides
+            assert np.shares_memory(b.values, buffer) and b.expert_ids == tuple(s.source_id for s in sources)
+            assert values.shape == (3 * width, rows) and values.base is buffer
+            for s in sources:
+                assert not np.shares_memory(buffer, s.features)
+        for i, buffer in enumerate(buffers):
+            for other in buffers[i + 1:]:
+                assert not np.shares_memory(buffer, other)
+
+    def test_peak_stays_below_the_stacked_sampled_sources(self):
+        # no array of all sampled rows of every source: 3 x 240 x 256 doubles would be 1.47 MB
+        sources = make_synthetic_sources(3, n_dims=256)
+        config = RunConfig(sample_cap=240)
+        estimate_fusion_weights(sources, config)  # fills the label and OWA caches
+        tracemalloc.start()
+        try:
+            estimate_fusion_weights(sources, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 240 * 256 * 8
 
     def test_blocks_hold_the_sampled_rows_in_order(self, monkeypatch):
         config = RunConfig(seed=6, sample_cap=100)
@@ -325,6 +354,13 @@ class TestFusionBlocks:
             estimate_fusion_weights(sources, config)
         assert blocks == []
 
+    @pytest.mark.parametrize("shape", [(1, 19), (12, 0)], ids=["one-sample", "no-dimension"])
+    def test_too_small_sources_are_named_with_their_whole_shape(self, shape):
+        sources = sources_from(*(np.ones(shape) for _ in range(3)))
+        message = f"the decision group needs 3-d scores of at least 2 alternatives and 1 attribute, got {(3, *shape)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            estimate_fusion_weights(sources)
+
     def test_non_finite_value_in_an_unsampled_row_is_named(self):
         # the default sample_cap keeps 64 of 240 rows for the weights; fusion reads them all
         config = RunConfig()
@@ -338,25 +374,26 @@ class TestFusionBlocks:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 call()
 
-    @pytest.mark.parametrize(
-        "sample_cap, scans",
-        [(None, [3 * 240 * 16]), (240, [3 * 240 * 16]), (100, [240 * 16] * 3 + [3 * 100 * 16])],
-        ids=["no-cap", "all-rows", "sampled-rows"],
-    )
-    def test_finite_values_are_scanned_once_per_group(self, monkeypatch, sample_cap, scans):
-        # taking every row, the group's own check is the only scan; a sample
-        # also scans each whole source, for the rows it leaves out
-        sizes = []
+    @pytest.mark.parametrize("sample_cap", [240, 100], ids=["all-rows", "sampled-rows"])
+    def test_finite_values_are_scanned_once_per_group(self, monkeypatch, sample_cap):
+        # each whole source once, before the first block, then each block's
+        # own group check of its (sources, rows, width) values
+        scans = []
         isfinite = np.isfinite
 
         def counted(values, *args, **kwargs):
-            sizes.append(np.size(values))
+            scans.append(np.shape(values))
             return isfinite(values, *args, **kwargs)
+
+        def uniform(group, *args, **kwargs):
+            scans.append("run")
+            return SimpleNamespace(weights=SimpleNamespace(weights=np.full(3, 1 / 3)))
 
         sources = make_synthetic_sources(6, n_dims=16)
         monkeypatch.setattr(np, "isfinite", counted)
-        fusion._source_group(sources, sample_cap)
-        assert sizes == scans
+        monkeypatch.setattr(fusion, "run_pipeline", uniform)
+        estimate_fusion_weights(sources, RunConfig(seed=6, sample_cap=sample_cap))
+        assert scans == [(240, 16)] * 3 + [(3, sample_cap, 8), "run"] * 2
 
 
 def stacked_fuse(arrays, ids, weights):

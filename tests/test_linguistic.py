@@ -805,21 +805,6 @@ class TestDecisionGroup:
         with pytest.raises(ValueError, match="^a decision group needs at least 1 expert$"):
             DecisionGroup.from_matrices([])
 
-    def test_columns_are_an_unchecked_view(self, monkeypatch):
-        group = DecisionGroup(("a", "b"), np.arange(24.0).reshape(2, 3, 4), attribute_labels=("w", "x", "y", "z"))
-        checks = []
-        monkeypatch.setattr(DecisionGroup, "__post_init__", lambda self: checks.append(self))
-        part = group.columns(1, 3)
-        assert checks == []
-        assert part.values.base is group.values.base and part.values.shape == (2, 3, 2)
-        assert np.array_equal(part.values, group.values[:, :, 1:3])
-        assert (part.expert_ids, part.alternative_labels, part.attribute_labels) == (
-            group.expert_ids, group.alternative_labels, ("x", "y"),
-        )
-        for start, stop in ((2, 2), (-1, 2), (3, 5)):
-            with pytest.raises(ValueError, match=rf"^attribute range {start}:{stop} outside 0:4$"):
-                group.columns(start, stop)
-
     def test_experts_are_an_unchecked_view(self, monkeypatch):
         group = DecisionGroup(("a", "b", "c"), np.arange(24.0).reshape(3, 4, 2), attribute_labels=("x", "y"))
         checks = []
