@@ -32,11 +32,11 @@ from .linguistic import DecisionMatrix
 
 
 def _read_rows(path: Path, rows: str):
-    """The header's stripped cells and, as the caller walks them, the
-    ``(line number, row)`` pairs of a CSV of at least 2 data ``rows``; blank
-    lines at the end of the file are dropped, and a row whose width differs
-    from the header's is a format error once it is reached. A row's line is
-    the file's line where the row ends, so a quoted line break counts."""
+    """The header's stripped cells, its line and, as the caller walks them,
+    the ``(line number, row)`` pairs of a CSV of at least 2 data ``rows``;
+    blank lines at the end of the file are dropped, and a row whose width
+    differs from the header's is a format error once it is reached. A
+    record's line, the header's too, is where it ends in the file."""
     try:
         with open(path, newline="") as handle:
             reader = csv.reader(handle)
@@ -59,7 +59,7 @@ def _read_rows(path: Path, rows: str):
                 raise CsvFormatError(f"{path}:{line_no}: row has {len(row)} cells, header has {len(header)}")
             yield line_no, row
 
-    return header, data()
+    return header, table[0][0], data()
 
 
 def _parse_cell(text: str, path: Path, line: int, column: int, kind: str | None = None) -> float:
@@ -86,14 +86,14 @@ def _parse_cell(text: str, path: Path, line: int, column: int, kind: str | None 
 
 def read_decision_matrix(path: str | Path) -> DecisionMatrix:
     path = Path(path)
-    header, rows = _read_rows(path, "alternatives")
+    header, header_line, rows = _read_rows(path, "alternatives")
     if len(header) < 2:
-        raise CsvFormatError(f"{path}:1: header must name at least one attribute")
+        raise CsvFormatError(f"{path}:{header_line}: header must name at least one attribute")
     attributes = {}  # attribute -> column number
     for col, name in enumerate(header[1:], start=2):
         if name in attributes:
             raise CsvFormatError(
-                f"{path}:1:{col}: attribute {name!r} repeats column {attributes[name]}"
+                f"{path}:{header_line}:{col}: attribute {name!r} repeats column {attributes[name]}"
             )
         attributes[name] = col
     labels = {}  # label -> line number
@@ -178,12 +178,12 @@ def write_decision_matrix(path: str | Path, matrix: DecisionMatrix) -> None:
 
 def read_feature_source(path: str | Path, source_id: str | None = None) -> FeatureSet:
     path = Path(path)
-    header, rows = _read_rows(path, "samples")
+    header, header_line, rows = _read_rows(path, "samples")
     width = len(header)
     has_labels = width > 0 and header[-1].lower() == "label"
     n_features = width - 1 if has_labels else width
     if n_features < 1:
-        raise CsvFormatError(f"{path}:1: no feature columns")
+        raise CsvFormatError(f"{path}:{header_line}: no feature columns")
     features = []
     labels = []
     for line_no, row in rows:

@@ -67,38 +67,35 @@ def as_weight_vector(values, length: int | None = None) -> np.ndarray:
 
 
 def _quiet(narrow: bool = False):
-    """Silence 0 / 0 and log(0) unless ``narrow`` promises that none occurs."""
+    """Silence 0 / 0 and log(0) unless ``narrow`` promises that none occurs (``js_cells``)."""
     return contextlib.nullcontext() if narrow else np.errstate(divide="ignore", invalid="ignore")
 
 
-def _xlogy_ratio(x: np.ndarray, y, narrow: bool = False) -> np.ndarray:
-    """Elementwise natural-log ``x * log(x / y)``, 0 where x == 0, under ``_quiet(narrow)``.
-
-    ``narrow`` says that no x is 0, so nothing is masked."""
+def _xlogy_ratio(x: np.ndarray, y) -> np.ndarray:
+    """Elementwise natural-log ``x * log(x / y)``, 0 where x == 0; call it under ``_quiet()``."""
     out = x / y
     np.log(out, out=out)
     out *= x
-    if not narrow:
-        np.putmask(out, x == 0, 0.0)
+    np.putmask(out, x == 0, 0.0)
     return out
 
 
-def _mixture_terms(values, weights, narrow: bool = False) -> list[np.ndarray]:
+def _mixture_terms(values, weights) -> list[np.ndarray]:
     """Row f holds w_f * v_fj * log2(v_fj / mix_j) per column j; 0 if w_f = 0.
 
     ``values`` holds r rows of equal length. The mix is built row by row,
     mix = w_0 * v_0, then mix += w_f * v_f, so each entry takes the same
     roundings whatever the rows' memory layout (a matmul may go to BLAS,
-    which rounds differently). ``narrow`` is as in ``_xlogy_ratio``.
+    which rounds differently). Every row is masked as in ``_xlogy_ratio``.
     """
     mix = weights[0] * values[0]
     for w, v in zip(weights[1:], values[1:]):
         mix += w * v
     terms = []
-    with _quiet(narrow):
+    with _quiet():
         for x, w in zip(values, weights):
             if w > 0:  # a zero weight may meet log(v / 0) = inf
-                row = _xlogy_ratio(x, mix, narrow)
+                row = _xlogy_ratio(x, mix)
                 row *= w
                 row /= _LN2
             else:
@@ -202,10 +199,10 @@ def js_cells(a: np.ndarray, b: np.ndarray, narrow: bool = False) -> np.ndarray:
 def pair_cells(a, b, weights, narrow: bool = False) -> np.ndarray:
     """Each cell's ordered weighted divergence of two 1-D profiles, in bits.
 
-    Weights (1/2, 1/2) take ``js_cells`` (``narrow`` as there). Any other
-    pair, equal weights near 1/2 included, sums the two ``_mixture_terms``
-    rows of the cell-wise max and min of ``a`` and ``b``, so the larger
-    value takes w_0; ``narrow`` says that no value is 0.
+    Weights (1/2, 1/2) take ``js_cells``, the one reader of ``narrow``.
+    Any other pair, equal weights near 1/2 included, sums the two (always
+    masked) ``_mixture_terms`` rows of the cell-wise max and min of ``a``
+    and ``b``, so the larger value takes w_0.
     """
     if len(weights) != 2:
         raise ValueError(f"two-profile divergence needs 2 weights, got {len(weights)}")
@@ -213,7 +210,7 @@ def pair_cells(a, b, weights, narrow: bool = False) -> np.ndarray:
         cells = js_cells(a, b, narrow)
         cells *= 0.25 / _LN2
         return cells
-    cells, lo_terms = _mixture_terms((np.maximum(a, b), np.minimum(a, b)), weights, narrow)
+    cells, lo_terms = _mixture_terms((np.maximum(a, b), np.minimum(a, b)), weights)
     cells += lo_terms
     return cells
 

@@ -22,7 +22,7 @@ them as the (k*q, p) stack of the experts' transposed matrices, a view of
 values that are the transpose of a C-contiguous (k, q, p) buffer (as
 fusion's blocks are) and one copy of any other layout;
 degrees and masses live in one alternative-innermost (terms, k*q, p)
-slab, every ufunc runs once per term over a whole plane with each
+slab, each term's plane is written once by whole-plane ufuncs, with each
 column's domain broadcast as a (k*q, 1) column, and the sums over
 alternatives reduce contiguous rows (numpy sums them pairwise). Each
 stage returns one record whose ``degrees`` or ``masses`` is the
@@ -239,7 +239,7 @@ def normalize_decision_matrix(group: DecisionGroup) -> np.ndarray:
 
 
 def _membership_kernel(values, lo, hi, scale, segments: int, out: np.ndarray) -> np.ndarray:
-    """Degrees of all ``segments + 1`` terms, term-major, written into ``out``.
+    """Degrees of all ``segments + 1`` terms, term-major, each written once into ``out``.
 
     ``out[h]`` has the shape of ``values`` and holds term ``h + 1``;
     ``lo`` and ``hi`` broadcast against ``values`` (a (columns, 1) column
@@ -258,18 +258,12 @@ def _membership_kernel(values, lo, hi, scale, segments: int, out: np.ndarray) ->
         values, lo, hi = values * scale, lo * scale, hi * scale
     span = hi - lo
     step = span / segments
-    # the end terms' planes hold offsets and falling edges until written
-    offset = np.subtract(values, lo, out=out[segments])
-    falling = out[0]
+    offset = values - lo
+    np.divide(offset, span, out=out[segments])
+    np.subtract(1.0, out[segments], out=out[0])
     for h in range(1, segments):
         peak = lo + h * step
-        np.divide(offset, peak - lo, out=out[h])
-        np.subtract(values, peak, out=falling)
-        falling /= hi - peak
-        np.subtract(1.0, falling, out=falling)
-        np.minimum(out[h], falling, out=out[h])
-    offset /= span
-    np.subtract(1.0, offset, out=out[0])
+        np.minimum(offset / (peak - lo), 1.0 - (values - peak) / (hi - peak), out=out[h])
     return out
 
 

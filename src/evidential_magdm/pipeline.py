@@ -88,6 +88,7 @@ class OwaWeights:
         return float((self.values * (l - np.arange(1, l + 1))).sum() / (l - 1))
 
 
+@functools.lru_cache(maxsize=32)
 def owa_weights(length: int, scheme: str = "uniform", orness: float | None = None) -> OwaWeights:
     """Build an ordered weighting vector.
 
@@ -95,14 +96,10 @@ def owa_weights(length: int, scheme: str = "uniform", orness: float | None = Non
     w_f = 2(l - f + 1) / (l(l + 1)); ``orness`` gives the maximum-entropy
     (geometric) weights hitting the requested orness: w_f is proportional
     to exp(u f), and bisection on [-60, 60] finds the u whose orness
-    matches, since orness falls as u grows. Results are cached per
-    ``(length, scheme, orness)``; their ``values`` are read-only.
+    matches, since orness falls as u grows. Results are cached per call
+    signature (``owa_weights(5)`` and ``owa_weights(5, "uniform")`` are
+    two entries of equal weights); their ``values`` are read-only.
     """
-    return _owa_weights(length, scheme, orness)
-
-
-@functools.lru_cache(maxsize=32)
-def _owa_weights(length: int, scheme: str, orness: float | None) -> OwaWeights:
     if length < 1:
         raise ValueError("length must be >= 1")
     if scheme == "uniform":
@@ -173,7 +170,7 @@ def _expert_pairs(k: int) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, int]
 
 # (alternative, attribute) cells of the run of experts that run_pipeline
 # takes through memberships, masses and belief at a time: bounds their
-# slabs and work planes, which for a whole k = 64 group would be 4.1 MB each
+# slabs and sorted planes, which for a whole k = 64 group would be 4.1 MB each
 _SORT_CELLS = 1 << 14
 
 
@@ -182,9 +179,9 @@ def ordered_weighted_belief(tensors: BpaTensor, weights: OwaWeights) -> np.ndarr
 
     The (k, p, q, terms) masses are read as their (terms, k·q, p)
     ``term_slab``, a view of a stage's own stack, and sorted along the term
-    axis by a compare-exchange network: each step writes the larger and
-    the smaller of two whole (k·q, p) planes into two work planes, so the
-    masses themselves stay untouched. The belief is then the fixed-order
+    axis by a compare-exchange network: each step replaces two positions'
+    (k·q, p) planes by their new elementwise larger and smaller planes, so
+    nothing is written into the masses. The belief is then the fixed-order
     sum w_1·plane_1 + w_2·plane_2 + ... over the sorted planes, one
     multiply and one add per term on whole planes, so every cell rounds
     the same way whatever run of experts it is passed with, the group size
@@ -198,19 +195,11 @@ def ordered_weighted_belief(tensors: BpaTensor, weights: OwaWeights) -> np.ndarr
         raise ValueError(f"weight length {weights.values.size} != term count {terms}")
     w = weights.values.tolist()
     planes = list(term_slab(masses))  # read only
-    free = []  # work planes that no position holds any more
     for a, b in _descending_network(terms):
-        high = free.pop() if free else np.empty(planes[a].shape)
-        low = free.pop() if free else np.empty(planes[a].shape)
-        np.maximum(planes[a], planes[b], out=high)
-        np.minimum(planes[a], planes[b], out=low)
-        free += [x for x in (planes[a], planes[b]) if x.base is None]
-        planes[a], planes[b] = high, low
-    belief = np.multiply(planes[0], w[0])
-    term = free.pop() if free else np.empty(belief.shape)
+        planes[a], planes[b] = np.maximum(planes[a], planes[b]), np.minimum(planes[a], planes[b])
+    belief = planes[0] * w[0]
     for f in range(1, terms):
-        np.multiply(planes[f], w[f], out=term)
-        belief += term
+        belief += planes[f] * w[f]
     return belief.reshape(k, q, p).transpose(0, 2, 1)
 
 

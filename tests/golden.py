@@ -12,7 +12,12 @@ prints one ``<sha256>  <output>`` line per output, in a fixed order:
   each): ``run_pipeline``'s divergence matrix, weights and ranking order;
 * ``verify-paper --json`` stdout;
 * ``fuse-features --json`` on the seed-0 manifest of three synthetic
-  sources: ``fused.csv``, ``metrics.json`` and stdout.
+  sources: ``fused.csv``, ``metrics.json`` and stdout;
+* ``rank --dump-intermediates --json`` on the four bundled recruitment
+  CSVs: ``report.json``, ``report.md``, each expert's membership and mass
+  dump (17 significant digits) and stdout. The command runs in the data
+  directory on the bare file names, because the report and stdout echo
+  the input paths: the digests do not depend on where the script runs.
 
 Arrays are hashed with their dtype and shape, so a change of layout that
 keeps every value keeps the digest. Run it at two commits on one host and
@@ -26,6 +31,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -34,7 +40,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np
 
-from evidential_magdm import cli, dataio
+from evidential_magdm import cli, dataio, recruitment
 from evidential_magdm.config import RunConfig
 from evidential_magdm.fusion import evaluate_fusion, make_synthetic_sources
 from evidential_magdm.linguistic import DecisionMatrix
@@ -101,6 +107,18 @@ def cli_outputs():
         yield "fuse-features/fused.csv", (tmp / "out" / "fused.csv").read_bytes()
         yield "fuse-features/metrics.json", (tmp / "out" / "metrics.json").read_bytes()
         yield "fuse-features/stdout", stdout
+        here = os.getcwd()
+        os.chdir(recruitment.DATA_DIR)
+        try:
+            names = [f"{e}.csv" for e in recruitment.EXPERT_IDS]
+            stdout = command(["rank", *names, "--dump-intermediates", "--json", "--out", str(tmp / "rank")])
+        finally:
+            os.chdir(here)
+        outputs = ["report.json", "report.md"]
+        outputs += [f"{e}_{kind}.csv" for e in recruitment.EXPERT_IDS for kind in ("memberships", "masses")]
+        for output in outputs:
+            yield f"rank/{output}", (tmp / "rank" / output).read_bytes()
+        yield "rank/stdout", stdout
 
 
 def main(argv=None) -> int:

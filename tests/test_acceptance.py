@@ -232,6 +232,15 @@ class TestCriterion7Ranking:
         two, seven = computed.index(2), computed.index(7)
         assert two < seven
 
+    def test_published_ranks_and_rank_weights_give_the_rank_order(self):
+        # the module's published columns agree with its rank order: the ranks
+        # sorted stably (rank 12's tie keeps candidate 2 ahead of 7), the
+        # closeness weights sorted descending
+        by_rank = 1 + np.argsort(ref.PUBLISHED_RANKS, kind="stable")
+        by_weight = 1 + np.argsort(-ref.PUBLISHED_RANK_WEIGHTS, kind="stable")
+        assert tuple(by_rank.tolist()) == tuple(by_weight.tolist()) == ref.PUBLISHED_RANK_ORDER
+        assert ref.PUBLISHED_RANKS.count(12) == 2
+
 
 def random_singleton_instance(rng, p=None, n=None):
     p = p or int(rng.integers(2, 7))

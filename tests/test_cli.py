@@ -912,6 +912,18 @@ class TestMalformedInputs:
         code, err = self.run_files(tmp_path, command, {"q.csv": text, "r.csv": good})
         assert (code, err) == (2, f"error: {tmp_path / 'q.csv'}:{message}\n")
 
+    @pytest.mark.parametrize("command, text, message", [
+        ("rank", 'alternative,"a\nb","a\nb"\nx,1,2\ny,3,4\n', "3:3: attribute 'a\\nb' repeats column 2"),
+        ("rank", '"alter\nnative"\nx\ny\n', "2: header must name at least one attribute"),
+        ("fuse-features", '"\nlabel"\n0\n1\n', "2: no feature columns"),
+        ("rank", 'alternative,"a\nb"\nx,1\ny,-1\n', "4:2: expected a nonnegative score, got '-1'"),
+    ], ids=["rank-repeated-attribute", "rank-no-attribute", "fuse-features-no-feature", "rank-data-row"])
+    def test_a_header_fault_is_at_the_line_where_the_header_ends(self, tmp_path, command, text, message):
+        # the header's line is where its record ends, as a data row's is; the rows after it keep their lines
+        good = "alternative,a\nx,1\nz,2\n" if command == "rank" else "f0,f1,label\n1,2,0\n3,4,1\n"
+        code, err = self.run_files(tmp_path, command, {"q.csv": text, "r.csv": good})
+        assert (code, err) == (2, f"error: {tmp_path / 'q.csv'}:{message}\n")
+
     @pytest.mark.parametrize("label", ["9007199254740993", "1e300"], ids=["2**53+1", "1e300"])
     def test_a_label_at_or_above_2_53_exits_2(self, tmp_path, label):
         # 2**53 + 1 would read as 2**53, one class with the next row's; 1e300 would leave int64

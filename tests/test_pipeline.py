@@ -65,6 +65,21 @@ def belief_groups(draw):
 
 
 @st.composite
+def tied_mass_groups(draw):
+    """Masses of k experts at 5-9 terms from small-integer scores, so cells hold tied
+    masses, with a two-valued first column, whose interior terms are zero columns."""
+    k, p, q = draw(st.integers(1, 4)), draw(st.integers(2, 12)), draw(st.integers(1, 4))
+    terms = draw(st.integers(5, 9))
+    scheme = draw(st.sampled_from(["uniform", "linear-descending", "orness"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.integers(0, 4, size=(k, p, q)).astype(float)
+    values[:, :, 0] = np.arange(p) % 2
+    group = DecisionGroup(tuple(f"e{e}" for e in range(k)), values)
+    masses = bpa_tensor(membership_matrix(group, terms, uniform_when_degenerate=True))
+    return masses, owa_weights(terms, scheme, 0.7 if scheme == "orness" else None)
+
+
+@st.composite
 def expert_groups(draw):
     """k experts' (p, q) matrices with plain, flat and two-valued columns.
 
@@ -300,6 +315,20 @@ class TestOrderedWeightedBelief:
         whole = ordered_weighted_belief(tensors, owa)
         sub = ordered_weighted_belief(BpaTensor(tensors.masses[keep]), owa)
         assert sub.tobytes() == whole[keep].tobytes()
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(group=tied_mass_groups())
+    def test_read_only_masses_give_the_same_bits_and_stay_unchanged(self, group):
+        # the sort never writes into the masses' slab: a read-only view of it
+        # sorts as the writable stack does, and neither call changes a bit
+        tensors, owa = group
+        assert tensors.zero_columns
+        before = tensors.masses.tobytes()
+        frozen = tensors.masses.view()
+        frozen.setflags(write=False)
+        got = ordered_weighted_belief(BpaTensor(frozen), owa)
+        assert got.tobytes() == ordered_weighted_belief(tensors, owa).tobytes()
+        assert tensors.masses.tobytes() == frozen.tobytes() == before
 
 
 class TestGroupPass:
