@@ -5,8 +5,9 @@ Commands:
   fuse-features  estimate source weights and fuse feature CSVs
   verify-paper   recompute the bundled study and diff its published values
 
-Exit codes: 0 success, 2 malformed input file, 3 numeric degeneracy,
-4 configuration/usage error. ``EVIDENTIAL_MAGDM_LOG`` sets the log level.
+Exit codes: 0 success, 1 failed verify-paper check or closed stdout,
+2 malformed input file, 3 numeric degeneracy, 4 configuration/usage
+error. ``EVIDENTIAL_MAGDM_LOG`` sets the log level.
 """
 
 from __future__ import annotations
@@ -203,7 +204,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # Python's recipe (signal module docs): later writes go to devnull, no traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except MagdmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, CsvFormatError):

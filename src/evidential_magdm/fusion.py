@@ -93,7 +93,8 @@ def estimate_fusion_weights(sources: list[FeatureSet], config: RunConfig | None 
 
     At most ``sample_cap`` rows (a seeded choice, kept in row order) act as
     alternatives ``s<row>``, and each block of ``block_size`` dimensions
-    ``f<j>`` runs as its own group; the block weights are averaged and
+    ``f<j>`` runs as its own group, a last lone dimension with the block
+    before it; the block weights are averaged and
     renormalised. Under ``fusion_config(config)`` identical sources come out
     uniform. A shape that differs, then a non-finite value in any row, is
     named before the first block. Each block's rows are copied once, into a
@@ -110,9 +111,11 @@ def estimate_fusion_weights(sources: list[FeatureSet], config: RunConfig | None 
     samples, dims = tuple(f"s{r}" for r in np.arange(n)[rows].tolist()), tuple(f"f{j}" for j in range(d))
     if len(samples) < 2 or d < 1:  # the group check names the whole shape, which no block holds
         DecisionGroup(ids, np.zeros((len(sources), len(samples), d)))
+    starts = list(range(0, d, config.block_size))
+    if len(starts) > 1 and d % config.block_size == 1:  # alone, one dimension's profiles are all [1]
+        starts.pop()
     block_weights = []
-    for start in range(0, d, config.block_size):
-        stop = min(start + config.block_size, d)
+    for start, stop in zip(starts, starts[1:] + [d]):
         values = np.array([s.features[rows, start:stop].T for s in sources])  # C-ordered: a new array
         # a flat column's error names its source and dimension through the block's labels
         group = DecisionGroup(ids, values.transpose(0, 2, 1), samples, dims[start:stop])

@@ -135,28 +135,12 @@ def owa_weights(length: int, scheme: str = "uniform", orness: float | None = Non
 
 @functools.lru_cache(maxsize=8)
 def _descending_network(length: int) -> tuple[tuple[int, int], ...]:
-    """Compare-exchange steps ``(i, j)``, ``i < j``, that sort ``length`` values.
+    """Compare-exchange steps ``(i, i + 1)`` that bubble-sort ``length`` values.
 
-    Batcher's odd-even merge network for the next power of two, without
-    the steps that touch a position at or past ``length`` (those act as
-    smallest values, which never move up). Putting the larger value of
-    each pair at ``i`` sorts descending; 9, 16 and 28 steps for 5, 7 and
-    9 terms.
+    The larger value of each pair goes to ``i``, so they sort descending:
+    10, 21 and 36 steps for 5, 7 and 9 terms.
     """
-    size = 1 << max(0, length - 1).bit_length()
-    steps = []
-    block = 1
-    while block < size:
-        gap = block
-        while gap >= 1:
-            for start in range(gap % block, size - gap, 2 * gap):
-                for i in range(min(gap, size - start - gap)):
-                    a, b = start + i, start + i + gap
-                    if a // (2 * block) == b // (2 * block) and b < length:
-                        steps.append((a, b))
-            gap //= 2
-        block *= 2
-    return tuple(steps)
+    return tuple((i, i + 1) for n in range(length - 1, 0, -1) for i in range(n))
 
 
 @functools.lru_cache(maxsize=8)
@@ -473,7 +457,9 @@ def run_pipeline(
     so the nonnegative ideal-solution ranking does not apply). The
     memberships, masses and beliefs run per chunk of ``_SORT_CELLS``
     cells' experts, so their slabs stay cache-sized; the pair loop reads
-    rows of one (k, p*q) attribute-major view of the profiles.
+    rows of one (k, p*q) attribute-major view of the profiles. A
+    one-attribute group profiled over the attributes is refused before
+    the profiles, under either ``zero_average_policy``: each is [1].
     """
     config = config or RunConfig()
     if not isinstance(group, DecisionGroup):
@@ -493,6 +479,11 @@ def run_pipeline(
         )), owa)
         block[first * q:stop * q] = chunk.transpose(0, 2, 1).reshape(-1, p)
     beliefs = block.reshape(k, q, p).transpose(0, 2, 1)
+    if q == 1 and config.wpbl_axis == "attributes":
+        raise ZeroDivergenceError(
+            "one attribute: every expert's profile over the attributes is [1], so every divergence "
+            "is 0 and no expert weight is defined; profile the alternatives (wpbl_axis: alternatives)"
+        )
     profiles = expert_wpbl(beliefs, ordered_weighted_plausibility(beliefs), axis=config.wpbl_axis)
     _, _, pairs = _expert_pairs(k)
     pair_ids = tuple((ids[i], ids[j]) for i, j in pairs)

@@ -10,6 +10,10 @@ prints one ``<sha256>  <output>`` line per output, in a fixed order:
   the default cap;
 * ``many-experts`` seeds 1-3 (three pool items of 64 experts x 200 x 8
   each): ``run_pipeline``'s divergence matrix, weights and ranking order;
+* the bundled recruitment study and ``many-experts`` seed 1, item 0 at
+  5, 7 and 9 terms and at pair weights (1/2, 1/2) and (0.8, 0.2):
+  ``run_pipeline``'s beliefs, divergence matrix, weights and ranking
+  order. Everything else runs at 5 terms and (1/2, 1/2);
 * ``verify-paper --json`` stdout;
 * ``fuse-features --json`` on the seed-0 manifest of three synthetic
   sources: ``fused.csv``, ``metrics.json`` and stdout;
@@ -72,16 +76,39 @@ def fusion_wide():
                 yield f"{name}/macro_accuracy", metrics.macro["accuracy"]
 
 
+def many_experts_groups(seed: int):
+    """The pool items of one ``many-experts`` seed: 64 experts x 200 x 8 each."""
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        yield [DecisionMatrix(f"e{e:02d}", rng.uniform(1.0, 100.0, size=(200, 8))) for e in range(64)]
+
+
 def many_experts():
     for seed in (1, 2, 3):
-        rng = np.random.default_rng(seed)
-        for item in range(3):
-            group = [DecisionMatrix(f"e{e:02d}", rng.uniform(1.0, 100.0, size=(200, 8))) for e in range(64)]
+        for item, group in enumerate(many_experts_groups(seed)):
             result = run_pipeline(group)
             name = f"many-experts/seed{seed}/item{item}"
             yield f"{name}/dmm", result.dmm
             yield f"{name}/weights", result.weights.weights
             yield f"{name}/ranking_order", list(result.ranking.order)
+
+
+def term_counts():
+    """Every term count and both kernels: the sort network and the pair
+    kernel at unequal weights run nowhere else in these digests."""
+    studies = (
+        ("recruitment", recruitment.decision_matrices()),
+        ("many-experts/seed1/item0", next(many_experts_groups(1))),
+    )
+    for study, group in studies:
+        for terms in (5, 7, 9):
+            for pair_weights in ((0.5, 0.5), (0.8, 0.2)):
+                name = f"terms/{study}/terms{terms}/pair{pair_weights[0]}-{pair_weights[1]}"
+                result = run_pipeline(group, RunConfig(terms=terms, pair_weights=pair_weights))
+                yield f"{name}/beliefs", result.beliefs
+                yield f"{name}/dmm", result.dmm
+                yield f"{name}/weights", result.weights.weights
+                yield f"{name}/ranking_order", list(result.ranking.order)
 
 
 def command(argv: list[str]) -> bytes:
@@ -127,7 +154,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if not args.digest:
         parser.error("nothing to do: pass --digest")
-    for outputs in (fusion_wide(), many_experts(), cli_outputs()):
+    for outputs in (fusion_wide(), many_experts(), term_counts(), cli_outputs()):
         for name, value in outputs:
             print(f"{digest(value)}  {name}")
     return 0

@@ -321,6 +321,39 @@ class TestRankCommand:
         assert code == 3
         assert "t1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("policy", ["error", "full-weight"])
+    def test_one_attribute_group_exits_3_under_either_policy(self, tmp_path, capsys, policy):
+        # every profile over one attribute is [1]: no divergence, no weight to give
+        rng = np.random.default_rng(5)
+        paths = []
+        for e in "abc":
+            paths.append(tmp_path / f"{e}.csv")
+            dataio.write_decision_matrix(paths[-1], DecisionMatrix(e, rng.uniform(1, 9, (6, 1))))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"zero_average_policy": policy}))
+        code = main(["rank", *map(str, paths), "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: one attribute: ") and err.endswith("(wpbl_axis: alternatives)\n")
+        assert not (tmp_path / "out").exists()
+        cfg.write_text(json.dumps({"zero_average_policy": policy, "wpbl_axis": "alternatives"}))
+        assert main(["rank", *map(str, paths), "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+    def test_closed_stdout_exits_1_without_a_traceback(self, recruitment_csvs, tmp_path):
+        read, write = os.pipe()
+        os.close(read)  # no reader: the child's first write to stdout fails
+        out = tmp_path / "out"
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "evidential_magdm", "rank", *recruitment_csvs, "--out", str(out)],
+                stdout=write, stderr=subprocess.PIPE, text=True, env=fresh_env(),
+            )
+        finally:
+            os.close(write)
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert (out / "report.json").is_file() and (out / "report.md").is_file()
+
     def test_near_duplicate_experts_get_the_oracle_weights(self, tmp_path, capsys):
         # four near-duplicate experts: pair divergences of about 1e-19, which
         # the signed log-ratio form rounded to negative averages (exit 3)
@@ -1178,11 +1211,15 @@ class TestReadmeTables:
         assert documented == {f.name for f in dataclasses.fields(RunConfig)}
 
 
+def fresh_env() -> dict:
+    """The environment in which a new interpreter imports this checkout's library."""
+    src = str(Path(__import__("evidential_magdm").__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def fresh_python(*argv: str) -> subprocess.CompletedProcess:
     """``python *argv`` in a new interpreter that imports this checkout's library."""
-    src = str(Path(__import__("evidential_magdm").__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=fresh_env())
 
 
 def test_cli_import_loads_no_scipy():

@@ -13,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 from evidential_magdm import fusion, linguistic
 from evidential_magdm.config import RunConfig
-from evidential_magdm.errors import DegenerateAttributeError, DegenerateDomainError
+from evidential_magdm.errors import DegenerateAttributeError, DegenerateDomainError, ZeroDivergenceError
 from evidential_magdm.fusion import (
     CentroidModel,
     FeatureSet,
@@ -239,6 +239,27 @@ class TestFusionBlocks:
         assert got.expert_ids == tuple(s.source_id for s in sources)
         mean = got.block_weights.mean(axis=0)
         assert got.weights.tobytes() == (mean / mean.sum()).tobytes()
+
+    @pytest.mark.parametrize("dims", [9, 17])
+    def test_a_lone_last_dimension_joins_the_block_before_it(self, dims):
+        # alone it would be a one-attribute group, whose profiles are all [1]:
+        # every source would get 1/3 whatever the data
+        sources = make_synthetic_sources(3, n_dims=dims)
+        config = RunConfig(sample_cap=240)
+        got = estimate_fusion_weights(sources, config)
+        assert got.block_weights.shape == (dims // 8, 3)
+        tail = [FeatureSet(s.source_id, s.features[:, dims - 9:], s.labels) for s in sources]
+        last = estimate_fusion_weights(tail, config.replace(block_size=9)).block_weights
+        assert got.block_weights[-1].tobytes() == last[0].tobytes()
+        assert not np.allclose(got.block_weights, 1 / 3)
+
+    def test_one_dimension_blocks_are_refused_over_the_attributes(self):
+        sources = make_synthetic_sources(3, n_dims=4)
+        config = RunConfig(sample_cap=240, block_size=1)
+        with pytest.raises(ZeroDivergenceError, match=r"\(wpbl_axis: alternatives\)$"):
+            estimate_fusion_weights(sources, config)
+        got = estimate_fusion_weights(sources, config.replace(wpbl_axis="alternatives"))
+        assert got.block_weights.shape == (4, 3)  # no block is folded at block_size 1
 
     def capture_blocks(self, monkeypatch, sources, config):
         seen = []

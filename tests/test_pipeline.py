@@ -2,6 +2,7 @@
 
 import gc
 import math
+import operator
 import tracemalloc
 import weakref
 from unittest import mock
@@ -390,7 +391,11 @@ class TestExpertStageLayout:
     def test_per_expert_arrays_are_contiguous_transposes(self, k, p, q, axis):
         rng = np.random.default_rng(k)
         matrices = [DecisionMatrix(f"e{e}", rng.normal(size=(p, q))) for e in range(k)]
-        config = RunConfig(wpbl_axis=axis, zero_average_policy="full-weight")  # q = 1 profiles agree
+        config = RunConfig(wpbl_axis=axis, zero_average_policy="full-weight")
+        if q == 1 and axis == "attributes":  # every profile is [1]: refused under either policy
+            with pytest.raises(ZeroDivergenceError, match=r"\(wpbl_axis: alternatives\)$"):
+                run_pipeline(matrices, config, with_ranking=False)
+            return
         with mock.patch.object(pipeline, "pairwise_divergence", wraps=pipeline.pairwise_divergence) as pair:
             result = run_pipeline(matrices, config, with_ranking=False)
         profiles = result.wpbl_profiles
@@ -855,7 +860,8 @@ class TestGroupInput:
     def test_group_and_list_runs_are_bit_identical(self, k, p, q, with_ranking, seed):
         values = np.random.default_rng(seed).uniform(1.0, 99.0, size=(k, p, q))
         matrices = [DecisionMatrix(f"e{e}", v) for e, v in enumerate(values)]
-        config = RunConfig(zero_average_policy="full-weight")
+        # one attribute is profiled over the alternatives: over itself every profile is [1]
+        config = RunConfig(zero_average_policy="full-weight", wpbl_axis="alternatives" if q == 1 else "attributes")
         expected = result_arrays(run_pipeline(matrices, config, with_ranking))
         assert len(expected) == (17 if with_ranking else 13)
         for group in (DecisionGroup.from_matrices(matrices), DecisionGroup(tuple(f"e{e}" for e in range(k)), values)):
@@ -1096,3 +1102,75 @@ class TestPipelineInvariants:
         assert not np.allclose(attr.pair_divergences, alt.pair_divergences)
         np.testing.assert_allclose(attr.wpbl_profiles[0].sum(axis=1), 1.0, atol=1e-9)
         np.testing.assert_allclose(alt.wpbl_profiles[0].sum(axis=0), 1.0, atol=1e-9)
+
+
+def scored_group(rng, k, p, q, ties=False, copies=0) -> DecisionGroup:
+    """k experts' p x q scores on a 1-100 scale, or with ``ties`` on the five
+    points 1-5; experts 1 to ``copies`` copy expert 0 with relative noise 1e-9."""
+    values = rng.uniform(1.0, 100.0, size=(k, p, q))
+    if ties:
+        values = np.ceil(values / 20.0)
+    values[1:copies + 1] = values[0] * (1 + 1e-9 * rng.standard_normal((copies, p, q)))
+    return DecisionGroup(tuple(f"e{e}" for e in range(k)), values)
+
+
+@st.composite
+def scale_groups(draw, near_duplicates=True):
+    """A ``scored_group`` of k 2-64, p 2-40 and q 2-6, with drawn ties and near-copies,
+    and a configuration at pair weights (1/2, 1/2) or (0.8, 0.2); a flat column
+    takes the uniform degrees."""
+    k, p, q = draw(st.integers(2, 64)), draw(st.integers(2, 40)), draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    copies = draw(st.integers(0, k - 1)) if near_duplicates else 0
+    config = RunConfig(
+        terms=draw(st.sampled_from([5, 7, 9])), pair_weights=draw(st.sampled_from([(0.5, 0.5), (0.8, 0.2)])),
+        uniform_when_degenerate=True, zero_average_policy="full-weight",
+    )
+    return scored_group(rng, k, p, q, draw(st.booleans()), copies), config
+
+
+class TestPipelineLaws:
+    """Laws of whole runs at sizes well beyond the paper case."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(case=scale_groups())
+    @example(case=(  # the largest group, with 8 near-copies
+        scored_group(np.random.default_rng(64), 64, 40, 6, copies=8),
+        RunConfig(terms=9, uniform_when_degenerate=True, zero_average_policy="full-weight"),
+    ))
+    def test_weights_are_a_distribution_and_runs_repeat_bit_for_bit(self, case):
+        group, config = case
+        try:
+            result = run_pipeline(group, config)
+        except NegativeDivergenceError:
+            # near-duplicates at unequal pair weights can round below zero: refused, never weighted
+            assert config.pair_weights != (0.5, 0.5)
+            return
+        weights, dmm = result.weights.weights, result.dmm
+        assert weights.min() >= 0 and abs(weights.sum() - 1.0) <= 1e-12
+        assert np.array_equal(dmm, dmm.T) and not np.diag(dmm).any()
+        if config.pair_weights == (0.5, 0.5):
+            assert dmm.min() >= 0
+        again = run_pipeline(group, config)
+        for name in ("beliefs", "pair_divergences", "dmm", "weights.weights", "ranking.scores"):
+            read = operator.attrgetter(name)
+            assert same_bits(read(result), read(again)), name
+        assert again.ranking.order == result.ranking.order
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(case=scale_groups(near_duplicates=False), data=st.data())
+    def test_an_affine_map_of_one_experts_column_keeps_the_weights(self, case, data):
+        # each expert's own column extremes set its membership domain, so
+        # alpha * x + beta (alpha > 0) moves only the rounding
+        group, config = case
+        k, p, q = group.values.shape
+        e, j = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, q - 1))
+        alpha = 10.0 ** data.draw(st.floats(-3.0, 3.0))
+        beta = alpha * data.draw(st.floats(-100.0, 100.0))
+        values = group.values.copy()
+        values[e, :, j] = alpha * values[e, :, j] + beta
+        base = run_pipeline(group, config, with_ranking=False).weights
+        mapped = run_pipeline(DecisionGroup(group.expert_ids, values), config, with_ranking=False).weights
+        if base.zero_average_experts:  # identical experts share the weight only while bit-identical
+            return
+        assert np.all(np.abs(mapped.weights - base.weights) <= 1e-12 * base.weights)
