@@ -1163,14 +1163,14 @@ class TestPipelineLaws:
         # each expert's own column extremes set its membership domain, so
         # alpha * x + beta (alpha > 0) moves only the rounding
         group, config = case
-        k, p, q = group.values.shape
+        base = run_pipeline(group, config, with_ranking=False).weights
+        if base.zero_average_experts:  # identical experts share the weight only while bit-identical
+            return
+        k, _, q = group.values.shape
         e, j = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, q - 1))
         alpha = 10.0 ** data.draw(st.floats(-3.0, 3.0))
         beta = alpha * data.draw(st.floats(-100.0, 100.0))
         values = group.values.copy()
         values[e, :, j] = alpha * values[e, :, j] + beta
-        base = run_pipeline(group, config, with_ranking=False).weights
         mapped = run_pipeline(DecisionGroup(group.expert_ids, values), config, with_ranking=False).weights
-        if base.zero_average_experts:  # identical experts share the weight only while bit-identical
-            return
         assert np.all(np.abs(mapped.weights - base.weights) <= 1e-12 * base.weights)
