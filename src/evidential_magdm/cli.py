@@ -37,9 +37,9 @@ EXIT_CONFIG = 4
 
 
 def _setup_logging() -> None:
-    level = os.environ.get("EVIDENTIAL_MAGDM_LOG", "warning").upper()
+    level = getattr(logging, os.environ.get("EVIDENTIAL_MAGDM_LOG", "warning").upper(), None)
     logging.basicConfig(
-        level=getattr(logging, level, logging.WARNING),
+        level=level if isinstance(level, int) else logging.WARNING,  # BASIC_FORMAT names a str
         format="%(levelname)s %(name)s: %(message)s",
     )
 

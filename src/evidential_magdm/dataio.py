@@ -7,20 +7,19 @@ expert id is the file stem. Feature sources are plain numeric CSVs with
 a header and one row per sample (at least 2), with an optional trailing
 ``label`` column; their values may be signed. One table reader,
 ``_read_rows``, checks what both share: the read, at least 2 data rows and
-each row's width. The writers stay two: labels need the csv module's
-quoting, while a numeric feature table needs none and is written 1.6x
-faster by joining its cells. All writes go through a temp file in the
-target directory followed by an atomic rename.
+each row's width. One writer, ``_write_csv``, joins each row as it
+streams in, and ``_field`` is its one quoting rule for labels; numbers
+need none. Every write goes through a new file in the target directory,
+created with the umask's mode as ``open`` would, then an atomic rename.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
-import io
+import itertools
 import math
 import os
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -144,23 +143,22 @@ def read_decision_matrices(paths) -> list[DecisionMatrix]:
     return matrices
 
 
-def _write_csv(path: str | Path, rows) -> None:
-    """CSV rows, each ending in a newline; a label is quoted where it holds a
-    comma, a quote or a line break.
+def _field(label: str) -> str:
+    """``label`` as a CSV field: quoted, with its quotes doubled, where it holds
+    a comma, a quote, a CR or an LF (RFC 4180), and as it is otherwise.
+    ``csv.reader`` reads it back unchanged: no other character, U+0085 and
+    U+2028 included, ends a line there."""
+    if any(c in label for c in ',"\r\n'):
+        return '"' + label.replace('"', '""') + '"'
+    return label
 
-    The writer quotes a field that holds a character of its line terminator,
-    and Python 3.11 quotes no other line break, so each row is written with
-    a CR LF terminator, which is then cut to LF.
-    """
-    text = io.StringIO()
-    writer = csv.writer(text, lineterminator="\r\n")
-    lines = []
-    for row in rows:
-        writer.writerow(row)
-        lines.append(text.getvalue()[:-2] + "\n")
-        text.seek(0)
-        text.truncate()
-    atomic_write_text(path, "".join(lines))
+
+def _write_csv(path: str | Path, rows) -> None:
+    """``rows`` of ready fields (labels through ``_field``), each joined and
+    written as it comes, ending in a newline."""
+    with _atomic_open(path) as handle:
+        for row in rows:
+            handle.write(",".join(row) + "\n")
 
 
 def write_decision_matrix(path: str | Path, matrix: DecisionMatrix) -> None:
@@ -170,10 +168,10 @@ def write_decision_matrix(path: str | Path, matrix: DecisionMatrix) -> None:
     for label in (*matrix.alternative_labels, *matrix.attribute_labels):
         if label != label.strip():
             raise ValueError(f"label {label!r} has white space at an edge, which reading would strip")
-    _write_csv(path, [
-        ["alternative", *matrix.attribute_labels],
-        *([label, *(f"{v:.17g}" for v in row)] for label, row in zip(matrix.alternative_labels, matrix.values)),
-    ])
+    _write_csv(path, itertools.chain(
+        [["alternative", *map(_field, matrix.attribute_labels)]],
+        ([_field(label), *(f"{v:.17g}" for v in row)] for label, row in zip(matrix.alternative_labels, matrix.values)),
+    ))
 
 
 def read_feature_source(path: str | Path, source_id: str | None = None) -> FeatureSet:
@@ -226,25 +224,22 @@ def read_feature_sources(entries: list[dict]) -> list[FeatureSet]:
 
 def write_feature_source(path: str | Path, source: FeatureSet) -> None:
     header = [f"f{j}" for j in range(source.n_dims)]
+    rows = ([f"{v:.17g}" for v in row] for row in source.features)
     if source.labels is not None:
         header.append("label")
-    lines = [",".join(header)]
-    for i in range(source.n_samples):
-        cells = [f"{v:.17g}" for v in source.features[i]]
-        if source.labels is not None:
-            cells.append(str(int(source.labels[i])))
-        lines.append(",".join(cells))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        rows = ([*cells, str(int(label))] for cells, label in zip(rows, source.labels))
+    _write_csv(path, itertools.chain([header], rows))
 
 
 def write_term_values(path: str | Path, values, alternative_labels, attribute_labels) -> None:
     """Long-format dump of a (p, q, terms) tensor for golden-test diffing."""
     arr = np.asarray(values)
     p, q, terms = arr.shape
-    _write_csv(path, [["alt", "attr", "term", "value"], *(
-        [alternative_labels[i], attribute_labels[j], f + 1, f"{arr[i, j, f]:.17g}"]
+    alternatives, attributes = list(map(_field, alternative_labels)), list(map(_field, attribute_labels))
+    _write_csv(path, itertools.chain([["alt", "attr", "term", "value"]], (
+        [alternatives[i], attributes[j], str(f + 1), f"{arr[i, j, f]:.17g}"]
         for i in range(p) for j in range(q) for f in range(terms)
-    )])
+    )))
 
 
 def read_manifest(path: str | Path) -> tuple[list[dict], dict]:
@@ -279,15 +274,25 @@ def read_manifest(path: str | Path) -> tuple[list[dict], dict]:
     return resolved, config
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
+@contextlib.contextmanager
+def _atomic_open(path: str | Path):
+    """A text handle on a new file beside ``path``, renamed over ``path`` when the
+    block ends and removed if it raises. Mode ``"x"`` creates it only under a
+    name that no other writer holds, with mode 0666 less the umask."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
+    handle = open(tmp, "x")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+        with handle:
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path: str | Path, text: str) -> None:
+    with _atomic_open(path) as handle:
+        handle.write(text)

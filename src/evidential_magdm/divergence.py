@@ -6,10 +6,11 @@ normalised belief-plausibility distributions; at weights (1/2, 1/2) the
 divergence of two assignments is the belief JS divergence.
 
 Every divergence is in bits (base 2), the unit of the paper's
-Jensen-Shannon-type measure. ``_xlogy_ratio`` is the masked
-``x * ln(x / y)`` under entropy, KL and ``_mixture_terms``, the one
-signed kernel: w_f * v_f * log2(v_f / mix) for each of r rows against
-their weighted mix. It serves generalized JS, the p-row ordered
+Jensen-Shannon-type measure. ``_xlogy_ratio`` is the one masked
+``x * ln(x / y)``, under entropy, KL, the direct form that ``js_cells``
+takes on empty and wide cells, and ``_mixture_terms``. That is the one
+signed kernel, w_f * v_f * log2(v_f / mix) for each of r rows against
+their weighted mix; it serves generalized JS, the p-row ordered
 divergence and, on the cell-wise max and min, ``pair_cells`` at any
 weights but (1/2, 1/2); those signed terms cancel for close values.
 ``pair_cells`` is the two-profile ordered divergence, cell by cell,
@@ -41,7 +42,6 @@ from .errors import DivergenceUndefinedError
 from .evidence import Bpa, wpbl
 
 PROB_SUM_TOL = 1e-9
-_TINY = np.finfo(float).tiny
 _LN2 = math.log(2.0)  # natural logs divided by this are bits
 
 
@@ -163,8 +163,9 @@ def js_cells(a: np.ndarray, b: np.ndarray, narrow: bool = False) -> np.ndarray:
     factor 3 or more (t^2 >= 1/4) the rounding of t^2 leaves 1 - t^2 few
     digits, and an empty cell makes both summands infinite; those cells
     take the direct form 2a log(2a / s) + 2b log(2b / s), which is
-    accurate there, with 0 log 0 = 0. ``narrow`` says that no cell is
-    empty or wide, so the check, its mask and ``np.errstate`` are skipped.
+    accurate there, through ``_xlogy_ratio`` (0 log 0 = 0). ``narrow``
+    says that no cell is empty or wide, so the check, its mask and
+    ``np.errstate`` are skipped.
     """
     with _quiet(narrow):
         s = a + b
@@ -180,19 +181,8 @@ def js_cells(a: np.ndarray, b: np.ndarray, narrow: bool = False) -> np.ndarray:
         cells *= d
         cells += t
         if len(wide):
-            # v log(v / half) per value, half = s / 2; fmax turns the ratio of
-            # an empty value (0 or 0/0) into the smallest normal, so v = 0 gives 0
-            half = s[wide]
-            half *= 0.5
-            direct = np.zeros(wide.size)
-            for v in (a[wide], b[wide]):
-                ratio = v / half
-                np.fmax(ratio, _TINY, out=ratio)
-                np.log(ratio, out=ratio)
-                ratio *= v
-                direct += ratio
-            direct *= 2
-            cells[wide] = direct
+            half = s[wide] * 0.5
+            cells[wide] = 2 * (_xlogy_ratio(a[wide], half) + _xlogy_ratio(b[wide], half))
     return cells
 
 

@@ -86,7 +86,7 @@ def run_reference_checks(config: RunConfig | None = None) -> tuple[list[CheckRes
         else:
             checks.append(CheckResult(name, False, None, None, incomparable))
 
-    averages = result.pair_divergences.mean(axis=0)
+    averages = result.dmm[np.triu_indices(len(result.expert_ids), 1)]
     experts = result.weights
     published_w = ref.PUBLISHED_EXPERT_WEIGHTS
     fused = fuse(result.normalized, published_w / published_w.sum())

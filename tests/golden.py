@@ -14,6 +14,13 @@ prints one ``<sha256>  <output>`` line per output, in a fixed order:
   5, 7 and 9 terms and at pair weights (1/2, 1/2) and (0.8, 0.2):
   ``run_pipeline``'s beliefs, divergence matrix, weights and ranking
   order. Everything else runs at 5 terms and (1/2, 1/2);
+* the ``pairwise_divergence`` table of seeded profiles of 8 experts x 40 x 5
+  with about 1 % empty cells and a tenth of the cells 10 times larger: the
+  one digest whose pairs hold empty and wide cells, so ``js_cells`` takes
+  its checked path and its direct form;
+* the bytes that ``write_decision_matrix`` and ``write_term_values`` write
+  for labels holding a comma, a quote, a CR, an LF, inner spaces and
+  nothing;
 * ``verify-paper --json`` stdout;
 * ``fuse-features --json`` on the seed-0 manifest of three synthetic
   sources: ``fused.csv``, ``metrics.json`` and stdout;
@@ -48,7 +55,7 @@ from evidential_magdm import cli, dataio, recruitment
 from evidential_magdm.config import RunConfig
 from evidential_magdm.fusion import evaluate_fusion, make_synthetic_sources
 from evidential_magdm.linguistic import DecisionMatrix
-from evidential_magdm.pipeline import run_pipeline
+from evidential_magdm.pipeline import pairwise_divergence, run_pipeline
 
 
 def digest(value) -> str:
@@ -111,6 +118,26 @@ def term_counts():
                 yield f"{name}/ranking_order", list(result.ranking.order)
 
 
+def checked_paths():
+    """The pair kernel's checked path and the CSV writers' quoting, which no
+    bundled or workload output reaches."""
+    rng = np.random.default_rng(11)
+    profiles = rng.uniform(0.5, 1.0, size=(8, 40, 5))
+    profiles[rng.random(profiles.shape) < 0.1] *= 10.0
+    profiles[rng.random(profiles.shape) < 0.01] = 0.0
+    pairs = zip(*np.triu_indices(8, 1))
+    yield "checked/pairwise_divergence", np.array([pairwise_divergence(profiles[i], profiles[j]) for i, j in pairs])
+    alternatives = ("a,b", 'say "hi"', "cr\rin", "lf\nin", "crlf\r\nin", "inner  spaces", "")
+    attributes = ("x,y", '"', "")
+    matrix = DecisionMatrix("labels", np.arange(21.0).reshape(7, 3) / 7, alternatives, attributes)
+    with tempfile.TemporaryDirectory() as tmp:
+        dataio.write_decision_matrix(Path(tmp) / "matrix.csv", matrix)
+        yield "writers/decision_matrix.csv", (Path(tmp) / "matrix.csv").read_bytes()
+        terms = np.arange(42.0).reshape(7, 3, 2) / 3
+        dataio.write_term_values(Path(tmp) / "terms.csv", terms, alternatives, attributes)
+        yield "writers/term_values.csv", (Path(tmp) / "terms.csv").read_bytes()
+
+
 def command(argv: list[str]) -> bytes:
     """``evidential-magdm`` stdout, run in process; a nonzero exit stops the script."""
     out = io.StringIO()
@@ -154,7 +181,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if not args.digest:
         parser.error("nothing to do: pass --digest")
-    for outputs in (fusion_wide(), many_experts(), term_counts(), cli_outputs()):
+    for outputs in (fusion_wide(), many_experts(), term_counts(), checked_paths(), cli_outputs()):
         for name, value in outputs:
             print(f"{digest(value)}  {name}")
     return 0

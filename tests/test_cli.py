@@ -11,6 +11,7 @@ import math
 import os
 import re
 import shutil
+import stat
 import subprocess
 import sys
 import tempfile
@@ -534,6 +535,39 @@ class TestCsvRoundTrip:
         back = dataio.read_decision_matrix(tmp_path / "e.csv")
         assert (back.alternative_labels, back.attribute_labels) == (("a", "b"), ("x", "y"))
 
+    def test_quotes_are_doubled_and_a_blank_label_is_written_bare(self, tmp_path):
+        matrix = DecisionMatrix("e", [[1, 2], [3, 4]], ('say "hi"', ""), ("", "a,b"))
+        dataio.write_decision_matrix(tmp_path / "e.csv", matrix)
+        assert (tmp_path / "e.csv").read_bytes() == b'alternative,,"a,b"\n"say ""hi""",1,2\n,3,4\n'
+        dataio.write_term_values(tmp_path / "t.csv", np.ones((2, 1, 1)), ('say "hi"', ""), ("",))
+        assert (tmp_path / "t.csv").read_bytes() == b'alt,attr,term,value\n"say ""hi""",,1,1\n,,1,1\n'
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_drawn_labels_read_back_unchanged(self, data):
+        # every character that needs quoting, line breaks that do not end a
+        # CSV line (U+0085, U+2028) and the blank label; labels with white
+        # space at an edge are refused, so white space is drawn only inside
+        edge = st.sampled_from([",", '"', "a", "b"])
+        inside = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "\x85", "\u2028", "a", "b"]), max_size=4)
+        label = st.one_of(st.just(""), edge, st.tuples(edge, inside, edge).map("".join))
+        alternatives = data.draw(st.lists(label, min_size=2, max_size=4, unique=True))
+        attributes = data.draw(st.lists(label, min_size=1, max_size=3, unique=True))
+        values = np.arange(len(alternatives) * len(attributes)).reshape(len(alternatives), -1) / 3
+        matrix = DecisionMatrix("e", values, tuple(alternatives), tuple(attributes))
+        with tempfile.TemporaryDirectory() as tmp:
+            dataio.write_decision_matrix(Path(tmp) / "e.csv", matrix)
+            back = dataio.read_decision_matrix(Path(tmp) / "e.csv")
+            terms = np.arange(values.size * 2.0).reshape(*values.shape, 2) / 7
+            dataio.write_term_values(Path(tmp) / "t.csv", terms, matrix.alternative_labels, matrix.attribute_labels)
+            with open(Path(tmp) / "t.csv", newline="") as handle:
+                rows = list(csv.reader(handle))
+        assert (back.alternative_labels, back.attribute_labels) == (matrix.alternative_labels, matrix.attribute_labels)
+        assert back.values.tolist() == values.tolist()
+        assert rows[0] == ["alt", "attr", "term", "value"]
+        assert [row[:3] for row in rows[1:]] == [[a, t, str(f)] for a in alternatives for t in attributes for f in (1, 2)]
+        assert [float(row[3]) for row in rows[1:]] == terms.ravel().tolist()
+
     def test_plain_labels_are_written_unquoted(self, tmp_path):
         matrix = DecisionMatrix("e", np.array([[1.5, 2.0], [0.25, 3.0]]), ("a 1", "a2"), ("x", "y z"))
         dataio.write_decision_matrix(tmp_path / "e.csv", matrix)
@@ -1043,6 +1077,27 @@ class TestOutPath:
         assert err == f"error: --out {out}: {out / name} is a directory, not a file\n"
         assert [p.name for p in out.iterdir()] == [name]
 
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"])
+    def test_outputs_take_the_umask_like_any_new_file(self, recruitment_csvs, tmp_path, umask, mode):
+        for s in make_synthetic_sources(0):
+            dataio.write_feature_source(tmp_path / f"{s.source_id}.csv", s)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"sources": [{"id": s, "path": f"{s}.csv"} for s in ("informative", "pure-noise")]}))
+        runs = [
+            ["rank", *recruitment_csvs, "--dump-intermediates", "--out", str(tmp_path / "rank")],
+            ["fuse-features", str(manifest), "--out", str(tmp_path / "fuse")],
+        ]
+        proc = subprocess.run(
+            [sys.executable, "-c", "import json, sys; from evidential_magdm.cli import main; "
+             "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))", json.dumps(runs)],
+            capture_output=True, text=True, env=fresh_env(), umask=umask,
+        )
+        assert proc.returncode == 0, proc.stderr
+        modes = {p.relative_to(tmp_path).as_posix(): stat.S_IMODE(p.stat().st_mode) for p in tmp_path.glob("*/*")}
+        dumps = [f"rank/{e}_{kind}.csv" for e in ("u1", "u2", "u3", "u4") for kind in ("memberships", "masses")]
+        expected = ["rank/report.json", "rank/report.md", *dumps, "fuse/fused.csv", "fuse/metrics.json"]
+        assert modes == dict.fromkeys(expected, mode)
+
 
 class TestVerifyPaperCommand:
     def test_module_entry_point(self):
@@ -1220,6 +1275,17 @@ def fresh_env() -> dict:
 def fresh_python(*argv: str) -> subprocess.CompletedProcess:
     """``python *argv`` in a new interpreter that imports this checkout's library."""
     return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=fresh_env())
+
+
+@pytest.mark.parametrize("name", ["basic_format", "_styles"])
+def test_a_log_name_that_is_not_a_level_falls_back_to_warning(tmp_path, name):
+    # both are attributes of the logging module, a format string and a dict
+    proc = subprocess.run(
+        [sys.executable, "-m", "evidential_magdm", "verify-paper", "--json"],
+        capture_output=True, text=True, env={**fresh_env(), "EVIDENTIAL_MAGDM_LOG": name}, cwd=tmp_path,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)
 
 
 def test_cli_import_loads_no_scipy():
