@@ -18,7 +18,6 @@ from .divergence import (
 from .evidence import (
     Bpa,
     FrameOfDiscernment,
-    PseudoBpa,
     WpblDistribution,
     belief,
     plausibility,

@@ -60,10 +60,6 @@ class FrameOfDiscernment:
         self._check_mask(mask)
         return tuple(e for i, e in enumerate(self.elements) if mask >> i & 1)
 
-    def complement(self, mask: int) -> int:
-        self._check_mask(mask)
-        return self.full_set & ~mask
-
     def _check_mask(self, mask: int) -> None:
         if mask < 0 or mask > self.full_set:
             raise FrameError(f"mask {mask:#x} outside frame of size {len(self)}")
@@ -76,8 +72,6 @@ class Bpa:
     outside tolerance are rejected rather than silently renormalised.
     """
 
-    _require_unit_sum = True
-
     def __init__(self, frame: FrameOfDiscernment, masses: Mapping[int | str | Iterable[str], float]):
         self.frame = frame
         converted: dict[int, float] = {}
@@ -88,10 +82,9 @@ class Bpa:
             if not (0.0 <= value <= 1.0 + MASS_SUM_TOL):
                 raise InvalidMassError(f"mass {value!r} outside [0, 1]")
             converted[mask] = converted.get(mask, 0.0) + float(value)
-        if self._require_unit_sum:
-            total = sum(converted.values())
-            if abs(total - 1.0) > MASS_SUM_TOL:
-                raise InvalidMassError(f"masses sum to {total!r}, expected 1")
+        total = sum(converted.values())
+        if abs(total - 1.0) > MASS_SUM_TOL:
+            raise InvalidMassError(f"masses sum to {total!r}, expected 1")
         self.masses: Mapping[int, float] = MappingProxyType(converted)
 
     @staticmethod
@@ -103,26 +96,11 @@ class Bpa:
             return frame.subset([key])
         return frame.subset(key)
 
-    def total_mass(self) -> float:
-        return sum(self.masses.values())
-
     def __repr__(self):
         pairs = ", ".join(
             f"{{{','.join(self.frame.labels(m))}}}={v:.4g}" for m, v in sorted(self.masses.items())
         )
         return f"{type(self).__name__}({pairs})"
-
-
-class PseudoBpa(Bpa):
-    """Mass assignment whose total may be below (or above) one.
-
-    Produced by column-wise normalisation of membership degrees, where a
-    single alternative's row holds only its share of each column's mass.
-    Belief, plausibility and the normalised belief-plausibility
-    distribution apply verbatim.
-    """
-
-    _require_unit_sum = False
 
 
 @dataclass(frozen=True)

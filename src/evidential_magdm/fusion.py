@@ -97,9 +97,10 @@ def estimate_fusion_weights(sources: list[FeatureSet], config: RunConfig | None 
     before it; the block weights are averaged and
     renormalised. Under ``fusion_config(config)`` identical sources come out
     uniform. A shape that differs, then a non-finite value in any row, is
-    named before the first block. Each block's rows are copied once, into a
+    named before the first block. Each block's rows are copied into a
     C-contiguous (sources, width, rows) buffer whose transpose is the
-    group's values: the layout ``membership_matrix`` reads as a view.
+    group's values, the layout ``membership_matrix`` reads as a view, and
+    ``run_pipeline``'s snapshot keeps that layout.
     """
     config = fusion_config(config)
     n, d = _shape(sources)

@@ -139,6 +139,14 @@ class DecisionGroup:
         object.__setattr__(part, "expert_ids", self.expert_ids[start:stop])
         return part
 
+    def snapshot(self) -> "DecisionGroup":
+        """The group over a read-only copy of ``values`` in their layout, not checked again."""
+        values = np.array(self.values, order="K")
+        values.setflags(write=False)
+        part = copy.copy(self)
+        object.__setattr__(part, "values", values)
+        return part
+
 
 def _span_scale(lo, hi):
     """1.0, or 0.5 where ``hi - lo`` overflows; elementwise on arrays.

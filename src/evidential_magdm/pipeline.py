@@ -1,36 +1,43 @@
 """Group decision pipeline: from decision matrices to a fused ranking.
 
-Stages, all pure functions of their inputs:
+``run_pipeline`` takes one read-only copy of the group's values, which
+every stage reads, and runs eight stages, all pure functions of their
+inputs: the first and the last itself, the six between them in two
+functions.
 
-1. normalise the group's (k, p, q) values column-wise (Euclidean norm),
-   one call per run that returns one (k, p, q) stack; only the fused
-   ranking reads it, so ``with_ranking=False`` skips it. It runs first,
-   so its errors come before any later stage's;
-2. linguistic memberships and masses (``linguistic`` module), one call
-   each per chunk of experts, a ``DecisionGroup.experts`` view of about
-   ``_SORT_CELLS`` cells: each is one record holding a (chunk, p, q,
-   terms) stack, the view of one alternative-innermost slab. Only the
-   chunk's ordered belief reads them, so no whole-group slab is made;
-   ``PipelineResult`` derives both for the group on first read;
-3. ordered weighted belief per (alternative, attribute) cell, one call
-   per chunk: a compare-exchange network sorts the masses' slab along
-   the term axis, and each belief is the fixed-order sum of the
-   OWA-weighted sorted planes. Each chunk fills its rows of one
-   C-contiguous (k, q, p) block, whose transpose is the (k, p, q) belief
-   stack; the elementwise stages below keep that layout;
+1. (``run_pipeline``) normalise the group's (k, p, q) values column-wise
+   (Euclidean norm) into one stack. Only the fused ranking reads it, so
+   ``with_ranking=False`` skips it; its errors come before any later stage's.
+
+``expert_stage``, each expert's evidence, per chunk of experts (a
+``DecisionGroup.experts`` view of about ``_SORT_CELLS`` cells):
+
+2. linguistic memberships and masses (``linguistic`` module), one record
+   each per chunk holding a (chunk, p, q, terms) view of one
+   alternative-innermost slab. Only the chunk's belief reads them, so no
+   whole-group slab is made; ``PipelineResult`` derives both on request;
+3. ordered weighted belief per (alternative, attribute) cell: a
+   compare-exchange network sorts the masses along the term axis, and
+   each belief is the fixed-order sum of the OWA-weighted sorted planes,
+   written into the chunk's rows of one C-contiguous (k, q, p) block
+   whose transpose is the (k, p, q) belief stack. The elementwise stages
+   below keep that layout.
+
+``weighting_stage``, inter-observer variability as expert weights:
+
 4. cross-expert plausibility: an expert's share of the cell's total belief;
-5. belief-plausibility profiles of the stack, normalised along the
-   configured axis (attribute propositions by default). The
-   plausibilities feed the profiles and the profiles the pair stage;
-   neither stack, nor the normalised one, is kept on the result;
-6. pairwise expert divergence per alternative with the ordered weighted
-   divergence kernel, at the default pair weights (1/2, 1/2) the
-   cancellation-free closed form of ``divergence.pair_cells``, so experts who
-   agree to many digits still get positive divergences; aggregated (mean
-   over alternatives) into a symmetric expert-by-expert matrix;
+5. belief-plausibility profiles, normalised along the configured axis
+   (attribute propositions by default); neither stack is kept;
+6. pairwise expert divergence per alternative (``divergence.pair_cells``;
+   at the default pair weights (1/2, 1/2) a cancellation-free closed
+   form, so experts who agree to many digits still get positive
+   divergences), and its mean over alternatives in a symmetric
+   expert-by-expert matrix;
 7. average divergence per expert (row sum divided by the expert count),
-   reciprocal supports, and normalised expert weights;
-8. weight-fused matrix (experts added in order) and ideal-solution ranking.
+   reciprocal supports, and normalised expert weights.
+
+8. (``run_pipeline``) the weight-fused matrix (experts added in order)
+   and the ideal-solution ranking.
 
 Floating-point reductions run in fixed index order (a pair's cells
 attribute-major, see ``pairwise_divergence``), so identical inputs and
@@ -152,7 +159,7 @@ def _expert_pairs(k: int) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, int]
     return rows, cols, tuple(zip(rows.tolist(), cols.tolist()))
 
 
-# (alternative, attribute) cells of the run of experts that run_pipeline
+# (alternative, attribute) cells of the run of experts that expert_stage
 # takes through memberships, masses and belief at a time: bounds their
 # slabs and sorted planes, which for a whole k = 64 group would be 4.1 MB each
 _SORT_CELLS = 1 << 14
@@ -375,23 +382,18 @@ def rank(fused: np.ndarray, alternative_labels: tuple[str, ...] = ()) -> Ranking
 class PipelineResult:
     """Every stage of one pipeline run, in expert order.
 
-    ``group`` is the validated ``DecisionGroup`` the run used; the expert
-    ids and the alternative and attribute labels are read from it. The
-    result stores the group, the (k, p, q) ``beliefs``, the pair table
-    and the small records made from it. Every other stack is cheap to rebuild
-    and is derived on first read, by the call the run made, on the same
-    inputs, so it equals the run's own bit for bit, and is then kept:
-    ``normalized`` from the group (``None`` without the ranking, like
-    ``ranking``), ``plausibilities`` from the beliefs and
-    ``wpbl_profiles`` from both along ``config.wpbl_axis``, each one
-    (k, p, q) stack (0.82 MB at k = 64, p = 200, q = 8); ``memberships``
-    and ``bpa_tensors`` from the group and ``config``, by the stage call
-    the run made per chunk, on the whole group (an expert's rows depend
-    only on its own values), each terms times the size of a stack. The
-    group's ``values`` is a read-only view: it is the caller's array when
-    the group was built from one, and writing to that array changes what
-    a first read of ``normalized``, ``memberships`` or ``bpa_tensors``
-    derives.
+    ``group`` is the run's snapshot, over the read-only copy of the values
+    that every stage read: writing to the caller's array after the run
+    changes nothing here. The result stores it, the (k, p, q) ``beliefs``,
+    the pair table and the small records made from it. Every other stack
+    is derived on first read, by the call the run made on the same
+    snapshot, so it equals the run's own bit for bit, and is then kept:
+    ``normalized`` (``None`` without the ranking, like ``ranking``),
+    ``memberships`` and ``bpa_tensors`` from the group (in one call, which
+    gives the chunks' bits: an expert's rows depend only on its own
+    values), ``plausibilities`` from the beliefs and ``wpbl_profiles``
+    from both along ``config.wpbl_axis``. Each is one (k, p, q) stack
+    (0.82 MB at k = 64, p = 200, q = 8), or terms of them.
     """
 
     config: RunConfig
@@ -444,31 +446,15 @@ class PipelineResult:
         return expert_wpbl(self.beliefs, self.plausibilities, axis=self.config.wpbl_axis)
 
 
-def run_pipeline(
-    group: DecisionGroup | list[DecisionMatrix],
-    config: RunConfig | None = None,
-    with_ranking: bool = True,
-) -> PipelineResult:
-    """Execute the full pipeline on a group, or on a list of one
-    ``DecisionMatrix`` per expert, taken through ``DecisionGroup.from_matrices``.
+def expert_stage(group: DecisionGroup, config: RunConfig) -> tuple[OwaWeights, np.ndarray]:
+    """The ordered weights of ``config`` and the group's (k, p, q) belief stack.
 
-    ``with_ranking=False`` stops after the expert weights, which is what
-    the feature-fusion harness needs (feature matrices may be negative,
-    so the nonnegative ideal-solution ranking does not apply). The
-    memberships, masses and beliefs run per chunk of ``_SORT_CELLS``
-    cells' experts, so their slabs stay cache-sized; the pair loop reads
-    rows of one (k, p*q) attribute-major view of the profiles. A
-    one-attribute group profiled over the attributes is refused before
-    the profiles, under either ``zero_average_policy``: each is [1].
+    Memberships, masses and belief run per chunk of ``_SORT_CELLS``
+    cells' experts, so their slabs stay cache-sized; each chunk fills its
+    rows of one C-contiguous (k, q, p) block, whose transpose is the
+    stack. An expert's beliefs depend only on its own values.
     """
-    config = config or RunConfig()
-    if not isinstance(group, DecisionGroup):
-        group = DecisionGroup.from_matrices(group)
-    ids, (k, p, q) = group.expert_ids, group.values.shape
-    if k < 2:
-        raise ValueError("group decision needs at least 2 experts")
-
-    normalized = normalize_decision_matrix(group) if with_ranking else None
+    k, p, q = group.values.shape
     owa = owa_weights(config.terms, config.owa_scheme, config.orness)
     per_chunk = max(1, _SORT_CELLS // (p * q))
     block = np.empty((k * q, p))
@@ -478,7 +464,23 @@ def run_pipeline(
             group.experts(first, stop), terms=config.terms, uniform_when_degenerate=config.uniform_when_degenerate,
         )), owa)
         block[first * q:stop * q] = chunk.transpose(0, 2, 1).reshape(-1, p)
-    beliefs = block.reshape(k, q, p).transpose(0, 2, 1)
+    return owa, block.reshape(k, q, p).transpose(0, 2, 1)
+
+
+def weighting_stage(
+    beliefs: np.ndarray, expert_ids: tuple[str, ...], config: RunConfig,
+) -> tuple[tuple[tuple[str, str], ...], np.ndarray, np.ndarray, ExpertWeights]:
+    """Pair ids, pair table, ``dmm`` and expert weights of a (k, p, q) belief stack.
+
+    The table has one row per pair of ``np.triu_indices(k, 1)`` and one
+    column per alternative. The stack is read in ``expert_stage``'s
+    layout (a copy of any other), so its values alone fix the bits: a
+    run's ``beliefs[keep]`` give the weights of a run on those experts
+    alone. A one-attribute stack profiled over the attributes is refused
+    first, under either ``zero_average_policy``: each profile is [1].
+    """
+    beliefs = np.ascontiguousarray(beliefs.transpose(0, 2, 1)).transpose(0, 2, 1)
+    k, p, q = beliefs.shape
     if q == 1 and config.wpbl_axis == "attributes":
         raise ZeroDivergenceError(
             "one attribute: every expert's profile over the attributes is [1], so every divergence "
@@ -486,7 +488,6 @@ def run_pipeline(
         )
     profiles = expert_wpbl(beliefs, ordered_weighted_plausibility(beliefs), axis=config.wpbl_axis)
     _, _, pairs = _expert_pairs(k)
-    pair_ids = tuple((ids[i], ids[j]) for i, j in pairs)
     flat = profiles.transpose(0, 2, 1).reshape(k, -1)
     operands = list(zip(flat, flat.min(axis=1).tolist(), flat.max(axis=1).tolist()))
     table = np.empty((len(pairs), p))
@@ -495,18 +496,30 @@ def run_pipeline(
             profiles[i], profiles[j], config.pair_weights, operands=(operands[i], operands[j]),
         )
     dmm = divergence_matrix(table, k)
-    weights = expert_weights(dmm, ids, zero_average_policy=config.zero_average_policy)
-    ranking = None
-    if with_ranking:
-        ranking = rank(fuse(normalized, weights.weights), group.alternative_labels)
-    return PipelineResult(
-        config=config,
-        group=group,
-        owa=owa,
-        beliefs=beliefs,
-        pair_ids=pair_ids,
-        pair_divergences=table.T,
-        dmm=dmm,
-        weights=weights,
-        ranking=ranking,
-    )
+    pair_ids = tuple((expert_ids[i], expert_ids[j]) for i, j in pairs)
+    return pair_ids, table, dmm, expert_weights(dmm, expert_ids, zero_average_policy=config.zero_average_policy)
+
+
+def run_pipeline(
+    group: DecisionGroup | list[DecisionMatrix],
+    config: RunConfig | None = None,
+    with_ranking: bool = True,
+) -> PipelineResult:
+    """Run the pipeline on a group, or on a list of one ``DecisionMatrix`` per expert.
+
+    The run's snapshot is ``group.snapshot()``, or the stack that
+    ``DecisionGroup.from_matrices`` makes of a list, a copy already. The
+    run normalises it, runs ``expert_stage`` and ``weighting_stage``, and
+    fuses and ranks. ``with_ranking=False`` stops after the expert
+    weights, as the feature-fusion harness needs: feature matrices may be
+    negative, where the nonnegative ideal-solution ranking does not apply.
+    """
+    config = config or RunConfig()
+    group = group.snapshot() if isinstance(group, DecisionGroup) else DecisionGroup.from_matrices(group)
+    if len(group.expert_ids) < 2:
+        raise ValueError("group decision needs at least 2 experts")
+    normalized = normalize_decision_matrix(group) if with_ranking else None
+    owa, beliefs = expert_stage(group, config)
+    pair_ids, table, dmm, weights = weighting_stage(beliefs, group.expert_ids, config)
+    ranking = rank(fuse(normalized, weights.weights), group.alternative_labels) if with_ranking else None
+    return PipelineResult(config, group, owa, beliefs, pair_ids, table.T, dmm, weights, ranking)

@@ -20,7 +20,7 @@ from evidential_magdm.divergence import (
     js_divergence,
     weighted_belief_divergence,
 )
-from evidential_magdm.evidence import FrameOfDiscernment, PseudoBpa, wpbl
+from evidential_magdm.evidence import Bpa, FrameOfDiscernment, wpbl
 from evidential_magdm.fusion import (
     estimate_fusion_weights,
     fuse_features,
@@ -249,10 +249,8 @@ def random_singleton_instance(rng, p=None, n=None):
     props = [[f"w{i}"] for i in range(n)]
     masses = []
     for _ in range(p):
-        values = rng.dirichlet(np.ones(n)) * rng.uniform(0.5, 1.0)
-        masses.append(
-            PseudoBpa(frame, {f"w{i}": float(v) for i, v in enumerate(values)})
-        )
+        values = rng.dirichlet(np.ones(n))
+        masses.append(Bpa(frame, {f"w{i}": float(v) for i, v in enumerate(values)}))
     return frame, props, masses, p
 
 

@@ -42,7 +42,7 @@ PUBLIC = {
     "RunConfig",
     "entropy", "generalized_belief_divergence", "generalized_js_divergence",
     "js_divergence", "kl_divergence", "weighted_belief_divergence",
-    "Bpa", "FrameOfDiscernment", "PseudoBpa", "WpblDistribution", "belief", "plausibility", "wpbl",
+    "Bpa", "FrameOfDiscernment", "WpblDistribution", "belief", "plausibility", "wpbl",
     "FeatureSet", "FusionWeights", "MetricsReport", "estimate_fusion_weights", "evaluate_fusion",
     "fuse_features", "make_synthetic_sources",
     "BpaTensor", "DecisionGroup", "DecisionMatrix", "LinguisticPartition", "MembershipMatrix",
@@ -53,7 +53,7 @@ STAGES = {
     "linguistic": ("bpa_tensor", "membership_matrix", "normalize_decision_matrix"),
     "pipeline": (
         "owa_weights", "ordered_weighted_belief", "ordered_weighted_plausibility", "expert_wpbl",
-        "pairwise_divergence", "divergence_matrix", "expert_weights",
+        "pairwise_divergence", "divergence_matrix", "expert_weights", "expert_stage", "weighting_stage",
     ),
     "fusion": ("nearest_centroid_fit", "nearest_centroid_predict", "confusion_matrix", "score"),
 }
@@ -65,7 +65,7 @@ def test_package_exports_entry_points_and_records_only():
         name for name, value in vars(package).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
-    assert exported == PUBLIC and len(PUBLIC) == 33
+    assert exported == PUBLIC and len(PUBLIC) == 32
     for module, functions in STAGES.items():
         home = importlib.import_module(f"evidential_magdm.{module}")
         for function in functions:

@@ -22,7 +22,7 @@ from evidential_magdm.divergence import (
 )
 from evidential_magdm.config import RunConfig
 from evidential_magdm.errors import DivergenceUndefinedError, NegativeDivergenceError
-from evidential_magdm.evidence import Bpa, FrameOfDiscernment, PseudoBpa, wpbl
+from evidential_magdm.evidence import Bpa, FrameOfDiscernment, wpbl
 from evidential_magdm.linguistic import DecisionMatrix
 from evidential_magdm.pipeline import pairwise_divergence, run_pipeline
 
@@ -209,8 +209,8 @@ class TestWeightedBeliefDivergence:
         for _ in range(50):
             a1, b1 = rng.dirichlet(np.ones(2))
             a2, b2 = rng.dirichlet(np.ones(2))
-            m1 = PseudoBpa(AB, {"a": a1 * 0.9, "b": b1 * 0.9})
-            m2 = PseudoBpa(AB, {"a": a2 * 0.9, "b": b2 * 0.9})
+            m1 = Bpa(AB, {"a": a1, "b": b1})
+            m2 = Bpa(AB, {"a": a2, "b": b2})
             value = weighted_belief_divergence(m1, m2, SINGLETONS)
             # oracle: singleton-only masses have profile m / sum(m) = (a, b)
             assert value == pytest.approx(manual_js((a1, b1), (a2, b2)), abs=1e-12)
@@ -242,14 +242,14 @@ class TestWeightedBeliefDivergence:
         # as for the generalized forms: (w0, 1 - w0) sum to 1 only within an ulp
         rng = np.random.default_rng(seed)
         frame = FrameOfDiscernment(("a", "b", "c"))
-        m = random_pseudo(rng, frame, frame.elements)
+        m = random_singletons(rng, frame, frame.elements)
         w0 = rng.uniform(0.05, 0.95)
         assert weighted_belief_divergence(m, m, [["a"], ["b"], ["c"]], (w0, 1 - w0)) >= 0.0
 
 
-def random_pseudo(rng, frame, labels):
-    values = rng.dirichlet(np.ones(len(labels))) * rng.uniform(0.3, 1.0)
-    return PseudoBpa(frame, {label: float(v) for label, v in zip(labels, values)})
+def random_singletons(rng, frame, labels):
+    values = rng.dirichlet(np.ones(len(labels)))
+    return Bpa(frame, {label: float(v) for label, v in zip(labels, values)})
 
 
 class TestGeneralizedBeliefDivergence:
@@ -264,15 +264,15 @@ class TestGeneralizedBeliefDivergence:
     @given(r=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
     def test_identical_masses_are_never_negative(self, r, seed):
         rng = np.random.default_rng(seed)
-        m = random_pseudo(rng, self.FRAME, self.FRAME.elements)
+        m = random_singletons(rng, self.FRAME, self.FRAME.elements)
         assert generalized_belief_divergence([m] * r, self.PROPS, rng.dirichlet(np.ones(r))) >= 0.0
 
     def test_pairwise_reduction_on_singletons(self):
         rng = np.random.default_rng(4)
         labels = ("a", "b", "c")
         for _ in range(50):
-            m1 = random_pseudo(rng, self.FRAME, labels)
-            m2 = random_pseudo(rng, self.FRAME, labels)
+            m1 = random_singletons(rng, self.FRAME, labels)
+            m2 = random_singletons(rng, self.FRAME, labels)
             w = rng.dirichlet(np.ones(2))
             value = generalized_belief_divergence([m1, m2], self.PROPS, w)
             a, b = singleton_profile(m1, 3), singleton_profile(m2, 3)
@@ -287,7 +287,7 @@ class TestGeneralizedBeliefDivergence:
         from evidential_magdm.evidence import wpbl
 
         for _ in range(30):
-            ms = [random_pseudo(rng, self.FRAME, labels) for _ in range(3)]
+            ms = [random_singletons(rng, self.FRAME, labels) for _ in range(3)]
             w = np.full(3, 1 / 3)
             profiles = np.vstack([wpbl(m, self.PROPS).values for m in ms])
             # oracle: per proposition, sort values descending and sum
@@ -304,8 +304,8 @@ class TestGeneralizedBeliefDivergence:
 
     def test_cardinality_damping(self):
         # non-singleton propositions divide each contribution by |A|
-        m1 = PseudoBpa(self.FRAME, {"a": 0.6, "b": 0.2})
-        m2 = PseudoBpa(self.FRAME, {"a": 0.2, "b": 0.6})
+        m1 = Bpa(self.FRAME, {"a": 0.6, "b": 0.2, "c": 0.2})
+        m2 = Bpa(self.FRAME, {"a": 0.2, "b": 0.6, "c": 0.2})
         singles = generalized_belief_divergence([m1, m2], [["a"], ["b"]], (0.5, 0.5))
         bigger = [["a"], ["b"], ["a", "b"]]
         with_pair = generalized_belief_divergence([m1, m2], bigger, (0.5, 0.5))
@@ -315,7 +315,7 @@ class TestGeneralizedBeliefDivergence:
         # reordering the mass list (weights fixed) leaves the value unchanged
         rng = np.random.default_rng(13)
         labels = ("a", "b", "c")
-        ms = [random_pseudo(rng, self.FRAME, labels) for _ in range(4)]
+        ms = [random_singletons(rng, self.FRAME, labels) for _ in range(4)]
         w = (0.4, 0.3, 0.2, 0.1)
         reference = generalized_belief_divergence(ms, self.PROPS, w)
         for _ in range(5):

@@ -16,7 +16,6 @@ from evidential_magdm.errors import (
 from evidential_magdm.evidence import (
     Bpa,
     FrameOfDiscernment,
-    PseudoBpa,
     belief,
     plausibility,
     wpbl,
@@ -47,7 +46,6 @@ class TestFrame:
     def test_subset_roundtrip(self):
         mask = ABC.subset(["a", "c"])
         assert ABC.labels(mask) == ("a", "c")
-        assert ABC.complement(mask) == ABC.subset(["b"])
 
     def test_unknown_element(self):
         with pytest.raises(FrameError):
@@ -67,13 +65,9 @@ class TestBpaValidation:
             Bpa(AB, {"a": 0.6, "b": 0.5})
         Bpa(AB, {"a": 0.6, "b": 0.4 + 5e-10})  # inside tolerance
 
-    def test_pseudo_allows_partial_mass(self):
-        pseudo = PseudoBpa(AB, {"a": 0.1, "b": 0.05})
-        assert pseudo.total_mass() == pytest.approx(0.15)
-
     def test_mass_out_of_range(self):
         with pytest.raises(InvalidMassError):
-            PseudoBpa(AB, {"a": 1.5})
+            Bpa(AB, {"a": 1.5})
 
 
 class TestBelief:
@@ -129,7 +123,7 @@ class TestWpbl:
         np.testing.assert_allclose(dist.values, [1.1 / 2.0, 0.9 / 2.0])
 
     def test_zero_denominator(self):
-        b = PseudoBpa(ABC, {"a": 0.4})
+        b = Bpa(ABC, {"a": 1.0})
         with pytest.raises(DegenerateEvidenceError):
             wpbl(b, [["b"], ["c"]])
 
@@ -156,7 +150,7 @@ class TestRandomizedInvariants:
             b = random_bpa(rng, ABC)
             mask = int(rng.integers(1, ABC.full_set + 1))
             pl = plausibility(b, ABC.labels(mask))
-            bel_comp = belief(b, ABC.labels(ABC.complement(mask)))
+            bel_comp = belief(b, ABC.labels(ABC.full_set & ~mask))
             assert pl + bel_comp == pytest.approx(1.0, abs=1e-9)
 
     def test_wpbl_sums_to_one(self):

@@ -277,7 +277,8 @@ class TestFusionBlocks:
     )
     def test_sampled_rows_are_gathered_once(self, monkeypatch, dims, sample_cap, rows):
         # each block's values are the transpose of a C-contiguous (sources, width, rows)
-        # buffer of its own, which membership_matrix reads as a view: one copy per block
+        # buffer of its own; run_pipeline's snapshot copies it in that layout, which
+        # membership_matrix reads as a view
         kernel_values = []
         kernel = linguistic._membership_kernel
 
@@ -297,7 +298,10 @@ class TestFusionBlocks:
             assert buffer.shape == (3, width, rows) and buffer.flags.c_contiguous
             assert b.values.strides == buffer.transpose(0, 2, 1).strides
             assert np.shares_memory(b.values, buffer) and b.expert_ids == tuple(s.source_id for s in sources)
-            assert values.shape == (3 * width, rows) and values.base is buffer
+            snapshot = values.base
+            assert values.shape == (3 * width, rows) and snapshot.base is None
+            assert snapshot.strides == b.values.strides and np.array_equal(snapshot, b.values)
+            assert not np.shares_memory(snapshot, buffer)
             for s in sources:
                 assert not np.shares_memory(buffer, s.features)
         for i, buffer in enumerate(buffers):
