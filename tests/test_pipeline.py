@@ -1074,11 +1074,12 @@ class TestTwoStages:
 
     @pytest.mark.parametrize("case", ["paper", "k16"])
     def test_weighting_a_subset_of_the_beliefs_is_a_run_on_those_experts_alone(self, case):
+        config = RunConfig()
         if case == "paper":
-            group, config = DecisionGroup.from_matrices(ref.decision_matrices()), RunConfig()
+            group = DecisionGroup.from_matrices(ref.decision_matrices())
         else:
             values = np.random.default_rng(24).uniform(1.0, 99.0, size=(16, 30, 8))
-            group, config = DecisionGroup(tuple(f"e{e:02d}" for e in range(16)), values), RunConfig()
+            group = DecisionGroup(tuple(f"e{e:02d}" for e in range(16)), values)
         beliefs = run_pipeline(group, config).beliefs
         k = len(group.expert_ids)
         for out in range(k):
