@@ -7,17 +7,13 @@ divergence of two assignments is the belief JS divergence.
 
 Every divergence is in bits (base 2), the unit of the paper's
 Jensen-Shannon-type measure. ``_xlogy_ratio`` is the one masked
-``x * ln(x / y)``, under entropy, KL, the direct form that ``js_cells``
-takes on empty and wide cells, and ``_mixture_terms``. That is the one
-signed kernel, w_f * v_f * log2(v_f / mix) for each of r rows against
-their weighted mix; it serves generalized JS, the p-row ordered
-divergence and, on the cell-wise max and min, ``pair_cells`` at any
-weights but (1/2, 1/2); those signed terms cancel for close values.
-``pair_cells`` is the two-profile ordered divergence, cell by cell,
-under the JS divergence, the ordered divergence of two mass assignments
-and the pipeline's all-pairs stage. At weights (1/2, 1/2) it takes
-``js_cells``, a closed form whose summands do not cancel, so
-near-identical profiles keep their relative accuracy.
+``x * ln(x / y)``, under entropy, KL and ``js_cells``' empty and wide
+cells. ``_mixture_terms`` is the one kernel of r weighted rows against
+their mix, terms w_f * mix * phi((v_f - mix) / mix) >= 0 with
+phi(d) = (1 + d) log1p(d) - d: generalized JS, the p-row ordered
+divergence and ``pair_cells`` (under JS, the belief divergences and the
+pair stage) at any weights but (1/2, 1/2), which take the closed form
+``js_cells``. No term cancels for close values, so no sum is clamped.
 
 Conventions:
   * 0 * log(0/x) contributes 0 (continuous extension); a proposition on
@@ -80,27 +76,40 @@ def _xlogy_ratio(x: np.ndarray, y) -> np.ndarray:
     return out
 
 
-def _mixture_terms(values, weights) -> list[np.ndarray]:
-    """Row f holds w_f * v_fj * log2(v_fj / mix_j) per column j; 0 if w_f = 0.
+# phi(d) = (1 + d) log1p(d) - d below |d| = 0.05: its Taylor coefficients, n = 13 down to 2
+_PHI_SERIES = tuple((-1) ** n / (n * (n - 1)) for n in range(13, 1, -1))
 
-    ``values`` holds r rows of equal length. The mix is built row by row,
-    mix = w_0 * v_0, then mix += w_f * v_f, so each entry takes the same
-    roundings whatever the rows' memory layout (a matmul may go to BLAS,
-    which rounds differently). Every row is masked as in ``_xlogy_ratio``.
+
+def _mixture_terms(values, weights) -> np.ndarray:
+    """(r, n) array: entry (f, j) is w_f * mix_j * phi(d_fj) / ln 2 >= 0, d = (v - mix) / mix.
+
+    Column j sums to sum_f w_f v_fj log2(v_fj / mix_j), the weights scaled
+    to sum to 1. mix = base + sum_f w_f (v_f - base), added row by row, with
+    base the column's smallest value of positive weight, so identical rows
+    give exactly 0 (``notes/decisions.md``). A row of weight 0 gives 0.
     """
-    mix = weights[0] * values[0]
-    for w, v in zip(weights[1:], values[1:]):
-        mix += w * v
-    terms = []
-    with _quiet():
-        for x, w in zip(values, weights):
-            if w > 0:  # a zero weight may meet log(v / 0) = inf
-                row = _xlogy_ratio(x, mix)
-                row *= w
-                row /= _LN2
-            else:
-                row = np.zeros(mix.size)
-            terms.append(row)
+    values = np.asarray(values, dtype=float)
+    w = np.asarray(weights, dtype=float) / math.fsum(weights)
+    base = values.min(axis=0, where=(w > 0)[:, None], initial=np.inf)
+    d = values - base
+    d[w == 0] = 0.0  # a row of weight 0 adds 0, and its d could overflow
+    shift = sum(wf * row for wf, row in zip(w.tolist(), d))  # in row order (a matmul's BLAS rounds by layout)
+    mix = base + shift
+    d -= shift
+    np.divide(d, mix, out=d, where=mix > 0)  # a zero mix leaves d = 0
+    terms = np.log1p(d, out=np.zeros_like(d), where=d > -1)  # an empty cell (d = -1): 0 log 0 = 0
+    terms *= d + 1
+    terms -= d
+    small = np.abs(d) < 0.05  # the first dropped term is under 3e-18 of the sum
+    if small.any():
+        s = d[small]
+        series = s * _PHI_SERIES[0] + _PHI_SERIES[1]
+        for c in _PHI_SERIES[2:]:  # Horner
+            series *= s
+            series += c
+        terms[small] = series * (s * s)
+    terms *= (w / _LN2)[:, None]
+    terms *= mix
     return terms
 
 
@@ -126,9 +135,7 @@ def kl_divergence(a, b) -> float:
 
 
 def js_divergence(a, b) -> float:
-    """Jensen-Shannon divergence; symmetric and bounded by 1 bit.
-
-    Summed from ``js_cells``, so it stays >= 0 for near-identical inputs."""
+    """Jensen-Shannon divergence, summed from ``js_cells``: symmetric, in [0, 1] bit."""
     pa = as_probability_vector(a, "first distribution")
     pb = as_probability_vector(b, "second distribution")
     if pa.size != pb.size:
@@ -137,13 +144,12 @@ def js_divergence(a, b) -> float:
 
 
 def generalized_js_divergence(dists: Sequence, weights) -> float:
-    """Weighted JS divergence: sum_i w_i KL(A_i || mixture), clamped at 0 (the weights sum
-    to 1 only within an ulp, so identical inputs can sum to a tiny negative value)."""
+    """Weighted JS divergence: sum_i w_i KL(A_i || mixture), summed from ``_mixture_terms``."""
     arrs = [as_probability_vector(d) for d in dists]
     if len({a.size for a in arrs}) != 1:
         raise ValueError("distributions must share a length")
     w = as_weight_vector(weights, length=len(arrs))
-    return max(float(np.sum(_mixture_terms(arrs, w))), 0.0)
+    return float(_mixture_terms(arrs, w).sum())
 
 
 def _wpbl_matrix(masses: Sequence[Bpa], propositions) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -189,10 +195,9 @@ def js_cells(a: np.ndarray, b: np.ndarray, narrow: bool = False) -> np.ndarray:
 def pair_cells(a, b, weights, narrow: bool = False) -> np.ndarray:
     """Each cell's ordered weighted divergence of two 1-D profiles, in bits.
 
-    Weights (1/2, 1/2) take ``js_cells``, the one reader of ``narrow``.
-    Any other pair, equal weights near 1/2 included, sums the two (always
-    masked) ``_mixture_terms`` rows of the cell-wise max and min of ``a``
-    and ``b``, so the larger value takes w_0.
+    Weights (1/2, 1/2) take ``js_cells``, the one reader of ``narrow``; any
+    other pair is checked and sums the ``_mixture_terms`` of the cell-wise
+    max and min, so the larger value takes w_0.
     """
     if len(weights) != 2:
         raise ValueError(f"two-profile divergence needs 2 weights, got {len(weights)}")
@@ -200,21 +205,16 @@ def pair_cells(a, b, weights, narrow: bool = False) -> np.ndarray:
         cells = js_cells(a, b, narrow)
         cells *= 0.25 / _LN2
         return cells
-    cells, lo_terms = _mixture_terms((np.maximum(a, b), np.minimum(a, b)), weights)
-    cells += lo_terms
-    return cells
+    w0, w1 = weights
+    if not (w0 >= 0 and w1 >= 0 and abs(w0 + w1 - 1.0) <= PROB_SUM_TOL):  # NaN fails too
+        as_weight_vector(weights)  # raises, saying why
+    return _mixture_terms((np.maximum(a, b), np.minimum(a, b)), weights).sum(axis=0)
 
 
 def ordered_mixture_terms(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Per-proposition contributions of the ordered weighted divergence.
-
-    ``values`` has one row per distribution and one column per proposition.
-    Each column is sorted descending so weight f multiplies the f-th
-    largest value, then entry (f, j) is w_f * v_(f)j * log2(v_(f)j / mix_j)
-    where mix_j is the weight-mixed column (``_mixture_terms``).
-    """
-    values = np.asarray(values, dtype=float)
-    return np.array(_mixture_terms(np.sort(values, axis=0)[::-1], weights))
+    """``_mixture_terms`` of ``values`` (a row per distribution, a column per
+    proposition) with each column sorted descending: w_f takes the f-th largest."""
+    return _mixture_terms(np.sort(np.asarray(values, dtype=float), axis=0)[::-1], weights)
 
 
 def weighted_belief_divergence(m1: Bpa, m2: Bpa, propositions, weights=(0.5, 0.5)) -> float:
@@ -222,12 +222,10 @@ def weighted_belief_divergence(m1: Bpa, m2: Bpa, propositions, weights=(0.5, 0.5
 
     Summed from ``pair_cells``, as in the pipeline's pair stage; with
     weights (1/2, 1/2) this is the belief JS divergence, the JS divergence
-    of the two ``wpbl`` profiles. The sum is clamped at 0, as in
-    ``generalized_js_divergence``.
+    of the two ``wpbl`` profiles.
     """
-    w = as_weight_vector(weights, length=2)
     values, _ = _wpbl_matrix([m1, m2], propositions)
-    return max(float(pair_cells(values[0], values[1], w).sum()), 0.0)
+    return float(pair_cells(values[0], values[1], weights).sum())
 
 
 def generalized_belief_divergence(masses: Sequence[Bpa], propositions, weights) -> float:
@@ -235,8 +233,7 @@ def generalized_belief_divergence(masses: Sequence[Bpa], propositions, weights) 
 
     Each proposition's contribution is damped by the proposition's
     cardinality; for singleton propositions and p = 2 this reduces to
-    ``weighted_belief_divergence``. The sum is clamped at 0, as in
-    ``generalized_js_divergence``.
+    ``weighted_belief_divergence``.
     """
     if len(masses) < 2:
         raise ValueError("need at least two mass assignments")
@@ -244,4 +241,4 @@ def generalized_belief_divergence(masses: Sequence[Bpa], propositions, weights) 
     values, masks = _wpbl_matrix(masses, propositions)
     cards = np.array([mask.bit_count() for mask in masks], dtype=float)
     terms = ordered_mixture_terms(values, w) / cards[None, :]
-    return max(float(terms.sum()), 0.0)
+    return float(terms.sum())

@@ -28,11 +28,9 @@ functions.
 4. cross-expert plausibility: an expert's share of the cell's total belief;
 5. belief-plausibility profiles, normalised along the configured axis
    (attribute propositions by default); neither stack is kept;
-6. pairwise expert divergence per alternative (``divergence.pair_cells``;
-   at the default pair weights (1/2, 1/2) a cancellation-free closed
-   form, so experts who agree to many digits still get positive
-   divergences), and its mean over alternatives in a symmetric
-   expert-by-expert matrix;
+6. pairwise expert divergence per alternative (``divergence.pair_cells``,
+   accurate for experts who agree to many digits at any pair weights),
+   and its mean over alternatives in a symmetric expert-by-expert matrix;
 7. average divergence per expert (row sum divided by the expert count),
    reciprocal supports, and normalised expert weights.
 
@@ -194,6 +192,12 @@ def ordered_weighted_belief(tensors: BpaTensor, weights: OwaWeights) -> np.ndarr
     return belief.reshape(k, q, p).transpose(0, 2, 1)
 
 
+def _stage_layout(stack: np.ndarray) -> np.ndarray:
+    """``stack`` in ``expert_stage``'s layout (itself, or a copy): numpy sums C-contiguous rows pairwise."""
+    swapped = stack.swapaxes(-1, -2)
+    return stack if swapped.flags.c_contiguous else np.ascontiguousarray(swapped).swapaxes(-1, -2)
+
+
 def ordered_weighted_plausibility(beliefs) -> np.ndarray:
     """Each expert's share of the cross-expert belief total, cell by cell.
 
@@ -202,7 +206,7 @@ def ordered_weighted_plausibility(beliefs) -> np.ndarray:
     totals are a sum over the outer expert axis, which adds the experts
     in order.
     """
-    beliefs = np.asarray(beliefs)
+    beliefs = _stage_layout(np.asarray(beliefs))
     if len(beliefs) < 2:
         raise ValueError("plausibility needs at least 2 experts")
     totals = beliefs.sum(axis=0)
@@ -222,7 +226,7 @@ def expert_wpbl(belief: np.ndarray, plausibility: np.ndarray, axis: str = "attri
     distribution per attribute over the alternatives. Given (k, p, q)
     stacks, it returns every expert's profile.
     """
-    total = belief + plausibility
+    total = _stage_layout(belief + plausibility)
     ax = -1 if axis == "attributes" else -2
     sums = total.sum(axis=ax, keepdims=True)
     if (sums == 0).any():
@@ -245,13 +249,12 @@ def pairwise_divergence(
     Every (alternative, attribute) cell contributes its ordered weighted
     divergence summand (``divergence.pair_cells``); an alternative's value
     is its row total. The cells run attribute-major, so the p totals are
-    q - 1 vector adds of length-p rows. At pair weights (1/2, 1/2) a cell
-    is the belief-JS kernel, exact for near-identical experts. When every
-    cell of one profile is within a factor 3 of every cell of the other
-    (read from the smallest and largest cells), no cell is empty or wide
-    and the kernel skips its check for them. ``operands`` are each
-    profile's cells attribute-major (cell (i, j) at j * p + i) with their
-    smallest and largest value, derived here when not given.
+    q - 1 vector adds of length-p rows. When every cell of one profile is
+    within a factor 3 of every cell of the other (read from the smallest
+    and largest cells), no cell is empty or wide and the kernel skips its
+    check for them. ``operands`` are each profile's cells attribute-major
+    (cell (i, j) at j * p + i) with their smallest and largest value,
+    derived here when not given.
     """
     if wpbl_1.shape != wpbl_2.shape:
         raise ValueError("profiles must share a shape")
@@ -301,15 +304,13 @@ def expert_weights(
     expert_ids: tuple[str, ...],
     zero_average_policy: str = "error",
 ) -> ExpertWeights:
-    """Average divergence per expert (row sum / k), reciprocal support,
-    normalised weight.
+    """Average divergence per expert (row sum / k), reciprocal support, normalised weight.
 
     An expert whose average divergence is zero agrees perfectly with the
     whole group; by default that is an error, under ``full-weight`` the
     zero-average experts share all the weight. A negative average is
-    always an error: a divergence is nonnegative, but a caller's own
-    ``dmm`` may hold anything, and at unequal pair weights the kernel's
-    rounding can still push near-identical experts' values below zero.
+    always an error. Every pair divergence that the pipeline computes is
+    >= 0 at any pair weights, so only a caller's own ``dmm`` can hold one.
     """
     k = len(expert_ids)
     if dmm.shape != (k, k):
@@ -385,15 +386,15 @@ class PipelineResult:
     ``group`` is the run's snapshot, over the read-only copy of the values
     that every stage read: writing to the caller's array after the run
     changes nothing here. The result stores it, the (k, p, q) ``beliefs``,
-    the pair table and the small records made from it. Every other stack
-    is derived on first read, by the call the run made on the same
-    snapshot, so it equals the run's own bit for bit, and is then kept:
-    ``normalized`` (``None`` without the ranking, like ``ranking``),
-    ``memberships`` and ``bpa_tensors`` from the group (in one call, which
-    gives the chunks' bits: an expert's rows depend only on its own
-    values), ``plausibilities`` from the beliefs and ``wpbl_profiles``
-    from both along ``config.wpbl_axis``. Each is one (k, p, q) stack
-    (0.82 MB at k = 64, p = 200, q = 8), or terms of them.
+    the pair table and the small records made from it, all read-only.
+    Every other stack is derived on first read, by the call the run made
+    on the same snapshot, so it equals the run's own bit for bit, and is
+    then kept: ``normalized`` (``None`` without the ranking, like
+    ``ranking``), ``memberships`` and ``bpa_tensors`` from the group (in
+    one call, which gives the chunks' bits: an expert's rows depend only
+    on its own values), ``plausibilities`` from the beliefs and
+    ``wpbl_profiles`` from both along ``config.wpbl_axis``. Each is one
+    (k, p, q) stack (0.82 MB at k = 64, p = 200, q = 8), or terms of them.
     """
 
     config: RunConfig
@@ -473,13 +474,12 @@ def weighting_stage(
     """Pair ids, pair table, ``dmm`` and expert weights of a (k, p, q) belief stack.
 
     The table has one row per pair of ``np.triu_indices(k, 1)`` and one
-    column per alternative. The stack is read in ``expert_stage``'s
-    layout (a copy of any other), so its values alone fix the bits: a
-    run's ``beliefs[keep]`` give the weights of a run on those experts
-    alone. A one-attribute stack profiled over the attributes is refused
+    column per alternative. Plausibility and profiles read the stack in
+    ``expert_stage``'s layout, so its values alone fix the bits: a run's
+    ``beliefs[keep]`` give the weights of a run on those experts alone.
+    A one-attribute stack profiled over the attributes is refused
     first, under either ``zero_average_policy``: each profile is [1].
     """
-    beliefs = np.ascontiguousarray(beliefs.transpose(0, 2, 1)).transpose(0, 2, 1)
     k, p, q = beliefs.shape
     if q == 1 and config.wpbl_axis == "attributes":
         raise ZeroDivergenceError(
@@ -521,5 +521,7 @@ def run_pipeline(
     normalized = normalize_decision_matrix(group) if with_ranking else None
     owa, beliefs = expert_stage(group, config)
     pair_ids, table, dmm, weights = weighting_stage(beliefs, group.expert_ids, config)
+    for stored in (beliefs, table, dmm, weights.averages, weights.supports, weights.weights):
+        stored.setflags(write=False)  # the result's: no write can skew a stack it derives later
     ranking = rank(fuse(normalized, weights.weights), group.alternative_labels) if with_ranking else None
     return PipelineResult(config, group, owa, beliefs, pair_ids, table.T, dmm, weights, ranking)

@@ -1,42 +1,58 @@
 """50-digit reference values for the pair divergence stage (stdlib ``decimal``).
 
-A float converts to ``Decimal`` exactly, so the only rounding here is the
-oracle's own, some 35 digits below a double's.
+A float converts to ``Decimal`` and to ``Fraction`` exactly, so the only
+rounding here is the oracle's own, some 35 digits below a double's.
 """
 
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 
 DIGITS = 50
 
 
+def _decimal(x: Fraction) -> Decimal:
+    return Decimal(x.numerator) / Decimal(x.denominator)
+
+
+def mixture_cells(values, weights) -> list[Decimal]:
+    """Per column of r rows: sum_f w_f v_f log(v_f / mix), mix = sum_f w_f v_f, in bits.
+
+    A zero value or weight contributes 0. The weights, the mix and each
+    ratio v_f / mix are exact fractions, so the weights sum to exactly 1
+    and identical values give exactly 0: with the doubles 0.8 and 0.2,
+    which sum to 1 + 5.6e-17, or with a rounded sum, a cell of two
+    near-identical values would move by that excess times the value.
+    """
+    w = [Fraction(x) for x in np.asarray(weights, dtype=float).tolist()]
+    w = [x / sum(w) for x in w]
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        ln2 = Decimal(2).ln()
+        cells = []
+        for column in np.asarray(values, dtype=float).T.tolist():
+            v = [Fraction(x) for x in column]
+            mix = sum(wf * vf for wf, vf in zip(w, v))
+            total = Decimal(0)
+            for wf, vf in zip(w, v):
+                if wf > 0 and vf > 0:
+                    total += _decimal(wf * vf) * _decimal(vf / mix).ln()
+            cells.append(total / ln2)
+        return cells
+
+
 def pair_totals(a, b, weights=(0.5, 0.5)) -> list[Decimal]:
     """Per-alternative ordered weighted divergence of two (p, q) profiles, in bits.
 
-    Per cell: w_0 hi log(hi / mix) + w_1 lo log(lo / mix), mix = w_0 hi + w_1 lo,
-    where hi and lo are the cell's larger and smaller value; a zero value or
-    weight contributes 0. At (1/2, 1/2) this is the Jensen-Shannon cell. The
-    weights are scaled to sum to exactly 1, which keeps every cell >= 0: the
-    doubles 0.8 and 0.2 sum to 1 + 5.6e-17, and that excess alone would move
-    a cell of two near-identical values by about -5.6e-17 times the value.
+    Each cell is the ``mixture_cells`` value of its larger and smaller
+    value, the larger taking w_0; at (1/2, 1/2) it is the Jensen-Shannon cell.
     """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    cells = mixture_cells([np.maximum(a, b).ravel(), np.minimum(a, b).ravel()], weights)
     with localcontext() as ctx:
         ctx.prec = DIGITS
-        w0, w1 = (Decimal(float(w)) for w in weights)
-        w0, w1 = w0 / (w0 + w1), w1 / (w0 + w1)
-        ln2 = Decimal(2).ln()
-        totals = []
-        for row_a, row_b in zip(np.asarray(a).tolist(), np.asarray(b).tolist()):
-            total = Decimal(0)
-            for x, y in zip(row_a, row_b):
-                hi, lo = Decimal(max(x, y)), Decimal(min(x, y))
-                mix = w0 * hi + w1 * lo
-                for w, v in ((w0, hi), (w1, lo)):
-                    if w > 0 and v > 0:
-                        total += w * v * (v / mix).ln()
-            totals.append(total / ln2)
-        return totals
+        return [sum(cells[i:i + a.shape[1]], Decimal(0)) for i in range(0, len(cells), a.shape[1])]
 
 
 def relative_errors(got, expected: list[Decimal]) -> list[float]:
