@@ -205,10 +205,8 @@ def pair_cells(a, b, weights, narrow: bool = False) -> np.ndarray:
         cells = js_cells(a, b, narrow)
         cells *= 0.25 / _LN2
         return cells
-    w0, w1 = weights
-    if not (w0 >= 0 and w1 >= 0 and abs(w0 + w1 - 1.0) <= PROB_SUM_TOL):  # NaN fails too
-        as_weight_vector(weights)  # raises, saying why
-    return _mixture_terms((np.maximum(a, b), np.minimum(a, b)), weights).sum(axis=0)
+    w = as_weight_vector(weights)
+    return _mixture_terms((np.maximum(a, b), np.minimum(a, b)), w).sum(axis=0)
 
 
 def ordered_mixture_terms(values: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 ``tier1``, the default, runs 25 derandomized examples per law with no
 example database. ``deep`` runs 1000 random examples per law from one seed,
-printed at the end of the run; ``HYPOTHESIS_SEED=<seed>`` replays it. A
+printed at the end of the run; ``--hypothesis-seed=<seed>`` replays it. A
 test's own ``@settings`` override the profile, so only the laws that leave
 ``max_examples`` to it run deeper:
 
@@ -25,10 +25,10 @@ settings.load_profile(PROFILE)
 def pytest_configure(config):
     # before hypothesis' own hook, which reads --hypothesis-seed
     if PROFILE == "deep" and config.getoption("hypothesis_seed") is None:
-        config.option.hypothesis_seed = os.environ.get("HYPOTHESIS_SEED") or str(secrets.randbits(32))
+        config.option.hypothesis_seed = str(secrets.randbits(32))
 
 
 def pytest_terminal_summary(terminalreporter, config):
     if PROFILE == "deep":
         seed = config.getoption("hypothesis_seed")
-        terminalreporter.write_line(f"hypothesis profile 'deep', seed {seed}: replay with HYPOTHESIS_SEED={seed}")
+        terminalreporter.write_line(f"hypothesis profile 'deep', seed {seed}: replay with --hypothesis-seed={seed}")

@@ -509,7 +509,7 @@ class TestPairwiseDivergenceKernel:
     50-digit oracle, however close the two profiles are, and the order of the
     two profiles does not move a bit."""
 
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
         profiles=profile_pairs(),
         weights=st.sampled_from(ORDERED_PAIR_WEIGHTS),
@@ -571,11 +571,10 @@ class TestPairwiseDivergenceKernel:
 
 
 @st.composite
-def expert_profiles(draw):
+def expert_profiles(draw, max_k=12, max_size=12):
     """k (p, q) profiles: some experts have empty cells (shared or not), some
-    tie another expert on a share of cells, some copy another outright. The
-    oracle's 50-digit logs are slow, so k stops at 6 and p and q at 8."""
-    k, p, q = draw(st.integers(2, 6)), draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    tie another expert on a share of cells, some copy another outright."""
+    k, p, q = draw(st.integers(2, max_k)), draw(st.integers(1, max_size)), draw(st.integers(1, max_size))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     profiles = rng.uniform(0.0, 1.0, size=(k, p, q))
     for e in range(1, k):
@@ -595,11 +594,27 @@ def expert_profiles(draw):
 
 class TestPreparedPairPath:
     """Standalone calls and profiles prepared once per expert in the pipeline
-    meet the oracle at every pair weighting."""
+    give the same bits, in either order, never below 0, and meet the oracle
+    at every pair weighting. The oracle's 50-digit logs are slow, so its
+    tests draw smaller groups than the bit-for-bit ones."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        profiles=expert_profiles(),
+        weights=st.sampled_from(ORDERED_PAIR_WEIGHTS),
+    )
+    def test_standalone_calls_are_symmetric_and_nonnegative(self, profiles, weights):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for i, j in zip(*np.triu_indices(len(profiles), 1)):
+                a, b = profiles[i], profiles[j]
+                got = pairwise_divergence(a, b, weights)
+                assert np.array_equal(got, pairwise_divergence(b, a, weights))
+                assert np.all(got >= 0)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
-        profiles=expert_profiles(),
+        profiles=expert_profiles(max_k=6, max_size=8),
         weights=st.sampled_from(ORDERED_PAIR_WEIGHTS),
     )
     def test_standalone_calls_match_decimal_oracle(self, profiles, weights):
@@ -629,7 +644,21 @@ class TestPreparedPairPath:
         first, second = np.triu_indices(len(profiles), 1)
         return zip(result.pair_divergences.T, first, second), profiles
 
-    # the oracle's 50-digit logs are slow, so the sizes stop at 8
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        k=st.integers(2, 12),
+        p=st.integers(2, 12),
+        q=st.integers(2, 12),
+        copies=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+        weights=st.sampled_from(CONFIG_PAIR_WEIGHTS),
+    )
+    def test_run_pipeline_pair_table_equals_standalone_calls(self, k, p, q, copies, seed, weights):
+        table, profiles = self.pair_table(k, p, q, copies, seed, weights)
+        for got, i, j in table:
+            assert np.array_equal(got, pairwise_divergence(profiles[i], profiles[j], weights))
+            assert np.all(got >= 0)
+
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
         k=st.integers(2, 8),
