@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
+from .evidence import SUM_TOL
 
 
 def read_json(path: str | Path, what: str):
@@ -78,7 +79,7 @@ class RunConfig:
         )):  # a NaN fails the last test, and an int too large for a float too
             raise ConfigError(f"pair_weights must be two finite real numbers, got {pw!r}")
         pw = tuple(float(w) for w in pw)
-        if min(pw) <= 0 or abs(sum(pw) - 1.0) > 1e-9:  # a zero weight zeroes every divergence
+        if min(pw) <= 0 or abs(sum(pw) - 1.0) > SUM_TOL:  # a zero weight zeroes every divergence
             raise ConfigError(f"pair_weights must be two positive values summing to 1, got {pw}")
         object.__setattr__(self, "pair_weights", pw)
         for name, choices in (("wpbl_axis", WPBL_AXES), ("zero_average_policy", ZERO_AVERAGE_POLICIES)):

@@ -6,18 +6,22 @@ normalised belief-plausibility distributions; at weights (1/2, 1/2) the
 divergence of two assignments is the belief JS divergence.
 
 Every divergence is in bits (base 2), the unit of the paper's
-Jensen-Shannon-type measure. ``_xlogy_ratio`` is the one masked
-``x * ln(x / y)``, under entropy, KL and ``js_cells``' empty and wide
-cells. ``_mixture_terms`` is the one kernel of r weighted rows against
-their mix, terms w_f * mix * phi((v_f - mix) / mix) >= 0 with
-phi(d) = (1 + d) log1p(d) - d: generalized JS, the p-row ordered
-divergence and ``pair_cells`` (under JS, the belief divergences and the
-pair stage) at any weights but (1/2, 1/2), which take the closed form
-``js_cells``. No term cancels for close values, so no sum is clamped.
+Jensen-Shannon-type measure. ``as_weight_vector`` is the one check of
+every weight vector (OWA, pair, generalized and fused weights).
+``_xlogy_ratio`` is the one masked ``x * ln(x / y)``, under entropy, KL
+and ``js_cells``' empty and wide cells. ``_mixture_terms`` is the one
+kernel of r weighted rows against their mix, terms
+w_f * mix * phi((v_f - mix) / mix) >= 0 with phi(d) = (1 + d) log1p(d) - d:
+generalized JS, the p-row ordered divergence and ``pair_cells`` (under
+JS, the belief divergences and the pair stage) at any weights but
+(1/2, 1/2), which take the closed form ``js_cells``. No term cancels for
+close values, so no sum is clamped.
 
 Conventions:
-  * 0 * log(0/x) contributes 0 (continuous extension); a proposition on
-    which every input vanishes contributes 0.
+  * 0 * log(0/x) contributes 0 (continuous extension), by the one mask
+    of ``_xlogy_ratio`` and ``_mixture_terms``: a log only ``where=`` the
+    value it multiplies is positive, so no warning needs silencing; a
+    proposition on which every input vanishes contributes 0.
   * KL requires absolute continuity and raises instead of returning
     infinity, which would poison downstream weight normalisation.
   * Ordered weighted variants sort values per proposition in descending
@@ -35,9 +39,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DivergenceUndefinedError
-from .evidence import Bpa, wpbl
+from .evidence import SUM_TOL, Bpa, wpbl
 
-PROB_SUM_TOL = 1e-9
 _LN2 = math.log(2.0)  # natural logs divided by this are bits
 
 
@@ -50,7 +53,7 @@ def as_probability_vector(values, name: str = "distribution") -> np.ndarray:
         raise ValueError(f"{name} has non-finite entries")
     if np.any(arr < 0):
         raise ValueError(f"{name} has negative entries")
-    if abs(arr.sum() - 1.0) > PROB_SUM_TOL:
+    if abs(arr.sum() - 1.0) > SUM_TOL:
         raise ValueError(f"{name} sums to {arr.sum()!r}, expected 1")
     return arr
 
@@ -62,17 +65,12 @@ def as_weight_vector(values, length: int | None = None) -> np.ndarray:
     return arr
 
 
-def _quiet(narrow: bool = False):
-    """Silence 0 / 0 and log(0) unless ``narrow`` promises that none occurs (``js_cells``)."""
-    return contextlib.nullcontext() if narrow else np.errstate(divide="ignore", invalid="ignore")
-
-
 def _xlogy_ratio(x: np.ndarray, y) -> np.ndarray:
-    """Elementwise natural-log ``x * log(x / y)``, 0 where x == 0; call it under ``_quiet()``."""
-    out = x / y
-    np.log(out, out=out)
+    """Elementwise natural-log ``x * log(x / y)``, 0 where x == 0; y > 0 wherever x > 0."""
+    positive = x > 0
+    out = np.divide(x, y, out=np.zeros_like(x), where=positive)
+    np.log(out, out=out, where=positive)
     out *= x
-    np.putmask(out, x == 0, 0.0)
     return out
 
 
@@ -116,8 +114,7 @@ def _mixture_terms(values, weights) -> np.ndarray:
 def entropy(dist) -> float:
     """Shannon entropy in bits with the 0 log 0 = 0 convention."""
     arr = as_probability_vector(dist)
-    with _quiet():
-        return float(-_xlogy_ratio(arr, 1.0).sum() / _LN2)
+    return float(-_xlogy_ratio(arr, 1.0).sum() / _LN2)
 
 
 def kl_divergence(a, b) -> float:
@@ -130,8 +127,7 @@ def kl_divergence(a, b) -> float:
         raise DivergenceUndefinedError(
             "KL undefined: first distribution has mass where the second has none"
         )
-    with _quiet():
-        return float(_xlogy_ratio(pa, pb).sum() / _LN2)
+    return float(_xlogy_ratio(pa, pb).sum() / _LN2)
 
 
 def js_divergence(a, b) -> float:
@@ -169,11 +165,11 @@ def js_cells(a: np.ndarray, b: np.ndarray, narrow: bool = False) -> np.ndarray:
     factor 3 or more (t^2 >= 1/4) the rounding of t^2 leaves 1 - t^2 few
     digits, and an empty cell makes both summands infinite; those cells
     take the direct form 2a log(2a / s) + 2b log(2b / s), which is
-    accurate there, through ``_xlogy_ratio`` (0 log 0 = 0). ``narrow``
-    says that no cell is empty or wide, so the check, its mask and
-    ``np.errstate`` are skipped.
+    accurate there, through ``_xlogy_ratio`` (0 log 0 = 0; no half of s
+    to underflow). ``narrow`` says that no cell is empty or wide, so the
+    check, its mask and ``np.errstate`` are skipped.
     """
-    with _quiet(narrow):
+    with contextlib.nullcontext() if narrow else np.errstate(divide="ignore", invalid="ignore"):
         s = a + b
         d = a - b
         t = d / s
@@ -187,8 +183,7 @@ def js_cells(a: np.ndarray, b: np.ndarray, narrow: bool = False) -> np.ndarray:
         cells *= d
         cells += t
         if len(wide):
-            half = s[wide] * 0.5
-            cells[wide] = 2 * (_xlogy_ratio(a[wide], half) + _xlogy_ratio(b[wide], half))
+            cells[wide] = _xlogy_ratio(2 * a[wide], s[wide]) + _xlogy_ratio(2 * b[wide], s[wide])
     return cells
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DegenerateEvidenceError, FrameError, InvalidMassError
 
-MASS_SUM_TOL = 1e-9
+SUM_TOL = 1e-9  # how far from 1 a sum of masses or weights may lie
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ class FrameOfDiscernment:
 class Bpa:
     """Basic probability assignment: masses over nonempty subsets of a frame.
 
-    Masses must lie in [0, 1] and sum to 1 within ``MASS_SUM_TOL``. Inputs
+    Masses must lie in [0, 1] and sum to 1 within ``SUM_TOL``. Inputs
     outside tolerance are rejected rather than silently renormalised.
     """
 
@@ -79,11 +79,11 @@ class Bpa:
             mask = self._as_mask(frame, key)
             if mask == 0:
                 raise InvalidMassError("the empty set may not carry mass")
-            if not (0.0 <= value <= 1.0 + MASS_SUM_TOL):
+            if not (0.0 <= value <= 1.0 + SUM_TOL):
                 raise InvalidMassError(f"mass {value!r} outside [0, 1]")
             converted[mask] = converted.get(mask, 0.0) + float(value)
         total = sum(converted.values())
-        if abs(total - 1.0) > MASS_SUM_TOL:
+        if abs(total - 1.0) > SUM_TOL:
             raise InvalidMassError(f"masses sum to {total!r}, expected 1")
         self.masses: Mapping[int, float] = MappingProxyType(converted)
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import RunConfig
+from .divergence import as_weight_vector
 from .linguistic import DecisionGroup, normalize_decision_matrix
 from .pipeline import run_pipeline
 
@@ -133,8 +134,9 @@ def fuse_features(sources: list[FeatureSet], weights: FusionWeights) -> FeatureS
     buffer, which is freed before the next is made: the peak is the output and one source.
     ``weights`` may be any record with ``expert_ids`` and ``weights`` (a pipeline ``ExpertWeights``
     too). Errors name, in order: a shape, the first non-finite value, a repeated id, another source
-    list, the first sample whose labels differ (the fused set carries the labels), and the first
-    all-zero dimension ``f<j>`` by source, then dimension.
+    list, weights that fail ``divergence.as_weight_vector`` (one per source, finite, nonnegative,
+    summing to 1), the first sample whose labels differ (the fused set carries the labels), and the
+    first all-zero dimension ``f<j>`` by source, then dimension.
     """
     n, d = _shape(sources)
     dims = tuple(f"f{j}" for j in range(d))
@@ -148,6 +150,7 @@ def fuse_features(sources: list[FeatureSet], weights: FusionWeights) -> FeatureS
         raise ValueError(f"duplicate expert ids: {ids}")
     if ids != tuple(weights.expert_ids):
         raise ValueError("weights were estimated for a different source list")
+    vector = as_weight_vector(weights.weights, length=len(sources))
     labelled = [s for s in sources if s.labels is not None]
     for s in labelled[1:]:
         differ = np.flatnonzero(s.labels != labelled[0].labels)
@@ -158,7 +161,7 @@ def fuse_features(sources: list[FeatureSet], weights: FusionWeights) -> FeatureS
                 f"source {labelled[0].source_id!r} has {labelled[0].labels[i]}"
             )
     fused = np.zeros((n, d))
-    for w, group in zip(weights.weights, groups, strict=True):
+    for w, group in zip(vector, groups):
         normalized = normalize_decision_matrix(group)[0]
         fused += np.multiply(normalized, w, out=normalized)
         del normalized  # freed before the next source's buffer is made

@@ -201,7 +201,9 @@ class LinguisticPartition:
         return (self.upper * scale - self.lower * scale) / self.segments / scale
 
     def peak(self, term: int) -> float:
-        """Location where the given 1-based term reaches membership 1."""
+        """Location where the given 1-based term, an integer in 1..``term_count``, reaches membership 1."""
+        if term not in range(1, self.term_count + 1):
+            raise ValueError(f"term must be an integer in 1..{self.term_count}, got {term!r}")
         if term == 1:
             return self.lower
         if term == self.term_count:

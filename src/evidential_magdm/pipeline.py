@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import RunConfig
-from .divergence import pair_cells
+from .divergence import as_weight_vector, pair_cells
 from .errors import (
     ConfigError,
     DegenerateCellError,
@@ -80,9 +80,7 @@ class OwaWeights:
     scheme: str = "uniform"
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=float)  # a private, read-only copy: cached instances are shared
-        if not np.isfinite(arr).all() or np.any(arr < 0) or abs(arr.sum() - 1.0) > 1e-9:
-            raise ValueError("ordered weights must be finite, nonnegative and sum to 1")
+        arr = as_weight_vector(self.values).copy()  # a private, read-only copy: cached instances are shared
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -338,9 +336,9 @@ def expert_weights(
 
 
 def fuse(normalized: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Convex combination ``sum(weights[e] * normalized[e])`` of a (k, p, q) stack, in expert order."""
-    if len(normalized) != len(weights):
-        raise ValueError("one matrix per expert required")
+    """Convex combination ``sum(weights[e] * normalized[e])`` of a (k, p, q) stack, in expert order;
+    the k ``weights`` pass ``divergence.as_weight_vector``, the one weight-vector check."""
+    weights = as_weight_vector(weights, length=len(normalized))
     out = np.zeros(normalized.shape[1:])
     for w, m in zip(weights, normalized):
         out += w * m

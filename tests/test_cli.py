@@ -839,6 +839,40 @@ class TestFuseFeaturesCommand:
         assert main(["fuse-features", str(manifest), "--out", str(tmp_path / "out")]) == 4
         assert f"manifest {manifest}: {message}" in capsys.readouterr().err
 
+    TWO_SOURCES = [{"path": "a.csv"}, {"path": "b.csv"}]
+
+    @pytest.mark.parametrize("manifest, config, message", [
+        ({"sources": TWO_SOURCES, "config": {"owa_scheme": "median"}}, None,
+         "unknown owa_scheme 'median'; use one of ('uniform', 'linear-descending', 'orness')"),
+        ({"sources": TWO_SOURCES, "config": {"wpbl_axis": "rows"}}, None,
+         "wpbl_axis must be one of ('attributes', 'alternatives'), got 'rows'"),
+        ({"sources": TWO_SOURCES}, {"zero_average_policy": "skip"},
+         "zero_average_policy must be one of ('error', 'full-weight'), got 'skip'"),
+        ({"sources": TWO_SOURCES}, [], "config {cfg} must hold a JSON object"),
+        ({"source": TWO_SOURCES}, None, "manifest {manifest} must be an object with a 'sources' list"),
+        ({"sources": []}, None, "manifest {manifest}: 'sources' must be a nonempty list"),
+        ({"sources": "a.csv"}, None, "manifest {manifest}: 'sources' must be a nonempty list"),
+        ({"sources": TWO_SOURCES, "config": ["seed", 7]}, None, "manifest {manifest}: 'config' must be an object"),
+    ], ids=["owa-scheme", "wpbl-axis", "zero-average-policy", "config-not-object", "no-sources", "empty-sources",
+            "sources-not-list", "manifest-config-not-object"])
+    def test_bad_config_or_manifest_exits_4_before_any_source_is_read(
+        self, tmp_path, capsys, monkeypatch, manifest, config, message
+    ):
+        path, cfg = tmp_path / "manifest.json", tmp_path / "cfg.json"
+        path.write_text(json.dumps(manifest))
+        argv = ["fuse-features", str(path), "--out", str(tmp_path / "out")]
+        if config is not None:
+            cfg.write_text(json.dumps(config))
+            argv += ["--config", str(cfg)]
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("a source CSV was read")
+
+        monkeypatch.setattr(dataio, "read_feature_source", no_read)
+        assert main(argv) == 4
+        assert capsys.readouterr().err == f"error: {message.format(cfg=cfg, manifest=path)}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_undecodable_manifest_exits_4(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"
         manifest.write_bytes(b'{"sources": ["\xff"]}')

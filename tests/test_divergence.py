@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -125,6 +126,10 @@ class TestJs:
             d = js_divergence(a, b)
             assert 0.0 <= d <= 1.0 + 1e-12
             assert d == pytest.approx(js_divergence(b, a), abs=1e-12)
+
+    def test_a_subnormal_against_zero_is_finite(self):
+        # half of this cell's sum, 2.5e-324, rounds to 0: the direct form must not divide by it
+        assert 0.0 <= js_divergence([5e-324, 1.0], [0.0, 1.0]) <= np.nextafter(0.0, 1.0)  # the oracle's 2.5e-324
 
     def test_near_identical_distributions_match_decimal_oracle(self):
         # about 1.2e-19 bits; the signed log-ratio terms summed to -1.3e-16
@@ -541,6 +546,15 @@ class TestPairwiseDivergenceKernel:
         for narrow in (False, True) if ratio <= 3 else (False,):
             total = js_cells(a, b, narrow).sum() / (4 * math.log(2))
             assert_matches_oracle([total], expected)
+
+    @pytest.mark.parametrize("tiny", [5e-324, 1e-320, 1e-315, 1e-310, 3e-308])
+    def test_a_subnormal_against_an_empty_cell_is_within_one_step_of_the_oracle(self, tiny):
+        a, b = np.array([[tiny, 0.5]]), np.array([[0.0, 0.5]])
+        expected = pair_totals(a, b)[0]
+        for first, second in ((a, b), (b, a)):
+            got = pairwise_divergence(first, second)[0]
+            assert math.isfinite(got) and got >= 0
+            assert abs(Decimal(got) - expected) <= Decimal(float(np.nextafter(0.0, 1.0))), (got, expected)
 
     def test_weight_count_checked(self):
         profile = np.array([[0.5, 0.5]])

@@ -14,6 +14,7 @@ from hypothesis.extra import numpy as hnp
 from evidential_magdm import fusion, linguistic
 from evidential_magdm.config import RunConfig
 from evidential_magdm.errors import DegenerateAttributeError, DegenerateDomainError, ZeroDivergenceError
+from evidential_magdm.evidence import SUM_TOL
 from evidential_magdm.fusion import (
     CentroidModel,
     FeatureSet,
@@ -31,6 +32,11 @@ from evidential_magdm.fusion import (
 )
 from evidential_magdm.linguistic import DecisionGroup, DecisionMatrix, normalize_decision_matrix
 from evidential_magdm.pipeline import ExpertWeights, fuse, run_pipeline
+
+
+# how far reversing the sources may move a weight, in units in the last place;
+# 1500 random draws of ``fusion_cases`` moved one by at most 6
+REVERSAL_ULPS = 16
 
 
 def sources_from(*arrays, labels=None):
@@ -582,6 +588,20 @@ class TestFuseFeatures:
         with pytest.raises(ValueError, match="different source list"):
             fuse_features(sources_from(*arrays[:2]), FusionWeights(("s0", "s2"), w[None, :2], w[:2]))
 
+    @pytest.mark.parametrize("weights, message", [
+        ([2.0, -1.0, 0.0], "weight vector has negative entries"),
+        ([0.5, 0.5], "expected 3 weights, got 2"),
+    ], ids=["negative", "two-for-three"])
+    def test_weights_are_checked_after_the_source_list(self, weights, message):
+        # divergence.as_weight_vector, the one weight-vector check; (2, -1, 0) sums to 1
+        rng = np.random.default_rng(15)
+        sources = sources_from(*(rng.normal(size=(5, 3)) for _ in range(3)))
+        w = np.array(weights)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fuse_features(sources, FusionWeights(("s0", "s1", "s2"), w[None], w))
+        with pytest.raises(ValueError, match="different source list"):
+            fuse_features(sources, FusionWeights(("s0", "s2", "s1"), w[None], w))
+
     def test_disagreeing_labels_are_refused_naming_source_and_sample(self):
         # an unlabelled source takes no part; the first labelled one is the reference
         features = np.arange(8.0).reshape(4, 2) + 1.0
@@ -595,6 +615,77 @@ class TestFuseFeatures:
             fuse_features(sources, ew)
         fused = fuse_features(sources[:2] + [FeatureSet("b", features, np.array([0, 1, 0, 1]))], ew)
         np.testing.assert_array_equal(fused.labels, [0, 1, 0, 1])
+
+
+@st.composite
+def fusion_cases(draw, max_sources=6):
+    """2 to ``max_sources`` sources of 20-240 samples x 8-96 dimensions (a shared signal plus
+    each source's own noise, scale and offset) with block sizes 2-16 and sample caps 20-240."""
+    m, n, d = draw(st.integers(2, max_sources)), draw(st.integers(20, 240)), draw(st.integers(8, 96))
+    config = RunConfig(block_size=draw(st.integers(2, 16)), sample_cap=draw(st.integers(20, 240)),
+                       seed=draw(st.integers(0, 2**32 - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    signal = rng.normal(size=(n, d))
+    sources = [
+        FeatureSet(f"s{i}", rng.uniform(0.1, 10) * (signal + rng.uniform(0.05, 3) * rng.normal(size=(n, d)))
+                   + rng.uniform(-5, 5))
+        for i in range(m)
+    ]
+    return sources, config
+
+
+class TestFusionLaws:
+    """Laws of ``estimate_fusion_weights`` on drawn sources; their example
+    counts come from the hypothesis profile (``tests/conftest.py``)."""
+
+    @settings(deadline=None)
+    @given(case=fusion_cases())
+    def test_the_weights_and_each_blocks_weights_are_distributions(self, case):
+        sources, config = case
+        got = estimate_fusion_weights(sources, config)
+        d, width = sources[0].n_dims, config.block_size
+        blocks = -(-d // width) - (d > width and d % width == 1)  # a lone last dimension joins the block before
+        assert got.block_weights.shape == (blocks, len(sources)) and got.weights.shape == (len(sources),)
+        for weights in (got.weights, *got.block_weights):
+            assert weights.min() >= 0 and abs(weights.sum() - 1.0) <= SUM_TOL
+
+    @settings(deadline=None)
+    @given(case=fusion_cases())
+    def test_reversing_the_sources_reverses_the_weights(self, case):
+        # pair divergences do not depend on the pair's order, but the
+        # plausibility totals and each expert's row sum add in source order
+        sources, config = case
+        base = estimate_fusion_weights(sources, config)
+        reversed_ = estimate_fusion_weights(sources[::-1], config)
+        assert reversed_.expert_ids == base.expert_ids[::-1]
+        for got, want in ((reversed_.weights[::-1], base.weights),
+                          (reversed_.block_weights[:, ::-1], base.block_weights)):
+            assert np.all(np.abs(got - want) <= REVERSAL_ULPS * np.spacing(want)), np.abs(got - want) / np.spacing(want)
+
+    @settings(deadline=None)
+    @given(case=fusion_cases(), data=st.data())
+    def test_an_affine_map_of_one_sources_dimension_keeps_the_weights(self, case, data):
+        # each source's own column extremes set its membership domain, so
+        # alpha * x + beta (alpha > 0) moves only the rounding
+        sources, config = case
+        base = estimate_fusion_weights(sources, config).weights
+        i, j = data.draw(st.integers(0, len(sources) - 1)), data.draw(st.integers(0, sources[0].n_dims - 1))
+        alpha = 10.0 ** data.draw(st.floats(-3.0, 3.0))
+        beta = alpha * data.draw(st.floats(-100.0, 100.0))
+        features = sources[i].features.copy()
+        features[:, j] = alpha * features[:, j] + beta
+        mapped = sources[:i] + [FeatureSet(sources[i].source_id, features)] + sources[i + 1:]
+        weights = estimate_fusion_weights(mapped, config).weights
+        assert np.all(np.abs(weights - base) <= 1e-14 * base), np.abs(weights - base) / base
+
+    @settings(deadline=None)
+    @given(case=fusion_cases(max_sources=2))
+    def test_two_sources_share_every_block_equally(self, case):
+        # with k = 2 both experts' averages are the one pair divergence
+        sources, config = case
+        got = estimate_fusion_weights(sources, config)
+        assert got.weights.tolist() == [0.5, 0.5]
+        assert np.all(got.block_weights == 0.5)
 
 
 class TestNearestCentroid:

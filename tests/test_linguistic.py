@@ -199,6 +199,13 @@ class TestColumnPartition:
         _, part = column_memberships([0.0, 8.0])
         assert [part.peak(t) for t in range(1, 6)] == [0.0, 2.0, 4.0, 6.0, 8.0]
 
+    @pytest.mark.parametrize("term", [0, 6, 2.5])
+    def test_a_term_outside_the_partition_is_refused(self, term):
+        # the interior formula would extrapolate them to -2.0, 10.0 and 3.0
+        _, part = column_memberships([0.0, 8.0])
+        with pytest.raises(ValueError, match=rf"^term must be an integer in 1\.\.5, got {term}$"):
+            part.peak(term)
+
 
 class TestMembership:
     """Degrees of single values on the panel range [50, 90]."""

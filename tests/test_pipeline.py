@@ -186,8 +186,14 @@ class TestOwaWeights:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_values_are_refused(self, bad):
-        with pytest.raises(ValueError, match="^ordered weights must be finite, nonnegative and sum to 1$"):
+        # divergence.as_weight_vector's message: the one weight-vector check
+        with pytest.raises(ValueError, match="^weight vector has non-finite entries$"):
             OwaWeights(np.array([bad, 1.0]), "given")
+
+    def test_a_row_matrix_is_refused(self):
+        # a (1, 5) array sums to 1, but the belief stage would broadcast it into a numpy error
+        with pytest.raises(ValueError, match="^weight vector must be a nonempty 1-d vector$"):
+            OwaWeights(np.full((1, 5), 0.2), "given")
 
 
 class TestOrderedWeightedBelief:
@@ -744,8 +750,13 @@ class TestFuse:
         np.testing.assert_allclose(fuse(stack, np.array([1.0, 0.0])), stack[0])
 
     def test_weight_count_mismatch(self):
-        with pytest.raises(ValueError, match="one matrix per expert"):
+        with pytest.raises(ValueError, match="^expected 2 weights, got 3$"):
             fuse(np.ones((2, 3, 2)), np.full(3, 1 / 3))
+
+    def test_weights_that_are_no_distribution_are_refused(self):
+        # (3, -2) sums to 1; the stack would be fused as 3 * first - 2 * second
+        with pytest.raises(ValueError, match="^weight vector has negative entries$"):
+            fuse(np.ones((2, 3, 2)), np.array([3.0, -2.0]))
 
 
 class TestRank:
